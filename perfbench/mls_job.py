@@ -4,10 +4,11 @@ Called through the public API, as a library user would: build the
 tuning problem, configure :class:`repro.core.AEDBMLS` with one
 population per core on the ``processes`` engine (the paper's parallel
 model: populations in worker processes, the archive served by the
-parent over pipes), run it, and write the result as JSON::
+parent over pipes) at 300 dev/km², run it, and write the result as
+JSON::
 
     PYTHONPATH=src python3 perfbench/mls_job.py --out result.json \\
-        --seed 7 --density 300 --networks 5 --evals-per-thread 150
+        --seed 7 --networks 5 --evals-per-thread 150
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import json
 import os
 import sys
 
+DENSITY = 300
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="result JSON path")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--density", type=int, default=300)
     parser.add_argument("--networks", type=int, default=5)
     parser.add_argument("--nodes", type=int, default=None,
                         help="node-count override (smoke runs)")
@@ -41,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.tuning import make_tuning_problem
 
     problem = make_tuning_problem(
-        args.density, n_networks=args.networks, master_seed=args.seed,
+        DENSITY, n_networks=args.networks, master_seed=args.seed,
         n_nodes=args.nodes,
     )
     config = MLSConfig(

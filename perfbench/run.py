@@ -20,10 +20,13 @@ counted from the records, over ``wall_s - setup_s``), ``cpu_s`` (user +
 system time of the process tree) and ``peak_rss_mb`` (largest resident
 set of any one process).
 
-``--trace 1`` alternates untraced and traced repetitions and reports
-the per-layer metrics of :mod:`ledger` (medians over the traced ones),
-the share of traced wall time the layer spans cover, and the tracing
-overhead (traced / untraced wall time).
+``--trace 1`` runs untraced/traced pairs of repetitions, both of a pair
+on the same input set, and reports the per-layer metrics of
+:mod:`ledger` (medians over the traced ones), the share of traced wall
+time the layer spans cover, and the tracing overhead (median over the
+pairs of traced / untraced wall time).  Metric names and units are the
+ones ``BENCHMARK.json`` declares; a run whose metrics differ from them
+fails.
 
 Set-up, not timed: the compiled event core is built in place
 (``python setup.py build_ext --inplace``) when it is missing, and the
@@ -55,15 +58,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK_ROOT = ROOT / ".perfbench_work"
+DECLARATION = ROOT / "BENCHMARK.json"
 
-#: End-to-end metrics: name -> unit.
-E2E_UNITS = {
-    "wall_s": "s",
-    "setup_s": "s",
-    "sims_per_s": "1/s",
-    "cpu_s": "s",
-    "peak_rss_mb": "MB",
-}
 MIN_ITERATIONS = 3
 MIN_TRACED = 2
 CHILD_TIMEOUT_S = 150.0
@@ -283,7 +279,7 @@ class Session:
         self.failed = 0
         self.problems: list[str] = []
         self.calibration: list[float] = []
-        self._k = 0
+        self._runs = 0
 
     def _args(self, plan: dict, out: Path, traced: bool,
               setup_only: bool = False):
@@ -295,14 +291,15 @@ class Session:
             return ["-m", "repro", *args]
         return [str(HERE / "mls_job.py"), *args]
 
-    def repetition(self, traced: bool = False, probe: bool = False):
-        """One workload process (then, with ``probe``, one set-up probe on
-        its output); returns ``(proc, outcome, out_dir, setup_s)``."""
-        j = self._k % len(self.plans)
+    def repetition(self, i: int, traced: bool = False, probe: bool = False):
+        """One workload process on input set ``i mod len(plans)`` (then,
+        with ``probe``, one set-up probe on its output); returns
+        ``(proc, outcome, out_dir, setup_s)``."""
+        j = i % len(self.plans)
         plan = self.plans[j]
         self.calibration.append(calibrate())
-        out = self.work / f"rep{self._k}"
-        self._k += 1
+        out = self.work / f"rep{self._runs}"
+        self._runs += 1
         out.mkdir()
         proc = run_process(self._args(plan, out, traced),
                            self.work / "workload.log", self.env)
@@ -345,7 +342,7 @@ def measure(session: Session, seconds: float) -> tuple[dict, dict]:
         # A set-up probe after every other repetition: enough for a
         # median, and the time goes to repetitions instead.
         probe = len(procs) % 2 == 0
-        proc, outcome, out, setup = session.repetition(probe=probe)
+        proc, outcome, out, setup = session.repetition(len(procs), probe=probe)
         procs.append(proc)
         sims.append(outcome.sims)
         if probe:
@@ -374,7 +371,8 @@ def measure(session: Session, seconds: float) -> tuple[dict, dict]:
 
 
 def measure_traced(session: Session, seconds: float) -> tuple[dict, dict]:
-    """Per-layer metrics: alternate untraced and traced repetitions."""
+    """Per-layer metrics: untraced/traced pairs of repetitions, each pair
+    on one input set."""
     from ledger import layer_metrics, median_metrics
     from tracer import load_trace_dir
 
@@ -383,10 +381,11 @@ def measure_traced(session: Session, seconds: float) -> tuple[dict, dict]:
     minimum = min(MIN_TRACED, session.min_repetitions)
     while _keep_going(deadline, durations, minimum):
         t0 = time.perf_counter()
-        proc, _, out, _ = session.repetition()
+        pair = len(samples)
+        proc, _, out, _ = session.repetition(pair)
         plain.append(proc.wall)
         shutil.rmtree(out)
-        proc, _, out, _ = session.repetition(traced=True)
+        proc, _, out, _ = session.repetition(pair, traced=True)
         traced.append(proc.wall)
         traces = load_trace_dir(out / "trace")
         main = traces[0] if traces and traces[0]["label"] == "main" else None
@@ -406,7 +405,9 @@ def measure_traced(session: Session, seconds: float) -> tuple[dict, dict]:
         shutil.rmtree(out)
         durations.append(time.perf_counter() - t0)
     metrics = median_metrics(samples)
-    metrics["trace.overhead"] = statistics.median(traced) / statistics.median(plain)
+    metrics["trace.overhead"] = statistics.median(
+        t / p for t, p in zip(traced, plain)
+    )
     if (session.workload == "paper-rw" and not session.smoke
             and metrics["sim.compiled_frac"] < 1.0):
         raise BenchmarkError(
@@ -448,10 +449,16 @@ def main(argv: list[str] | None = None) -> int:
         del os.environ[name]  # defaults everywhere, this process included
     import workloads
 
-    if args.workload not in workloads.WORKLOADS:
+    declared = json.loads(DECLARATION.read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    if args.workload not in names or args.workload not in workloads.WORKLOADS:
         print(f"perfbench: unknown workload {args.workload!r}; choose from "
-              f"{sorted(workloads.WORKLOADS)}", file=sys.stderr)
+              f"{names}", file=sys.stderr)
         return 2
+    units = {
+        m["name"]: m["unit"]
+        for m in declared["per_layer" if args.trace else "end_to_end"]
+    }
     _become_subreaper()
     work = WORK_ROOT / f"{args.workload}-s{args.seed}-t{args.trace}-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
@@ -460,12 +467,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         host = ensure_kernel(env, work)
         session = Session(args.workload, args.seed, work, env, args.smoke)
-        if args.trace:
-            values, detail = measure_traced(session, args.seconds)
-            from ledger import METRICS as units
-        else:
-            values, detail = measure(session, args.seconds)
-            units = E2E_UNITS
+        measure_run = measure_traced if args.trace else measure
+        values, detail = measure_run(session, args.seconds)
+        if set(values) != set(units):
+            raise BenchmarkError(
+                "measured metrics differ from BENCHMARK.json: "
+                f"{sorted(set(values) ^ set(units))}"
+            )
     except BenchmarkError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,11 @@ campaign ``master_seed``; ``sweep-pool`` also draws its parameter
 vectors from it), runs as one fresh ``repro`` process, and is checked
 from what it wrote:
 
-* deterministic workloads (``paper-rw``, ``sweep-pool``) hash their cell records with the wall-clock
-  ``runtime_s`` removed; the digest must equal the pinned one for the
-  default seed's input sets (``pins.json``) and be the same on every
-  repetition of an input set within a run;
+* deterministic workloads (``paper-rw``, ``sweep-pool``) hash their
+  cell records with the wall-clock ``runtime_s`` removed; the digest
+  must equal the pinned one for the default seed's input sets
+  (``pins.json``) and be the same on every repetition of an input set
+  within a run, traced or not;
 * every workload passes structural checks: each cell complete, tune
   cells spent exactly their evaluation budget and returned a feasible,
   mutually non-dominated front, evaluate cells hold one record per
@@ -43,36 +44,16 @@ def input_seeds(seed: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Workload:
-    name: str
-    why: str
     #: "cli" (a ``repro-aedb campaign run``) or "mls" (:mod:`mls_job`).
     entry: str
     deterministic: bool
 
 
+#: How each workload runs; ``BENCHMARK.json`` says what each is for.
 WORKLOADS = {
-    w.name: w
-    for w in (
-        Workload(
-            "paper-rw",
-            "paper battery AEDB-MLS/NSGA-II/CellDE x {100,300} dev/km2 on "
-            "random walk, inline: all on the compiled kernel path",
-            "cli", True,
-        ),
-        Workload(
-            "sweep-pool",
-            "evaluate sweep, 3 densities x 3 mobility models x 2 seeds, 2-worker "
-            "pool + cache sidecar: fresh networks, no search; 2/3 of the "
-            "simulations miss the kernel",
-            "cli", True,
-        ),
-        Workload(
-            "mls-parallel",
-            "AEDB-MLS on the processes engine via the public API, one "
-            "population per core: the paper's parallel model",
-            "mls", False,
-        ),
-    )
+    "paper-rw": Workload("cli", True),
+    "sweep-pool": Workload("cli", True),
+    "mls-parallel": Workload("mls", False),
 }
 
 #: ``sweep-pool`` scores this many parameter vectors per cell.
@@ -140,7 +121,7 @@ def prepare(workload: str, seed: int, work: Path, smoke: bool = False) -> dict:
         ["--networks", "1", "--nodes", str(SMOKE_NODES), "--evals-per-thread", "10"]
         if smoke else ["--networks", "5", "--evals-per-thread", "150"]
     )
-    return {"mls_args": ["--seed", str(seed), "--density", "300", *size]}
+    return {"mls_args": ["--seed", str(seed), *size]}
 
 
 def command(workload: str, plan: dict, out: Path, setup_only: bool = False):
