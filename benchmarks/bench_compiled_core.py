@@ -1,15 +1,14 @@
 """Compiled event-core benchmark: the C kernel vs the pure warm path.
 
-PR 8's tentpole claim (DESIGN.md §14): with the substrate cached and
-the protocol loop vectorised (PR 5), the remaining per-evaluation cost
-is Python's event dispatch itself — and moving the broadcast window
+PR 8's tentpole claim (DESIGN.md §14): with the substrate cached, the
+remaining per-evaluation cost is Python's event dispatch itself — and
+moving the broadcast window
 into the compiled kernel (``repro.manet._evcore``) buys ≥ 3× on the
 dense warm path while every ``BroadcastMetrics`` stays bit-identical.
 
-Workload: identical to bench_protocol_path.py — ``evaluate_many`` over
-the dense 300-node networks with the standard benchmark trio — so the
-two records compose: BENCH_PR5's vectorised path IS this benchmark's
-baseline (``REPRO_COMPILED=off``), and the candidate flips one env var
+Workload: ``evaluate_many`` over the dense 300-node networks with the
+standard benchmark trio.  The baseline is the pure-Python path
+(``REPRO_COMPILED=off``), and the candidate flips one env var
 (``REPRO_COMPILED=on``).
 
 At full scale (``REPRO_SCALE`` != quick) the record lands in
@@ -37,7 +36,7 @@ from repro.tuning import NetworkSetEvaluator
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
 
-#: The repo's standard benchmark trio (same as bench_protocol_path.py).
+#: The repo's standard benchmark trio (same as bench_telemetry.py).
 PARAM_VECTORS = (
     AEDBParams(),
     AEDBParams(0.0, 0.4, -78.0, 0.3, 3.0),
@@ -95,7 +94,7 @@ def test_compiled_core_speedup_and_identity(emit, monkeypatch):
         f"nodes ({'quick' if quick else 'full'} scale, {cores} core(s))"
     )
     emit(
-        f"  pure Python (PR5 warm path)    "
+        f"  pure Python (per-event path)   "
         f"min {min(pure_times) * 1e3:8.1f} ms / batch"
     )
     emit(
@@ -124,11 +123,7 @@ def test_compiled_core_speedup_and_identity(emit, monkeypatch):
                 "compiled batch); headline = median per-pair ratio"
             ),
         },
-        "baseline": (
-            "REPRO_COMPILED=off — the PR 5 vectorised warm path "
-            "(batched deliveries + interval live-mask index), i.e. the "
-            "candidate column of BENCH_PR5.json"
-        ),
+        "baseline": "REPRO_COMPILED=off — the pure-Python per-event path",
         "pure_ms_per_batch_min": min(pure_times) * 1e3,
         "compiled_ms_per_batch_min": min(kern_times) * 1e3,
         "speedup_median_pair": speedup,

@@ -4,7 +4,7 @@ PR 6's tentpole guarantee (DESIGN.md §12): instrumenting the campaign
 and simulation layers is free when telemetry is off, cheap when a null
 sink is installed, and bounded when every span/counter streams to a
 ``telemetry.jsonl``.  This benchmark quantifies all four recorder modes
-on the same warm ``evaluate_many`` workload as bench_protocol_path.py
+on the same warm ``evaluate_many`` workload as bench_compiled_core.py
 (the dense 300-node networks with the standard benchmark trio):
 
 - ``off``     — ``REPRO_TELEMETRY`` unset: ``get_recorder()`` short-
@@ -15,8 +15,7 @@ on the same warm ``evaluate_many`` workload as bench_protocol_path.py
 - ``jsonl``   — a :class:`~repro.telemetry.JsonlRecorder` streaming
   every span to disk, as ``campaign run`` does with telemetry on.
 - ``deep``    — ``REPRO_TELEMETRY=deep``: jsonl plus the per-run
-  simulator counters (events fired, frames transmitted/resolved,
-  vector/scalar batch split).
+  simulator counters (events fired, frames transmitted/resolved).
 
 Timing interleaves all modes round by round (matched pairs cancel the
 slow drift of a shared host); the headline per mode is the median
@@ -42,7 +41,7 @@ from repro.tuning import NetworkSetEvaluator
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 
-#: The repo's standard benchmark trio (same as bench_protocol_path.py).
+#: The repo's standard benchmark trio (same as bench_compiled_core.py).
 PARAM_VECTORS = (
     AEDBParams(),
     AEDBParams(0.0, 0.4, -78.0, 0.3, 3.0),

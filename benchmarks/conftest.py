@@ -6,8 +6,8 @@ Table IV and the domination counts all derive from the same runs, exactly
 as in the paper).  Campaigns are cached for the pytest session.
 
 Scale: ``REPRO_SCALE={quick,medium,paper}`` (default quick).  The quick
-preset keeps the full bench suite in the minutes range; the recorded
-EXPERIMENTS.md numbers state their preset.
+preset keeps the full bench suite in the minutes range; recorded
+numbers state their preset.
 """
 
 from __future__ import annotations

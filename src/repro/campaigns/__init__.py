@@ -108,9 +108,9 @@ Execution backends (DESIGN.md §10)
   transport (DESIGN.md §15): each shard ships as a self-contained
   bundle (``request.json`` + cache warm start + seed store), runs via
   ``repro-aedb campaign shard-exec`` on a worker, and streams its
-  store back for the identical merge.  ``@loopback`` (default) runs
-  workers as local subprocesses; ``@ssh:host`` runs the same worker
-  over ssh.  ``repro-aedb campaign serve`` / ``worker`` turn the
+  store back for the identical merge.  ``@loopback`` (the default and
+  only built-in transport) runs workers as local subprocesses.
+  ``repro-aedb campaign serve`` / ``worker`` turn the
   transport into a queue-backed daemon + fleet
   (:mod:`repro.campaigns.service`).
 
@@ -145,7 +145,6 @@ from repro.campaigns.backends import (
     RemoteShardBackend,
     ShardBackend,
     ShardTransport,
-    SSHTransport,
     TransportError,
     resolve_backend,
 )
@@ -203,7 +202,6 @@ __all__ = [
     "RemoteShardBackend",
     "ShardTransport",
     "LoopbackTransport",
-    "SSHTransport",
     "TransportError",
     "CampaignDaemon",
     "QueueTransport",

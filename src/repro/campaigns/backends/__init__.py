@@ -12,7 +12,7 @@ shard:N     N content-keyed shards, each with its own store, merged
             back with dedup + conflict detection
 remote:N    the shard protocol over a pluggable transport — bundles
             shipped to workers, stores streamed back (DESIGN §15);
-            ``remote:N@loopback`` (default) or ``remote:N@ssh:host``
+            ``remote:N`` = ``remote:N@loopback``
 ==========  ========================================================
 
 Select one with ``CampaignExecutor(..., backend="shard:4")`` (a string
@@ -35,7 +35,6 @@ from repro.campaigns.backends.shard import (
 from repro.campaigns.backends.transport import (
     LoopbackTransport,
     ShardTransport,
-    SSHTransport,
     TransportError,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "RemoteShardBackend",
     "ShardTransport",
     "LoopbackTransport",
-    "SSHTransport",
     "TransportError",
     "partition_cells",
     "shard_index_for",
@@ -79,26 +77,16 @@ def _parse_count(raw: str, value: str, form: str) -> int:
 
 
 def _parse_remote(spec: str, value: str, keep_shards: bool) -> Backend:
-    """``remote[:N[@loopback | @ssh:host]]`` → a RemoteShardBackend."""
+    """``remote[:N[@loopback]]`` → a RemoteShardBackend."""
     rest = spec.split(":", 1)[1] if ":" in spec else str(DEFAULT_SHARDS)
     count_part, _, transport_part = rest.partition("@")
     n_shards = _parse_count(count_part, value, "remote:N")
-    if not transport_part or transport_part == "loopback":
-        transport = LoopbackTransport()
-    elif transport_part.startswith("ssh:"):
-        host = transport_part.split(":", 1)[1]
-        if not host:
-            raise ValueError(
-                f"missing host in backend {value!r}; use remote:N@ssh:host"
-            )
-        transport = SSHTransport(host)
-    else:
+    if transport_part and transport_part != "loopback":
         raise ValueError(
-            f"unknown transport in backend {value!r}; "
-            "use remote:N@loopback or remote:N@ssh:host"
+            f"unknown transport in backend {value!r}; use remote:N@loopback"
         )
     return RemoteShardBackend(
-        n_shards, transport=transport, keep_shards=keep_shards
+        n_shards, transport=LoopbackTransport(), keep_shards=keep_shards
     )
 
 
@@ -109,9 +97,8 @@ def resolve_backend(
 
     Accepted strings: ``"inline"``, ``"pool"``, ``"shard"`` (=
     ``shard:2``), ``"shard:N"``, ``"remote"`` (= ``remote:2`` over
-    loopback), ``"remote:N"``, ``"remote:N@loopback"``,
-    ``"remote:N@ssh:host"``.  ``keep_shards`` applies to shard-family
-    backends only (other strings ignore it).
+    loopback), ``"remote:N"``, ``"remote:N@loopback"``.  ``keep_shards``
+    applies to shard-family backends only (other strings ignore it).
     """
     if not isinstance(value, str):
         if isinstance(value, Backend):

@@ -26,15 +26,13 @@ completed cells merge back from whatever partial store was fetched, the
 genuinely lost cells are charged one attempt and requeued onto the
 surviving shard count (DESIGN.md §15).
 
-Two transports live here.  :class:`LoopbackTransport` runs the worker
-as a local subprocess (``repro-aedb campaign shard-exec``) against a
-private scratch directory and copies the store back file-by-file — the
-CI-exercised reference that models the full ship/execute/fetch cycle,
-partial fetches included.  :class:`SSHTransport` wraps the *same*
-worker command in ``ssh`` with ``tar`` pipes for ship and fetch; its
-command construction is unit-tested, the network leg is not (CI has no
-fleet).  The queue transport behind the campaign daemon lives in
-:mod:`repro.campaigns.service`.
+:class:`LoopbackTransport` runs the worker as a local subprocess
+(``repro-aedb campaign shard-exec``) against a private scratch
+directory and copies the store back file-by-file — the reference that
+models the full ship/execute/fetch cycle, partial fetches included.  A
+networked transport implements the same :class:`ShardTransport`
+protocol around the same :func:`worker_command`.  The queue transport
+behind the campaign daemon lives in :mod:`repro.campaigns.service`.
 
 Fetches are **idempotent and crash-isolated**: every file is copied via
 a temp file + ``os.replace`` in sorted order, so re-fetching a shard
@@ -47,7 +45,6 @@ skipping.
 from __future__ import annotations
 
 import os
-import shlex
 import shutil
 import subprocess
 import sys
@@ -59,7 +56,6 @@ __all__ = [
     "ShardTransport",
     "TransportError",
     "LoopbackTransport",
-    "SSHTransport",
     "fetch_tree",
     "worker_command",
 ]
@@ -130,7 +126,7 @@ def fetch_tree(src: Path, dest: Path, partial_ok: bool = False) -> int:
 def worker_command(
     request_dir: str, python: str = sys.executable
 ) -> list[str]:
-    """The shard worker invocation both transports run.
+    """The shard worker invocation every transport runs.
 
     ``repro-aedb campaign shard-exec --request <bundle>`` executes the
     bundle's cells against ``<bundle>/store`` and writes
@@ -230,129 +226,3 @@ class LoopbackTransport:
     def _salvage(bundle: Path, dest_store: Path) -> None:
         fetch_tree(bundle / STORE_DIR, dest_store, partial_ok=True)
 
-
-# --------------------------------------------------------------------- #
-class SSHTransport:
-    """The same worker protocol over ``ssh`` + ``tar`` pipes.
-
-    Ship: ``tar -c`` the bundle locally, pipe into ``ssh host tar -x``
-    under a per-shard directory beneath ``remote_root``.  Execute: the
-    identical :func:`worker_command`, quoted for the remote shell.
-    Fetch: ``ssh host tar -c store`` piped into a local ``tar -x`` at
-    the destination.  Command construction is pure (unit-testable
-    without a network); ``run_shard`` wires the pipes and maps any
-    nonzero leg to :class:`TransportError`.
-    """
-
-    name = "ssh"
-
-    def __init__(
-        self,
-        host: str,
-        python: str = "python3",
-        remote_root: str = "/tmp/repro-aedb-remote",
-        ssh: tuple[str, ...] = ("ssh", "-o", "BatchMode=yes"),
-        timeout_s: float | None = None,
-    ):
-        if not host:
-            raise ValueError("SSHTransport needs a host")
-        self.host = host
-        self.python = python
-        self.remote_root = remote_root.rstrip("/")
-        self.ssh = tuple(ssh)
-        self.timeout_s = timeout_s
-
-    # -- command construction (pure, unit-tested) ---------------------- #
-    def _remote_bundle(self, shard_key: str) -> str:
-        return f"{self.remote_root}/{shard_key}"
-
-    def ship_command(self, shard_key: str) -> list[str]:
-        """Remote side of the ship pipe (reads a tar stream on stdin)."""
-        bundle = self._remote_bundle(shard_key)
-        return [
-            *self.ssh, self.host,
-            f"mkdir -p {shlex.quote(bundle)} && "
-            f"tar -x -C {shlex.quote(bundle)}",
-        ]
-
-    def exec_command(self, shard_key: str) -> list[str]:
-        remote = " ".join(
-            shlex.quote(part)
-            for part in worker_command(
-                self._remote_bundle(shard_key), self.python
-            )
-        )
-        return [*self.ssh, self.host, remote]
-
-    def fetch_command(self, shard_key: str) -> list[str]:
-        """Remote side of the fetch pipe (writes a tar stream to stdout).
-
-        Streams ``store`` and ``result.json`` together; missing pieces
-        (a worker that died before writing) are tolerated so the parent
-        can salvage whatever exists.
-        """
-        bundle = self._remote_bundle(shard_key)
-        return [
-            *self.ssh, self.host,
-            f"cd {shlex.quote(bundle)} && "
-            f"tar -c {STORE_DIR} {RESULT_FILE} 2>/dev/null || true",
-        ]
-
-    def cleanup_command(self, shard_key: str) -> list[str]:
-        return [
-            *self.ssh, self.host,
-            f"rm -rf {shlex.quote(self._remote_bundle(shard_key))}",
-        ]
-
-    # -- execution ----------------------------------------------------- #
-    def run_shard(
-        self, shard_key: str, bundle_dir: Path, dest_store: Path
-    ) -> dict:  # pragma: no cover - needs a live fleet
-        import io
-        import json
-        import tarfile
-
-        buf = io.BytesIO()
-        with tarfile.open(fileobj=buf, mode="w") as tar:
-            for path in sorted(Path(bundle_dir).rglob("*")):
-                tar.add(path, arcname=str(path.relative_to(bundle_dir)))
-        self._run(self.ship_command(shard_key), shard_key, buf.getvalue())
-        self._run(self.exec_command(shard_key), shard_key)
-        out = self._run(self.fetch_command(shard_key), shard_key)
-        scratch = Path(tempfile.mkdtemp(prefix="repro-aedb-ssh-fetch-"))
-        try:
-            with tarfile.open(fileobj=io.BytesIO(out), mode="r") as tar:
-                tar.extractall(scratch, filter="data")
-            result_path = scratch / RESULT_FILE
-            if not result_path.exists():
-                fetch_tree(scratch / STORE_DIR, dest_store, partial_ok=True)
-                raise TransportError(
-                    f"worker for {shard_key} on {self.host} left no result"
-                )
-            summary = json.loads(result_path.read_text())
-            fetch_tree(scratch / STORE_DIR, dest_store)
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
-            subprocess.run(
-                self.cleanup_command(shard_key), capture_output=True
-            )
-        return summary
-
-    def _run(
-        self, cmd: list[str], shard_key: str, stdin: bytes | None = None
-    ) -> bytes:  # pragma: no cover - needs a live fleet
-        try:
-            proc = subprocess.run(
-                cmd, input=stdin, capture_output=True,
-                timeout=self.timeout_s,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise TransportError(
-                f"ssh leg for {shard_key} timed out: {cmd[-1]!r}"
-            ) from exc
-        if proc.returncode != 0:
-            tail = proc.stderr.decode(errors="replace").strip()[-200:]
-            raise TransportError(
-                f"ssh leg for {shard_key} exited {proc.returncode}: {tail}"
-            )
-        return proc.stdout

@@ -134,16 +134,13 @@ def _execute_job(job):
     """Worker entry point: one simulation or one optimiser run.
 
     Simulation jobs carrying a shared-runtime handle map the parent's
-    one precompute (snapshot timeline, protocol RNG stream, and the
-    interval live-mask index, DESIGN.md §9/§11); jobs without (or whose
-    attach cannot be honoured) resolve their scenario's
-    :class:`~repro.manet.runtime.ScenarioRuntime`
+    one precompute (snapshot timeline and protocol RNG stream,
+    DESIGN.md §9); jobs without (or whose attach cannot be honoured)
+    resolve their scenario's :class:`~repro.manet.runtime.ScenarioRuntime`
     from the worker's per-process LRU instead, so cells that reference
     the same scenario — within a campaign or across param-sweep cells —
-    still share one precomputed beacon grid per worker.  Workers run
-    the batched delivery path by default and honour the parent's
-    ``REPRO_BATCH_DELIVERIES`` / ``REPRO_LIVE_INDEX`` settings (read at
-    simulator construction).  Results are bit-identical on every path.
+    still share one precomputed beacon grid per worker.  Results are
+    bit-identical on every path.
 
     Two resilience hooks bracket the work (DESIGN.md §13), both free
     when their env toggles are unset: the fault plane may crash, hang,
@@ -271,7 +268,8 @@ class CampaignRunReport:
     skipped: list[CampaignCell] = field(default_factory=list)
     #: Simulation jobs served from the persistent evaluation cache.
     cache_hits: int = 0
-    #: Simulation jobs actually executed (cache hits excluded).
+    #: Broadcast simulations actually run: one per executed simulation
+    #: job (cache hits excluded) plus every simulation inside tune jobs.
     simulations_executed: int = 0
     #: Cells quarantined this run (recorded in ``failures.jsonl``,
     #: never fatal — the run completes around them, DESIGN.md §13).
@@ -643,11 +641,16 @@ class CampaignExecutor:
 
     @staticmethod
     def _record_executed(job, payload, report, cache) -> None:
-        """Count one live execution and persist a simulation's result."""
+        """Count one live execution's simulations; persist a simulation's
+        result."""
         if isinstance(job, _SimJob):
             report.simulations_executed += 1
             if cache is not None:
                 cache.put_metrics(job.scenario, job.params, payload)
+        else:
+            # Tune problems run uncached: every evaluation simulates each
+            # network of the cell's set once.
+            report.simulations_executed += int(payload.evaluations) * job.n_networks
 
     def _resolve_serial_job(self, job, report, cache):
         """One job's payload: persistent-cache hit or live execution."""

@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
              "shard:N partitions the cells into N per-store shards "
              "and merges them back; remote:N ships the same shards "
              "over a transport — remote:2@loopback runs workers as "
-             "local subprocesses, remote:2@ssh:host over ssh)",
+             "local subprocesses)",
     )
     run_p.add_argument(
         "--keep-shards", action="store_true",

@@ -15,8 +15,8 @@ protocol, same indicators):
 ========  ======  ========  ==========  ===========================
 
 Select with ``REPRO_SCALE={quick,medium,paper}`` (default ``quick``) or
-pass a preset explicitly to the harness functions.  EXPERIMENTS.md states
-which preset produced the recorded numbers.
+pass a preset explicitly to the harness functions.  Recorded numbers
+must state which preset produced them.
 """
 
 from __future__ import annotations

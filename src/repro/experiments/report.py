@@ -1,7 +1,7 @@
 """Plain-text rendering of the reproduced figures and tables.
 
 The benchmark harness pipes these through ``print`` so the paper-shaped
-rows/series land in ``bench_output.txt`` and EXPERIMENTS.md.
+rows/series land in ``bench_output.txt``.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The paper reports AEDB-MLS needing 48/188/417 minutes against the MOEAs'
 32/123/264 hours — "over 38 times faster ... and it performs 2.4 times
 more evaluations".  Absolute times are testbed-bound (the authors used a
-96-core cluster of Xeon L5640 nodes; the reproduction machine is
-cgroup-limited to ~1.3 cores of effective parallelism — measured in
-EXPERIMENTS.md), so this harness reports the *structure* of the claim:
+96-core cluster of Xeon L5640 nodes; a reproduction host typically
+has a handful of cores), so this harness reports the *structure* of
+the claim:
 
 * wall-clock per run and throughput (evaluations/second) per algorithm;
 * the MLS:MOEA evaluation ratio at the configured budgets;

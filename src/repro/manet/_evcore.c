@@ -624,7 +624,7 @@ k_pow10(Kernel *k, long m)
     return 0;
 }
 
-/* Positions at ``t`` — RandomWalkMobility.positions_into, op for op
+/* Positions at ``t`` — RandomWalkMobility.positions_at, bit for bit
  * (mul, add, one-period fold or floored mod, then the triangle wave). */
 static const double *
 k_positions(Kernel *k, double t)
@@ -669,9 +669,9 @@ k_positions(Kernel *k, double t)
 
 static int k_do_transmit(Kernel *k, long sender, double power, double t);
 
-/* AEDBProtocol._select_tx_power, scan spelling (bit-identical to both
- * the live-index and the scan path of the reference — all three
- * evaluate the same freshness predicate on the same floats). */
+/* AEDBProtocol._select_tx_power, scan spelling (bit-identical to the
+ * reference's scanned live_mask — both evaluate the same freshness
+ * predicate on the same floats). */
 static double
 k_select_tx_power(Kernel *k, long node, double t)
 {
@@ -812,9 +812,9 @@ k_do_transmit(Kernel *k, long sender, double power, double t)
     return k_push(k, k->fr_end[f], EV_RESOLVE, f, 0.0);
 }
 
-/* AEDBProtocol.on_receive_batch: one ascending pass (identical to both
- * the scalar small-batch loop and the vectorised update — see
- * DESIGN.md §14 for the equivalence argument). */
+/* AEDBProtocol.on_receive for every eligible receiver, one ascending
+ * pass (the delivery order of RadioMedium._resolve — see DESIGN.md §14
+ * for the equivalence argument). */
 static int
 k_deliver(Kernel *k, long f, double t)
 {
@@ -843,8 +843,8 @@ k_deliver(Kernel *k, long f, double t)
     return 0;
 }
 
-/* RadioMedium._resolve, batch mode with the inlined log-distance fast
- * path (the only configuration the kernel accepts). */
+/* RadioMedium._resolve with the inlined log-distance chain (the only
+ * configuration the kernel accepts). */
 static int
 k_resolve(Kernel *k, long f, double t)
 {

@@ -133,25 +133,6 @@ class AEDBNodeState(enum.Enum):
     FORWARDED = "forwarded"  # received and retransmitted
 
 
-#: Integer mirror of :class:`AEDBNodeState` kept in ``_state_code`` so the
-#: batched delivery path can partition a receiver vector with one numpy
-#: compare instead of a per-node Python state lookup.
-_CODE_IDLE, _CODE_WAITING, _CODE_DROPPED, _CODE_FORWARDED = range(4)
-
-#: At or below this many receivers, on_receive_batch runs the scalar
-#: per-receiver state machine instead of the full-vector update: a
-#: handful of list/array-scalar operations beats numpy's fixed per-op
-#: dispatch.  Purely a wall-clock cutover — both sides are identical by
-#: construction (the scalar loop IS the per-event code).
-_SMALL_BATCH = 8
-_CODE_FOR_STATE = {
-    AEDBNodeState.IDLE: _CODE_IDLE,
-    AEDBNodeState.WAITING: _CODE_WAITING,
-    AEDBNodeState.DROPPED: _CODE_DROPPED,
-    AEDBNodeState.FORWARDED: _CODE_FORWARDED,
-}
-
-
 #: Transmit callback: (sender, tx_power_dbm, time_s) -> None
 TransmitFn = Callable[[int, float, float], None]
 
@@ -197,31 +178,8 @@ class AEDBProtocol:
         self._max_tx_dbm = float(radio.default_tx_power_dbm)
 
         self.state = [AEDBNodeState.IDLE] * n_nodes
-        #: Integer mirror of ``state`` (same transitions, numpy-typed) —
-        #: the batched path's vectorised phase test.
-        self._state_code = np.zeros(n_nodes, dtype=np.int8)
-        # Scratch masks reused by every on_receive_batch call (ufuncs
-        # write into them with ``out=``, so the warm path allocates
-        # nothing per frame).
-        self._batch_mask_a = np.empty(n_nodes, dtype=bool)
-        self._batch_mask_b = np.empty(n_nodes, dtype=bool)
-        # Phase population counters: the batch path skips whole blocks
-        # (duplicate suppression / first-copy detection) when no node is
-        # in the corresponding phase — plain-int tests instead of numpy
-        # scans.  Maintained by _set_state and the batch entrant loop.
-        self._n_idle = n_nodes
-        self._n_waiting = 0
-        # Scratch for _select_tx_power's masks (timer path; never live
-        # across calls, and timer events cannot interleave with batch
-        # deliveries within one event).
+        # Scratch for _select_tx_power's mask (never live across calls).
         self._select_mask = np.empty(n_nodes, dtype=bool)
-        #: Batched-delivery cutover tallies (plain ints, maintained
-        #: unconditionally — one add per frame): frames that ran the
-        #: full-vector update vs the small-batch scalar loop.  The
-        #: simulator ships them as telemetry counters under
-        #: ``REPRO_TELEMETRY=deep``.
-        self.batch_frames_vector = 0
-        self.batch_frames_scalar = 0
         #: Strongest copy heard per node (the paper's ``pmin``), dBm.
         self.strongest_copy_dbm = np.full(n_nodes, -np.inf)
         #: Time of first successful reception per node (NaN = never).
@@ -237,19 +195,6 @@ class AEDBProtocol:
         #: measurable in tight evaluation loops).
         self.decisions: list[tuple[float, int, str]] = []
 
-    def _set_state(self, node: int, state: AEDBNodeState) -> None:
-        """One transition, all representations (list, code mirror,
-        phase counters)."""
-        previous = self.state[node]
-        if previous is AEDBNodeState.IDLE:
-            self._n_idle -= 1
-        elif previous is AEDBNodeState.WAITING:
-            self._n_waiting -= 1
-        if state is AEDBNodeState.WAITING:
-            self._n_waiting += 1
-        self.state[node] = state
-        self._state_code[node] = _CODE_FOR_STATE[state]
-
     # ------------------------------------------------------------------ #
     # message origin                                                     #
     # ------------------------------------------------------------------ #
@@ -257,7 +202,7 @@ class AEDBProtocol:
         """Source node seeds the dissemination at the default power."""
         if not (0 <= source < self.n_nodes):
             raise ValueError(f"source {source} out of range")
-        self._set_state(source, AEDBNodeState.FORWARDED)
+        self.state[source] = AEDBNodeState.FORWARDED
         self.first_rx_time[source] = time_s
         if self._record_decisions:
             self.decisions.append((time_s, source, "source"))
@@ -267,22 +212,17 @@ class AEDBProtocol:
     # reception path (Fig. 1 lines 1–15)                                 #
     # ------------------------------------------------------------------ #
     def _first_copy(self, node: int, rx_power_dbm: float, time_s: float) -> None:
-        """First reception at an IDLE node (Fig. 1 lines 3–11).
-
-        The single source of truth for the border test / timer arming —
-        shared by :meth:`on_receive` and the small-batch loop of
-        :meth:`on_receive_batch`, so the two delivery paths can never
-        drift apart.
-        """
+        """First reception at an IDLE node (Fig. 1 lines 3–11): the
+        border test and timer arming (``k_first_copy`` in the kernel)."""
         self.first_rx_time[node] = time_s
         self.strongest_copy_dbm[node] = rx_power_dbm
         if rx_power_dbm > self._border_dbm:
             # Transmitter too close: outside the forwarding area.
-            self._set_state(node, AEDBNodeState.DROPPED)
+            self.state[node] = AEDBNodeState.DROPPED
             if self._record_decisions:
                 self.decisions.append((time_s, node, "drop:border-first"))
             return
-        self._set_state(node, AEDBNodeState.WAITING)
+        self.state[node] = AEDBNodeState.WAITING
         lo, hi = self._delay_lo, self._delay_hi
         delay = float(self._rng.uniform(lo, hi)) if hi > lo else lo
         self._timers[node] = self._queue.schedule(
@@ -304,113 +244,6 @@ class AEDBProtocol:
                 self.strongest_copy_dbm[node] = rx_power_dbm
         # DROPPED / FORWARDED: duplicates are ignored.
 
-    def on_receive_batch(
-        self,
-        receivers: np.ndarray,
-        senders,
-        rx_dbm: np.ndarray,
-        time_s: float,
-    ) -> None:
-        """One frame's deliveries to every receiver as array ops.
-
-        ``receivers`` is a boolean eligibility mask over ALL nodes and
-        ``rx_dbm`` the full per-node rx-power vector, exactly as
-        :class:`~repro.manet.medium.RadioMedium` computed them (both
-        valid only for the duration of the call).  Semantically
-        identical to calling :meth:`on_receive` once per masked node in
-        ascending id order — the order the medium's per-event loop
-        delivers.  The ordering contract (DESIGN.md §11): RNG delay
-        draws happen only for nodes entering WAITING, in receiver
-        order, and their timers are scheduled in that same order, so
-        both the :class:`~repro.manet.runtime.UniformStream` replay
-        cursor and the event queue's insertion-order tie-breaking stay
-        aligned with the per-event path; the decision log interleaves
-        border-drops and arms exactly as the loop would.
-
-        ``senders`` is the transmitting node id (one frame has one
-        sender; the plural mirrors the delivery-callback convention).
-        All mask work runs full-vector into preallocated scratch — no
-        per-receiver fancy indexing on the warm path.
-        """
-        if np.count_nonzero(receivers) <= _SMALL_BATCH:
-            # Tiny frames (adapted-power transmissions reaching a
-            # handful of nodes): below the cutover, numpy's fixed
-            # per-op dispatch costs more than a few scalar updates, so
-            # run the per-receiver state machine directly — same code
-            # the per-event path runs, ascending id order, one Python
-            # dispatch per frame instead of one per delivery.
-            self.batch_frames_scalar += 1
-            state = self.state
-            strongest_arr = self.strongest_copy_dbm
-            heard = self._heard_from
-            for r in np.nonzero(receivers)[0].tolist():
-                heard[r, senders] = True
-                st = state[r]
-                if st is AEDBNodeState.WAITING:
-                    rx = rx_dbm[r]
-                    if rx > strongest_arr[r]:
-                        strongest_arr[r] = rx
-                elif st is AEDBNodeState.IDLE:
-                    self._first_copy(r, float(rx_dbm[r]), time_s)
-            return
-        self.batch_frames_vector += 1
-        self._heard_from[:, senders] |= receivers
-        codes = self._state_code
-        strongest = self.strongest_copy_dbm
-
-        # Duplicates heard while WAITING (Fig. 1 line 12), vectorised —
-        # the warm path: after the first wave almost every delivery is a
-        # duplicate-suppression update.  The phase counters gate each
-        # block with a plain-int test, so frames resolving after every
-        # timer fired (or after full coverage) skip the numpy work.
-        if self._n_waiting:
-            waiting = self._batch_mask_a
-            np.equal(codes, _CODE_WAITING, out=waiting)
-            waiting &= receivers
-            if waiting.any():
-                stronger = self._batch_mask_b
-                np.greater(rx_dbm, strongest, out=stronger)
-                stronger &= waiting
-                if stronger.any():
-                    np.copyto(strongest, rx_dbm, where=stronger)
-
-        # First copies: border test vectorised, then one pass in receiver
-        # order over the (at most once per node per run) IDLE entrants.
-        if not self._n_idle:
-            return
-        idle = self._batch_mask_a  # waiting mask no longer needed
-        np.equal(codes, _CODE_IDLE, out=idle)
-        idle &= receivers
-        if not idle.any():
-            return
-        idle_nodes = np.flatnonzero(idle)
-        rx_idle = rx_dbm[idle_nodes]
-        self.first_rx_time[idle_nodes] = time_s
-        strongest[idle_nodes] = rx_idle
-        dropped = rx_idle > self._border_dbm
-        lo, hi = self._delay_lo, self._delay_hi
-        record = self._record_decisions
-        state, timers, code = self.state, self._timers, codes
-        uniform, schedule = self._rng.uniform, self._queue.schedule
-        self._n_idle -= idle_nodes.size
-        for node, is_drop in zip(idle_nodes.tolist(), dropped.tolist()):
-            if is_drop:
-                state[node] = AEDBNodeState.DROPPED
-                code[node] = _CODE_DROPPED
-                if record:
-                    self.decisions.append((time_s, node, "drop:border-first"))
-                continue
-            state[node] = AEDBNodeState.WAITING
-            code[node] = _CODE_WAITING
-            self._n_waiting += 1
-            delay = float(uniform(lo, hi)) if hi > lo else lo
-            timers[node] = schedule(
-                time_s + delay, lambda t, n=node: self._on_timer(n, t)
-            )
-            if record:
-                self.decisions.append((time_s, node, f"arm:{delay:.4f}"))
-        # DROPPED / FORWARDED receivers: duplicates are ignored.
-
     # ------------------------------------------------------------------ #
     # timer path (Fig. 1 lines 16–26)                                    #
     # ------------------------------------------------------------------ #
@@ -420,12 +253,12 @@ class AEDBProtocol:
             return
         if self.strongest_copy_dbm[node] > self._border_dbm:
             # A transmitter got too close while we were waiting.
-            self._set_state(node, AEDBNodeState.DROPPED)
+            self.state[node] = AEDBNodeState.DROPPED
             if self._record_decisions:
                 self.decisions.append((time_s, node, "drop:border-timer"))
             return
         power = self._select_tx_power(node, time_s)
-        self._set_state(node, AEDBNodeState.FORWARDED)
+        self.state[node] = AEDBNodeState.FORWARDED
         if self._record_decisions:
             self.decisions.append((time_s, node, f"forward:{power:.2f}dBm"))
         jitter = (

@@ -33,13 +33,12 @@ from repro.manet.config import RadioConfig, SimulationConfig
 from repro.manet.geometry import pairwise_distances
 from repro.manet.mobility import MobilityModel
 from repro.manet.propagation import build_path_loss
-from repro.utils import flags
 from repro.utils.units import DBM_MINUS_INF
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.manet.runtime import ScenarioRuntime
 
-__all__ = ["NeighborTables", "freshness_mask", "live_index_enabled"]
+__all__ = ["NeighborTables", "freshness_mask"]
 
 
 def freshness_mask(last_seen, time_s: float, expiry_s: float):
@@ -47,24 +46,11 @@ def freshness_mask(last_seen, time_s: float, expiry_s: float):
 
     An entry is live iff ``time_s - last_seen <= expiry_s`` (boundary
     inclusive: an entry seen exactly ``expiry_s`` ago is still live).
-    Elementwise over whatever ``last_seen`` is — a table row, the full
-    matrix, or the distinct-value vector of the interval live index
-    (:class:`repro.manet.runtime.TickLiveIndex`) — so every consumer
-    shares one float expression and the expiry/boundary semantics can
-    never drift between the scan path and the indexed path.
+    Elementwise over whatever ``last_seen`` is — a table row or the full
+    matrix — so every query shares one float expression (the compiled
+    kernel replicates it, DESIGN.md §14).
     """
     return (time_s - last_seen) <= expiry_s
-
-
-def live_index_enabled() -> bool:
-    """Whether tables may serve queries from the interval live index.
-
-    ``REPRO_LIVE_INDEX=0`` forces the O(n) freshness scan everywhere
-    (read per table construction, so already-forked campaign workers
-    honour the parent's setting) — the ablation knob of
-    ``benchmarks/bench_protocol_path.py`` and the identity tests.
-    """
-    return flags.read_bool("REPRO_LIVE_INDEX")
 
 
 class NeighborTables:
@@ -83,7 +69,6 @@ class NeighborTables:
         mobility: MobilityModel,
         radio: RadioConfig | None = None,
         runtime: "ScenarioRuntime | None" = None,
-        use_live_index: bool | None = None,
     ):
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
@@ -126,23 +111,6 @@ class NeighborTables:
         # (off-grid, skipped, or out of order) diverges for good and
         # switches the instance to incremental-only updates.
         self._next_tick: int | None = 0 if runtime is not None else None
-        # Interval live index (DESIGN.md §11): while the tables sit on
-        # the canonical timeline, neighbour queries resolve against the
-        # runtime's precomputed per-tick index instead of scanning
-        # ``last_seen``.  ``_tick_index`` is the canonical tick whose
-        # snapshot is current (None before the first round and forever
-        # after the timeline diverges); queries before the tick's own
-        # time fall back to the scan, so the index never has to reason
-        # about entries it dropped as already-expired.
-        self._use_index = (
-            live_index_enabled() if use_live_index is None else bool(use_live_index)
-        )
-        self._tick_index: int | None = None
-        #: The current tick's TickLiveIndex, resolved once per snapshot
-        #: restore (None off the canonical timeline) — queries then pay
-        #: one attribute read instead of a runtime lookup.
-        self._tick_entry = None
-        self._tick_time = np.inf
         self.rounds_run = 0
 
     # ------------------------------------------------------------------ #
@@ -170,13 +138,6 @@ class NeighborTables:
                 )
                 if snapshot is not None:
                     self.rx_power, self.last_seen = snapshot
-                    self._tick_index = self._next_tick
-                    self._tick_entry = (
-                        self._runtime.live_index_at(self._next_tick)
-                        if self._use_index
-                        else None
-                    )
-                    self._tick_time = time_s
                     self._next_tick += 1
                     self.rounds_run += 1
                     return
@@ -184,9 +145,6 @@ class NeighborTables:
             positions = self._runtime.positions_at(time_s)
         else:
             positions = self._mobility.positions_at(time_s)
-        # Incremental update: off the indexed timeline for good.
-        self._tick_index = None
-        self._tick_entry = None
         dist = pairwise_distances(positions)
         rx = self._loss.rx_power_dbm(self._radio.default_tx_power_dbm, dist)
         heard = rx >= self._radio.detection_threshold_dbm
@@ -220,31 +178,8 @@ class NeighborTables:
     # ------------------------------------------------------------------ #
     # queries (all from the point of view of node ``i``)                 #
     # ------------------------------------------------------------------ #
-    def _live_index(self, time_s: float):
-        """The per-tick live index covering ``time_s``, if one applies.
-
-        Non-None only while the tables replay the canonical timeline, a
-        runtime with a precomputed index backs them, and the query does
-        not look *before* the current tick (where entries the index
-        pruned as expired could still have been live).  Everything else
-        — off-grid state, disabled index, runtime-less tables — scans.
-        """
-        entry = self._tick_entry
-        if entry is None or time_s < self._tick_time:
-            return None
-        return entry
-
     def live_mask(self, i: int, time_s: float) -> np.ndarray:
-        """Boolean mask over nodes: fresh neighbour entries of ``i``.
-
-        On the canonical timeline this is an O(1) read-only row of the
-        interval live index (bit-identical to the scan by construction —
-        both sides evaluate :func:`freshness_mask`); off the timeline it
-        falls back to the O(n) scan and returns a fresh writable array.
-        """
-        index = self._live_index(time_s)
-        if index is not None:
-            return index.live_row(i, time_s)
+        """Boolean mask over nodes: fresh neighbour entries of ``i``."""
         fresh = freshness_mask(
             self.last_seen[i], time_s, self._sim.neighbor_expiry_s
         )
@@ -270,16 +205,10 @@ class NeighborTables:
 
     def degree(self, i: int, time_s: float) -> int:
         """Number of live neighbours of node ``i``."""
-        index = self._live_index(time_s)
-        if index is not None:
-            return index.degree(i, time_s)
         return int(np.count_nonzero(self.live_mask(i, time_s)))
 
     def mean_degree(self, time_s: float) -> float:
         """Average node degree — a density diagnostic used by scenarios."""
-        index = self._live_index(time_s)
-        if index is not None:
-            return float(index.live_total(time_s)) / self.n_nodes
         fresh = freshness_mask(
             self.last_seen, time_s, self._sim.neighbor_expiry_s
         )

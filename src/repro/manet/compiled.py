@@ -24,9 +24,8 @@ Selection (``REPRO_COMPILED``, overridable per simulator via the
 The fallback ladder, in order: extension import → ``probe_ops``
 arithmetic self-check (sqrt / FMA-contraction canary / floored-mod
 replica vs numpy) → per-run preconditions (runtime attached, replay RNG
-stream, batched deliveries, log-distance path loss, static or
-random-walk mobility).  Every rung lands on the pure path with a
-human-readable reason.
+stream, log-distance path loss, static or random-walk mobility).  Every
+rung lands on the pure path with a human-readable reason.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
 
     The kernel covers exactly the warm evaluation path the campaign and
     tuning layers run: a :class:`ScenarioRuntime` substrate, the replay
-    RNG stream, batched deliveries, the log-distance model, and a
-    static or random-walk trace.  Anything else is the pure path's job.
+    RNG stream, the log-distance model, and a static or random-walk
+    trace.  Anything else is the pure path's job.
     """
     from repro.manet.mobility import RandomWalkMobility, StaticMobility
     from repro.manet.runtime import UniformStream
@@ -144,8 +143,6 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
         return "no ScenarioRuntime attached"
     if type(sim._protocol_rng) is not UniformStream:
         return "protocol rng is not the runtime's replay stream"
-    if sim.medium._on_delivery_batch is None:
-        return "batched deliveries disabled"
     if sim.medium._record_deliveries:
         return "per-frame delivery recording requested"
     if sim.medium._fast_log_distance is None:
@@ -295,6 +292,9 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     timer_deadline = np.full(n, np.nan)
     decisions_out = np.empty((2 * n + 1, 4))
     counts = np.zeros(_N_COUNTS, dtype=np.int64)
+    # Per-node phase codes (AEDBNodeState order); the simulator is
+    # single-use, so every node is still IDLE (0) when the window opens.
+    state_code = np.zeros(n, dtype=np.int8)
 
     energy = ext.run_window(
         fparams,
@@ -315,7 +315,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         np.power,
         protocol.first_rx_time,
         protocol.strongest_copy_dbm,
-        protocol._state_code,
+        state_code,
         protocol._heard_from,
         frame_out,
         timer_deadline,
@@ -323,12 +323,11 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         counts,
     )
 
-    fired, n_frames, n_resolved, draws, b_vec, b_scal, n_dec = counts.tolist()
+    # Slots 4-5 are batch tallies the kernel still fills; nothing reads them.
+    fired, n_frames, n_resolved, draws, _, _, n_dec = counts.tolist()
 
     # -- protocol ----------------------------------------------------- #
     rng._i += draws
-    protocol.batch_frames_vector += b_vec
-    protocol.batch_frames_scalar += b_scal
     states_by_code = (
         AEDBNodeState.IDLE,
         AEDBNodeState.WAITING,
@@ -336,15 +335,8 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         AEDBNodeState.FORWARDED,
     )
     state = protocol.state
-    n_idle = n_waiting = 0
-    for node, code in enumerate(protocol._state_code.tolist()):
+    for node, code in enumerate(state_code.tolist()):
         state[node] = states_by_code[code]
-        if code == 0:
-            n_idle += 1
-        elif code == 1:
-            n_waiting += 1
-    protocol._n_idle = n_idle
-    protocol._n_waiting = n_waiting
 
     if protocol._record_decisions and n_dec:
         append = protocol.decisions.append
@@ -389,7 +381,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     # -- neighbour tables --------------------------------------------- #
     # The kernel consumed the window snapshots read-only; replaying the
     # canonical rounds through the live tables is W O(1) snapshot swaps
-    # that land rounds_run, the live-index tick, and the current-view
+    # that land rounds_run, the canonical-tick cursor, and the current-view
     # arrays exactly where the pure event loop leaves them.
     for t in runtime.window_times:
         tables.beacon_round(t)
@@ -402,7 +394,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     for f in medium._active:
         queue.post(f.end_s, lambda t, fr=f: medium._resolve(fr, t))
     timers = protocol._timers
-    for node in np.flatnonzero(protocol._state_code == 1).tolist():
+    for node in np.flatnonzero(state_code == 1).tolist():
         timers[node] = queue.schedule(
             float(timer_deadline[node]),
             lambda t, nd=node: protocol._on_timer(nd, t),

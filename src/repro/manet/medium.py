@@ -39,13 +39,12 @@ from repro.manet.config import RadioConfig
 from repro.manet.events import EventQueue
 from repro.manet.mobility import MobilityModel
 from repro.manet.propagation import LogDistancePathLoss, build_path_loss
-from repro.utils import flags
 from repro.utils.units import dbm_to_mw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.manet.runtime import ScenarioRuntime
 
-__all__ = ["Frame", "RadioMedium", "batched_deliveries_enabled"]
+__all__ = ["Frame", "RadioMedium"]
 
 
 @dataclass(slots=True)
@@ -70,25 +69,6 @@ class Frame:
 #: Delivery callback signature: (receiver, frame, rx_power_dbm, time_s).
 DeliveryCallback = Callable[[int, "Frame", float, float], None]
 
-#: Batched delivery callback: (receivers, frame, rx_dbm, time_s) with
-#: ``receivers`` a boolean eligibility mask over ALL nodes and ``rx_dbm``
-#: the full per-node rx-power vector — one call per resolved frame
-#: instead of one per receiver, with no per-receiver fancy indexing on
-#: either side (DESIGN.md §11).  Both arrays are only valid for the
-#: duration of the call (the medium reuses its scratch buffers).
-BatchDeliveryCallback = Callable[[np.ndarray, "Frame", np.ndarray, float], None]
-
-
-def batched_deliveries_enabled() -> bool:
-    """Whether simulators wire the batched delivery path by default.
-
-    ``REPRO_BATCH_DELIVERIES=0`` restores the historical one-callback-
-    per-receiver path (read at simulator construction, so forked
-    campaign workers honour the parent's setting) — the ablation knob of
-    ``benchmarks/bench_protocol_path.py`` and the identity tests.
-    """
-    return flags.read_bool("REPRO_BATCH_DELIVERIES")
-
 
 class RadioMedium:
     """Single-channel broadcast medium with SINR capture.
@@ -110,12 +90,6 @@ class RadioMedium:
     record_deliveries:
         Keep per-frame ``delivered_to`` lists.  Off by default — the
         metrics never need them; tests and diagnostics opt in.
-    on_delivery_batch:
-        Optional batched delivery callback.  When set, each resolved
-        frame produces ONE call with the full receiver vector and its
-        aligned rx powers instead of a per-receiver ``on_delivery``
-        loop; the per-event callback is then never invoked for frames
-        with at least one receiver (DESIGN.md §11).
     """
 
     def __init__(
@@ -126,7 +100,6 @@ class RadioMedium:
         on_delivery: DeliveryCallback,
         runtime: "ScenarioRuntime | None" = None,
         record_deliveries: bool = False,
-        on_delivery_batch: BatchDeliveryCallback | None = None,
     ):
         if runtime is not None:
             # The runtime's precomputed substrate is bound to its
@@ -148,7 +121,6 @@ class RadioMedium:
             runtime.path_loss if runtime is not None else build_path_loss(radio)
         )
         self._on_delivery = on_delivery
-        self._on_delivery_batch = on_delivery_batch
         self._record_deliveries = bool(record_deliveries)
         self._active: list[Frame] = []
         self._recent: list[Frame] = []  # ended frames kept for overlap checks
@@ -159,13 +131,10 @@ class RadioMedium:
         self._max_tx = float(radio.default_tx_power_dbm)
         self._detection_dbm = float(radio.detection_threshold_dbm)
         self._airtime_s = float(radio.frame_airtime_s)
-        # Batched-resolution scratch (DESIGN.md §11): the clean-channel
-        # path of the batch mode runs the *same* op sequence as the
-        # generic path but into reusable buffers (allocated lazily at
-        # first resolve), and log-distance — the default model — is
-        # inlined with its scalars hoisted.  ``type is`` (not
-        # isinstance): a subclass overriding loss_db must not be
-        # silently bypassed.
+        # Log-distance (the default model) with its scalars hoisted —
+        # the compiled kernel's precondition and path-loss inputs
+        # (DESIGN.md §14).  ``type is`` (not isinstance): a subclass
+        # overriding loss_db must not be silently bypassed.
         if type(self._loss) is LogDistancePathLoss:
             self._fast_log_distance = (
                 float(self._loss.reference_distance_m),
@@ -174,12 +143,6 @@ class RadioMedium:
             )
         else:
             self._fast_log_distance = None
-        if on_delivery_batch is not None:
-            n = mobility.n_nodes
-            self._pos_buf = np.empty((n, 2))
-            self._diff_buf = np.empty((n, 2))
-            self._rx_buf = np.empty(n)
-            self._elig_buf = np.empty(n, dtype=bool)
         self._energy_dbm = 0.0
         self._n_frames = 0
         self._n_resolved = 0
@@ -216,9 +179,6 @@ class RadioMedium:
         return [f for f in pool if f is not frame and f.overlaps(frame)]
 
     def _positions_at(self, time_s: float) -> np.ndarray:
-        # Per-event mode only — byte-for-byte the historical path (the
-        # batch mode of _resolve fills its scratch buffer straight off
-        # the trace instead).
         if self._runtime is not None:
             return self._runtime.positions_at(time_s)
         return self._mobility.positions_at(time_s)
@@ -235,83 +195,15 @@ class RadioMedium:
         if recent[0].end_s < time_s - 2.0 * self._airtime_s:
             self._gc_recent(time_s)
 
-        if self._on_delivery_batch is not None:
-            # One-shot midpoint query straight off the trace into the
-            # scratch buffer: frame midpoints derive from timer draws
-            # and essentially never recur, and the runtime's position
-            # memo could only ever echo the same bits back (it caches
-            # np.array copies of the same pure positions_at answers),
-            # so batch mode skips its lookup and churn entirely.
-            positions = self._mobility.positions_into(
-                0.5 * (frame.start_s + frame.end_s), self._pos_buf
-            )
-        else:
-            positions = self._positions_at(0.5 * (frame.start_s + frame.end_s))
+        positions = self._positions_at(0.5 * (frame.start_s + frame.end_s))
         # Quiet channel (nothing else in flight, the frame alone in the
         # recent window): skip the overlap scan entirely.
         if not active and len(recent) == 1:
             overlap: list[Frame] = []
         else:
             overlap = self._overlapping(frame)
-        batch = self._on_delivery_batch
 
-        if batch is not None:
-            # Batch mode, clean or colliding: rx and detection always
-            # come from one allocation-free scratch chain (identical op
-            # sequence to the generic branches — the stacked overlap
-            # computation's row 0 IS this chain), and for a collision
-            # the interference/capture arithmetic (per-interferer
-            # distances, path loss, and the expensive 10**x) runs only
-            # at columns that already clear detection and are not
-            # transmitting.  Every element actually computed goes
-            # through the identical expressions; skipped columns were
-            # doomed to eligible=False either way.
-            diff, rx_dbm, eligible = self._diff_buf, self._rx_buf, self._elig_buf
-            np.subtract(positions, positions[frame.sender], diff)
-            # dist² as mul + strided add: einsum's 2-element contraction
-            # is the same single addition per row, at ~2x the dispatch
-            # cost.
-            np.multiply(diff, diff, diff)
-            np.add(diff[:, 0], diff[:, 1], rx_dbm)
-            np.sqrt(rx_dbm, rx_dbm)
-            if self._fast_log_distance is not None:
-                ref_d, ref_loss, scale = self._fast_log_distance
-                np.maximum(rx_dbm, ref_d, out=rx_dbm)
-                if ref_d != 1.0:  # x / 1.0 is the identity, bit for bit
-                    np.divide(rx_dbm, ref_d, rx_dbm)
-                np.log10(rx_dbm, rx_dbm)
-                np.multiply(rx_dbm, scale, rx_dbm)
-                np.add(rx_dbm, ref_loss, rx_dbm)
-                np.subtract(frame.tx_power_dbm, rx_dbm, rx_dbm)
-            else:
-                rx_dbm = self._loss.rx_power_dbm(frame.tx_power_dbm, rx_dbm)
-            np.greater_equal(rx_dbm, self._detection_dbm, eligible)
-            if overlap:
-                senders = [frame.sender] + [o.sender for o in overlap]
-                eligible[senders] = False  # half duplex / own frame
-                det_ids = np.nonzero(eligible)[0]
-                eligible[:] = False
-                if det_ids.size:
-                    powers = np.array([o.tx_power_dbm for o in overlap])
-                    sub_pos = positions[det_ids]
-                    idiff = sub_pos[None, :, :] - positions[senders[1:]][:, None, :]
-                    idist = np.sqrt(np.einsum("kij,kij->ki", idiff, idiff))
-                    rx_interf = self._loss.rx_power_dbm(powers[:, None], idist)
-                    # Interference power sum per receiver, in mW.  Rows
-                    # accumulate sequentially in overlap order exactly
-                    # as the generic branch does (bit-stable summation).
-                    interference_mw = np.zeros(det_ids.size)
-                    for row in rx_interf:
-                        interference_mw += dbm_to_mw(row)
-                    signal_mw = dbm_to_mw(rx_dbm[det_ids])
-                    eligible[det_ids] = np.where(
-                        interference_mw > 0.0,
-                        signal_mw >= self._capture_lin * interference_mw,
-                        True,
-                    )
-            else:
-                eligible[frame.sender] = False
-        elif overlap:
+        if overlap:
             # One stacked (k, n) distance/path-loss computation for the
             # frame and every overlapping sender (row 0 is the frame).
             senders = [frame.sender] + [other.sender for other in overlap]
@@ -345,18 +237,6 @@ class RadioMedium:
             eligible[frame.sender] = False
 
         record = self._record_deliveries
-        if batch is not None:
-            # The vectorised seam: the eligibility mask and the full rx
-            # vector go out in ONE call instead of one Python callback
-            # per receiver — and nobody pays a per-receiver fancy
-            # index.  Values are the same float64 entries the per-event
-            # loop would pass.  (The receiver consumes the mask however
-            # it likes; AEDB drops to a scalar loop for tiny frames, and
-            # an all-False mask is its no-op.)
-            if record:
-                frame.delivered_to.extend(np.nonzero(eligible)[0].tolist())
-            batch(eligible, frame, rx_dbm, time_s)
-            return
         receivers = np.nonzero(eligible)[0]
         if receivers.size == 0:
             return

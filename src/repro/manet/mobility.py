@@ -40,18 +40,6 @@ class MobilityModel:
         """``(n_nodes, 2)`` array of coordinates at ``time_s``."""
         raise NotImplementedError
 
-    def positions_into(self, time_s: float, out: np.ndarray) -> np.ndarray:
-        """Like :meth:`positions_at`, written into ``out`` (returned).
-
-        The allocation-free spelling for per-frame hot paths that own a
-        scratch buffer (DESIGN.md §11).  The default copies the pure
-        :meth:`positions_at` answer; models with a cheap closed form
-        (the paper's random walk) override it to fill ``out`` directly
-        with the *same arithmetic*, so the bits match either way.
-        """
-        np.copyto(out, self.positions_at(time_s))
-        return out
-
     def position_of(self, node: int, time_s: float) -> np.ndarray:
         """Convenience: ``(2,)`` coordinates of one node at ``time_s``."""
         return self.positions_at(time_s)[node]
@@ -135,14 +123,15 @@ class RandomWalkMobility(MobilityModel):
         # coordinate lies within one fold period of [0, side] and the
         # triangle-wave fold reduces to "add the period to the (rare)
         # negatives" — floor-mod is exact there, so the shortcut is
-        # bit-identical to np.mod (positions_into uses it).
+        # bit-identical to np.mod (the compiled kernel uses it,
+        # DESIGN.md §14).
         self._fold_is_one_period = (
             cfg.speed_max_mps * cfg.epoch_s < area_side_m
         )
         # Per-epoch: can ANY coordinate go negative during the epoch?
         # x(dt) = start + v*dt is monotone in dt, so the epoch-wide
         # minimum is start + min(v, 0) * epoch_s; epochs where it stays
-        # >= 0 let positions_into skip the negative-fix scan entirely.
+        # >= 0 let the kernel skip the negative-fix scan entirely.
         self._epoch_has_negative = (
             (self._starts + np.minimum(self._vel, 0.0) * cfg.epoch_s) < 0.0
         ).any(axis=(1, 2))
@@ -154,38 +143,6 @@ class RandomWalkMobility(MobilityModel):
         dt = time_s - k * self._epoch_s
         unfolded = self._starts[k] + self._vel[k] * dt
         return reflect_fold(unfolded, self.area_side_m)
-
-    def positions_into(self, time_s: float, out: np.ndarray) -> np.ndarray:
-        # Same expressions as positions_at, evaluated into ``out``:
-        # ``starts + vel * dt`` (mul then add — addition commutes
-        # exactly) and the triangle-wave fold's op sequence, so every
-        # element is bit-identical to the allocating path.
-        if time_s < 0:
-            raise ValueError(f"time_s must be non-negative, got {time_s}")
-        k = min(int(time_s / self._epoch_s), self._n_epochs - 1)
-        dt = time_s - k * self._epoch_s
-        np.multiply(self._vel[k], dt, out)
-        out += self._starts[k]
-        side = self.area_side_m
-        period = 2.0 * side
-        if self._fold_is_one_period and dt <= self._epoch_s:
-            # All coordinates sit in (-period, period): np.mod is the
-            # identity for [0, period) and one exact-fmod + add for the
-            # negatives — same bits, a fraction of the floor-mod cost.
-            # Epochs that provably never dip below zero skip even the
-            # negative scan.  (dt can only exceed the epoch length for
-            # queries beyond the trace's last epoch — fold generically
-            # there.)
-            if self._epoch_has_negative[k]:
-                negative = out < 0.0
-                if negative.any():
-                    out[negative] += period
-        else:
-            np.mod(out, period, out=out)
-        np.subtract(out, side, out)
-        np.abs(out, out)
-        np.subtract(side, out, out)
-        return out
 
     def velocities_at(self, time_s: float) -> np.ndarray:
         """Nominal ``(n, 2)`` velocity vectors (pre-reflection) at a time.

@@ -27,7 +27,7 @@ from repro.manet.aedb import AEDBParams, AEDBProtocol
 from repro.manet.beacons import NeighborTables
 from repro.manet.config import SimulationConfig
 from repro.manet.events import make_event_queue
-from repro.manet.medium import Frame, RadioMedium, batched_deliveries_enabled
+from repro.manet.medium import Frame, RadioMedium
 from repro.manet.metrics import BroadcastMetrics
 from repro.manet.mobility import MobilityModel
 from repro.manet.protocols.base import ProtocolContext
@@ -54,8 +54,6 @@ class ProtocolSimulator:
         protocol_seed: int | None = None,
         mobility: MobilityModel | None = None,
         runtime: ScenarioRuntime | None = None,
-        batched: bool | None = None,
-        live_index: bool | None = None,
     ):
         self.scenario = scenario
         self._sim: SimulationConfig = scenario.sim
@@ -66,20 +64,17 @@ class ProtocolSimulator:
             if protocol_seed is not None
             else (scenario.mobility_seed ^ 0x5EDB) & 0xFFFFFFFF
         )
-        batched = batched_deliveries_enabled() if batched is None else bool(batched)
         # The event queue honours REPRO_COMPILED like the AEDB simulator:
         # baseline protocols run on the compiled heap when it is built
         # (identical semantics either way; the §14 kernel itself only
         # dispatches for AEDB, so this buys the queue, not the window).
         self.queue = make_event_queue()
         self.tables = NeighborTables(
-            scenario.n_nodes, self._sim, self._mobility, runtime=runtime,
-            use_live_index=live_index,
+            scenario.n_nodes, self._sim, self._mobility, runtime=runtime
         )
         self.medium = RadioMedium(
             self.queue, self._mobility, self._sim.radio, self._deliver,
             runtime=runtime,
-            on_delivery_batch=self._deliver_batch if batched else None,
         )
         ctx = ProtocolContext(
             n_nodes=scenario.n_nodes,
@@ -97,32 +92,11 @@ class ProtocolSimulator:
                     f"factory produced {type(self.protocol).__name__} "
                     f"without required attribute {attr!r}"
                 )
-        # Resolved once: the batch hook is invariant for the protocol's
-        # lifetime, so the per-frame dispatch need not re-getattr it.
-        self._batch_hook = getattr(self.protocol, "on_receive_batch", None)
         self._ran = False
 
     # -- wiring ---------------------------------------------------------- #
     def _deliver(self, receiver: int, frame: Frame, rx_dbm: float, t: float) -> None:
         self.protocol.on_receive(receiver, frame.sender, rx_dbm, t)
-
-    def _deliver_batch(
-        self, receivers: np.ndarray, frame: Frame, rx_dbm: np.ndarray, t: float
-    ) -> None:
-        # Protocols that implement the batch hook (AEDB) get the whole
-        # eligibility mask + rx vector; the baselines fall back to the
-        # identical per-receiver loop the medium would otherwise run
-        # (same ascending order, same full-vector floats), so one
-        # runner serves both.
-        batch = self._batch_hook
-        if batch is not None:
-            batch(receivers, frame.sender, rx_dbm, t)
-            return
-        on_receive = self.protocol.on_receive
-        sender = frame.sender
-        rx_list = rx_dbm.tolist()
-        for r in np.flatnonzero(receivers).tolist():
-            on_receive(r, sender, rx_list[r], t)
 
     def _transmit(self, sender: int, power_dbm: float, t: float) -> None:
         now = self.queue.now

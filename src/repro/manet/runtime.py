@@ -40,9 +40,8 @@ snapshots are produced by literally the same update sequence
 discipline as the mobility memo in :mod:`repro.manet.scenarios`):
 evaluators and campaign workers ask for a scenario's runtime and hit the
 cache for every evaluation after the first.  Opt out with
-:func:`set_runtime_memoisation` or ``REPRO_RUNTIME_MEMO=0``, which makes
-:func:`get_runtime` return ``None`` and callers fall back to the
-recompute path.
+:func:`set_runtime_memoisation`, which makes :func:`get_runtime` return
+``None`` and callers fall back to the recompute path.
 
 Usage — the two public entry points:
 
@@ -73,18 +72,16 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.manet.beacons import NeighborTables, freshness_mask
+from repro.manet.beacons import NeighborTables
 from repro.manet.config import SimulationConfig
 from repro.manet.mobility import MobilityModel
 from repro.manet.propagation import build_path_loss
 from repro.manet.scenarios import NetworkScenario
 from repro.telemetry import get_recorder
-from repro.utils import flags
 from repro.utils.units import DBM_MINUS_INF
 
 __all__ = [
     "ScenarioRuntime",
-    "TickLiveIndex",
     "UniformStream",
     "beacon_grid",
     "resolve_mobility",
@@ -178,106 +175,6 @@ class UniformStream:
         return low + (high - low) * self._doubles[i]
 
 
-class TickLiveIndex:
-    """O(1) live-neighbour lookups for one canonical beacon tick.
-
-    Freshness flips only at ``last_seen + expiry`` breakpoints
-    (DESIGN.md §11), and within one tick's snapshot the distinct
-    ``last_seen`` values still live at the tick number at most
-    ``ceil(expiry / interval) + 1`` — a handful.  The index stores those
-    values sorted ascending plus, for each *suffix* of them, the full
-    live matrix, per-node degrees, and the total live count; suffix
-    ``j`` is exactly the set of entries that are fresh while the query
-    time sits between two breakpoints.  Because freshness is monotone
-    in ``last_seen``, locating the suffix means evaluating the shared
-    :func:`~repro.manet.beacons.freshness_mask` predicate on the value
-    vector only (O(m), m ~ 3) — the *same* float expression the scan
-    path applies entrywise, which is what makes indexed and scanned
-    answers bit-identical rather than merely close.
-
-    Valid only for query times at or after ``tick_time``: the index
-    prunes values already expired at the tick (they can never revive
-    later), so earlier queries must use the scan.  All arrays are
-    read-only and may be views into a shared-memory segment.
-    """
-
-    __slots__ = (
-        "tick_time",
-        "expiry_s",
-        "values",
-        "_values_list",
-        "live",
-        "degrees",
-        "totals",
-    )
-
-    def __init__(
-        self,
-        tick_time: float,
-        expiry_s: float,
-        values: np.ndarray,
-        live: np.ndarray,
-        degrees: np.ndarray,
-        totals: np.ndarray,
-    ):
-        if live.shape[0] != values.size + 1:
-            raise ValueError(
-                f"live stack holds {live.shape[0]} suffix masks for "
-                f"{values.size} breakpoint values (need one extra for the "
-                "all-expired interval)"
-            )
-        self.tick_time = float(tick_time)
-        self.expiry_s = float(expiry_s)
-        #: Distinct ``last_seen`` values still live at the tick, ascending.
-        self.values = values
-        # Plain floats for locate(): the value vector is tiny (~3), where
-        # a scalar loop beats numpy's fixed dispatch overhead; tolist()
-        # round-trips float64 exactly, so the predicate sees the same
-        # IEEE doubles either way.
-        self._values_list = values.tolist()
-        #: ``live[j]`` — (n, n) live matrix while values[j:] are the fresh
-        #: ones; ``live[m]`` is the all-expired matrix.
-        self.live = live
-        #: ``degrees[j, i]`` — live-neighbour count of node ``i`` there.
-        self.degrees = degrees
-        #: ``totals[j]`` — total live entries (the mean-degree numerator).
-        self.totals = totals
-
-    def locate(self, time_s: float) -> int:
-        """Suffix start: index of the oldest value still fresh at ``time_s``.
-
-        Fresh values form a suffix of the ascending ``values`` vector
-        (freshness is monotone in ``last_seen``), so the first value the
-        shared predicate accepts starts the suffix; ``m`` means
-        everything has expired.
-        """
-        expiry = self.expiry_s
-        for j, value in enumerate(self._values_list):
-            if freshness_mask(value, time_s, expiry):
-                return j
-        return len(self._values_list)
-
-    def live_row(self, i: int, time_s: float) -> np.ndarray:
-        """Read-only live mask of node ``i`` (diagonal already cleared)."""
-        return self.live[self.locate(time_s), i]
-
-    def degree(self, i: int, time_s: float) -> int:
-        """Live-neighbour count of node ``i``."""
-        return int(self.degrees[self.locate(time_s), i])
-
-    def live_total(self, time_s: float) -> int:
-        """Total live entries across the whole table (diagonal excluded)."""
-        return int(self.totals[self.locate(time_s)])
-
-    def nbytes(self) -> int:
-        return (
-            self.values.nbytes
-            + self.live.nbytes
-            + self.degrees.nbytes
-            + self.totals.nbytes
-        )
-
-
 def beacon_grid(sim: SimulationConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The canonical beacon schedule of one run: ``(warm, window)`` times.
 
@@ -338,7 +235,6 @@ class ScenarioRuntime:
             "runtime.build", n_nodes=scenario.n_nodes
         ):
             self._precompute_tables()
-            self._build_live_index()
         # Raw uniform stream of the scenario's default protocol RNG.
         # The AEDB state machine draws at most 2 doubles per node (one
         # forwarding delay, one MAC jitter, each at most once — a node
@@ -388,8 +284,6 @@ class ScenarioRuntime:
         rx0.setflags(write=False)
         seen0.setflags(write=False)
         self.initial_tables = (rx0, seen0)
-        #: Per-tick interval live index, canonical order (DESIGN.md §11).
-        self._live_index: list[TickLiveIndex] = []
         #: True when the snapshot arrays live in a shared-memory segment
         #: owned by another process (:meth:`from_shared`); the private
         #: memory attributable to this runtime is then ~0.
@@ -403,7 +297,6 @@ class ScenarioRuntime:
         seen_stack: np.ndarray,
         protocol_doubles: np.ndarray,
         mobility: MobilityModel | None = None,
-        live_index: tuple[np.ndarray, ...] | None = None,
     ) -> "ScenarioRuntime":
         """Rehydrate a runtime from precomputed snapshot arrays.
 
@@ -412,13 +305,10 @@ class ScenarioRuntime:
         packed by :class:`~repro.manet.shared.SharedRuntimeArena`)
         holding exactly the per-tick state :meth:`_precompute_tables`
         would produce, in canonical beacon order; ``protocol_doubles``
-        is the scenario's raw uniform stream; ``live_index`` is the
-        flattened interval index in :meth:`live_index_stacks` layout
-        (``None`` rebuilds it from the snapshots — cheap, but private to
-        this process).  No substrate is recomputed — the per-process
-        cost is the cheap ``_init_base`` setup plus one dict over the
-        existing views, which is what lets every pool worker map one
-        precompute instead of owning a copy.
+        is the scenario's raw uniform stream.  No substrate is
+        recomputed — the per-process cost is the cheap ``_init_base``
+        setup plus one dict over the existing views, which is what lets
+        every pool worker map one precompute instead of owning a copy.
         """
         self = cls.__new__(cls)
         self._init_base(scenario, mobility, 256)
@@ -439,10 +329,6 @@ class ScenarioRuntime:
         # Plain floats: UniformStream replays list items with the exact
         # Generator arithmetic; tolist() round-trips float64 exactly.
         self._protocol_doubles = protocol_doubles.tolist()
-        if live_index is not None:
-            self._rehydrate_live_index(*live_index)
-        else:
-            self._build_live_index()
         self.shared = True
         return self
 
@@ -467,108 +353,6 @@ class ScenarioRuntime:
             rx_snap.setflags(write=False)
             seen_snap.setflags(write=False)
             self._snapshots[t] = (rx_snap, seen_snap)
-
-    def _build_live_index(self) -> None:
-        """Precompute the interval live index over the snapshot timeline.
-
-        For each canonical tick: the distinct ``last_seen`` values still
-        fresh at the tick (under the shared predicate — older values can
-        never be fresh at any later query time) and one cumulative live
-        matrix / degree vector / total per value suffix, plus the
-        all-expired tail.  O(m · n²) per tick with m ~ 3, small next to
-        the O(n²·log10) beacon rounds the snapshots already paid for.
-        """
-        expiry = self.sim.neighbor_expiry_s
-        n = self.scenario.n_nodes
-        entries: list[TickLiveIndex] = []
-        for t in self.beacon_times:
-            seen = self._snapshots[t][1]
-            finite = seen[np.isfinite(seen)]
-            distinct = np.unique(finite)
-            values = distinct[freshness_mask(distinct, t, expiry)]
-            m = values.size
-            live = np.zeros((m + 1, n, n), dtype=bool)
-            degrees = np.zeros((m + 1, n), dtype=np.int64)
-            for j in range(m):
-                mask = seen >= values[j]
-                np.fill_diagonal(mask, False)
-                live[j] = mask
-                degrees[j] = mask.sum(axis=1)
-            totals = degrees.sum(axis=1)
-            for arr in (values, live, degrees, totals):
-                arr.setflags(write=False)
-            entries.append(TickLiveIndex(t, expiry, values, live, degrees, totals))
-        self._live_index = entries
-
-    def live_index_at(self, tick: int) -> TickLiveIndex | None:
-        """The interval live index of canonical tick ``tick`` (or None)."""
-        if 0 <= tick < len(self._live_index):
-            return self._live_index[tick]
-        return None
-
-    def live_index_stacks(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The whole index flattened: ``(counts, values, live, degrees,
-        totals)`` in canonical tick order — tick ``k`` owns ``counts[k]``
-        values and ``counts[k] + 1`` suffix blocks.  The layout
-        :class:`~repro.manet.shared.SharedRuntimeArena` packs and
-        :meth:`from_shared` consumes.
-        """
-        idx = self._live_index  # never empty: the canonical grid always
-        # holds at least the warmup tick (SimulationConfig validates
-        # warmup_s <= horizon_s)
-        counts = np.array([e.values.size for e in idx], dtype=np.int64)
-        values = np.concatenate([e.values for e in idx])
-        live = np.concatenate([e.live for e in idx], axis=0)
-        degrees = np.concatenate([e.degrees for e in idx], axis=0)
-        totals = np.concatenate([e.totals for e in idx])
-        return counts, values, live, degrees, totals
-
-    def _rehydrate_live_index(
-        self,
-        counts: np.ndarray,
-        values: np.ndarray,
-        live: np.ndarray,
-        degrees: np.ndarray,
-        totals: np.ndarray,
-    ) -> None:
-        """Rebuild per-tick index entries over flattened (shared) arrays."""
-        if len(counts) != len(self.beacon_times):
-            raise ValueError(
-                f"live index covers {len(counts)} ticks, scenario's "
-                f"canonical grid has {len(self.beacon_times)}"
-            )
-        n_blocks = int(counts.sum()) + len(counts)
-        for name, arr in (("live", live), ("degrees", degrees), ("totals", totals)):
-            if len(arr) != n_blocks:
-                raise ValueError(
-                    f"live-index {name} stack holds {len(arr)} blocks, "
-                    f"layout requires {n_blocks}"
-                )
-        if len(values) != int(counts.sum()):
-            raise ValueError(
-                f"live-index values hold {len(values)} entries, "
-                f"counts sum to {int(counts.sum())}"
-            )
-        expiry = self.sim.neighbor_expiry_s
-        entries: list[TickLiveIndex] = []
-        voff = boff = 0
-        for k, t in enumerate(self.beacon_times):
-            m = int(counts[k])
-            entries.append(
-                TickLiveIndex(
-                    t,
-                    expiry,
-                    values[voff:voff + m],
-                    live[boff:boff + m + 1],
-                    degrees[boff:boff + m + 1],
-                    totals[boff:boff + m + 1],
-                )
-            )
-            voff += m
-            boff += m + 1
-        self._live_index = entries
 
     def table_snapshot(
         self, time_s: float
@@ -655,7 +439,6 @@ class ScenarioRuntime:
         total = sum(
             rx.nbytes + seen.nbytes for rx, seen in self._snapshots.values()
         )
-        total += sum(entry.nbytes() for entry in self._live_index)
         with self._position_lock:
             total += sum(p.nbytes for p in self._position_memo.values())
         return total
@@ -682,7 +465,7 @@ class ScenarioRuntime:
 _RUNTIME_MEMO: OrderedDict[NetworkScenario, ScenarioRuntime] = OrderedDict()
 _MEMO_MAX_ENTRIES = 32
 _MEMO_LOCK = threading.Lock()
-_MEMO_ENABLED = flags.read_bool("REPRO_RUNTIME_MEMO")
+_MEMO_ENABLED = True
 
 
 def get_runtime(scenario: NetworkScenario) -> ScenarioRuntime | None:
@@ -713,9 +496,9 @@ def get_runtime(scenario: NetworkScenario) -> ScenarioRuntime | None:
 def runtime_memoisation_enabled() -> bool:
     """Whether cached runtimes may be served at all.
 
-    ``REPRO_RUNTIME_MEMO=0`` / :func:`set_runtime_memoisation` promise
-    the recompute path everywhere; the shared-memory layer checks this
-    so a precomputed segment cannot silently undo the ablation.
+    ``set_runtime_memoisation(False)`` promises the recompute path
+    everywhere; the shared-memory layer checks this so a precomputed
+    segment cannot silently undo the ablation.
     """
     return _MEMO_ENABLED
 

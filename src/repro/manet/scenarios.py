@@ -21,7 +21,7 @@ Because a frozen scenario always materialises the identical trace,
 :meth:`NetworkScenario.build_mobility` memoises the built model per
 process (an optimiser evaluating thousands of candidates otherwise
 rebuilds the same arrays for every one).  Opt out for memory-constrained
-runs with :func:`set_mobility_memoisation` or ``REPRO_MOBILITY_MEMO=0``.
+runs with :func:`set_mobility_memoisation`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.manet.mobility import (
     RandomWalkMobility,
     RandomWaypointMobility,
 )
-from repro.utils import flags
 from repro.utils.rng import RngFactory
 
 __all__ = [
@@ -89,7 +88,7 @@ def nodes_for_density(density_per_km2: float, area_side_m: float = 500.0) -> int
 _MOBILITY_MEMO: OrderedDict["NetworkScenario", MobilityModel] = OrderedDict()
 _MEMO_MAX_ENTRIES = 128
 _MEMO_LOCK = threading.Lock()
-_MEMO_ENABLED = flags.read_bool("REPRO_MOBILITY_MEMO")
+_MEMO_ENABLED = True
 
 
 def set_mobility_memoisation(enabled: bool) -> None:

@@ -16,17 +16,11 @@ workers a tiny picklable :class:`SharedRuntimeHandle`.  Workers call
 **read-only views into the shared pages** — zero copy, zero recompute,
 bit-identical metrics (DESIGN.md §9).
 
-Layout of one segment (C order; ``V`` = total interval-index breakpoint
-values across all ticks, ``B = V + T`` suffix blocks)::
+Layout of one segment (C order)::
 
     rx_stack      (T, n, n)  f8  per-tick rx_power snapshots, canonical order
     seen_stack    (T, n, n)  f8  per-tick last_seen snapshots
     doubles       (2n,)      f8  raw uniform stream of the default protocol RNG
-    index_counts  (T,)       i8  breakpoint values per tick
-    index_values  (V,)       f8  concatenated breakpoint values
-    index_degrees (B, n)     i8  per-suffix live-neighbour counts
-    index_totals  (B,)       i8  per-suffix total live entries
-    index_live    (B, n, n)  b1  per-suffix live matrices (DESIGN.md §11)
 
 Lifecycle and ownership rules:
 
@@ -102,8 +96,6 @@ SEGMENT_PREFIX = "repro-aedb-rt"
 _ENABLED = flags.read_bool("REPRO_SHARED_RUNTIME")
 
 _FLOAT = np.dtype(np.float64)
-_INT = np.dtype(np.int64)
-_BOOL = np.dtype(np.bool_)
 
 
 def shared_runtimes_enabled() -> bool:
@@ -136,35 +128,26 @@ class SharedRuntimeHandle:
     n_ticks: int
     #: Network size the segment was packed for.
     n_nodes: int
-    #: Total interval-index breakpoint values across all ticks (the
-    #: ragged dimension of the packed live index, DESIGN.md §11).
-    n_index_values: int
 
     def segment_nbytes(self) -> int:
         """Payload size of the segment this handle points at."""
-        _, total = _layout(self.n_ticks, self.n_nodes, self.n_index_values)
+        _, total = _layout(self.n_ticks, self.n_nodes)
         return total
 
 
 def _layout(
-    n_ticks: int, n_nodes: int, n_index_values: int
+    n_ticks: int, n_nodes: int
 ) -> tuple[dict[str, tuple[int, tuple[int, ...], np.dtype]], int]:
     """One segment's field layout: ``({name: (offset, shape, dtype)},
     total_bytes)`` in pack order.  Shared by the packer and the
     rehydrator so the two sides can never disagree byte-for-byte."""
-    t, n, v = n_ticks, n_nodes, n_index_values
-    b = v + t  # one suffix block per breakpoint value + the all-expired tail
+    t, n = n_ticks, n_nodes
     fields: dict[str, tuple[int, tuple[int, ...], np.dtype]] = {}
     offset = 0
     for name, shape, dtype in (
         ("rx_stack", (t, n, n), _FLOAT),
         ("seen_stack", (t, n, n), _FLOAT),
         ("doubles", (2 * n,), _FLOAT),
-        ("index_counts", (t,), _INT),
-        ("index_values", (v,), _FLOAT),
-        ("index_degrees", (b, n), _INT),
-        ("index_totals", (b,), _INT),
-        ("index_live", (b, n, n), _BOOL),
     ):
         fields[name] = (offset, shape, dtype)
         offset += int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
@@ -177,7 +160,7 @@ def _segment_views(
     """Numpy views over one segment's fields, by layout name."""
     if isinstance(handle_or_shape, SharedRuntimeHandle):
         h = handle_or_shape
-        fields, _ = _layout(h.n_ticks, h.n_nodes, h.n_index_values)
+        fields, _ = _layout(h.n_ticks, h.n_nodes)
     else:
         fields, _ = _layout(*handle_or_shape)
     return {
@@ -238,7 +221,7 @@ class SharedRuntimeArena:
         if not _ENABLED or not scenarios:
             return None
         if not runtime_memoisation_enabled():
-            # REPRO_RUNTIME_MEMO=0 demands the recompute path; workers
+            # Runtime memoisation off demands the recompute path; workers
             # would refuse to attach anyway, so don't pack at all.
             return None
         arena = cls()
@@ -265,9 +248,7 @@ class SharedRuntimeArena:
     ) -> None:
         n_ticks = runtime.n_beacon_rounds
         n = scenario.n_nodes
-        counts, values, live, degrees, totals = runtime.live_index_stacks()
-        n_index_values = int(counts.sum())
-        _, total = _layout(n_ticks, n, n_index_values)
+        _, total = _layout(n_ticks, n)
         shm = None
         for _attempt in range(3):
             # "/" + prefix(13) + "-" + 8-hex token + "-" + hex seq stays
@@ -291,21 +272,15 @@ class SharedRuntimeArena:
         self._segments.append(shm)  # registered before writing: close()
         # cleans up even if packing below fails
         rx_stack, seen_stack = runtime.snapshot_stacks()
-        views = _segment_views(shm, (n_ticks, n, n_index_values))
+        views = _segment_views(shm, (n_ticks, n))
         views["rx_stack"][:] = rx_stack
         views["seen_stack"][:] = seen_stack
         views["doubles"][:] = runtime.protocol_doubles
-        views["index_counts"][:] = counts
-        views["index_values"][:] = values
-        views["index_degrees"][:] = degrees
-        views["index_totals"][:] = totals
-        views["index_live"][:] = live
         # Drop the exported views before the segment can be closed
         # (mmap refuses to unmap while buffer exports exist).
         del views
         self._handles[scenario] = SharedRuntimeHandle(
-            name=shm.name, n_ticks=n_ticks, n_nodes=n,
-            n_index_values=n_index_values,
+            name=shm.name, n_ticks=n_ticks, n_nodes=n
         )
 
     # ------------------------------------------------------------------ #
@@ -380,7 +355,7 @@ def attach_runtime(
     DESIGN.md §9).
     """
     if handle is None or not _ENABLED or not runtime_memoisation_enabled():
-        # The third clause keeps REPRO_RUNTIME_MEMO=0 honest: that
+        # The third clause keeps set_runtime_memoisation(False) honest: that
         # switch promises the *recompute* path, and a precomputed shared
         # substrate would silently un-ablate it.
         return get_runtime(scenario)
@@ -435,7 +410,7 @@ def _rehydrate(
             f"segment packed for {handle.n_nodes} nodes, "
             f"scenario has {scenario.n_nodes}"
         )
-    _, total = _layout(handle.n_ticks, handle.n_nodes, handle.n_index_values)
+    _, total = _layout(handle.n_ticks, handle.n_nodes)
     if shm.size < total:  # tampered / foreign segment
         raise ValueError(f"segment {handle.name} smaller than its layout")
     views = _segment_views(shm, handle)
@@ -446,13 +421,6 @@ def _rehydrate(
         views["rx_stack"],
         views["seen_stack"],
         views["doubles"],
-        live_index=(
-            views["index_counts"],
-            views["index_values"],
-            views["index_live"],
-            views["index_degrees"],
-            views["index_totals"],
-        ),
     )
 
 

@@ -35,7 +35,7 @@ from repro.manet.compiled import (
 )
 from repro.manet.config import SimulationConfig
 from repro.manet.events import make_event_queue
-from repro.manet.medium import Frame, RadioMedium, batched_deliveries_enabled
+from repro.manet.medium import Frame, RadioMedium
 from repro.manet.metrics import BroadcastMetrics
 from repro.manet.mobility import MobilityModel
 from repro.manet.runtime import (
@@ -60,23 +60,15 @@ class BroadcastSimulator:
         mobility: MobilityModel | None = None,
         runtime: ScenarioRuntime | None = None,
         record_decisions: bool = False,
-        batched: bool | None = None,
-        live_index: bool | None = None,
         compiled: bool | str | None = None,
     ):
         """``record_decisions`` opts into the protocol's per-event decision
         log (off by default: evaluation loops never read it and the
-        per-event formatting is measurable).  ``batched`` /
-        ``live_index`` override the vectorised warm path's env defaults
-        (``REPRO_BATCH_DELIVERIES`` / ``REPRO_LIVE_INDEX``, both on):
-        batched wires frame resolution to
-        :meth:`~repro.manet.aedb.AEDBProtocol.on_receive_batch`,
-        live_index serves neighbour queries from the runtime's interval
-        index — either way the metrics are bit-identical (DESIGN.md §11).
-        ``compiled`` overrides ``REPRO_COMPILED`` (``auto``/``on``/``off``
-        or a bool) for the compiled event core of DESIGN.md §14; the
-        decision is captured here, so toggling the env var between
-        construction and :meth:`run` has no effect."""
+        per-event formatting is measurable).  ``compiled`` overrides
+        ``REPRO_COMPILED`` (``auto``/``on``/``off`` or a bool) for the
+        compiled event core of DESIGN.md §14; the decision is captured
+        here, so toggling the env var between construction and
+        :meth:`run` has no effect."""
         self.scenario = scenario
         self.params = params
         self._sim: SimulationConfig = scenario.sim
@@ -96,7 +88,6 @@ class BroadcastSimulator:
             )
             self._protocol_rng = np.random.default_rng(seed)
 
-        batched = batched_deliveries_enabled() if batched is None else bool(batched)
         self._compiled_mode = resolve_compiled_mode(compiled)
         if self._compiled_mode == "on" and not compiled_core_available():
             raise RuntimeError(
@@ -105,13 +96,11 @@ class BroadcastSimulator:
             )
         self.queue = make_event_queue(self._compiled_mode)
         self.tables = NeighborTables(
-            scenario.n_nodes, self._sim, self._mobility, runtime=runtime,
-            use_live_index=live_index,
+            scenario.n_nodes, self._sim, self._mobility, runtime=runtime
         )
         self.medium = RadioMedium(
             self.queue, self._mobility, self._sim.radio, self._deliver,
             runtime=runtime,
-            on_delivery_batch=self._deliver_batch if batched else None,
         )
         self.protocol = AEDBProtocol(
             params=params,
@@ -148,11 +137,6 @@ class BroadcastSimulator:
     # -- wiring ---------------------------------------------------------- #
     def _deliver(self, receiver: int, frame: Frame, rx_dbm: float, t: float) -> None:
         self.protocol.on_receive(receiver, frame.sender, rx_dbm, t)
-
-    def _deliver_batch(
-        self, receivers: np.ndarray, frame: Frame, rx_dbm: np.ndarray, t: float
-    ) -> None:
-        self.protocol.on_receive_batch(receivers, frame.sender, rx_dbm, t)
 
     def _transmit(self, sender: int, power_dbm: float, t: float) -> None:
         # Protocol asks for a transmission "now" (or now + jitter); the
@@ -208,10 +192,6 @@ class BroadcastSimulator:
             rec.count("sim.frames_transmitted",
                       self.medium.transmission_count)
             rec.count("sim.frames_resolved", self.medium.resolved_count)
-            rec.count("sim.batch_frames_vector",
-                      self.protocol.batch_frames_vector)
-            rec.count("sim.batch_frames_scalar",
-                      self.protocol.batch_frames_scalar)
             rec.count("sim.runs")
         return metrics
 

@@ -73,7 +73,7 @@ def telemetry_mode() -> str:
 
     Read per call (not cached at import), so campaign workers honour the
     parent's environment and tests can flip modes with ``monkeypatch`` —
-    the same contract as ``batched_deliveries_enabled``.  Any value that
+    the registry-wide contract of :mod:`repro.utils.flags`.  Any value that
     is not off-like or ``deep`` (``1``, ``on``, ``jsonl``, ...) means on.
     """
     raw = (flags.read_raw("REPRO_TELEMETRY") or "").strip().lower()

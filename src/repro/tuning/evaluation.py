@@ -164,11 +164,8 @@ class NetworkSetEvaluator:
             if stored is None:
                 # The shared runtime (per-process bounded LRU) makes
                 # every evaluation after the first on a scenario skip
-                # the whole parameter-independent substrate, and the
-                # simulator runs the vectorised protocol warm path
-                # (batched deliveries + interval live-mask index,
-                # DESIGN.md §11) on top of it; results are
-                # bit-identical on every combination of those layers.
+                # the whole parameter-independent substrate; results
+                # are bit-identical to the recompute path.
                 stored = BroadcastSimulator(
                     scenario, params, runtime=get_runtime(scenario)
                 ).run()

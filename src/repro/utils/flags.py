@@ -13,9 +13,9 @@ Contract (shared by every reader in ``src/``):
 
 * **Reads are per call, never cached at import** — campaign workers
   honour the parent's environment and tests flip flags with
-  ``monkeypatch.setenv``.  Modules that deliberately sample a flag once
-  at import (the memoisation kill-switches) document that in the
-  registry entry's ``doc``.
+  ``monkeypatch.setenv``.  A module that deliberately samples a flag
+  once at import (the shared-runtime switch) says so in the registry
+  entry's ``doc``.
 * **Unregistered reads raise** ``UnknownFlagError`` — the registry is
   the single source of truth for name, accepted values, default, and
   the DESIGN.md anchor documenting the semantics.
@@ -191,38 +191,10 @@ register(
     anchor="DESIGN.md §14",
 )
 register(
-    "REPRO_BATCH_DELIVERIES",
-    values="`0` disables",
-    default="1",
-    doc="Batched frame-delivery path (read at simulator construction)",
-    anchor="DESIGN.md §11",
-)
-register(
-    "REPRO_LIVE_INDEX",
-    values="`0` disables",
-    default="1",
-    doc="Precomputed tick live-index for neighbour queries",
-    anchor="DESIGN.md §11",
-)
-register(
-    "REPRO_MOBILITY_MEMO",
-    values="`0` disables",
-    default="1",
-    doc="Mobility-model memoisation (sampled once at import)",
-    anchor="DESIGN.md §8",
-)
-register(
-    "REPRO_RUNTIME_MEMO",
-    values="`0` disables",
-    default="1",
-    doc="Per-process scenario-runtime LRU (sampled once at import)",
-    anchor="DESIGN.md §8",
-)
-register(
     "REPRO_SHARED_RUNTIME",
     values="`0` disables",
     default="1",
-    doc="Shared-memory runtime arena for campaign workers",
+    doc="Shared-memory runtime arena for campaign workers (sampled once at import)",
     anchor="DESIGN.md §9",
 )
 register(

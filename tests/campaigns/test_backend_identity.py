@@ -81,26 +81,6 @@ class TestGoldenIdentity:
             set_shared_runtimes(True)
         assert store_digests(store.root) == golden_digests
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_identical_with_per_event_protocol_path(
-        self,
-        backend,
-        golden_spec,
-        golden_digests,
-        run_backend,
-        store_digests,
-        monkeypatch,
-    ):
-        """REPRO_BATCH_DELIVERIES=0 + REPRO_LIVE_INDEX=0: the historical
-        per-event delivery loop and O(n) freshness scans must persist
-        the same bytes as the vectorised warm path (DESIGN.md §11) —
-        through every backend, workers included (the env vars are read
-        at simulator construction inside each worker)."""
-        monkeypatch.setenv("REPRO_BATCH_DELIVERIES", "0")
-        monkeypatch.setenv("REPRO_LIVE_INDEX", "0")
-        _, store = run_backend(backend, f"pe-{backend}", golden_spec)
-        assert store_digests(store.root) == golden_digests
-
     @pytest.mark.compiled
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_identical_with_compiled_core_on(

@@ -218,6 +218,34 @@ class TestTuneCells:
             assert cell_result.payloads[0].evaluations == 30
         assert "RandomSearch" in render_report(spec, store)
 
+    def test_simulations_executed_counts_tune_cells(
+        self, tmp_path, monkeypatch
+    ):
+        """The counter covers every simulation the run executed — the
+        optimiser's included — which is what the deep-mode ``sim.runs``
+        counts on the inline backend; pool and shard:2 agree."""
+        from repro.telemetry import TelemetrySummary
+
+        monkeypatch.setenv("REPRO_TELEMETRY", "deep")
+        spec = CampaignSpec(
+            name="mixed", densities=(100,),
+            algorithms=("evaluate", "AEDB-MLS"),
+            n_seeds=1, n_networks=2, n_nodes=8,
+        )
+        counts = {}
+        for backend in ("inline", "pool", "shard:2"):
+            store = ResultStore(tmp_path / backend.replace(":", "-"))
+            report = CampaignExecutor(
+                spec, store, backend=backend, max_workers=2
+            ).run()
+            counts[backend] = report.simulations_executed
+            if backend == "inline":
+                summary = TelemetrySummary.from_file(store.telemetry_path)
+                assert report.simulations_executed == summary.counter("sim.runs")
+        tune = report.executed[1].payloads[0]
+        assert counts["inline"] == 2 + tune.evaluations * 2
+        assert counts["pool"] == counts["shard:2"] == counts["inline"]
+
     def test_unknown_algorithm_rejected(self, tiny_scale):
         spec = CampaignSpec(
             name="bad", densities=(100,), algorithms=("SMS-EMOA",),

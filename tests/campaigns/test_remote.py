@@ -4,15 +4,13 @@ The identity harness (``test_backend_identity.py``) proves the
 ``remote:2`` row byte-identical end to end and the chaos suite kills
 workers; this file pins the building blocks — backend-string parsing
 (including the parse-time shard-count validation regressions), the
-bundle request/execute round trip, transport fetch semantics, and the
-pure SSH command construction — so a fleet failure bisects to one
-seam.
+bundle request/execute round trip, and transport fetch semantics — so a
+fleet failure bisects to one seam.
 """
 
 from __future__ import annotations
 
 import json
-import shlex
 
 import pytest
 
@@ -22,7 +20,6 @@ from repro.campaigns import (
     RemoteShardBackend,
     ResultStore,
     RetryPolicy,
-    SSHTransport,
     TransportError,
     resolve_backend,
 )
@@ -59,7 +56,15 @@ class TestResolveBackendValidation:
         "value", ["remote:2@carrier-pigeon", "remote:2@ssh:"]
     )
     def test_bad_transport_raises_naming_the_string(self, value):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(ValueError, match="unknown transport") as excinfo:
+            resolve_backend(value)
+        assert repr(value) in str(excinfo.value)
+
+    def test_ssh_transport_is_rejected(self):
+        # The ssh transport is gone; a host-carrying spelling must fail at
+        # parse time rather than fall back to loopback.
+        value = "remote:4@ssh:node7"
+        with pytest.raises(ValueError, match="unknown transport") as excinfo:
             resolve_backend(value)
         assert repr(value) in str(excinfo.value)
 
@@ -75,13 +80,6 @@ class TestResolveBackendValidation:
         backend = resolve_backend(value)
         assert backend.n_shards == 3
         assert isinstance(backend.transport, LoopbackTransport)
-
-    def test_remote_over_ssh_carries_the_host(self):
-        backend = resolve_backend("remote:4@ssh:node7")
-        assert backend.n_shards == 4
-        assert isinstance(backend.transport, SSHTransport)
-        assert backend.transport.host == "node7"
-        assert backend.name == "remote:4@ssh"
 
     def test_keep_shards_applies_to_remote(self):
         assert resolve_backend("remote:2", keep_shards=True).keep_shards
@@ -224,43 +222,3 @@ class TestRemoteBackendGuards:
                 backend="remote:2", scale=get_scale("quick"),
             ).run()
 
-
-class TestSSHCommands:
-    """Pure command construction (the network leg needs a fleet)."""
-
-    def test_requires_a_host(self):
-        with pytest.raises(ValueError, match="host"):
-            SSHTransport("")
-
-    def test_ship_is_a_tar_extract_under_the_remote_root(self):
-        t = SSHTransport("node1", remote_root="/scratch/fleet")
-        cmd = t.ship_command("shard-00of02-abc")
-        assert cmd[:3] == ["ssh", "-o", "BatchMode=yes"]
-        assert cmd[3] == "node1"
-        assert "mkdir -p /scratch/fleet/shard-00of02-abc" in cmd[-1]
-        assert "tar -x -C /scratch/fleet/shard-00of02-abc" in cmd[-1]
-
-    def test_exec_runs_the_same_worker_command_quoted(self):
-        t = SSHTransport("node1", python="python3.11")
-        remote = t.exec_command("k")[-1]
-        assert shlex.split(remote) == worker_command(
-            "/tmp/repro-aedb-remote/k", "python3.11"
-        )
-
-    def test_fetch_streams_store_and_result(self):
-        t = SSHTransport("node1")
-        cmd = t.fetch_command("k")[-1]
-        assert "tar -c store result.json" in cmd
-        assert "cd /tmp/repro-aedb-remote/k" in cmd
-
-    def test_cleanup_removes_only_the_shard_bundle(self):
-        t = SSHTransport("node1")
-        assert t.cleanup_command("k")[-1] == (
-            "rm -rf /tmp/repro-aedb-remote/k"
-        )
-
-    def test_hostile_shard_key_is_quoted(self):
-        t = SSHTransport("node1")
-        cmd = t.ship_command("evil; rm -rf $HOME")[-1]
-        assert "'/tmp/repro-aedb-remote/evil; rm -rf $HOME'" in cmd
-        assert shlex.split(cmd)[-1].endswith("evil; rm -rf $HOME")

@@ -58,8 +58,8 @@ class TestExpiry:
 class TestFreshnessPredicate:
     """Regression: the freshness predicate used to be duplicated between
     live_mask and mean_degree (and could drift in expiry/boundary
-    semantics); all consumers — including the interval live index — now
-    route through :func:`freshness_mask`, boundary inclusive."""
+    semantics); all consumers now route through :func:`freshness_mask`,
+    boundary inclusive."""
 
     def test_boundary_time_is_still_fresh(self):
         # An entry seen exactly ``expiry`` ago is live (<=, not <).
@@ -78,36 +78,6 @@ class TestFreshnessPredicate:
         assert not tables.live_mask(0, past)[1]
         assert tables.degree(0, past) == 0
         assert tables.mean_degree(past) == 0.0
-
-    def test_indexed_tables_agree_with_scan_at_boundary(self):
-        from repro.manet import make_scenarios
-        from repro.manet.runtime import ScenarioRuntime
-
-        scenario = make_scenarios(100, n_networks=1, n_nodes=12)[0]
-        runtime = ScenarioRuntime(scenario)
-        indexed = NeighborTables(
-            12, scenario.sim, runtime.mobility, runtime=runtime,
-            use_live_index=True,
-        )
-        scanned = NeighborTables(
-            12, scenario.sim, runtime.mobility, runtime=runtime,
-            use_live_index=False,
-        )
-        t0 = runtime.beacon_times[0]
-        indexed.beacon_round(t0)
-        scanned.beacon_round(t0)
-        for t in (
-            t0,
-            t0 + scenario.sim.neighbor_expiry_s,
-            np.nextafter(t0 + scenario.sim.neighbor_expiry_s, np.inf),
-            t0 + 10 * scenario.sim.neighbor_expiry_s,
-        ):
-            for i in range(12):
-                np.testing.assert_array_equal(
-                    indexed.live_mask(i, t), scanned.live_mask(i, t)
-                )
-                assert indexed.degree(i, t) == scanned.degree(i, t)
-            assert indexed.mean_degree(t) == scanned.mean_degree(t)
 
 
 class TestLinkLoss:

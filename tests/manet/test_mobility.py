@@ -66,28 +66,6 @@ class TestRandomWalk:
         v_epoch1 = walk.velocities_at(25.0)
         assert not np.allclose(v_epoch0, v_epoch1)
 
-    def test_positions_into_is_bit_identical(self):
-        """The allocation-free spelling (fast triangle-wave fold, used
-        by the batched frame-resolution path) must reproduce
-        positions_at bit for bit — including tiny arenas where the
-        one-period shortcut is invalid and queries past the trace."""
-        import itertools
-
-        from repro.manet.config import MobilityConfig
-
-        cases = [
-            RandomWalkMobility(25, 500.0, 40.0, rng=1),
-            RandomWalkMobility(
-                25, 10.0, 40.0, config=MobilityConfig(speed_max_mps=1.9), rng=2
-            ),
-        ]
-        for walk in cases:
-            out = np.empty((25, 2))
-            for t in itertools.chain(np.linspace(0.0, 40.0, 97), [55.0, 90.0]):
-                expected = walk.positions_at(float(t))
-                got = walk.positions_into(float(t), out)
-                assert (got == expected).all()
-
     def test_query_past_horizon_uses_last_epoch(self):
         walk = make_walk(seed=17, horizon=40.0)
         pos = walk.positions_at(45.0)  # clamped to last epoch's velocity
@@ -135,14 +113,6 @@ class TestStaticMobility:
         with pytest.raises(ValueError):
             out[0, 0] = 999.0
         assert static.positions_at(5.0)[0, 0] == 1.0
-
-    def test_positions_into_matches(self):
-        pos = np.array([[1.0, 2.0], [3.0, 4.0]])
-        static = StaticMobility(pos, area_side_m=500.0)
-        buf = np.empty((2, 2))
-        np.testing.assert_array_equal(
-            static.positions_into(7.0, buf), static.positions_at(7.0)
-        )
 
     def test_rejects_out_of_bounds(self):
         with pytest.raises(ValueError):

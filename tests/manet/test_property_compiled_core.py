@@ -111,14 +111,6 @@ def assert_identical(reference, candidate):
     assert candidate.queue.fired == reference.queue.fired
     assert candidate.medium.transmission_count == reference.medium.transmission_count
     assert candidate.medium.resolved_count == reference.medium.resolved_count
-    assert (
-        candidate.protocol.batch_frames_vector
-        == reference.protocol.batch_frames_vector
-    )
-    assert (
-        candidate.protocol.batch_frames_scalar
-        == reference.protocol.batch_frames_scalar
-    )
 
 
 class TestCompiledEqualsPure:

@@ -103,106 +103,33 @@ class TestBitIdenticalMetrics:
 
 
 class TestVectorisedWarmPath:
-    """PR 5 (DESIGN.md §11): the batched delivery path and the interval
-    live-mask index must be invisible in the results — metrics AND
-    decision logs bit-identical to the per-event / scanned path, with
-    and without a runtime."""
-
-    MODES = [(True, True), (True, False), (False, True)]
-
-    @pytest.mark.parametrize("density", [100, 300])
-    def test_batched_and_indexed_paths_are_bit_identical(self, density):
-        scenario = make_scenarios(density, n_networks=1)[0]
-        runtime = ScenarioRuntime(scenario)
-        for params in PARAM_SETS:
-            ref = BroadcastSimulator(
-                scenario, params, batched=False, live_index=False,
-                record_decisions=True,
-            )
-            expected = ref.run()
-            for rt in (None, runtime):
-                for batched, live_index in self.MODES:
-                    sim = BroadcastSimulator(
-                        scenario, params, runtime=rt,
-                        batched=batched, live_index=live_index,
-                        record_decisions=True,
-                    )
-                    assert sim.run() == expected
-                    assert sim.protocol.decisions == ref.protocol.decisions
-
-    @pytest.mark.parametrize("mobility_model", MOBILITY_MODELS)
-    def test_batched_across_mobility_models(self, mobility_model):
-        scenario = make_scenarios(
-            200, n_networks=1, mobility_model=mobility_model
-        )[0]
-        runtime = ScenarioRuntime(scenario)
-        params = PARAM_SETS[1]
-        plain = BroadcastSimulator(
-            scenario, params, batched=False, live_index=False
-        ).run()
-        batched = BroadcastSimulator(
-            scenario, params, runtime=runtime, batched=True, live_index=True
-        ).run()
-        assert plain == batched
+    """The runtime-backed warm path: frames resolved off the runtime's
+    memoised positions and tables restored from its snapshots must match
+    the recompute path bit for bit — metrics AND decision logs — under
+    collisions and after the tables leave the canonical timeline."""
 
     def test_colliding_frames_are_bit_identical(self):
         """Near-zero delays force overlapping frames, exercising the
-        batch mode's subset interference path against the stacked one."""
+        stacked interference computation of ``RadioMedium._resolve``."""
         scenario = make_scenarios(300, n_networks=1)[0]
         runtime = ScenarioRuntime(scenario)
         params = AEDBParams(0.0, 0.05, -70.0, 0.0, 0.0)
-        ref = BroadcastSimulator(
-            scenario, params, batched=False, live_index=False,
-            record_decisions=True,
-        )
+        ref = BroadcastSimulator(scenario, params, record_decisions=True)
         expected = ref.run()
         sim = BroadcastSimulator(
-            scenario, params, runtime=runtime, batched=True, live_index=True,
-            record_decisions=True,
+            scenario, params, runtime=runtime, record_decisions=True
         )
         assert sim.run() == expected
         assert sim.protocol.decisions == ref.protocol.decisions
 
-    def test_shared_segment_serves_the_interval_index(self):
-        """A worker attached to a SharedRuntimeArena segment must serve
-        indexed queries from the packed arrays, bit-identical to a
-        locally built runtime."""
-        from repro.manet.shared import SharedRuntimeArena, attach_runtime
-
-        scenario = make_scenarios(100, n_networks=1, n_nodes=10)[0]
-        local = ScenarioRuntime(scenario)
-        arena = SharedRuntimeArena.create([scenario])
-        if arena is None:  # pragma: no cover - no shared memory host
-            pytest.skip("no shared memory on this host")
-        try:
-            attached = attach_runtime(scenario, arena.handle_for(scenario))
-            assert attached.shared
-            for k, t in enumerate(local.beacon_times):
-                mine = local.live_index_at(k)
-                theirs = attached.live_index_at(k)
-                np.testing.assert_array_equal(mine.values, theirs.values)
-                np.testing.assert_array_equal(mine.live, theirs.live)
-                np.testing.assert_array_equal(mine.degrees, theirs.degrees)
-                np.testing.assert_array_equal(mine.totals, theirs.totals)
-                for arr in (theirs.values, theirs.live, theirs.degrees):
-                    assert not arr.flags.writeable
-            expected = BroadcastSimulator(scenario, PARAM_SETS[0]).run()
-            got = BroadcastSimulator(
-                scenario, PARAM_SETS[0], runtime=attached
-            ).run()
-            assert got == expected
-        finally:
-            arena.close()
-
     def test_off_grid_round_disables_the_index(self):
-        """After the timeline diverges, queries must fall back to the
-        scan and match a runtime-less table exactly."""
+        """After the timeline diverges, the tables stop restoring
+        snapshots and must match a runtime-less table exactly."""
         scenario = make_scenarios(100, n_networks=1)[0]
         runtime = ScenarioRuntime(scenario)
         mobility = scenario.build_mobility()
         with_rt = NeighborTables(
-            scenario.n_nodes, scenario.sim, mobility, runtime=runtime,
-            use_live_index=True,
+            scenario.n_nodes, scenario.sim, mobility, runtime=runtime
         )
         without_rt = NeighborTables(scenario.n_nodes, scenario.sim, mobility)
         t0 = runtime.beacon_times[0]
@@ -217,15 +144,11 @@ class TestVectorisedWarmPath:
             assert with_rt.mean_degree(q) == without_rt.mean_degree(q)
 
     def test_queries_before_the_tick_fall_back_to_the_scan(self):
-        """The index prunes values already expired at its tick; a query
-        looking *before* the tick (where those values could still be
-        live) must not be served from it."""
+        """A query looking *before* the current snapshot's tick must
+        see the same freshness as a runtime-less table."""
         scenario = make_scenarios(100, n_networks=1, n_nodes=10)[0]
         runtime = ScenarioRuntime(scenario)
-        tables = NeighborTables(
-            10, scenario.sim, runtime.mobility, runtime=runtime,
-            use_live_index=True,
-        )
+        tables = NeighborTables(10, scenario.sim, runtime.mobility, runtime=runtime)
         scanned = NeighborTables(10, scenario.sim, runtime.mobility)
         # Replay several ticks so old last_seen values exist.
         for t in runtime.beacon_times[:5]:

@@ -84,7 +84,7 @@ class TestArenaLifecycle:
         assert SharedRuntimeArena.create([]) is None
 
     def test_runtime_memoisation_off_wins_over_shared(self):
-        """REPRO_RUNTIME_MEMO=0 promises the recompute path; a shared
+        """Runtime memoisation off promises the recompute path; a shared
         segment must not silently un-ablate it."""
         from repro.manet import set_runtime_memoisation
 
@@ -103,19 +103,8 @@ class TestArenaLifecycle:
         with SharedRuntimeArena.create([s]) as arena:
             handle = arena.handle_for(s)
             runtime = ScenarioRuntime(s)
-            # Snapshot stacks + protocol doubles ...
+            # Snapshot stacks + protocol doubles.
             expected = 8 * (2 * runtime.n_beacon_rounds * 8 * 8 + 2 * 8)
-            # ... plus the packed interval live index (§11): per-tick
-            # value counts and the flattened values/degrees/totals/masks.
-            counts, values, live, degrees, totals = runtime.live_index_stacks()
-            expected += (
-                counts.nbytes
-                + values.nbytes
-                + live.nbytes
-                + degrees.nbytes
-                + totals.nbytes
-            )
-            assert handle.n_index_values == int(counts.sum())
             assert handle.segment_nbytes() == expected
             assert arena.nbytes() == expected
 
@@ -158,8 +147,7 @@ class TestCrashSafety:
     def test_attach_bogus_handle_falls_back(self):
         s = make_scenarios(100, n_networks=1, n_nodes=8)[0]
         bogus = SharedRuntimeHandle(
-            name=f"{SEGMENT_PREFIX}-nonexistent", n_ticks=14, n_nodes=8,
-            n_index_values=42,
+            name=f"{SEGMENT_PREFIX}-nonexistent", n_ticks=14, n_nodes=8
         )
         rt = attach_runtime(s, bogus)
         assert rt is None or not rt.shared
@@ -235,11 +223,8 @@ class TestBitIdentity:
             assert private.private_nbytes() > 0
             assert shared.private_nbytes() == 0  # timeline is shared pages
             # The addressed timeline is exactly the segment's stacks
-            # (the segment additionally holds the 2n RNG doubles and the
-            # per-tick index-value counts, 8 bytes per beacon tick).
-            assert shared.nbytes() == (
-                arena.nbytes() - 2 * 8 * 8 - shared.n_beacon_rounds * 8
-            )
+            # (the segment additionally holds the 2n RNG doubles).
+            assert shared.nbytes() == arena.nbytes() - 2 * 8 * 8
 
 
 class TestPoolIntegration:

@@ -66,3 +66,21 @@ def test_every_repro_flag_in_tree_is_registered():
             if name not in registered:
                 unknown.setdefault(name, path.name)
     assert unknown == {}
+
+
+def test_cited_records_and_root_docs_exist():
+    # README, DESIGN and the sources may cite a benchmark record
+    # (BENCH_*.json) or a root document (an upper-case *.md) only if
+    # the file is committed — a citation of a never-written record
+    # reads as evidence that does not exist.
+    import re
+
+    pattern = re.compile(r"(?<![\w/.-])(BENCH_\w+\.json|[A-Z][A-Z0-9_]*\.md)\b")
+    sources = [REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md"]
+    sources += sorted((REPO_ROOT / "src").rglob("*.py"))
+    missing = {}
+    for path in sources:
+        for name in pattern.findall(path.read_text(encoding="utf-8")):
+            if not (REPO_ROOT / name).exists():
+                missing.setdefault(name, path.relative_to(REPO_ROOT).as_posix())
+    assert missing == {}
