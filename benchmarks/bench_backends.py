@@ -91,7 +91,7 @@ def test_backend_wallclock_and_identity(emit, tmp_path):
             backend=backend,
             max_workers=WORKERS,
             # No persistent cache: this measures execution, not replay
-            # (bench_shared_runtime.py owns the cached-re-run claim).
+            # (tests/campaigns/test_eval_cache.py pins the cached re-run).
             eval_cache=None,
         ).run()
         elapsed = time.perf_counter() - start

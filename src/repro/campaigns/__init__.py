@@ -51,16 +51,14 @@ What the executor shares under the pool (DESIGN.md §9)
 ======================================================
 
 Two layers make repeated and parallel evaluation nearly free, both
-transparent (identical metrics, bit for bit) and both optional:
+transparent (identical metrics, bit for bit):
 
-* **Shared-memory runtimes** — before the pool forks, the executor
-  packs each pending scenario's parameter-independent substrate
-  (per-tick neighbour tables, the replayed protocol RNG stream) into
-  one :mod:`multiprocessing.shared_memory` segment via
-  :class:`~repro.manet.shared.SharedRuntimeArena`; workers map it
-  read-only instead of privately rebuilding it, so substrate memory and
-  warm-up cost scale with *scenario* count, not worker count.  Opt out
-  with ``shared_runtimes=False`` or ``REPRO_SHARED_RUNTIME=0``.
+* **Pool-shared runtimes** — before the pool forks, the executor
+  builds each pending scenario's parameter-independent substrate
+  (per-tick neighbour tables, the replayed protocol RNG stream) once
+  via :class:`~repro.manet.shared.SharedRuntimeArena`; workers inherit
+  it copy-on-write instead of privately rebuilding it, so warm-up cost
+  scales with *scenario* count, not worker count.
 
 * **Persistent evaluation cache** — every finished simulation is
   appended to the store's ``evaluations.jsonl`` sidecar

@@ -117,10 +117,6 @@ class ExecutionContext:
         return self.executor.max_workers
 
     @property
-    def shared_runtimes(self) -> bool:
-        return self.executor.shared_runtimes
-
-    @property
     def scale_override(self):
         """Ad-hoc scale object (or None), forwarded to sub-executors."""
         return self.executor._scale_override

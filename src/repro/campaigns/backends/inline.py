@@ -14,7 +14,7 @@ __all__ = ["InlineBackend"]
 class InlineBackend:
     """Run every job in-process, in spec order.
 
-    No pool, no subprocesses, no shared memory: the cheapest path for
+    No pool, no subprocesses, no runtime arena: the cheapest path for
     tiny sweeps, the mode the experiment runner uses to reproduce its
     historical single-threaded behaviour exactly, and the debuggable
     reference the other backends are bit-compared against (a breakpoint

@@ -6,9 +6,9 @@ pending cell's jobs are built up front and submitted to ONE persistent
 :class:`~concurrent.futures.ProcessPoolExecutor`, so simulations
 interleave *across* cells (no per-cell pool spin-up, no idle workers at
 cell boundaries), persistent-cache hits resolve before the pool even
-exists, and a :class:`~repro.manet.shared.SharedRuntimeArena` gives
-every worker a read-only mapping of each scenario's precomputed
-substrate (DESIGN.md §9).
+exists, and a :class:`~repro.manet.shared.SharedRuntimeArena` built
+before the pool forks gives every worker the owner's copy of each
+scenario's precomputed substrate (DESIGN.md §9).
 
 PR 7 made the pool *survive its workers* (DESIGN.md §13).  The drain
 loop became a lease-driven driver:
@@ -115,20 +115,12 @@ class PoolBackend:
                 )
         if not submit:
             return  # everything came from the cache: no pool, no arena
-        arena = None
-        if ctx.shared_runtimes:
-            # One shared-memory precompute per distinct pending scenario,
-            # created once and reused across every pool incarnation the
-            # driver builds: the arena is owned by the parent, so worker
-            # deaths never invalidate the segments.  None = shared
-            # memory unavailable; workers fall back per process.
-            arena = SharedRuntimeArena.create(
-                [
-                    j.scenario
-                    for j in submit
-                    if isinstance(j, executor_mod._SimJob)
-                ]
-            )
+        # One precompute per distinct pending scenario, built here before
+        # the driver forks its first pool and inherited by every pool it
+        # rebuilds after a breakage.
+        arena = SharedRuntimeArena.create(
+            [j.scenario for j in submit if isinstance(j, executor_mod._SimJob)]
+        )
         try:
             _PoolDriver(
                 backend_name=self.name,
@@ -139,7 +131,6 @@ class PoolBackend:
                 cell_by_key=cell_by_key,
                 buckets=buckets,
                 max_workers=max_workers,
-                arena=arena,
             ).drive()
         finally:
             if arena is not None:
@@ -151,8 +142,7 @@ class _PoolDriver:
 
     All mutable scheduling state lives here; the pool object itself is
     disposable — breakage and hangs abandon it and build a fresh one,
-    while the queue, buckets, leases, and the shared-runtime arena
-    carry over.
+    while the queue, buckets and leases carry over.
     """
 
     #: Floor for the lease-check tick so a tight timeout cannot turn
@@ -161,7 +151,7 @@ class _PoolDriver:
 
     def __init__(
         self, backend_name, ctx, executor_mod, jobs, jobs_by_cell,
-        cell_by_key, buckets, max_workers, arena,
+        cell_by_key, buckets, max_workers,
     ):
         self.name = backend_name
         self.ctx = ctx
@@ -172,7 +162,6 @@ class _PoolDriver:
         self.jobs_by_cell = jobs_by_cell
         self.cell_by_key = cell_by_key
         self.buckets = buckets
-        self.arena = arena
         #: FIFO of jobs waiting for a pool slot (attempt stamped at
         #: submission, so requeued entries need no rewriting).
         self.queue: list = list(jobs)
@@ -277,10 +266,6 @@ class _PoolDriver:
                 self.rec.event("cell.leased", cell=key, backend=self.name,
                                attempt=attempt)
             job = replace(job, attempt=attempt)
-            if self.arena is not None and isinstance(
-                job, self.executor_mod._SimJob
-            ):
-                job = replace(job, handle=self.arena.handle_for(job.scenario))
             try:
                 future = self.pool.submit(
                     self.executor_mod._execute_job, job

@@ -31,10 +31,10 @@ pins all backends to byte-identical stores.
 
 Two transparent layers sit under every backend (DESIGN.md §9):
 
-* a :class:`~repro.manet.shared.SharedRuntimeArena` packs each pending
-  scenario's substrate into shared memory once, so every pool worker
-  maps the same precompute read-only instead of privately rebuilding it
-  (``shared_runtimes=False`` or ``REPRO_SHARED_RUNTIME=0`` opts out);
+* a :class:`~repro.manet.shared.SharedRuntimeArena` builds each
+  pending scenario's substrate once in the pool owner before the pool
+  forks, so every pool worker inherits the same precompute instead of
+  privately rebuilding it;
 * a :class:`~repro.tuning.cache.PersistentEvaluationCache` sidecar next
   to the store (``evaluations.jsonl``) records every simulation result,
   so re-running a grid — or a *different* campaign whose cells overlap
@@ -72,7 +72,7 @@ from repro.campaigns.store import ResultStore
 from repro.manet.aedb import AEDBParams
 from repro.manet.metrics import BroadcastMetrics, aggregate_metrics
 from repro.manet.scenarios import NetworkScenario
-from repro.manet.shared import SharedRuntimeHandle, attach_runtime
+from repro.manet.shared import attach_runtime
 from repro.manet.simulator import BroadcastSimulator
 from repro.telemetry import (
     NULL,
@@ -103,9 +103,6 @@ class _SimJob:
     index: int
     scenario: NetworkScenario
     params: AEDBParams
-    #: Pointer to the scenario's shared-memory substrate, attached by
-    #: the executor just before submission (None = per-process runtime).
-    handle: SharedRuntimeHandle | None = None
     #: Which attempt of the owning cell this job belongs to (1-based).
     #: Stamped by the backend at submission; payloads never depend on it
     #: (bit-identity), but the fault plane and heartbeat attrs do.
@@ -133,14 +130,14 @@ class _TuneJob:
 def _execute_job(job):
     """Worker entry point: one simulation or one optimiser run.
 
-    Simulation jobs carrying a shared-runtime handle map the parent's
-    one precompute (snapshot timeline and protocol RNG stream,
-    DESIGN.md §9); jobs without (or whose attach cannot be honoured)
-    resolve their scenario's :class:`~repro.manet.runtime.ScenarioRuntime`
-    from the worker's per-process LRU instead, so cells that reference
-    the same scenario — within a campaign or across param-sweep cells —
-    still share one precomputed beacon grid per worker.  Results are
-    bit-identical on every path.
+    Simulation jobs read the runtime the pool owner prepared before the
+    fork (snapshot timeline and protocol RNG stream, DESIGN.md §9); a
+    scenario the owner did not prepare — every inline job — resolves its
+    :class:`~repro.manet.runtime.ScenarioRuntime` from the worker's
+    per-process LRU instead, so cells that reference the same scenario
+    — within a campaign or across param-sweep cells — still share one
+    precomputed beacon grid per process.  Results are bit-identical on
+    every path.
 
     Two resilience hooks bracket the work (DESIGN.md §13), both free
     when their env toggles are unset: the fault plane may crash, hang,
@@ -154,7 +151,7 @@ def _execute_job(job):
         if isinstance(job, _SimJob):
             return BroadcastSimulator(
                 job.scenario, job.params,
-                runtime=attach_runtime(job.scenario, job.handle),
+                runtime=attach_runtime(job.scenario),
             ).run()
         return _run_tune_job(job)
 
@@ -306,7 +303,6 @@ class CampaignExecutor:
         scale=None,
         mls_engine: str | None = None,
         eval_cache="auto",
-        shared_runtimes: bool = True,
         backend: "Backend | str | None" = None,
         only_cells: Iterable[str] | None = None,
         telemetry_attrs: dict | None = None,
@@ -325,8 +321,7 @@ class CampaignExecutor:
         sidecar (no cache when running storeless), ``None``/``False``
         disables it, a path points at a cache shared across campaigns,
         and a :class:`~repro.tuning.cache.PersistentEvaluationCache` is
-        used as-is.  ``shared_runtimes=False`` keeps pooled runs on
-        per-process runtimes (no shared-memory arena).
+        used as-is.
 
         ``backend`` selects the execution strategy
         (:mod:`repro.campaigns.backends`): a :class:`Backend` instance
@@ -361,7 +356,6 @@ class CampaignExecutor:
         self._scale_override = scale
         self.mls_engine = mls_engine
         self._eval_cache_spec = eval_cache
-        self.shared_runtimes = shared_runtimes
         self.backend = backend
         self.only_cells = None if only_cells is None else tuple(only_cells)
         self.telemetry_attrs = dict(telemetry_attrs or {})

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -170,6 +171,14 @@ class CampaignCell:
         return len(self.params) * self.n_networks
 
 
+def _is_finite(value) -> bool:
+    """A real, finite number (non-numbers included in the rejects)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """A declarative grid of campaign cells."""
@@ -215,6 +224,24 @@ class CampaignSpec:
                     f"unknown mobility model {model!r}; "
                     f"choose from {MOBILITY_MODELS}"
                 )
+        for axis, label in (
+            (self.densities, "densities"),
+            (self.area_sides_m, "area_sides_m"),
+        ):
+            for value in axis:
+                if not (_is_finite(value) and value > 0):
+                    raise ValueError(
+                        f"{label} must be finite and positive, got {value!r}"
+                    )
+        n_values = len(AEDBParams.DOMAINS)
+        for vector in self.params:
+            if len(vector) != n_values or not all(map(_is_finite, vector)):
+                raise ValueError(
+                    f"params vectors must hold {n_values} finite values, "
+                    f"got {vector!r}"
+                )
+        if self.n_nodes is not None and self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be at least 1, got {self.n_nodes}")
         if self.n_seeds <= 0:
             raise ValueError(f"n_seeds must be positive, got {self.n_seeds}")
         if self.n_networks <= 0:

@@ -168,10 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent evaluation cache",
     )
     run_p.add_argument(
-        "--no-shared-runtime", action="store_true",
-        help="keep pool workers on per-process runtimes (no shared memory)",
-    )
-    run_p.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="attempts per cell before quarantine (default 3; 1 = "
              "fail-fast, no retries)",
@@ -643,7 +639,6 @@ def _cmd_campaign(args, scale) -> int:
             else args.cache if args.cache is not None
             else "auto"
         ),
-        shared_runtimes=not args.no_shared_runtime,
         retry_policy=retry_policy,
     )
     report = executor.run(

@@ -24,9 +24,9 @@ configuration the way the paper does with ns3:
   parameter-independent substrate (beacon-table timeline, position
   snapshots, path-loss model) that makes repeated evaluations on the
   same network skip the whole beacon cost;
-* :mod:`repro.manet.shared` — the cross-process form of that cache:
-  one shared-memory precompute per scenario, mapped read-only by every
-  pool worker (DESIGN.md §9);
+* :mod:`repro.manet.shared` — the pool form of that cache: the pool
+  owner builds each scenario's runtime once before its workers fork,
+  and every worker inherits it (DESIGN.md §9);
 * :mod:`repro.manet.compiled` — dispatch for the optional compiled
   event core (``repro.manet._evcore``, built by ``setup.py
   build_ext``): bit-identical to the pure path, selected by
@@ -49,7 +49,6 @@ from repro.manet.runtime import (
     ScenarioRuntime,
     clear_runtime_cache,
     get_runtime,
-    runtime_cache_nbytes,
     runtime_cache_size,
     set_runtime_memoisation,
 )
@@ -61,10 +60,7 @@ from repro.manet.scenarios import (
 )
 from repro.manet.shared import (
     SharedRuntimeArena,
-    SharedRuntimeHandle,
     attach_runtime,
-    set_shared_runtimes,
-    shared_runtimes_enabled,
 )
 from repro.manet.simulator import BroadcastSimulator, simulate_broadcast
 
@@ -88,10 +84,6 @@ __all__ = [
     "set_runtime_memoisation",
     "clear_runtime_cache",
     "runtime_cache_size",
-    "runtime_cache_nbytes",
     "SharedRuntimeArena",
-    "SharedRuntimeHandle",
     "attach_runtime",
-    "shared_runtimes_enabled",
-    "set_shared_runtimes",
 ]

@@ -55,10 +55,9 @@ Usage — the two public entry points:
       sim = BroadcastSimulator(scenario, params,
                                runtime=get_runtime(scenario))
 
-* **Cross-process sharing** (:mod:`repro.manet.shared`, DESIGN.md §9):
-  the parent precomputes once, pool workers map the same bytes
-  read-only via :func:`~repro.manet.shared.attach_runtime` —
-  :class:`ScenarioRuntime.from_shared` is the rehydration hook it uses.
+* **Pool sharing** (:mod:`repro.manet.shared`, DESIGN.md §9): the
+  pool owner builds the runtimes before its workers fork, and the
+  workers read them through :func:`~repro.manet.shared.attach_runtime`.
 
 Both paths are bound by the same invariant: metrics from a
 runtime-backed run are bit-identical to the recompute path
@@ -87,12 +86,10 @@ __all__ = [
     "resolve_mobility",
     "run_beacon_schedule",
     "get_runtime",
-    "peek_runtime",
     "runtime_memoisation_enabled",
     "set_runtime_memoisation",
     "clear_runtime_cache",
     "runtime_cache_size",
-    "runtime_cache_nbytes",
 ]
 
 
@@ -227,34 +224,6 @@ class ScenarioRuntime:
         mobility: MobilityModel | None = None,
         position_memo_entries: int = 256,
     ):
-        self._init_base(scenario, mobility, position_memo_entries)
-        # Substrate-build span (DESIGN.md §12) — only the full precompute
-        # path; from_shared maps existing arrays and pays nothing worth
-        # timing.
-        with get_recorder().span(
-            "runtime.build", n_nodes=scenario.n_nodes
-        ):
-            self._precompute_tables()
-        # Raw uniform stream of the scenario's default protocol RNG.
-        # The AEDB state machine draws at most 2 doubles per node (one
-        # forwarding delay, one MAC jitter, each at most once — a node
-        # leaves IDLE on its first copy and forwards at most once).
-        default_seed = (scenario.mobility_seed ^ 0x5EDB) & 0xFFFFFFFF
-        self._protocol_doubles: list[float] = np.random.default_rng(
-            default_seed
-        ).random(2 * scenario.n_nodes).tolist()
-
-    def _init_base(
-        self,
-        scenario: NetworkScenario,
-        mobility: MobilityModel | None,
-        position_memo_entries: int,
-    ) -> None:
-        """Everything cheap and per-process: configs, grid, empty memos.
-
-        Shared by :meth:`__init__` (which then pays the precompute) and
-        :meth:`from_shared` (which maps the precomputed arrays instead).
-        """
         if position_memo_entries <= 0:
             raise ValueError(
                 f"position_memo_entries must be positive, got {position_memo_entries}"
@@ -284,53 +253,19 @@ class ScenarioRuntime:
         rx0.setflags(write=False)
         seen0.setflags(write=False)
         self.initial_tables = (rx0, seen0)
-        #: True when the snapshot arrays live in a shared-memory segment
-        #: owned by another process (:meth:`from_shared`); the private
-        #: memory attributable to this runtime is then ~0.
-        self.shared = False
-
-    @classmethod
-    def from_shared(
-        cls,
-        scenario: NetworkScenario,
-        rx_stack: np.ndarray,
-        seen_stack: np.ndarray,
-        protocol_doubles: np.ndarray,
-        mobility: MobilityModel | None = None,
-    ) -> "ScenarioRuntime":
-        """Rehydrate a runtime from precomputed snapshot arrays.
-
-        ``rx_stack`` / ``seen_stack`` are ``(T, n, n)`` read-only views
-        (typically into a :mod:`multiprocessing.shared_memory` segment
-        packed by :class:`~repro.manet.shared.SharedRuntimeArena`)
-        holding exactly the per-tick state :meth:`_precompute_tables`
-        would produce, in canonical beacon order; ``protocol_doubles``
-        is the scenario's raw uniform stream.  No substrate is
-        recomputed — the per-process cost is the cheap ``_init_base``
-        setup plus one dict over the existing views, which is what lets
-        every pool worker map one precompute instead of owning a copy.
-        """
-        self = cls.__new__(cls)
-        self._init_base(scenario, mobility, 256)
-        n_ticks = len(self.beacon_times)
-        if len(rx_stack) != n_ticks or len(seen_stack) != n_ticks:
-            raise ValueError(
-                f"snapshot stack holds {len(rx_stack)} ticks, scenario's "
-                f"canonical grid has {n_ticks}"
-            )
-        expected = 2 * scenario.n_nodes
-        if len(protocol_doubles) != expected:
-            raise ValueError(
-                f"protocol stream holds {len(protocol_doubles)} doubles, "
-                f"expected {expected}"
-            )
-        for i, t in enumerate(self.beacon_times):
-            self._snapshots[t] = (rx_stack[i], seen_stack[i])
-        # Plain floats: UniformStream replays list items with the exact
-        # Generator arithmetic; tolist() round-trips float64 exactly.
-        self._protocol_doubles = protocol_doubles.tolist()
-        self.shared = True
-        return self
+        # Substrate-build span (DESIGN.md §12).
+        with get_recorder().span(
+            "runtime.build", n_nodes=scenario.n_nodes
+        ):
+            self._precompute_tables()
+        # Raw uniform stream of the scenario's default protocol RNG.
+        # The AEDB state machine draws at most 2 doubles per node (one
+        # forwarding delay, one MAC jitter, each at most once — a node
+        # leaves IDLE on its first copy and forwards at most once).
+        default_seed = (scenario.mobility_seed ^ 0x5EDB) & 0xFFFFFFFF
+        self._protocol_doubles: list[float] = np.random.default_rng(
+            default_seed
+        ).random(2 * scenario.n_nodes).tolist()
 
     # ------------------------------------------------------------------ #
     # beacon-table timeline                                              #
@@ -383,22 +318,10 @@ class ScenarioRuntime:
     def protocol_doubles(self) -> list[float]:
         """The raw precomputed uniform stream (read it, don't mutate it).
 
-        Exposed so :class:`~repro.manet.shared.SharedRuntimeArena` can
-        pack the stream next to the snapshot timeline.
+        Exposed so the compiled event core can take the stream as an
+        array input.
         """
         return self._protocol_doubles
-
-    def snapshot_stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The full timeline as two ``(T, n, n)`` stacks, canonical order.
-
-        Copies the per-tick snapshots into contiguous arrays — the
-        shape :meth:`from_shared` consumes and the layout
-        :class:`~repro.manet.shared.SharedRuntimeArena` writes into a
-        shared-memory segment.
-        """
-        rx = np.stack([self._snapshots[t][0] for t in self.beacon_times])
-        seen = np.stack([self._snapshots[t][1] for t in self.beacon_times])
-        return rx, seen
 
     # ------------------------------------------------------------------ #
     # position snapshots                                                 #
@@ -429,30 +352,13 @@ class ScenarioRuntime:
 
     # ------------------------------------------------------------------ #
     def nbytes(self) -> int:
-        """Approximate memory addressed by the precomputed snapshots.
-
-        For a :meth:`from_shared` runtime these bytes live in the shared
-        segment (one physical copy however many processes map it); use
-        :attr:`shared` to tell the cases apart, and
-        :meth:`private_nbytes` for the per-process cost.
-        """
+        """Approximate memory addressed by the precomputed snapshots."""
         total = sum(
             rx.nbytes + seen.nbytes for rx, seen in self._snapshots.values()
         )
         with self._position_lock:
             total += sum(p.nbytes for p in self._position_memo.values())
         return total
-
-    def private_nbytes(self) -> int:
-        """Substrate bytes privately owned by this process.
-
-        A shared runtime's snapshot timeline is someone else's pages;
-        only the position memo (filled lazily per process) counts.
-        """
-        if not self.shared:
-            return self.nbytes()
-        with self._position_lock:
-            return sum(p.nbytes for p in self._position_memo.values())
 
 
 # --------------------------------------------------------------------- #
@@ -497,24 +403,10 @@ def runtime_memoisation_enabled() -> bool:
     """Whether cached runtimes may be served at all.
 
     ``set_runtime_memoisation(False)`` promises the recompute path
-    everywhere; the shared-memory layer checks this so a precomputed
-    segment cannot silently undo the ablation.
+    everywhere; :mod:`repro.manet.shared` checks this so a runtime the
+    pool owner prepared cannot silently undo the ablation.
     """
     return _MEMO_ENABLED
-
-
-def peek_runtime(scenario: NetworkScenario) -> ScenarioRuntime | None:
-    """The memoised runtime if one exists — never builds or inserts.
-
-    Used by :class:`~repro.manet.shared.SharedRuntimeArena` when packing
-    segments: inserting into the parent's memo right before the pool
-    forks would hand every worker an inherited private copy of the
-    timeline, defeating the sharing it is about to set up.
-    """
-    if not _MEMO_ENABLED:
-        return None
-    with _MEMO_LOCK:
-        return _RUNTIME_MEMO.get(scenario)
 
 
 def set_runtime_memoisation(enabled: bool) -> None:
@@ -535,17 +427,3 @@ def runtime_cache_size() -> int:
     """Number of runtimes currently memoised."""
     with _MEMO_LOCK:
         return len(_RUNTIME_MEMO)
-
-
-def runtime_cache_nbytes() -> int:
-    """Private bytes held by this process's memoised runtimes.
-
-    The per-worker substrate-memory metric of
-    ``benchmarks/bench_shared_runtime.py``: shared (attached) runtimes
-    never enter this memo, so a worker running off a
-    :class:`~repro.manet.shared.SharedRuntimeArena` reports ~0 here
-    while a per-process worker reports one full timeline per scenario.
-    """
-    with _MEMO_LOCK:
-        runtimes = list(_RUNTIME_MEMO.values())
-    return sum(rt.private_nbytes() for rt in runtimes)

@@ -29,10 +29,9 @@ unclosed evaluator no longer orphans worker processes.
 Two optional layers plug into both evaluators (DESIGN.md §9):
 
 * a :class:`~repro.manet.shared.SharedRuntimeArena` is created
-  automatically by the parallel evaluator, so its workers map one
-  shared-memory copy of each scenario's substrate instead of privately
-  rebuilding it per process (transparent fallback to the per-process
-  LRU when shared memory is unavailable);
+  automatically by the parallel evaluator before its pool forks, so the
+  workers inherit one copy of each scenario's substrate instead of
+  privately rebuilding it per process;
 * ``persistent=`` accepts a
   :class:`~repro.tuning.cache.PersistentEvaluationCache`, short-cutting
   any ``(scenario, params)`` simulation already recorded on disk —
@@ -55,7 +54,7 @@ from repro.manet.aedb import AEDBParams
 from repro.manet.metrics import BroadcastMetrics, aggregate_metrics
 from repro.manet.runtime import get_runtime
 from repro.manet.scenarios import NetworkScenario, make_scenarios
-from repro.manet.shared import SharedRuntimeArena, SharedRuntimeHandle, attach_runtime
+from repro.manet.shared import SharedRuntimeArena, attach_runtime
 from repro.manet.simulator import BroadcastSimulator
 from repro.telemetry import get_recorder
 from repro.tuning.cache import EvaluationCache, PersistentEvaluationCache
@@ -64,21 +63,17 @@ __all__ = ["NetworkSetEvaluator", "ParallelNetworkSetEvaluator"]
 
 
 def _simulate_one(
-    scenario: NetworkScenario,
-    params: AEDBParams,
-    handle: "SharedRuntimeHandle | None" = None,
+    scenario: NetworkScenario, params: AEDBParams
 ) -> BroadcastMetrics:
     """Module-level worker (must be picklable for process pools).
 
-    With a handle the worker maps the parent's shared-memory substrate
-    (one precompute for the whole pool); without one — or when the
-    attach cannot be honoured — it resolves the scenario's runtime from
-    its own per-process LRU, so a batch fanned out over the pool pays
-    the beacon-grid precompute at most once per (worker, scenario).
+    The worker reads the runtime the evaluator prepared before the pool
+    forked (one precompute for the whole pool); a scenario the table
+    does not hold resolves from the worker's own per-process LRU.
     Either way the metrics are bit-identical.
     """
     return BroadcastSimulator(
-        scenario, params, runtime=attach_runtime(scenario, handle)
+        scenario, params, runtime=attach_runtime(scenario)
     ).run()
 
 
@@ -214,10 +209,8 @@ class ParallelNetworkSetEvaluator(NetworkSetEvaluator):
     is garbage-collected or the interpreter exits.
 
     A :class:`~repro.manet.shared.SharedRuntimeArena` over the scenario
-    set is built alongside the pool (``shared_runtimes=False`` opts
-    out), so workers map one precomputed substrate instead of each
-    rebuilding their own; when shared memory is unavailable the workers
-    transparently fall back to their per-process LRUs.
+    set is built before the pool, so the forked workers inherit one
+    precomputed substrate instead of each rebuilding their own.
     """
 
     def __init__(
@@ -226,13 +219,11 @@ class ParallelNetworkSetEvaluator(NetworkSetEvaluator):
         cache: EvaluationCache | None = None,
         max_workers: int | None = None,
         persistent: PersistentEvaluationCache | None = None,
-        shared_runtimes: bool = True,
     ):
         super().__init__(scenarios, cache=cache, persistent=persistent)
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.max_workers = max_workers
-        self.shared_runtimes = shared_runtimes
         self._pool: ProcessPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
         self._arena: SharedRuntimeArena | None = None
@@ -251,15 +242,11 @@ class ParallelNetworkSetEvaluator(NetworkSetEvaluator):
         return self._pool
 
     def _ensure_arena(self) -> SharedRuntimeArena | None:
-        # Created (once) before the pool so the shared segments — and
-        # the stdlib resource tracker — exist before any worker forks.
-        # A failed creation is not retried: the per-process fallback is
-        # correct, just less shared.  The arena carries its own
-        # crash-safe finalizer; close() just drops it earlier.
+        # Created (once) before the pool, so every worker forks with the
+        # prepared runtimes already in the table.
         if not self._arena_tried:
             self._arena_tried = True
-            if self.shared_runtimes:
-                self._arena = SharedRuntimeArena.create(self.scenarios)
+            self._arena = SharedRuntimeArena.create(self.scenarios)
         return self._arena
 
     def _pooled_runs(
@@ -268,7 +255,7 @@ class ParallelNetworkSetEvaluator(NetworkSetEvaluator):
         """Resolve ``(scenario, params)`` simulations, pair order.
 
         Persistent-cache hits never reach the pool; the remainder goes
-        through ONE ``pool.map`` with shared-runtime handles attached.
+        through ONE ``pool.map``.
         """
         out: list[BroadcastMetrics | None] = [None] * len(pairs)
         todo: list[int] = []
@@ -283,7 +270,7 @@ class ParallelNetworkSetEvaluator(NetworkSetEvaluator):
             else:
                 todo.append(i)
         if todo:
-            arena = self._ensure_arena()
+            self._ensure_arena()
             pool = self._ensure_pool()
             with get_recorder().span("eval.pool_map", n_jobs=len(todo)):
                 runs = list(
@@ -291,12 +278,6 @@ class ParallelNetworkSetEvaluator(NetworkSetEvaluator):
                         _simulate_one,
                         [pairs[i][0] for i in todo],
                         [pairs[i][1] for i in todo],
-                        [
-                            arena.handle_for(pairs[i][0])
-                            if arena is not None
-                            else None
-                            for i in todo
-                        ],
                     )
                 )
             self.simulations_run += len(runs)

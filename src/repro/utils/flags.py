@@ -14,8 +14,7 @@ Contract (shared by every reader in ``src/``):
 * **Reads are per call, never cached at import** — campaign workers
   honour the parent's environment and tests flip flags with
   ``monkeypatch.setenv``.  A module that deliberately samples a flag
-  once at import (the shared-runtime switch) says so in the registry
-  entry's ``doc``.
+  once at import says so in the registry entry's ``doc``.
 * **Unregistered reads raise** ``UnknownFlagError`` — the registry is
   the single source of truth for name, accepted values, default, and
   the DESIGN.md anchor documenting the semantics.
@@ -131,10 +130,9 @@ def read_raw(name: str) -> str | None:
 def read_bool(name: str) -> bool:
     """The repo-wide kill-switch convention: only ``"0"`` disables.
 
-    Every boolean flag here defaults on and is turned off with ``=0``
-    (``REPRO_SHARED_RUNTIME=0`` etc.); any other value — including the
-    empty string — leaves the feature enabled, matching the historical
-    readers byte for byte.
+    A boolean flag defaults on and is turned off with ``=0``; any other
+    value — including the empty string — leaves the feature enabled,
+    matching the historical readers byte for byte.
     """
     flag = get_flag(name)
     raw = flag.read()
@@ -189,13 +187,6 @@ register(
     default="auto",
     doc="Compiled event core selection; `on` raises without the extension",
     anchor="DESIGN.md §14",
-)
-register(
-    "REPRO_SHARED_RUNTIME",
-    values="`0` disables",
-    default="1",
-    doc="Shared-memory runtime arena for campaign workers (sampled once at import)",
-    anchor="DESIGN.md §9",
 )
 register(
     "REPRO_TELEMETRY",

@@ -5,8 +5,7 @@ ad-hoc per-PR identity checks that preceded it: for the same
 :class:`CampaignSpec`, the ``inline``, ``pool``, ``shard:2``, and
 ``remote:2`` (loopback transport — shards shipped as bundles to
 subprocess workers and streamed back) backends must persist
-**byte-identical** result records — with shared runtimes on or off
-(``REPRO_SHARED_RUNTIME=0``) — and a standalone ``campaign merge`` of
+**byte-identical** result records — and a standalone ``campaign merge`` of
 kept shard stores must equal the single-store run.  Re-running any
 backend against a populated evaluation cache must execute zero
 simulations.
@@ -25,7 +24,6 @@ from repro.campaigns import (
     ResultStore,
     ShardBackend,
 )
-from repro.manet.shared import set_shared_runtimes
 
 BACKENDS = ("inline", "pool", "shard:2", "remote:2")
 
@@ -61,25 +59,6 @@ class TestGoldenIdentity:
         assert report.simulations_executed == report.n_simulations
         digests = store_digests(store.root)
         assert digests and digests == golden_digests
-
-    @pytest.mark.parametrize("backend", ("pool", "shard:2"))
-    def test_identical_without_shared_runtime(
-        self,
-        backend,
-        golden_spec,
-        golden_digests,
-        run_backend,
-        store_digests,
-        monkeypatch,
-    ):
-        """REPRO_SHARED_RUNTIME=0: per-process runtimes, same bytes."""
-        monkeypatch.setenv("REPRO_SHARED_RUNTIME", "0")
-        set_shared_runtimes(False)
-        try:
-            _, store = run_backend(backend, f"ns-{backend}", golden_spec)
-        finally:
-            set_shared_runtimes(True)
-        assert store_digests(store.root) == golden_digests
 
     @pytest.mark.compiled
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -172,19 +172,3 @@ class TestCampaignIntegration:
         report = CampaignExecutor(spec, store=None, serial=True).run()
         assert report.cache_hits == 0
         assert report.simulations_executed == spec.n_cells * 2  # 2 networks
-
-    def test_shared_runtimes_off_is_bit_identical(
-        self, tmp_path, store_digests
-    ):
-        spec = tiny_spec()
-        CampaignExecutor(
-            spec, ResultStore(tmp_path / "on"), max_workers=2,
-            eval_cache=None,
-        ).run()
-        CampaignExecutor(
-            spec, ResultStore(tmp_path / "off"), max_workers=2,
-            eval_cache=None, shared_runtimes=False,
-        ).run()
-        assert store_digests(tmp_path / "on") == store_digests(
-            tmp_path / "off"
-        )

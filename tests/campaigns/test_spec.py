@@ -1,8 +1,11 @@
 """Campaign spec expansion, content keys, and JSON round-trips."""
 
+import math
+
 import pytest
 
 from repro.campaigns import DEFAULT_PARAMS, EVALUATE, CampaignCell, CampaignSpec
+from repro.manet import AEDBParams
 
 
 def tiny_spec(**overrides):
@@ -74,6 +77,36 @@ class TestValidation:
     def test_evaluate_without_params_rejected(self):
         with pytest.raises(ValueError):
             tiny_spec(params=())
+
+    @pytest.mark.parametrize("via", ["constructor", "from_dict"])
+    @pytest.mark.parametrize("field, value", [
+        ("params", [[0.1, 0.5]]),
+        ("params", [[math.nan, 0.5, -90.0, 1.0, 10.0]]),
+        ("params", [[0.0, 0.5, -90.0, math.inf, 10.0]]),
+        ("densities", [-5]),
+        ("densities", [0]),
+        ("densities", [math.nan]),
+        ("area_sides_m", [0]),
+        ("area_sides_m", [math.inf]),
+        ("n_nodes", 0),
+    ])
+    def test_malformed_values_rejected_naming_the_field(
+        self, via, field, value
+    ):
+        with pytest.raises(ValueError, match=field):
+            if via == "constructor":
+                if isinstance(value, list):
+                    value = tuple(
+                        tuple(v) if isinstance(v, list) else v for v in value
+                    )
+                tiny_spec(**{field: value})
+            else:
+                CampaignSpec.from_dict({**tiny_spec().as_dict(), field: value})
+
+    def test_single_node_and_out_of_box_params_still_run(self):
+        spec = tiny_spec(n_nodes=1, params=((9.0, 0.5, -90.0, 1.0, 10.0),))
+        (params,) = spec.cells()[0].param_sets()
+        assert params == AEDBParams.from_array(spec.params[0]).clipped()
 
 
 class TestContentKeys:
