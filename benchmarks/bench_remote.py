@@ -1,15 +1,14 @@
-"""Remote transport overhead benchmark: the loopback tax (§15).
+"""Shard transport overhead benchmark: the loopback tax (§15).
 
-PR 9's tentpole guarantee: shipping a shard as a content-keyed bundle
-to a subprocess worker and streaming its store back costs little over
-the local shard backend it generalises — both pay one interpreter
-start per shard; remote adds the bundle stage, the request parse, and
-the fetch-and-merge leg.  Two backends drive the same dense-300
+Both modes run the same shard backend on the same content-keyed
+bundles; the loopback transport adds a bundle copy, a cold interpreter
+start per shard (the local mode forks warm workers), and the
+fetch-and-merge leg.  Two configurations drive the same dense-300
 evaluate campaign:
 
-- ``shard``  — :class:`ShardBackend` x2: local subprocess workers
-  writing straight into per-shard stores (the PR 5 baseline).
-- ``remote`` — :class:`RemoteShardBackend` x2 over
+- ``shard``  — :class:`ShardBackend` x2 without a transport: forked
+  local workers run each bundle straight into its shard store.
+- ``remote`` — :class:`ShardBackend` x2 with a
   :class:`LoopbackTransport`: the full bundle → worker → fetch → merge
   protocol on this host.  **The gated mode.**
 
@@ -35,7 +34,6 @@ from repro.campaigns import (
     CampaignExecutor,
     CampaignSpec,
     LoopbackTransport,
-    RemoteShardBackend,
     ResultStore,
     ShardBackend,
 )
@@ -84,7 +82,7 @@ def bench_spec(quick: bool) -> CampaignSpec:
 def _backends():
     return {
         "shard": ShardBackend(WORKERS),
-        "remote": RemoteShardBackend(WORKERS, transport=LoopbackTransport()),
+        "remote": ShardBackend(WORKERS, transport=LoopbackTransport()),
     }
 
 
@@ -202,8 +200,9 @@ def test_remote_transport_overhead(emit, tmp_path):
                 ),
             },
             "baseline": (
-                "ShardBackend x2 — local subprocess workers writing "
-                "straight into per-shard stores (no bundle, no fetch)"
+                "ShardBackend x2 without a transport — forked local "
+                "workers writing straight into per-shard stores (no "
+                "bundle copy, no fetch)"
             ),
             "modes": {
                 mode: {

@@ -98,19 +98,18 @@ Execution backends (DESIGN.md §10)
 * ``inline`` — serial, in-process; the debuggable reference;
 * ``pool`` (default) — one shared process pool over all cells' jobs;
 * ``shard:N`` — the cells partition into N content-keyed shards, each
-  run by a subprocess against **its own** store directory (own
-  ``evaluations.jsonl`` handle, warmed from the parent's), then merged
-  back with dedup-by-key and conflict detection.  ``repro-aedb
+  written as a self-contained bundle (``request.json`` + cache warm
+  start) and run by a forked worker against **its own** store directory
+  (own ``evaluations.jsonl`` handle, warmed from the parent's), then
+  merged back with dedup-by-key and conflict detection.  ``repro-aedb
   campaign merge <dirs...>`` exposes the same merge standalone;
-* ``remote:N[@transport]`` — the same shard protocol over a pluggable
-  transport (DESIGN.md §15): each shard ships as a self-contained
-  bundle (``request.json`` + cache warm start + seed store), runs via
-  ``repro-aedb campaign shard-exec`` on a worker, and streams its
-  store back for the identical merge.  ``@loopback`` (the default and
-  only built-in transport) runs workers as local subprocesses.
-  ``repro-aedb campaign serve`` / ``worker`` turn the
-  transport into a queue-backed daemon + fleet
-  (:mod:`repro.campaigns.service`).
+* ``remote:N[@transport]`` — the same shard backend with a transport
+  (DESIGN.md §15): each bundle (plus any seed store) ships to a worker,
+  runs via ``repro-aedb campaign shard-exec``, and streams its store
+  back for the identical merge.  ``@loopback`` (the default and only
+  built-in transport) runs workers as local subprocesses.
+  ``repro-aedb campaign serve`` / ``worker`` put the same backend
+  behind a queue-backed daemon + fleet (:mod:`repro.campaigns.service`).
 
 All backends produce **byte-identical** stores for the same spec —
 the invariant ``tests/campaigns/test_backend_identity.py`` pins — so
@@ -140,7 +139,6 @@ from repro.campaigns.backends import (
     InlineBackend,
     LoopbackTransport,
     PoolBackend,
-    RemoteShardBackend,
     ShardBackend,
     ShardTransport,
     TransportError,
@@ -197,7 +195,6 @@ __all__ = [
     "InlineBackend",
     "PoolBackend",
     "ShardBackend",
-    "RemoteShardBackend",
     "ShardTransport",
     "LoopbackTransport",
     "TransportError",

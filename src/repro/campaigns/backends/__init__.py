@@ -1,6 +1,6 @@
 """Pluggable campaign execution backends.
 
-One campaign, four ways to run it — all bit-identical by contract
+One campaign, three backends — all bit-identical by contract
 (DESIGN.md §10, pinned by ``tests/campaigns/test_backend_identity.py``):
 
 ==========  ========================================================
@@ -8,10 +8,11 @@ backend     strategy
 ==========  ========================================================
 inline      serial, in-process — debuggable reference implementation
 pool        one shared process pool over every cell's jobs (DESIGN §9)
-shard:N     N content-keyed shards, each with its own store, merged
-            back with dedup + conflict detection
-remote:N    the shard protocol over a pluggable transport — bundles
-            shipped to workers, stores streamed back (DESIGN §15);
+shard:N     N content-keyed shard bundles, each run against its own
+            store by forked local workers, merged back with dedup +
+            conflict detection
+remote:N    the same shard backend over a transport — bundles shipped
+            to workers, stores streamed back (DESIGN §15);
             ``remote:N`` = ``remote:N@loopback``
 ==========  ========================================================
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 from repro.campaigns.backends.base import Backend, ExecutionContext
 from repro.campaigns.backends.inline import InlineBackend
 from repro.campaigns.backends.pool import PoolBackend
-from repro.campaigns.backends.remote import RemoteShardBackend
 from repro.campaigns.backends.shard import (
     ShardBackend,
     ShardSpec,
@@ -45,7 +45,6 @@ __all__ = [
     "PoolBackend",
     "ShardBackend",
     "ShardSpec",
-    "RemoteShardBackend",
     "ShardTransport",
     "LoopbackTransport",
     "TransportError",
@@ -77,7 +76,7 @@ def _parse_count(raw: str, value: str, form: str) -> int:
 
 
 def _parse_remote(spec: str, value: str, keep_shards: bool) -> Backend:
-    """``remote[:N[@loopback]]`` → a RemoteShardBackend."""
+    """``remote[:N[@loopback]]`` → a ShardBackend over loopback."""
     rest = spec.split(":", 1)[1] if ":" in spec else str(DEFAULT_SHARDS)
     count_part, _, transport_part = rest.partition("@")
     n_shards = _parse_count(count_part, value, "remote:N")
@@ -85,7 +84,7 @@ def _parse_remote(spec: str, value: str, keep_shards: bool) -> Backend:
         raise ValueError(
             f"unknown transport in backend {value!r}; use remote:N@loopback"
         )
-    return RemoteShardBackend(
+    return ShardBackend(
         n_shards, transport=LoopbackTransport(), keep_shards=keep_shards
     )
 

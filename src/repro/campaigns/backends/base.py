@@ -28,8 +28,8 @@ Shipped backends: :class:`~repro.campaigns.backends.inline.InlineBackend`
 :class:`~repro.campaigns.backends.pool.PoolBackend` (one shared process
 pool over all cells' jobs), and
 :class:`~repro.campaigns.backends.shard.ShardBackend` (content-keyed
-cell partitions into per-shard stores, merged back).  A remote transport
-is "only" a fourth implementation of this protocol.
+cell partitions into per-shard stores, merged back).  A transport is a
+parameter of the shard backend, not a fourth implementation.
 """
 
 from __future__ import annotations

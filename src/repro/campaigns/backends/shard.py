@@ -1,28 +1,33 @@
-"""Sharded campaign execution: partition cells, merge stores back.
+"""Sharded campaign execution: partition cells, run bundles, merge back.
 
-The distributed seam the ROADMAP promised: a campaign's pending cells
-are partitioned into N **content-keyed shard specs** (a cell's shard is
-a pure function of its content key, so any machine partitioning the
-same spec derives the same shards), each shard runs against **its own**
-:class:`~repro.campaigns.store.ResultStore` directory with its own
-evaluation-cache sidecar handle (single writer per file), and the shard
-stores are merged back into the parent store with dedup-by-key and
-conflict detection (:meth:`ResultStore.merge_from`).
+A campaign's pending cells are partitioned into N **content-keyed shard
+specs** (a cell's shard is a pure function of its content key, so any
+machine partitioning the same spec derives the same shards).  Each
+shard is written as a bundle (:func:`~repro.campaigns.backends.transport.write_request`)
+and run by :func:`~repro.campaigns.backends.transport.execute_request`
+against **its own** :class:`~repro.campaigns.store.ResultStore`
+directory with its own evaluation-cache sidecar handle (single writer
+per file); the shard stores are then merged back into the parent store
+with dedup-by-key and conflict detection (:meth:`ResultStore.merge_from`).
 
-Today the transport is local subprocesses — one
-:class:`~concurrent.futures.ProcessPoolExecutor` worker per shard, each
-running its shard's cells through an in-shard
-:class:`~repro.campaigns.executor.CampaignExecutor`.  Because a shard is
-fully described by ``(spec JSON, cell keys, store directory)``, a
-remote transport later needs only a new backend that ships
-:class:`ShardSpec`-shaped work over the wire and rsyncs the shard
-directories back; the partition, store layout, and merge semantics are
-already transport-agnostic (DESIGN.md §10).
+One backend, two ways to reach a worker (DESIGN.md §10, §15):
+
+* ``shard:N`` (no transport) — a forked
+  :class:`~concurrent.futures.ProcessPoolExecutor` worker runs the
+  bundle straight against the parent-side shard directory, so there is
+  nothing to fetch;
+* ``remote:N@loopback`` or the daemon's queue — a
+  :class:`~repro.campaigns.backends.transport.ShardTransport` ships the
+  bundle and streams the store back into the same directory.
+
+Either way the worker's ``result.json`` summary stamps the digest of
+the store it wrote; the parent compares it with the store it holds
+before merging, so an altered or torn fetch requeues instead of merging.
 
 Failure handling works at two granularities (DESIGN.md §13).  *Inside*
 a shard, the in-shard executor owns cell-level retries and quarantines
 under the parent's :class:`~repro.campaigns.resilience.RetryPolicy`;
-its quarantines travel back in the shard result (and its
+its quarantines travel back in the shard summary (and its
 ``failures.jsonl`` is folded into the parent's ledger with the
 telemetry stream).  A shard *worker death* is recovered within the same
 run: the dead shard's completed cells are already on disk in its store
@@ -42,13 +47,24 @@ import hashlib
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+)
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.campaigns.backends.base import ExecutionContext
+from repro.campaigns.backends.transport import (
+    ShardTransport,
+    TransportError,
+    execute_request,
+    write_request,
+)
 from repro.campaigns.resilience import QUARANTINED, FailureLedger
-from repro.campaigns.spec import CampaignCell, CampaignSpec, canonical_json
+from repro.campaigns.spec import CampaignCell, canonical_json
 from repro.campaigns.store import ResultStore
 
 __all__ = ["ShardBackend", "ShardSpec", "partition_cells", "shard_index_for"]
@@ -129,138 +145,36 @@ def partition_cells(
 
 
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything a shard worker needs (picklable, self-contained)."""
-
-    spec_json: str
-    cell_keys: tuple[str, ...]
-    #: This shard's index — tags the worker's telemetry stream.
-    shard_index: int
-    #: Shard store directory (None = storeless parent: results travel
-    #: back in-memory only).
-    root: str | None
-    #: Open a per-shard evaluation-cache sidecar?
-    use_cache: bool
-    #: Parent sidecar to preload read-only (warm start), or None.
-    warm_cache: str | None
-    #: Ad-hoc scale override (or None → cells resolve their named scale).
-    scale: object
-    mls_engine: str | None
-    #: The parent run's retry policy (None = the executor default) and
-    #: its attempt accounting for this shard's cells, so in-shard
-    #: retries/quarantines spend the same budget as anywhere else.
-    retry_policy: object = None
-    initial_attempts: tuple = ()
-
-
-@dataclass(frozen=True)
-class _ShardResult:
-    """What one shard worker did (cell keys, records, live payloads)."""
-
-    #: ``(cell_key, records, payloads)`` for cells executed this run.
-    executed: tuple
-    #: Same shape for cells already complete in the shard store (a
-    #: resumed shard from a crashed earlier attempt); payloads are ().
-    resumed: tuple
-    cache_hits: int
-    simulations_executed: int
-    #: ``(cell_key, attempts, error)`` for cells the in-shard executor
-    #: quarantined (already in the shard's own failures ledger).
-    failed: tuple = ()
-
-
-def _run_shard(task: _ShardTask) -> _ShardResult:
-    """Worker entry point: run one shard's cells against its own store.
-
-    The shard owns its cache handle — its own ``evaluations.jsonl``
-    writer, warmed (memory-only) from the parent's sidecar — so the
-    single-writer-per-file contract holds with any number of concurrent
-    shards.  Cells run through a serial in-shard executor: parallelism
-    comes from running shards concurrently, not from nesting pools.
-    """
-    from repro.campaigns.executor import CampaignExecutor
-    from repro.tuning.cache import PersistentEvaluationCache
-
-    spec = CampaignSpec.from_json(task.spec_json)
-    store = ResultStore(task.root) if task.root is not None else None
-    cache = None
-    if task.use_cache and store is not None:
-        cache = PersistentEvaluationCache(store.eval_cache_path)
-        if task.warm_cache is not None:
-            cache.warm_from(task.warm_cache)
-    executor = CampaignExecutor(
-        spec,
-        store,
-        serial=True,
-        scale=task.scale,
-        mls_engine=task.mls_engine,
-        eval_cache=cache,
-        only_cells=task.cell_keys,
-        # With REPRO_TELEMETRY set (inherited from the parent), the
-        # in-shard run streams to the shard store's telemetry.jsonl,
-        # every line tagged with this shard's index; the parent folds
-        # the file into its own stream after the merge (DESIGN.md §12).
-        telemetry_attrs={"shard": task.shard_index},
-        retry_policy=task.retry_policy,
-        initial_attempts=dict(task.initial_attempts),
-    )
-    # The parent emits the campaign-wide roll-up counters after the
-    # merge; a shard re-emitting its slice would double-count them in
-    # the folded stream (per-shard numbers ride the shard's
-    # ``campaign.run.finished`` event attrs instead).
-    executor._emit_rollup_counters = False
-    try:
-        report = executor.run()
-    finally:
-        if cache is not None:
-            cache.close()
-    executed = tuple(
-        (r.cell.key, r.records, r.payloads) for r in report.executed
-    )
-    resumed = ()
-    if store is not None and report.skipped:
-        # Cells complete in a leftover shard store from a crashed run:
-        # surface their records so the parent reports them as done.
-        resumed = tuple(
-            (cell.key, store.read_cell(cell), []) for cell in report.skipped
-        )
-    return _ShardResult(
-        executed=executed,
-        resumed=resumed,
-        cache_hits=report.cache_hits,
-        simulations_executed=report.simulations_executed,
-        failed=tuple(
-            (f.cell_key, f.attempts, f.error) for f in report.failed
-        ),
-    )
-
-
-# --------------------------------------------------------------------- #
 class ShardBackend:
     """Partition cells into per-store shards; run; merge; recover."""
 
     def __init__(
         self,
         n_shards: int,
+        transport: ShardTransport | None = None,
         max_workers: int | None = None,
         keep_shards: bool = False,
     ):
         """``n_shards`` fixes the partition (and the parallelism: one
-        subprocess per non-empty shard, capped by ``max_workers`` or the
-        executor's setting).  ``keep_shards=True`` leaves the shard
-        stores under ``<store>/shards`` after a successful merge — the
-        inputs the standalone ``repro-aedb campaign merge`` command
-        operates on.
+        worker per non-empty shard, capped by ``max_workers`` or the
+        executor's setting).  ``transport=None`` runs each shard in a
+        forked local worker; a :class:`ShardTransport` ships it instead.
+        ``keep_shards=True`` leaves the shard stores under
+        ``<store>/shards`` after a successful merge — the inputs the
+        standalone ``repro-aedb campaign merge`` command operates on.
         """
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.n_shards = int(n_shards)
+        self.transport = transport
         self.max_workers = max_workers
         self.keep_shards = keep_shards
-        self.name = f"shard:{self.n_shards}"
+        self.name = (
+            f"shard:{self.n_shards}" if transport is None
+            else f"remote:{self.n_shards}@{transport.name}"
+        )
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -289,6 +203,11 @@ class ShardBackend:
         return payloads
 
     def execute(self, ctx: ExecutionContext) -> None:
+        if ctx.scale_override is not None:
+            raise ValueError(
+                "shard backends cannot ship ad-hoc scale objects; "
+                "name the scale in the spec (CampaignSpec(scale=...))"
+            )
         # 1. Parent-cache pre-filter: cells fully served from the cache
         #    complete here, without a shard (and without a subprocess) —
         #    a cached re-run spawns nothing and simulates nothing.
@@ -311,19 +230,14 @@ class ShardBackend:
                 remaining.append(cell)
         if not remaining:
             return
-        # Shard stores live under the parent store; a storeless run with
-        # a cache still gets (temporary) shard stores, so shards keep
-        # their warm-started sidecars and the run's cache still
-        # accumulates the new results — same contract as inline/pool.
-        tmp = None
-        if ctx.store is not None:
-            shards_root = ctx.store.root / SHARDS_DIR
-        elif ctx.cache is not None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-aedb-shards-")
-            shards_root = Path(tmp.name)
-        else:
-            shards_root = None  # fully in-memory: results return by IPC
-        use_cache = ctx.cache is not None and shards_root is not None
+        # Shard stores live under the parent store; a storeless run gets
+        # temporary ones, so the run's cache (if any) still accumulates
+        # the new results — same contract as inline/pool.
+        scratch = (
+            nullcontext(ctx.store.root / SHARDS_DIR)
+            if ctx.store is not None
+            else tempfile.TemporaryDirectory(prefix="repro-aedb-shards-")
+        )
         # 2..4 Dispatch/merge/report rounds: the first round covers all
         #    remaining cells over the full shard count; each dead shard
         #    triggers a recovery round over the survivors with the lost
@@ -332,16 +246,16 @@ class ShardBackend:
         todo = remaining
         shard_count = self.n_shards
         round_no = 0
-        try:
+        with scratch as root:
+            shards_root = Path(root)
             while todo:
                 shards = [
                     s for s in partition_cells(todo, shard_count) if s.cells
                 ]
                 results, failures = self._dispatch_round(
-                    ctx, shards, shards_root, use_cache, round_no
+                    ctx, shards, shards_root, round_no
                 )
-                if shards_root is not None:
-                    self._merge_round(ctx, shards, shards_root)
+                self._merge_round(ctx, shards, shards_root)
                 self._report_round(ctx, shards, results, reported)
                 if not failures:
                     break
@@ -370,9 +284,6 @@ class ShardBackend:
                 todo = retryable
                 shard_count = survivors
                 round_no += 1
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
         # 5. Sweep the shard scratch space once every pending cell is
         #    accounted for (complete or quarantined) — a partial
         #    recovery keeps its directories for the next invocation.
@@ -387,44 +298,52 @@ class ShardBackend:
             shutil.rmtree(ctx.store.root / SHARDS_DIR, ignore_errors=True)
 
     # ------------------------------------------------------------------ #
-    def _dispatch_round(
-        self, ctx, shards, shards_root, use_cache, round_no
-    ):
-        """One subprocess per shard; ``(results by index, exceptions)``."""
+    def _dispatch_round(self, ctx, shards, shards_root, round_no):
+        """Run one bundle per shard; ``(results by index, exceptions)``.
+
+        Local shards run in a process pool submitted from this (main)
+        thread — forking from a thread is never safe — and write their
+        store in place; transport shards run in threads waiting on
+        ``run_shard``.  Each result is checked and read in the same
+        ``try`` as ``future.result()``, so a bad fetch costs only its
+        shard.
+        """
         rec = ctx.recorder
-        warm = None
-        if use_cache and Path(ctx.cache.path).exists():
-            warm = str(ctx.cache.path)
-        tasks = [
-            _ShardTask(
-                spec_json=ctx.spec.to_json(),
-                cell_keys=shard.cell_keys,
-                shard_index=shard.index,
-                root=(
-                    str(shards_root / shard.key)
-                    if shards_root is not None
-                    else None
-                ),
-                use_cache=use_cache,
-                warm_cache=warm,
-                scale=ctx.scale_override,
-                mls_engine=ctx.mls_engine,
-                retry_policy=ctx.policy,
-                initial_attempts=tuple(
-                    (key, ctx.leases.attempts(key))
-                    for key in shard.cell_keys
-                    if ctx.leases.attempts(key) > 0
-                ),
-            )
-            for shard in shards
-        ]
+        attempts = ctx.leases.attempts
         max_workers = self.max_workers or ctx.max_workers
-        n_procs = min(len(tasks), max_workers or len(tasks))
-        results: dict[int, _ShardResult] = {}
+        n_workers = min(len(shards), max_workers or len(shards))
+        pool_cls = (
+            ProcessPoolExecutor if self.transport is None
+            else ThreadPoolExecutor
+        )
+        results: dict[int, tuple] = {}
         failures: dict[int, Exception] = {}
-        with ProcessPoolExecutor(max_workers=n_procs) as pool:
+        with tempfile.TemporaryDirectory(
+            prefix="repro-aedb-bundles-"
+        ) as tmp, pool_cls(max_workers=n_workers) as pool:
             futures = {}
-            for task, shard in zip(tasks, shards):
+            for shard in shards:
+                dest = shards_root / shard.key
+                bundle = Path(tmp) / shard.key
+                write_request(
+                    bundle,
+                    spec=ctx.spec,
+                    shard=shard,
+                    use_cache=ctx.cache is not None,
+                    warm_path=(
+                        Path(ctx.cache.path) if ctx.cache is not None
+                        else None
+                    ),
+                    # A local worker resumes ``dest`` in place.
+                    seed_store=dest if self.transport is not None else None,
+                    mls_engine=ctx.mls_engine,
+                    policy=ctx.policy,
+                    initial_attempts={
+                        key: attempts(key)
+                        for key in shard.cell_keys
+                        if attempts(key) > 0
+                    },
+                )
                 # The parent's lease: cell → shard assignment.  The
                 # worker re-emits its own (inline-tagged) lifecycle
                 # into the shard stream, merged back below.
@@ -433,21 +352,62 @@ class ShardBackend:
                               backend=self.name, shard=shard.index)
                 rec.event("shard.dispatched", shard=shard.index,
                           n_cells=len(shard.cells), round=round_no)
-                futures[pool.submit(_run_shard, task)] = shard
+                if self.transport is None:
+                    future = pool.submit(execute_request, bundle, dest)
+                else:
+                    future = pool.submit(
+                        self._ship, ctx, shard, bundle, dest
+                    )
+                futures[future] = shard
             for future in as_completed(futures):
                 shard = futures[future]
                 try:
-                    results[shard.index] = future.result()
+                    results[shard.index] = self._collect(
+                        shard, shards_root / shard.key, future.result()
+                    )
                     rec.event("shard.finished", shard=shard.index,
                               round=round_no)
                 except Exception as exc:  # noqa: BLE001
                     # A dead shard loses only its *uncompleted* cells,
-                    # and only until the recovery round below — never
-                    # the run.
+                    # and only until the recovery round — never the run.
                     failures[shard.index] = exc
                     rec.event("shard.failed", shard=shard.index,
                               round=round_no, error=repr(exc))
         return results, failures
+
+    def _ship(self, ctx, shard, bundle, dest) -> dict:
+        """One transport call (a thread); returns the worker summary."""
+        t0 = time.perf_counter()
+        summary = self.transport.run_shard(shard.key, bundle, dest)
+        ctx.recorder.record_span(
+            "shard.transport", time.perf_counter() - t0,
+            shard=shard.index, transport=self.transport.name,
+        )
+        return summary
+
+    @staticmethod
+    def _collect(shard, dest, summary) -> tuple:
+        """``(summary, cell results)`` for a finished shard.
+
+        The store must digest as the worker's summary says it did: an
+        altered or torn fetch is deleted and raised as a lost worker, so
+        the shard requeues instead of merging bad bytes.
+        """
+        store = ResultStore(dest)
+        if store.content_digest() != summary.get("store_digest"):
+            shutil.rmtree(dest, ignore_errors=True)
+            raise TransportError(
+                f"shard {shard.key}: fetched store does not match the "
+                "worker's digest"
+            )
+        from repro.campaigns.executor import CellResult
+
+        done = {*summary["executed"], *summary["resumed"]}
+        return summary, [
+            CellResult(cell=cell, records=store.read_cell(cell), payloads=[])
+            for cell in shard.cells
+            if cell.key in done
+        ]
 
     @staticmethod
     def _merge_round(ctx, shards, shards_root) -> None:
@@ -503,18 +463,15 @@ class ShardBackend:
 
         (Spec order is restored centrally by the executor.)
         """
-        from repro.campaigns.executor import CellResult
-
-        cell_by_key = {
-            cell.key: cell for shard in shards for cell in shard.cells
-        }
         for shard in shards:
-            result = results.get(shard.index)
-            if result is None:
+            if shard.index not in results:
                 continue
-            ctx.report.cache_hits += result.cache_hits
-            ctx.report.simulations_executed += result.simulations_executed
-            for key, attempts, error in result.failed:
+            summary, cell_results = results[shard.index]
+            ctx.report.cache_hits += int(summary["cache_hits"])
+            ctx.report.simulations_executed += int(
+                summary["simulations_executed"]
+            )
+            for key, attempts, error in summary["failed"]:
                 # Already in the shard's ledger (folded into the
                 # parent's above) — adopt without re-recording.
                 ctx.leases.adopt_quarantine(key, attempts, error)
@@ -522,18 +479,10 @@ class ShardBackend:
                     "cell.quarantined", cell=key, attempts=attempts,
                     error=error, shard=shard.index,
                 )
-            for key, records, payloads in (*result.executed,
-                                           *result.resumed):
-                if key in reported:
-                    continue
-                reported.add(key)
-                ctx.report_cell(
-                    CellResult(
-                        cell=cell_by_key[key],
-                        records=records,
-                        payloads=payloads,
-                    )
-                )
+            for result in cell_results:
+                if result.cell.key not in reported:
+                    reported.add(result.cell.key)
+                    ctx.report_cell(result)
 
     @staticmethod
     def _requeue_lost(ctx, failed_shards, failures, reported: set[str]):

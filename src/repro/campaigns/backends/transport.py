@@ -1,20 +1,21 @@
-"""Shard transports: ship a shard bundle to a worker, stream the store back.
+"""Shard bundles and the transports that ship them.
 
-The remote backend (:mod:`repro.campaigns.backends.remote`) is
-deliberately transport-agnostic: everything a worker needs travels as a
-self-contained **bundle directory** —
+Every shard of :class:`~repro.campaigns.backends.shard.ShardBackend`
+runs as a self-contained **bundle directory** —
 
 * ``request.json`` — the shard work order (spec JSON, cell keys, shard
   index, serialized retry policy, forwarded attempt ledger);
 * ``warm.jsonl``  — optional read-only warm start for the shard's
-  evaluation-cache sidecar (a copy of the parent's cache file);
+  evaluation-cache sidecar (a link to the parent's cache file);
 * ``store/``      — optional seed store: the parent-side shard store
   left by an earlier (crashed or partially fetched) attempt, shipped so
-  the worker *resumes* it exactly like a local shard worker would
-  instead of re-simulating completed cells.
+  the worker *resumes* it instead of re-simulating completed cells.
 
-and everything the parent needs travels back as the shard's
-:class:`~repro.campaigns.store.ResultStore` directory plus a
+:func:`write_request` writes a bundle and :func:`execute_request` runs
+one — the single function that executes a shard's cells, whether in a
+forked local worker writing the shard store in place (``shard:N``) or
+behind a transport.  Everything the parent needs comes back as the
+shard's :class:`~repro.campaigns.store.ResultStore` directory plus a
 ``result.json`` summary.  A transport implements exactly one method::
 
     run_shard(shard_key, bundle_dir, dest_store) -> dict   # the summary
@@ -44,13 +45,21 @@ skipping.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
+
+from repro.campaigns.resilience import RetryPolicy
+from repro.campaigns.spec import CampaignSpec
+from repro.campaigns.store import ResultStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.campaigns.backends.shard import ShardSpec
 
 __all__ = [
     "ShardTransport",
@@ -58,13 +67,19 @@ __all__ = [
     "LoopbackTransport",
     "fetch_tree",
     "worker_command",
+    "write_request",
+    "execute_request",
+    "REQUEST_VERSION",
 ]
 
-#: Names of the pieces of a shard bundle (shared with remote.py).
+#: Names of the pieces of a shard bundle.
 REQUEST_FILE = "request.json"
 RESULT_FILE = "result.json"
 WARM_FILE = "warm.jsonl"
 STORE_DIR = "store"
+
+#: ``request.json`` schema version (workers reject foreign versions).
+REQUEST_VERSION = 1
 
 
 class TransportError(RuntimeError):
@@ -73,7 +88,7 @@ class TransportError(RuntimeError):
 
 @runtime_checkable
 class ShardTransport(Protocol):
-    """The pluggable seam between the remote backend and the fleet."""
+    """The pluggable seam between the shard backend and the fleet."""
 
     name: str
 
@@ -121,6 +136,143 @@ def fetch_tree(src: Path, dest: Path, partial_ok: bool = False) -> int:
             if not partial_ok:
                 raise
     return copied
+
+
+# --------------------------------------------------------------------- #
+def write_request(
+    bundle_dir: Path,
+    *,
+    spec: CampaignSpec,
+    shard: "ShardSpec",
+    use_cache: bool,
+    warm_path: Path | None = None,
+    seed_store: Path | None = None,
+    mls_engine: str | None = None,
+    policy: RetryPolicy | None = None,
+    initial_attempts: dict[str, int] | None = None,
+) -> Path:
+    """Materialise one shard's work order as a transportable bundle."""
+    bundle_dir = Path(bundle_dir)
+    bundle_dir.mkdir(parents=True, exist_ok=True)
+    if warm_path is not None and Path(warm_path).exists():
+        # A link, not a copy: the parent's cache grows with every
+        # simulation and a local shard only reads it.  Transports stage
+        # bundles with ``shutil.copytree``, which copies the target.
+        os.symlink(Path(warm_path).resolve(), bundle_dir / WARM_FILE)
+    if seed_store is not None and Path(seed_store).is_dir():
+        # Resume shipping: the parent-side shard store from an earlier
+        # attempt travels with the request, so the worker skips its
+        # completed cells exactly like a resumed local shard.
+        shutil.copytree(
+            seed_store, bundle_dir / STORE_DIR, dirs_exist_ok=True
+        )
+    request = {
+        "v": REQUEST_VERSION,
+        "shard_key": shard.key,
+        "shard_index": shard.index,
+        "n_shards": shard.n_shards,
+        "cells": list(shard.cell_keys),
+        "spec": json.loads(spec.to_json()),
+        "use_cache": bool(use_cache),
+        "mls_engine": mls_engine,
+        "retry_policy": (
+            policy.as_dict() if policy is not None else None
+        ),
+        "initial_attempts": dict(initial_attempts or {}),
+    }
+    path = bundle_dir / REQUEST_FILE
+    path.write_text(json.dumps(request, sort_keys=True, indent=1))
+    return path
+
+
+def execute_request(
+    bundle_dir: str | Path,
+    store_dir: str | Path | None = None,
+    result_path: str | Path | None = None,
+) -> dict:
+    """The worker side: run one shard bundle, write store + summary.
+
+    A serial in-shard :class:`~repro.campaigns.executor.CampaignExecutor`
+    against the shard's own store (``<bundle>/store`` by default; a
+    local ``shard:N`` worker passes the parent-side shard directory), its
+    cache sidecar warmed read-only from ``warm.jsonl`` — one writer per
+    file with any number of concurrent shards.  Parallelism comes from
+    running shards concurrently, not from nesting pools.  The summary
+    (written atomically to ``<bundle>/result.json``) carries only keys,
+    counters and the store's :meth:`~ResultStore.content_digest`;
+    records live in the store files.  ``repro-aedb campaign shard-exec``
+    is the CLI face of this function.
+    """
+    from repro.campaigns.executor import CampaignExecutor
+    from repro.tuning.cache import PersistentEvaluationCache
+
+    bundle = Path(bundle_dir)
+    request = json.loads((bundle / REQUEST_FILE).read_text())
+    if request.get("v") != REQUEST_VERSION:
+        raise ValueError(
+            f"unsupported shard request version {request.get('v')!r} "
+            f"in {bundle / REQUEST_FILE}"
+        )
+    spec = CampaignSpec.from_json(json.dumps(request["spec"]))
+    store = ResultStore(
+        Path(store_dir) if store_dir is not None else bundle / STORE_DIR
+    )
+    policy = None
+    if request.get("retry_policy") is not None:
+        policy = RetryPolicy.from_dict(request["retry_policy"])
+    cache = None
+    if request.get("use_cache"):
+        cache = PersistentEvaluationCache(store.eval_cache_path)
+        warm = bundle / WARM_FILE
+        if warm.exists():
+            cache.warm_from(str(warm))
+    executor = CampaignExecutor(
+        spec,
+        store,
+        serial=True,
+        mls_engine=request.get("mls_engine"),
+        eval_cache=cache,
+        only_cells=tuple(request["cells"]),
+        # With REPRO_TELEMETRY set (inherited from the parent), the
+        # in-shard run streams to the shard store's telemetry.jsonl,
+        # every line tagged with this shard's index; the parent folds
+        # the file into its own stream after the merge (DESIGN.md §12).
+        telemetry_attrs={"shard": int(request["shard_index"])},
+        retry_policy=policy,
+        initial_attempts={
+            str(k): int(n)
+            for k, n in (request.get("initial_attempts") or {}).items()
+        },
+    )
+    # The parent emits the campaign-wide roll-up counters after the
+    # merge; a shard re-emitting its slice would double-count them in
+    # the folded stream.
+    executor._emit_rollup_counters = False
+    try:
+        report = executor.run()
+    finally:
+        if cache is not None:
+            cache.close()
+    summary = {
+        "v": REQUEST_VERSION,
+        "shard_key": request["shard_key"],
+        "shard_index": int(request["shard_index"]),
+        "executed": [r.cell.key for r in report.executed],
+        "resumed": [cell.key for cell in report.skipped],
+        "failed": [
+            [f.cell_key, f.attempts, f.error] for f in report.failed
+        ],
+        "cache_hits": report.cache_hits,
+        "simulations_executed": report.simulations_executed,
+        "store_digest": store.content_digest(),
+    }
+    out = Path(
+        result_path if result_path is not None else bundle / RESULT_FILE
+    )
+    tmp = out.with_suffix(out.suffix + ".tmp")
+    tmp.write_text(json.dumps(summary, sort_keys=True, indent=1))
+    tmp.replace(out)
+    return summary
 
 
 def worker_command(
@@ -179,8 +331,6 @@ class LoopbackTransport:
     def run_shard(
         self, shard_key: str, bundle_dir: Path, dest_store: Path
     ) -> dict:
-        import json
-
         workdir = Path(tempfile.mkdtemp(prefix="repro-aedb-remote-"))
         try:
             bundle = workdir / "bundle"

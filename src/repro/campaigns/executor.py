@@ -16,8 +16,10 @@ DESIGN.md §10):
   whole-optimiser job each, filling the pool while simulation jobs of
   other cells drain;
 * ``backend="shard:N"`` partitions the cells into N content-keyed
-  shards, runs each against its own store directory in a subprocess,
-  and merges the shard stores back (dedup + conflict detection).
+  shards, runs each shard bundle against its own store directory in a
+  forked worker, and merges the shard stores back (dedup + conflict
+  detection); ``backend="remote:N"`` is the same shard backend with
+  each bundle shipped over the loopback transport.
 
 Whatever the backend, each cell's results persist the moment its last
 job lands, so an interrupted campaign keeps everything finished so far
@@ -243,7 +245,9 @@ class CellResult:
     #: Store-shaped records (what :class:`ResultStore` persisted).
     records: list[dict]
     #: In-process payloads in job order — :class:`BroadcastMetrics` for
-    #: evaluate cells, one ``AlgorithmResult`` for tune cells.
+    #: evaluate cells, one ``AlgorithmResult`` for tune cells.  Cells a
+    #: shard-family backend ran carry ``[]``: their results come back
+    #: as store records only.
     payloads: list
 
 

@@ -148,8 +148,8 @@ class RetryPolicy:
 
     # ------------------------------------------------------------------ #
     def as_dict(self) -> dict:
-        """JSON-serializable form (the remote shard request carries it,
-        so a remote in-shard quarantine spends the parent's budget)."""
+        """JSON-serializable form (every shard request carries it, so
+        an in-shard quarantine spends the parent's budget)."""
         from dataclasses import asdict
 
         return asdict(self)
@@ -496,7 +496,7 @@ class FailureLedger:
         an entry whose canonical serialization is already present in
         this ledger is skipped, so folding the same shard's
         ``failures.jsonl`` twice (the retry-after-partial-fetch case
-        the remote transport makes routine) records each quarantine
+        a shard transport makes routine) records each quarantine
         exactly once.  Entries carry wall-clock timestamps, so distinct
         quarantine events never collide.  Returns lines appended.
         """

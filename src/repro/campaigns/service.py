@@ -1,12 +1,12 @@
-"""Campaign daemon: a file-queue service over the remote shard protocol.
+"""Campaign daemon: a file-queue service over the shard bundle protocol.
 
 The minimal fleet runtime (DESIGN.md §15): campaigns are **submitted**
 as content-keyed descriptors into a queue directory, a **daemon**
 (``repro-aedb campaign serve``) drains the queue by running each
-campaign through :class:`~repro.campaigns.backends.remote.RemoteShardBackend`
+campaign through :class:`~repro.campaigns.backends.shard.ShardBackend`
 with a :class:`QueueTransport`, and a fleet of **workers**
 (``repro-aedb campaign worker``) claims leased shard tasks, executes
-them with :func:`~repro.campaigns.backends.remote.execute_request`, and
+them with :func:`~repro.campaigns.backends.transport.execute_request`, and
 reports back — all through one shared directory, so the service runs on
 a laptop, a shared filesystem, or anything that can mount the root.
 
@@ -30,8 +30,8 @@ extends it from a :class:`~repro.campaigns.resilience.HeartbeatMonitor`
 over the task's ``hb/`` directory — so a ``kill -9``'d worker is
 detected by silence, surfaces as a
 :class:`~repro.campaigns.backends.transport.TransportError`, and the
-remote backend's inherited recovery loop requeues the shard's lost
-cells onto the survivors.  Claims are atomic ``os.rename`` of the claim
+shard backend's recovery loop requeues the shard's lost cells onto the
+survivors.  Claims are atomic ``os.rename`` of the claim
 token: two workers racing for one task cannot both win.
 
 Resume is free: the store is content-keyed, so re-submitting or
@@ -51,15 +51,13 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 
-from repro.campaigns.backends.remote import (
-    RemoteShardBackend,
-    execute_request,
-)
+from repro.campaigns.backends.shard import ShardBackend
 from repro.campaigns.backends.transport import (
     REQUEST_FILE,
     RESULT_FILE,
     STORE_DIR,
     TransportError,
+    execute_request,
     fetch_tree,
 )
 from repro.campaigns.resilience import (
@@ -344,7 +342,7 @@ def _run_task(task_dir: Path, worker: str) -> None:
 
 # --------------------------------------------------------------------- #
 class CampaignDaemon:
-    """Drain the submit queue through the remote backend.
+    """Drain the submit queue through the shard backend.
 
     One daemon instance serves campaigns sequentially (each campaign
     already fans out across the worker fleet shard-wise); a served
@@ -395,7 +393,7 @@ class CampaignDaemon:
                 json.dumps(descriptor["spec"])
             )
             store = ResultStore(descriptor["store"])
-            backend = RemoteShardBackend(
+            backend = ShardBackend(
                 self.n_shards,
                 transport=self.transport(),
                 max_workers=self.max_workers,

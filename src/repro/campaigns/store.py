@@ -155,10 +155,10 @@ class ResultStore:
         Hashes exactly the bit-identity surface (``cells/*.jsonl``, name
         and bytes; never telemetry, ledger, or sidecar).  Two stores
         holding the same completed results digest identically whatever
-        backend or transport produced them — the remote worker stamps
-        this into its ``result.json`` so the serving side can assert a
-        fetched shard arrived whole, and the identity tests compare it
-        directly.
+        backend or transport produced them — the shard worker stamps
+        this into its ``result.json`` and the shard backend checks the
+        store it holds against it before merging, and the identity
+        tests compare it directly.
         """
         digest = hashlib.sha1()
         cells_dir = self.root / self.CELLS_DIR

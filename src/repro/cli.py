@@ -24,9 +24,9 @@ Subcommands map to the deliverables:
   ``--retries/--cell-timeout/--heartbeat`` and exits 2 when cells were
   quarantined, never aborting the run).  The service face of the same
   layer (DESIGN.md §15): ``campaign serve`` (daemon draining a submit
-  queue through the remote backend), ``campaign worker`` (fleet member
+  queue through the shard backend), ``campaign worker`` (fleet member
   claiming and executing shard tasks), ``campaign shard-exec`` (the
-  worker entry point every remote transport invokes on one shard
+  worker entry point every shard transport invokes on one shard
   bundle);
 * ``cache``       — maintenance of the persistent evaluation cache
   (the ``evaluations.jsonl`` sidecar): ``cache stats``, ``cache flush``.
@@ -147,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="{inline,pool,shard:N,remote:N[@transport]}",
         help="execution backend (default: pool; --serial = inline; "
              "shard:N partitions the cells into N per-store shards "
-             "and merges them back; remote:N ships the same shards "
-             "over a transport — remote:2@loopback runs workers as "
-             "local subprocesses)",
+             "run by forked workers and merges them back; remote:N "
+             "ships the same shard bundles over a transport — "
+             "remote:2@loopback runs workers as local subprocesses)",
     )
     run_p.add_argument(
         "--keep-shards", action="store_true",
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exec_p = camp_sub.add_parser(
         "shard-exec",
-        help="execute one shard bundle (the remote-transport worker "
+        help="execute one shard bundle (the shard-transport worker "
              "entry point)",
     )
     exec_p.add_argument(
@@ -482,7 +482,7 @@ def _campaign_spec_from_args(args, scale):
 def _cmd_campaign_service(args) -> int:
     """The fleet-facing subcommands (no campaign store of their own)."""
     if args.campaign_command == "shard-exec":
-        from repro.campaigns.backends.remote import execute_request
+        from repro.campaigns.backends.transport import execute_request
 
         # In-shard quarantines are *results* (they travel in the
         # summary, budget-accounted by the parent) — only a genuinely

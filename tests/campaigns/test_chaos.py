@@ -249,7 +249,7 @@ class TestRemoteRecovery:
         file-by-file, and the parent folds the same shard source twice.
         Everything downstream must be idempotent: byte-identical store,
         each evaluation cached once, each telemetry line counted once."""
-        from repro.campaigns.backends.remote import RemoteShardBackend
+        from repro.campaigns.backends.shard import ShardBackend
         from repro.campaigns.backends.transport import LoopbackTransport
 
         class Recording(LoopbackTransport):
@@ -265,7 +265,7 @@ class TestRemoteRecovery:
         transport = Recording()
         transport.calls = []
         report, store = run_backend(
-            RemoteShardBackend(1, transport=transport),
+            ShardBackend(1, transport=transport),
             "twice-fetched", golden_spec, retry_policy=FAST,
         )
         # One shard, dispatched twice, same content key = same dest dir.

@@ -242,7 +242,8 @@ class TestTuneCells:
             if backend == "inline":
                 summary = TelemetrySummary.from_file(store.telemetry_path)
                 assert report.simulations_executed == summary.counter("sim.runs")
-        tune = report.executed[1].payloads[0]
+                # Shard-family cells carry no live payloads.
+                tune = report.executed[1].payloads[0]
         assert counts["inline"] == 2 + tune.evaluations * 2
         assert counts["pool"] == counts["shard:2"] == counts["inline"]
 

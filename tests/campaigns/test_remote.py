@@ -1,41 +1,46 @@
-"""Unit tests for the remote shard transport layer (DESIGN.md §15).
+"""Unit tests for the shard bundle and transport layer (DESIGN.md §15).
 
 The identity harness (``test_backend_identity.py``) proves the
-``remote:2`` row byte-identical end to end and the chaos suite kills
-workers; this file pins the building blocks — backend-string parsing
-(including the parse-time shard-count validation regressions), the
-bundle request/execute round trip, and transport fetch semantics — so a
-fleet failure bisects to one seam.
+``shard:2`` and ``remote:2`` rows byte-identical end to end and the
+chaos suite kills workers; this file pins the building blocks —
+backend-string parsing (including the parse-time shard-count validation
+regressions), the bundle request/execute round trip, transport fetch
+semantics, and the fetched-store digest check — so a fleet failure
+bisects to one seam.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.campaigns import (
     CampaignExecutor,
     LoopbackTransport,
-    RemoteShardBackend,
     ResultStore,
     RetryPolicy,
+    ShardBackend,
     TransportError,
     resolve_backend,
 )
 from repro.campaigns.backends import DEFAULT_SHARDS
-from repro.campaigns.backends.remote import (
-    REQUEST_VERSION,
-    execute_request,
-    write_request,
-)
 from repro.campaigns.backends.shard import partition_cells
 from repro.campaigns.backends.transport import (
     REQUEST_FILE,
+    REQUEST_VERSION,
     STORE_DIR,
+    execute_request,
     fetch_tree,
     worker_command,
+    write_request,
 )
+
+#: Milliseconds-scale backoff so requeues don't slow the suite.
+FAST = RetryPolicy(max_attempts=3, base_delay_s=0.001, max_delay_s=0.002)
 
 
 class TestResolveBackendValidation:
@@ -70,7 +75,7 @@ class TestResolveBackendValidation:
 
     def test_bare_remote_defaults_to_loopback(self):
         backend = resolve_backend("remote")
-        assert isinstance(backend, RemoteShardBackend)
+        assert isinstance(backend, ShardBackend)
         assert backend.n_shards == DEFAULT_SHARDS
         assert isinstance(backend.transport, LoopbackTransport)
         assert backend.name == f"remote:{DEFAULT_SHARDS}@loopback"
@@ -204,21 +209,87 @@ class TestLoopbackTransport:
 
 
 class TestRemoteBackendGuards:
-    def test_storeless_cacheless_run_is_rejected(self, golden_spec):
-        with pytest.raises(ValueError, match="store or an evaluation"):
-            CampaignExecutor(
-                golden_spec, store=None, backend="remote:2",
+    @pytest.mark.parametrize("backend", ["shard:2", "remote:2"])
+    def test_storeless_cacheless_run_matches_inline(
+        self, backend, golden_spec
+    ):
+        """Neither a store nor a cache: shards run against temporary
+        stores and the report still carries every cell's records."""
+
+        def records(name):
+            report = CampaignExecutor(
+                golden_spec, store=None, backend=name, max_workers=2,
                 eval_cache=None,
             ).run()
+            return {r.cell.key: r.records for r in report.executed}
 
+        expected = records("inline")
+        assert len(expected) == golden_spec.n_cells
+        assert records(backend) == expected
+
+    @pytest.mark.parametrize("backend", ["shard:2", "remote:2"])
     def test_adhoc_scale_objects_cannot_cross_the_wire(
-        self, golden_spec, tmp_path
+        self, backend, golden_spec, tmp_path
     ):
         from repro.experiments.config import get_scale
 
         with pytest.raises(ValueError, match="scale"):
             CampaignExecutor(
                 golden_spec, ResultStore(tmp_path / "s"),
-                backend="remote:2", scale=get_scale("quick"),
+                backend=backend, scale=get_scale("quick"),
             ).run()
 
+
+def _alter_one_digit(text: str) -> str:
+    """Change the first decimal digit of the first record line."""
+    lines = text.splitlines(keepends=True)
+    lines[1], n = re.subn(
+        r"\.(\d)", lambda m: f".{(int(m.group(1)) + 1) % 10}", lines[1],
+        count=1,
+    )
+    assert n == 1
+    return "".join(lines)
+
+
+class TestFetchDigest:
+    @pytest.mark.parametrize(
+        "damage",
+        [_alter_one_digit, lambda text: text[: len(text) // 2]],
+        ids=["altered-cell", "torn-cell"],
+    )
+    def test_damaged_fetch_requeues_to_identical_store(
+        self, damage, golden_spec, run_backend, store_digests
+    ):
+        """One fetched cell file is damaged after a clean worker run.
+        The store no longer digests as the worker's summary says, so
+        the shard is dropped and requeued — never merged — and the run
+        ends byte-identical to inline."""
+        _, reference = run_backend("inline", "golden", golden_spec)
+
+        class Damaging(LoopbackTransport):
+            def __init__(self):
+                super().__init__()
+                self.lock = threading.Lock()
+                self.damaged = False
+
+            def run_shard(self, shard_key, bundle_dir, dest_store):
+                summary = super().run_shard(shard_key, bundle_dir, dest_store)
+                with self.lock:
+                    if not self.damaged:
+                        self.damaged = True
+                        path = sorted(
+                            Path(dest_store, "cells").glob("*.jsonl")
+                        )[0]
+                        path.write_text(damage(path.read_text()))
+                return summary
+
+        transport = Damaging()
+        report, store = run_backend(
+            ShardBackend(2, transport=transport), "damaged", golden_spec,
+            retry_policy=FAST,
+        )
+        assert transport.damaged
+        assert report.failed == []
+        assert report.requeues >= 1
+        assert len(report.executed) == golden_spec.n_cells
+        assert store_digests(store.root) == store_digests(reference.root)

@@ -84,8 +84,8 @@ class TestWorkerClaim:
     ):
         """Both workers race the same staged task; the atomic rename
         lets exactly one win and the loser moves on."""
-        from repro.campaigns.backends.remote import write_request
         from repro.campaigns.backends.shard import partition_cells
+        from repro.campaigns.backends.transport import write_request
 
         root = tmp_path / "svc"
         shard = [
@@ -248,8 +248,8 @@ class TestQueueTransportLiveness:
         """A claim with no heartbeats at all (worker died between the
         rename and its first beat): the liveness window from acquisition
         expires the lease — no beat required to detect the death."""
-        from repro.campaigns.backends.remote import write_request
         from repro.campaigns.backends.shard import partition_cells
+        from repro.campaigns.backends.transport import write_request
 
         root = tmp_path / "svc"
         shard = [
