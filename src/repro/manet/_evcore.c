@@ -439,23 +439,28 @@ enum {
     FP_WARMUP, FP_HORIZON, FP_AIRTIME, FP_DETECTION, FP_CAPTURE_LIN,
     FP_MIN_TX, FP_MAX_TX, FP_DEFAULT_TX, FP_REF_D, FP_REF_LOSS, FP_SCALE,
     FP_BORDER, FP_DELAY_LO, FP_DELAY_HI, FP_NBR_THRESHOLD, FP_MARGIN,
-    FP_REQUIRED, FP_MAC_JITTER, FP_EXPIRY, FP_EPOCH_S, FP_SIDE,
+    FP_REQUIRED, FP_MAC_JITTER, FP_EXPIRY, FP_MOB_STEP, FP_SIDE,
     FP_COUNT
 };
 
 /* iparams indices */
 enum {
-    IP_N, IP_SOURCE, IP_WINDOW, IP_RECORD, IP_MOB_MODE, IP_N_EPOCHS,
+    IP_N, IP_SOURCE, IP_WINDOW, IP_RECORD, IP_MOB_MODE, IP_MOB_WIDTH,
     IP_FOLD_ONE, IP_RNG_OFFSET,
     IP_COUNT
 };
 
 /* counts_out indices */
 enum {
-    CN_FIRED, CN_FRAMES, CN_RESOLVED, CN_DRAWS, CN_BATCH_VECTOR,
-    CN_BATCH_SCALAR, CN_DECISIONS,
+    CN_FIRED, CN_FRAMES, CN_RESOLVED, CN_DRAWS, CN_DECISIONS,
     CN_COUNT
 };
+
+/* mobility replay modes (mirror repro.manet.mobility.KernelTrace) and
+ * the number of trace arrays each one reads */
+enum { MOB_STATIC = 0, MOB_EPOCHS = 1, MOB_LEGS = 2, MOB_TICKS = 3,
+       MOB_MODES };
+static const Py_ssize_t mob_n_arrays[MOB_MODES] = {1, 3, 5, 1};
 
 /* protocol state codes (mirror repro.manet.aedb) */
 enum { ST_IDLE = 0, ST_WAITING = 1, ST_DROPPED = 2, ST_FORWARDED = 3 };
@@ -477,23 +482,26 @@ typedef struct {
 
 typedef struct {
     /* scalars */
-    long n, source, W, n_epochs;
+    long n, source, W, mob_width;
     int record, mob_mode, fold_one;
     double warmup, horizon, airtime, detection, capture_lin, min_tx,
         max_tx, default_tx, ref_d, ref_loss, scale, border, delay_lo,
         delay_hi, nbr_threshold, margin, required, mac_jitter, expiry,
-        epoch_s, side;
+        mob_step, side;
     /* rng */
     const double *doubles;
     long n_doubles, draw;
     /* tables (current snapshot pointers; swapped at beacon events) */
     const double *rx_cur, *seen_cur;
     const double **win_rx, **win_seen;
-    /* mobility */
-    const double *static_pos;          /* (n, 2) */
+    /* mobility (width = E epochs, L legs or T ticks) */
+    const double *grid_pos;            /* static (n, 2) / ticks (T, n, 2) */
     const double *walk_starts;         /* (E, n, 2) */
     const double *walk_vel;            /* (E, n, 2) */
     const unsigned char *walk_neg;     /* (E,) */
+    const double *leg_start, *leg_end; /* (n, L) */
+    const double *leg_p0, *leg_vel;    /* (n, L, 2) */
+    const long long *leg_count;        /* (n,), each in [1, L] */
     double *pos;                       /* (n, 2) scratch */
     /* ufunc bridge */
     PyObject *log10_obj, *power_obj, *ten_obj;
@@ -523,7 +531,6 @@ typedef struct {
     long long seq;
     /* counters */
     long long fired;
-    long batch_vector, batch_scalar;
     double energy;
     long n_resolved;
 } Kernel;
@@ -624,28 +631,81 @@ k_pow10(Kernel *k, long m)
     return 0;
 }
 
-/* Positions at ``t`` — RandomWalkMobility.positions_at, bit for bit
- * (mul, add, one-period fold or floored mod, then the triangle wave). */
+/* np.clip(x, 0, side) as numpy spells it: NaN passes through, then two
+ * compare-selects (so -0.0 clips to +0.0, unlike fmax). */
+static inline double
+k_clip(double x, double side)
+{
+    if (isnan(x))
+        return x;
+    x = x > 0.0 ? x : 0.0;
+    return x < side ? x : side;
+}
+
+/* Positions at ``t``, bit for bit what the model's positions_at gives:
+ * fixed positions; RandomWalkMobility (mul, add, one-period fold or
+ * floored mod, then the triangle wave); the leg table of the waypoint
+ * and direction models (first leg with t < end, parked past the last
+ * one, then clipped); GaussMarkovMobility's tick-grid interpolation. */
 static const double *
 k_positions(Kernel *k, double t)
 {
-    if (k->mob_mode == 0)
-        return k->static_pos;
+    if (k->mob_mode == MOB_STATIC)
+        return k->grid_pos;
     long n2 = 2 * k->n;
-    long e = (long)(t / k->epoch_s);
-    if (e > k->n_epochs - 1)
-        e = k->n_epochs - 1;
-    double dt = t - (double)e * k->epoch_s;
+    double *pos = k->pos;
+    if (k->mob_mode == MOB_LEGS) {
+        long L = k->mob_width;
+        for (long i = 0; i < k->n; i++) {
+            const double *end = k->leg_end + (size_t)i * L;
+            long c = (long)k->leg_count[i];
+            long j = 0;
+            double tt = t;
+            while (j < c && !(t < end[j]))
+                j++;
+            if (j == c) {   /* parked at the last leg's end */
+                j = c - 1;
+                tt = end[j];
+            }
+            size_t leg = (size_t)i * L + j;
+            double dt = tt - k->leg_start[leg];
+            for (long a = 0; a < 2; a++) {
+                double v = k->leg_vel[2 * leg + a] * dt;
+                pos[2 * i + a] = k_clip(k->leg_p0[2 * leg + a] + v, k->side);
+            }
+        }
+        return pos;
+    }
+    if (k->mob_mode == MOB_TICKS) {
+        double x = t / k->mob_step;
+        long last = k->mob_width - 2;
+        long tick = x < (double)last ? (long)x : last;
+        double frac = x - (double)tick;
+        if (1.0 < frac)   /* Python's min(frac, 1.0): ties keep frac */
+            frac = 1.0;
+        double wa = 1.0 - frac;
+        const double *a = k->grid_pos + (size_t)tick * n2;
+        const double *b = a + n2;
+        for (long i = 0; i < n2; i++) {
+            double u = wa * a[i];
+            double w = frac * b[i];
+            pos[i] = u + w;
+        }
+        return pos;
+    }
+    long e = (long)(t / k->mob_step);
+    if (e > k->mob_width - 1)
+        e = k->mob_width - 1;
+    double dt = t - (double)e * k->mob_step;
     const double *sk = k->walk_starts + (size_t)e * n2;
     const double *vk = k->walk_vel + (size_t)e * n2;
-    double *pos = k->pos;
     for (long i = 0; i < n2; i++) {
         double v = vk[i] * dt;
         pos[i] = v + sk[i];
     }
     double side = k->side;
     double period = 2.0 * side;
-    if (k->fold_one && dt <= k->epoch_s) {
+    if (k->fold_one && dt <= k->mob_step) {
         if (k->walk_neg[e]) {
             for (long i = 0; i < n2; i++)
                 if (pos[i] < 0.0)
@@ -818,14 +878,7 @@ k_do_transmit(Kernel *k, long sender, double power, double t)
 static int
 k_deliver(Kernel *k, long f, double t)
 {
-    long n = k->n, count = 0;
-    for (long r = 0; r < n; r++)
-        if (k->elig[r])
-            count++;
-    if (count <= 8)
-        k->batch_scalar++;
-    else
-        k->batch_vector++;
+    long n = k->n;
     long sender = (long)k->fr_sender[f];
     for (long r = 0; r < n; r++) {
         if (!k->elig[r])
@@ -1004,17 +1057,16 @@ static PyObject *
 evcore_run_window(PyObject *self, PyObject *args)
 {
     PyObject *fparams_o, *iparams_o, *doubles_o, *start_rx_o, *start_seen_o,
-        *win_times_o, *win_rx_o, *win_seen_o, *static_pos_o, *starts_o,
-        *vel_o, *neg_o, *scratch_a_o, *scratch_b_o, *log10_o, *power_o,
-        *first_rx_o, *strongest_o, *state_o, *heard_o, *frame_o, *timer_o,
-        *decisions_o, *counts_o;
+        *win_times_o, *win_rx_o, *win_seen_o, *mob_o, *scratch_a_o,
+        *scratch_b_o, *log10_o, *power_o, *first_rx_o, *strongest_o,
+        *state_o, *heard_o, *frame_o, *timer_o, *decisions_o, *counts_o;
     if (!PyArg_ParseTuple(
-            args, "OOOOOOOOOOOOOOOOOOOOOOOO:run_window",
+            args, "OOOOOOOOOOOOOOOOOOOOO:run_window",
             &fparams_o, &iparams_o, &doubles_o, &start_rx_o, &start_seen_o,
-            &win_times_o, &win_rx_o, &win_seen_o, &static_pos_o, &starts_o,
-            &vel_o, &neg_o, &scratch_a_o, &scratch_b_o, &log10_o, &power_o,
-            &first_rx_o, &strongest_o, &state_o, &heard_o, &frame_o,
-            &timer_o, &decisions_o, &counts_o))
+            &win_times_o, &win_rx_o, &win_seen_o, &mob_o, &scratch_a_o,
+            &scratch_b_o, &log10_o, &power_o, &first_rx_o, &strongest_o,
+            &state_o, &heard_o, &frame_o, &timer_o, &decisions_o,
+            &counts_o))
         return NULL;
 
     Kernel k;
@@ -1023,7 +1075,7 @@ evcore_run_window(PyObject *self, PyObject *args)
 
     /* fixed buffers (indices into bufs[]; released in the epilogue) */
     enum { B_FPARAMS, B_IPARAMS, B_DOUBLES, B_START_RX, B_START_SEEN,
-           B_WIN_TIMES, B_STATIC, B_STARTS, B_VEL, B_NEG, B_SA, B_SB,
+           B_WIN_TIMES, B_MOB0, B_MOB1, B_MOB2, B_MOB3, B_MOB4, B_SA, B_SB,
            B_FIRST_RX, B_STRONGEST, B_STATE, B_HEARD, B_FRAME, B_TIMER,
            B_DECISIONS, B_COUNTS, B_FIXED };
     Py_buffer bufs[B_FIXED];
@@ -1052,7 +1104,7 @@ evcore_run_window(PyObject *self, PyObject *args)
     k.W = W;
     k.record = (int)ip[IP_RECORD];
     k.mob_mode = (int)ip[IP_MOB_MODE];
-    k.n_epochs = (long)ip[IP_N_EPOCHS];
+    k.mob_width = (long)ip[IP_MOB_WIDTH];
     k.fold_one = (int)ip[IP_FOLD_ONE];
     k.warmup = fp[FP_WARMUP];
     k.horizon = fp[FP_HORIZON];
@@ -1073,7 +1125,7 @@ evcore_run_window(PyObject *self, PyObject *args)
     k.required = fp[FP_REQUIRED];
     k.mac_jitter = fp[FP_MAC_JITTER];
     k.expiry = fp[FP_EXPIRY];
-    k.epoch_s = fp[FP_EPOCH_S];
+    k.mob_step = fp[FP_MOB_STEP];
     k.side = fp[FP_SIDE];
 
     if (n <= 0 || W <= 0 || k.source < 0 || k.source >= n) {
@@ -1119,17 +1171,81 @@ evcore_run_window(PyObject *self, PyObject *args)
         k.win_seen[w] = (const double *)wbufs[n_wbufs++].buf;
     }
 
-    if (k.mob_mode == 0) {
-        GETBUF(B_STATIC, static_pos_o, 0, 2 * n, 8, "static_pos");
-        k.static_pos = (const double *)bufs[B_STATIC].buf;
-    } else {
-        GETBUF(B_STARTS, starts_o, 0, k.n_epochs * 2 * n, 8, "walk_starts");
-        GETBUF(B_VEL, vel_o, 0, k.n_epochs * 2 * n, 8, "walk_vel");
-        GETBUF(B_NEG, neg_o, 0, k.n_epochs, 1, "walk_epoch_neg");
-        k.walk_starts = (const double *)bufs[B_STARTS].buf;
-        k.walk_vel = (const double *)bufs[B_VEL].buf;
-        k.walk_neg = (const unsigned char *)bufs[B_NEG].buf;
+    /* mobility trace: validate the shape before any read */
+    if (k.mob_mode < 0 || k.mob_mode >= MOB_MODES) {
+        PyErr_Format(PyExc_ValueError, "evcore: unknown mobility mode %d",
+                     k.mob_mode);
+        goto done;
     }
+    if (!PyTuple_Check(mob_o) ||
+        PyTuple_GET_SIZE(mob_o) != mob_n_arrays[k.mob_mode]) {
+        PyErr_Format(PyExc_ValueError,
+                     "evcore: mobility mode %d takes a %zd-tuple of arrays",
+                     k.mob_mode, mob_n_arrays[k.mob_mode]);
+        goto done;
+    }
+    long min_width = k.mob_mode == MOB_TICKS ? 2 : 1;
+    if (k.mob_mode != MOB_STATIC &&
+        (k.mob_width < min_width ||
+         k.mob_width > (PY_SSIZE_T_MAX / 16) / n)) {
+        PyErr_Format(PyExc_ValueError,
+                     "evcore: %s %ld out of range (need >= %ld)",
+                     k.mob_mode == MOB_TICKS ? "tick count"
+                     : k.mob_mode == MOB_LEGS ? "leg table width"
+                                               : "epoch count",
+                     k.mob_width, min_width);
+        goto done;
+    }
+    if ((k.mob_mode == MOB_EPOCHS || k.mob_mode == MOB_TICKS) &&
+        !(k.mob_step > 0.0)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "evcore: mobility step must be positive");
+        goto done;
+    }
+#define MOBBUF(i, min_items, itemsize, name)                              \
+    GETBUF(B_MOB0 + (i), PyTuple_GET_ITEM(mob_o, (i)), 0, (min_items),    \
+           (itemsize), (name))
+    Py_ssize_t width = k.mob_width;
+    switch (k.mob_mode) {
+    case MOB_STATIC:
+        MOBBUF(0, 2 * n, 8, "static_pos");
+        k.grid_pos = (const double *)bufs[B_MOB0].buf;
+        break;
+    case MOB_EPOCHS:
+        MOBBUF(0, width * 2 * n, 8, "walk_starts");
+        MOBBUF(1, width * 2 * n, 8, "walk_vel");
+        MOBBUF(2, width, 1, "walk_epoch_neg");
+        k.walk_starts = (const double *)bufs[B_MOB0].buf;
+        k.walk_vel = (const double *)bufs[B_MOB1].buf;
+        k.walk_neg = (const unsigned char *)bufs[B_MOB2].buf;
+        break;
+    case MOB_LEGS:
+        MOBBUF(0, width * n, 8, "leg_start");
+        MOBBUF(1, width * n, 8, "leg_end");
+        MOBBUF(2, width * 2 * n, 8, "leg_p0");
+        MOBBUF(3, width * 2 * n, 8, "leg_vel");
+        MOBBUF(4, n, 8, "leg_count");
+        k.leg_start = (const double *)bufs[B_MOB0].buf;
+        k.leg_end = (const double *)bufs[B_MOB1].buf;
+        k.leg_p0 = (const double *)bufs[B_MOB2].buf;
+        k.leg_vel = (const double *)bufs[B_MOB3].buf;
+        k.leg_count = (const long long *)bufs[B_MOB4].buf;
+        for (long i = 0; i < n; i++) {
+            if (k.leg_count[i] < 1 || k.leg_count[i] > k.mob_width) {
+                PyErr_Format(PyExc_ValueError,
+                             "evcore: leg count %lld of node %ld outside "
+                             "[1, %ld]",
+                             k.leg_count[i], i, k.mob_width);
+                goto done;
+            }
+        }
+        break;
+    case MOB_TICKS:
+        MOBBUF(0, width * 2 * n, 8, "tick_pos");
+        k.grid_pos = (const double *)bufs[B_MOB0].buf;
+        break;
+    }
+#undef MOBBUF
 
     GETBUF(B_SA, scratch_a_o, 1, n, 8, "scratch_a");
     GETBUF(B_SB, scratch_b_o, 1, n, 8, "scratch_b");
@@ -1239,8 +1355,6 @@ evcore_run_window(PyObject *self, PyObject *args)
     counts[CN_FRAMES] = k.n_frames;
     counts[CN_RESOLVED] = k.n_resolved;
     counts[CN_DRAWS] = k.draw - (long)ip[IP_RNG_OFFSET];
-    counts[CN_BATCH_VECTOR] = k.batch_vector;
-    counts[CN_BATCH_SCALAR] = k.batch_scalar;
     counts[CN_DECISIONS] = k.n_decisions;
     result = PyFloat_FromDouble(k.energy);
 

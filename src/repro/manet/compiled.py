@@ -24,12 +24,14 @@ Selection (``REPRO_COMPILED``, overridable per simulator via the
 The fallback ladder, in order: extension import → ``probe_ops``
 arithmetic self-check (sqrt / FMA-contraction canary / floored-mod
 replica vs numpy) → per-run preconditions (runtime attached, replay RNG
-stream, log-distance path loss, static or random-walk mobility).  Every
-rung lands on the pure path with a human-readable reason.
+stream, log-distance path loss, a mobility model that describes its
+trace through ``kernel_trace`` — every built-in model does).  Every rung
+lands on the pure path with a human-readable reason.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -128,15 +130,33 @@ def compiled_core_reason() -> str | None:
     return _resolve_extension()[1]
 
 
+@functools.cache  # keyed by class: a handful of entries per process
+def _describes_itself(cls) -> bool:
+    """True when ``cls`` takes ``kernel_trace`` from the class that
+    defines its ``positions_at``: a subclass that re-defines the motion
+    but inherits the description stays on the pure path."""
+    owner = [
+        next(c for c in cls.__mro__ if name in vars(c))
+        for name in ("kernel_trace", "positions_at")
+    ]
+    return owner[0] is owner[1]
+
+
+def _kernel_trace(mobility):
+    """The model's :class:`~repro.manet.mobility.KernelTrace`, or None."""
+    if not _describes_itself(type(mobility)):
+        return None
+    return mobility.kernel_trace()
+
+
 def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
     """First unsupported-run-shape reason, or None if the kernel applies.
 
     The kernel covers exactly the warm evaluation path the campaign and
     tuning layers run: a :class:`ScenarioRuntime` substrate, the replay
-    RNG stream, the log-distance model, and a static or random-walk
-    trace.  Anything else is the pure path's job.
+    RNG stream, the log-distance model, and a mobility model that
+    describes its trace.  Anything else is the pure path's job.
     """
-    from repro.manet.mobility import RandomWalkMobility, StaticMobility
     from repro.manet.runtime import UniformStream
 
     if sim.runtime is None:
@@ -147,7 +167,7 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
         return "per-frame delivery recording requested"
     if sim.medium._fast_log_distance is None:
         return "path-loss model is not plain log-distance"
-    if type(sim._mobility) not in (StaticMobility, RandomWalkMobility):
+    if _kernel_trace(sim._mobility) is None:
         return f"unsupported mobility model {type(sim._mobility).__name__}"
     if not sim.runtime.window_times:
         return "runtime has no in-window beacon ticks"
@@ -161,7 +181,7 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
 # fparams/iparams slot order — must match the enums in _evcore.c.
 _N_FPARAMS = 21
 _N_IPARAMS = 8
-_N_COUNTS = 7
+_N_COUNTS = 5
 
 #: Decision-kind codes emitted by the kernel, formatted here with the
 #: exact f-strings of :class:`~repro.manet.aedb.AEDBProtocol`.
@@ -208,7 +228,6 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     """
     from repro.manet.aedb import AEDBNodeState
     from repro.manet.medium import Frame
-    from repro.manet.mobility import RandomWalkMobility
 
     ext = _resolve_extension()[0]
     assert ext is not None, "execute_compiled_run without a usable extension"
@@ -221,6 +240,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     protocol = sim.protocol
     tables = sim.tables
     mobility = sim._mobility
+    trace = _kernel_trace(mobility)
     n = scenario.n_nodes
     rng = protocol._rng
 
@@ -228,23 +248,6 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     window_times = pack["window_times"]
     W = len(window_times)
     ref_d, ref_loss, scale = medium._fast_log_distance
-
-    if type(mobility) is RandomWalkMobility:
-        mob_mode = 1
-        n_epochs = int(mobility._n_epochs)
-        epoch_s = float(mobility._epoch_s)
-        fold_one = 1 if mobility._fold_is_one_period else 0
-        static_pos = None
-        walk_starts = mobility._starts
-        walk_vel = mobility._vel
-        walk_neg = mobility._epoch_has_negative
-    else:  # StaticMobility (precondition-checked)
-        mob_mode = 0
-        n_epochs = 1
-        epoch_s = 1.0
-        fold_one = 0
-        static_pos = mobility._pos
-        walk_starts = walk_vel = walk_neg = None
 
     fparams = np.array(
         [
@@ -267,7 +270,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
             protocol._required_dbm,
             protocol._mac_jitter_s,
             float(cfg.neighbor_expiry_s),
-            epoch_s,
+            trace.step_s,
             float(mobility.area_side_m),
         ],
         dtype=np.float64,
@@ -279,9 +282,9 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
             scenario.source,
             W,
             1 if protocol._record_decisions else 0,
-            mob_mode,
-            n_epochs,
-            fold_one,
+            trace.mode,
+            trace.width,
+            1 if trace.fold_one else 0,
             rng._i,
         ],
         dtype=np.int64,
@@ -305,10 +308,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         window_times,
         pack["win_rx"],
         pack["win_seen"],
-        static_pos,
-        walk_starts,
-        walk_vel,
-        walk_neg,
+        trace.arrays,
         pack["scratch_a"],
         pack["scratch_b"],
         np.log10,
@@ -323,8 +323,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         counts,
     )
 
-    # Slots 4-5 are batch tallies the kernel still fills; nothing reads them.
-    fired, n_frames, n_resolved, draws, _, _, n_dec = counts.tolist()
+    fired, n_frames, n_resolved, draws, n_dec = counts.tolist()
 
     # -- protocol ----------------------------------------------------- #
     rng._i += draws

@@ -10,9 +10,15 @@ reflective walls are applied with the triangle-wave fold from
 
 :class:`StaticMobility` pins nodes in place — used by unit tests and by
 deterministic protocol examples.
+
+Every built-in model describes its trace to the compiled kernel through
+:meth:`MobilityModel.kernel_trace` (DESIGN.md §14): the kernel replays
+``positions_at`` over the model's own arrays, bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +27,8 @@ from repro.manet.geometry import reflect_fold
 from repro.utils.rng import as_generator
 
 __all__ = [
+    "KernelTrace",
+    "LegTable",
     "MobilityModel",
     "RandomWalkMobility",
     "RandomWaypointMobility",
@@ -28,6 +36,27 @@ __all__ = [
     "RandomDirectionMobility",
     "StaticMobility",
 ]
+
+
+#: Kernel replay modes of :class:`KernelTrace` (mirrored in _evcore.c).
+TRACE_STATIC, TRACE_EPOCHS, TRACE_LEGS, TRACE_TICKS = range(4)
+
+
+class KernelTrace(NamedTuple):
+    """A trace in the compiled kernel's terms (DESIGN.md §14).
+
+    ``mode`` names the replay of ``positions_at``: fixed positions,
+    random-walk epochs, a leg table, or a tick grid.  ``width`` is the
+    epoch count, the leg-table width, or the tick count; ``step_s`` the
+    epoch or tick length; ``fold_one`` the random walk's one-period fold
+    shortcut.  ``arrays`` are the model's own buffers, read in place.
+    """
+
+    mode: int
+    width: int
+    step_s: float
+    fold_one: bool
+    arrays: tuple[np.ndarray, ...]
 
 
 class MobilityModel:
@@ -43,6 +72,12 @@ class MobilityModel:
     def position_of(self, node: int, time_s: float) -> np.ndarray:
         """Convenience: ``(2,)`` coordinates of one node at ``time_s``."""
         return self.positions_at(time_s)[node]
+
+    def kernel_trace(self) -> KernelTrace | None:
+        """The trace for the compiled kernel, or None to stay on the pure
+        path.  A model that defines ``positions_at`` must define this
+        too, or the kernel will not replay it."""
+        return None
 
 
 class StaticMobility(MobilityModel):
@@ -65,6 +100,9 @@ class StaticMobility(MobilityModel):
 
     def positions_at(self, time_s: float) -> np.ndarray:
         return self._pos
+
+    def kernel_trace(self) -> KernelTrace:
+        return KernelTrace(TRACE_STATIC, 1, 0.0, False, (self._pos,))
 
 
 class RandomWalkMobility(MobilityModel):
@@ -144,6 +182,15 @@ class RandomWalkMobility(MobilityModel):
         unfolded = self._starts[k] + self._vel[k] * dt
         return reflect_fold(unfolded, self.area_side_m)
 
+    def kernel_trace(self) -> KernelTrace:
+        return KernelTrace(
+            TRACE_EPOCHS,
+            self._n_epochs,
+            self._epoch_s,
+            self._fold_is_one_period,
+            (self._starts, self._vel, self._epoch_has_negative),
+        )
+
     def velocities_at(self, time_s: float) -> np.ndarray:
         """Nominal ``(n, 2)`` velocity vectors (pre-reflection) at a time.
 
@@ -157,7 +204,70 @@ class RandomWalkMobility(MobilityModel):
         return self._vel[k].copy()
 
 
-class RandomWaypointMobility(MobilityModel):
+class LegTable(NamedTuple):
+    """Piecewise-linear itineraries, one row per node.
+
+    Leg ``j`` of node ``i`` moves as ``p0[i, j] + vel[i, j] * (t -
+    start[i, j])`` until ``end[i, j]``; ends never decrease along a row.
+    Rows are padded to the widest itinerary: only the first ``count[i]``
+    legs are real, and padding ends at ``+inf``.
+    """
+
+    start: np.ndarray  # (n, width)
+    end: np.ndarray  # (n, width)
+    p0: np.ndarray  # (n, width, 2)
+    vel: np.ndarray  # (n, width, 2)
+    count: np.ndarray  # (n,) int64
+
+    @classmethod
+    def pack(cls, itineraries) -> "LegTable":
+        """Table of per-node ``[(start, p0, vel, end), ...]`` lists."""
+        n = len(itineraries)
+        width = max(len(legs) for legs in itineraries)
+        start = np.zeros((n, width))
+        end = np.full((n, width), np.inf)
+        p0 = np.zeros((n, width, 2))
+        vel = np.zeros((n, width, 2))
+        count = np.array([len(legs) for legs in itineraries], dtype=np.int64)
+        for i, legs in enumerate(itineraries):
+            for j, (t0, pos, v, t1) in enumerate(legs):
+                start[i, j] = t0
+                p0[i, j] = pos
+                vel[i, j] = v
+                end[i, j] = t1
+        table = cls(start, end, p0, vel, count)
+        for array in table:
+            array.setflags(write=False)
+        return table
+
+
+class _ItineraryMobility(MobilityModel):
+    """A model whose trace is a precomputed :class:`LegTable`."""
+
+    legs: LegTable
+
+    def positions_at(self, time_s: float) -> np.ndarray:
+        if time_s < 0:
+            raise ValueError(f"time_s must be non-negative, got {time_s}")
+        legs = self.legs
+        rows = np.arange(self.n_nodes)
+        # Ends never decrease, so the active leg (the first one with
+        # time_s < end) sits after the legs already over.  Past the last
+        # leg the node parks at that leg's end.
+        k = np.count_nonzero(~(time_s < legs.end), axis=1)
+        parked = k >= legs.count
+        k = np.where(parked, legs.count - 1, k)
+        start = legs.start[rows, k]
+        dt = np.where(parked, legs.end[rows, k], time_s) - start
+        pos = legs.p0[rows, k] + legs.vel[rows, k] * dt[:, None]
+        return np.clip(pos, 0.0, self.area_side_m)
+
+    def kernel_trace(self) -> KernelTrace:
+        legs = self.legs
+        return KernelTrace(TRACE_LEGS, legs.start.shape[1], 0.0, False, tuple(legs))
+
+
+class RandomWaypointMobility(_ItineraryMobility):
     """Random-waypoint mobility (extension beyond the paper).
 
     Each node repeatedly picks a uniform destination in the arena and a
@@ -166,8 +276,8 @@ class RandomWaypointMobility(MobilityModel):
     random-walk setting).  Included to test the robustness of tuned AEDB
     configurations to the mobility model — see the extended examples.
 
-    The itinerary over ``[0, horizon]`` is precomputed per node, so
-    ``positions_at`` is pure like the other models.
+    The itineraries over ``[0, horizon]`` are precomputed into one
+    :class:`LegTable`, so ``positions_at`` is pure like the other models.
     """
 
     def __init__(
@@ -195,8 +305,8 @@ class RandomWaypointMobility(MobilityModel):
         self.area_side_m = float(area_side_m)
         self.horizon_s = float(horizon_s)
 
-        # Per node: lists of (start_time, start_pos, velocity, end_time).
-        self._legs: list[list[tuple[float, np.ndarray, np.ndarray, float]]] = []
+        # Per node: (start_time, start_pos, velocity, end_time) legs.
+        itineraries = []
         for _ in range(n_nodes):
             legs = []
             t = 0.0
@@ -210,24 +320,8 @@ class RandomWaypointMobility(MobilityModel):
                 legs.append((t, pos.copy(), velocity, t + duration))
                 pos = target
                 t += duration
-            self._legs.append(legs)
-
-    def positions_at(self, time_s: float) -> np.ndarray:
-        if time_s < 0:
-            raise ValueError(f"time_s must be non-negative, got {time_s}")
-        out = np.empty((self.n_nodes, 2))
-        for i, legs in enumerate(self._legs):
-            # Legs are time-ordered; find the active one.
-            pos = legs[-1][1]
-            for start, p0, vel, end in legs:
-                if time_s < end:
-                    pos = p0 + vel * (time_s - start)
-                    break
-            else:
-                start, p0, vel, end = legs[-1]
-                pos = p0 + vel * (end - start)  # parked at final waypoint
-            out[i] = pos
-        return np.clip(out, 0.0, self.area_side_m)
+            itineraries.append(legs)
+        self.legs = LegTable.pack(itineraries)
 
 
 class GaussMarkovMobility(MobilityModel):
@@ -332,8 +426,13 @@ class GaussMarkovMobility(MobilityModel):
         frac = min(x - k, 1.0)
         return (1.0 - frac) * self._pos[k] + frac * self._pos[k + 1]
 
+    def kernel_trace(self) -> KernelTrace:
+        return KernelTrace(
+            TRACE_TICKS, self._n_ticks, self._tick_s, False, (self._pos,)
+        )
 
-class RandomDirectionMobility(MobilityModel):
+
+class RandomDirectionMobility(_ItineraryMobility):
     """Random-direction mobility (extension beyond the paper).
 
     Each node picks a uniform heading and speed, travels in a straight
@@ -341,7 +440,8 @@ class RandomDirectionMobility(MobilityModel):
     picks a fresh inward heading.  Compared to random waypoint this
     spreads node density uniformly instead of concentrating it in the
     centre — the other classic point of comparison for broadcast
-    robustness.  Itineraries are precomputed; ``positions_at`` is pure.
+    robustness.  Itineraries are precomputed into one :class:`LegTable`;
+    ``positions_at`` is pure.
     """
 
     def __init__(
@@ -373,9 +473,9 @@ class RandomDirectionMobility(MobilityModel):
         self.horizon_s = float(horizon_s)
 
         side = self.area_side_m
-        # Per node: (start_time, start_pos, velocity, end_time); a zero
-        # velocity leg encodes a pause.
-        self._legs: list[list[tuple[float, np.ndarray, np.ndarray, float]]] = []
+        # Per node: (start_time, start_pos, velocity, end_time) legs; a
+        # zero velocity leg encodes a pause.
+        itineraries = []
         for _ in range(n_nodes):
             legs = []
             t = 0.0
@@ -398,20 +498,5 @@ class RandomDirectionMobility(MobilityModel):
                 if pause_s > 0 and t <= horizon_s:
                     legs.append((t, pos.copy(), np.zeros(2), t + pause_s))
                     t += pause_s
-            self._legs.append(legs)
-
-    def positions_at(self, time_s: float) -> np.ndarray:
-        if time_s < 0:
-            raise ValueError(f"time_s must be non-negative, got {time_s}")
-        out = np.empty((self.n_nodes, 2))
-        for i, legs in enumerate(self._legs):
-            pos = legs[-1][1]
-            for start, p0, vel, end in legs:
-                if time_s < end:
-                    pos = p0 + vel * (time_s - start)
-                    break
-            else:
-                start, p0, vel, end = legs[-1]
-                pos = p0 + vel * (end - start)  # parked at the last wall
-            out[i] = pos
-        return np.clip(out, 0.0, self.area_side_m)
+            itineraries.append(legs)
+        self.legs = LegTable.pack(itineraries)

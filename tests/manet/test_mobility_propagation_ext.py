@@ -103,12 +103,14 @@ class TestRandomDirection:
 
     def test_legs_end_at_walls(self):
         # Every moving leg's endpoint touches a boundary.
-        mob = self.make(seed=1)
-        for legs in mob._legs:
-            for start, p0, vel, end in legs[:-1]:
-                if np.allclose(vel, 0.0):
+        legs = self.make(seed=1).legs
+        for i, count in enumerate(legs.count):
+            for j in range(count - 1):
+                if np.allclose(legs.vel[i, j], 0.0):
                     continue
-                endpoint = p0 + vel * (end - start)
+                endpoint = legs.p0[i, j] + legs.vel[i, j] * (
+                    legs.end[i, j] - legs.start[i, j]
+                )
                 at_wall = np.any(
                     (np.abs(endpoint) < 1e-6)
                     | (np.abs(endpoint - 500.0) < 1e-6)
@@ -120,15 +122,12 @@ class TestRandomDirection:
         mob = RandomDirectionMobility(
             n_nodes=8, area_side_m=50.0, horizon_s=200.0, pause_s=5.0, rng=2
         )
-        pause_legs = [
-            (start, p0, vel, end)
-            for legs in mob._legs
-            for (start, p0, vel, end) in legs
-            if np.allclose(vel, 0.0)
-        ]
-        assert pause_legs  # pauses exist
-        start, p0, vel, end = pause_legs[0]
-        assert end - start == pytest.approx(5.0)
+        legs = mob.legs
+        real = np.arange(legs.start.shape[1]) < legs.count[:, None]
+        pauses = real & np.all(legs.vel == 0.0, axis=2)
+        assert pauses.any()  # pauses exist
+        durations = (legs.end - legs.start)[pauses]
+        np.testing.assert_allclose(durations, 5.0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -10,12 +10,15 @@ pure-Python reference —
 * identical protocol decision logs (exact formatted strings);
 * identical RNG draw counts (the kernel replays the same uniform
   stream in the same order);
-* identical event/transmission/resolution/batch counters.
+* identical event/transmission/resolution counters.
 
-Mobility models outside the kernel's support (random-waypoint,
-gauss-markov) must *fall back* with a recorded reason and still match
-the reference bit for bit.  The compiled-mode decision is captured at
-construction, so flipping ``REPRO_COMPILED`` mid-run is a no-op.
+Every built-in mobility model runs through the kernel: the random
+walk's epochs, the waypoint and direction models' leg table, and the
+gauss-markov tick grid.  A user-defined model must *fall back* with a
+recorded reason and still match the reference bit for bit, and the
+kernel must reject a malformed trace before reading it.  The
+compiled-mode decision is captured at construction, so flipping
+``REPRO_COMPILED`` mid-run is a no-op.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.manet import AEDBParams, make_scenarios
+from repro.manet.mobility import MobilityModel, RandomWaypointMobility
 from repro.manet.runtime import ScenarioRuntime
 from repro.manet.simulator import BroadcastSimulator
 
@@ -58,7 +62,38 @@ CORNER_PARAMS = (
     AEDBParams(0.9, 4.5, -95.0, 3.0, 45.0),
 )
 
-FALLBACK_MOBILITY = ("random-waypoint", "gauss-markov")
+MOBILITY = ("random-walk", "random-waypoint", "gauss-markov", "random-direction")
+
+
+class HandRolledMobility(MobilityModel):
+    """A user-defined model: it moves like a built-in trace but does not
+    describe itself to the kernel."""
+
+    def __init__(self, inner: MobilityModel):
+        self._inner = inner
+        self.n_nodes = inner.n_nodes
+        self.area_side_m = inner.area_side_m
+
+    def positions_at(self, time_s: float) -> np.ndarray:
+        return self._inner.positions_at(time_s)
+
+
+class RedefinedWaypoint(RandomWaypointMobility):
+    """A subclass that re-defines the motion and inherits the built-in
+    trace description, which no longer matches it."""
+
+    def positions_at(self, time_s: float) -> np.ndarray:
+        return super().positions_at(time_s)
+
+
+def custom_mobility(kind: str, scenario) -> MobilityModel:
+    if kind == "hand-rolled":
+        return HandRolledMobility(scenario.build_mobility())
+    sim = scenario.sim
+    return RedefinedWaypoint(
+        scenario.n_nodes, sim.area_side_m, sim.horizon_s,
+        rng=scenario.mobility_seed,
+    )
 
 
 def scenario_for(seed: int, n_nodes: int, mobility: str, density: int = 100):
@@ -86,7 +121,7 @@ def metric_bytes(metrics) -> bytes:
     ).tobytes()
 
 
-def run_pair(scenario, params):
+def run_pair(scenario, params, mobility=None):
     """One compiled-off / compiled-auto pair on fresh runtimes; returns
     both simulators after running (metrics stashed on each)."""
     pair = []
@@ -94,7 +129,7 @@ def run_pair(scenario, params):
         sim = BroadcastSimulator(
             scenario,
             params,
-            runtime=ScenarioRuntime(scenario),
+            runtime=ScenarioRuntime(scenario, mobility),
             record_decisions=True,
             compiled=mode,
         )
@@ -114,6 +149,7 @@ def assert_identical(reference, candidate):
 
 
 class TestCompiledEqualsPure:
+    @pytest.mark.parametrize("mobility", MOBILITY)
     @given(
         params=params_strategy,
         seed=st.integers(0, 2**16),
@@ -121,10 +157,10 @@ class TestCompiledEqualsPure:
         density=st.sampled_from((100, 300, 500)),
     )
     @SETTINGS
-    def test_random_walk_engages_kernel_and_matches(
-        self, params, seed, n_nodes, density
+    def test_every_model_engages_kernel_and_matches(
+        self, mobility, params, seed, n_nodes, density
     ):
-        scenario = scenario_for(seed, n_nodes, "random-walk", density)
+        scenario = scenario_for(seed, n_nodes, mobility, density)
         reference, candidate = run_pair(scenario, params)
         assert not reference.compiled_active
         assert reference.compiled_reason == "disabled (REPRO_COMPILED=off)"
@@ -136,25 +172,28 @@ class TestCompiledEqualsPure:
         params=params_strategy,
         seed=st.integers(0, 2**16),
         n_nodes=st.integers(4, 16),
-        mobility=st.sampled_from(FALLBACK_MOBILITY),
+        kind=st.sampled_from(("hand-rolled", "redefined-waypoint")),
     )
     @SETTINGS
     def test_unsupported_mobility_falls_back_and_matches(
-        self, params, seed, n_nodes, mobility
+        self, params, seed, n_nodes, kind
     ):
-        scenario = scenario_for(seed, n_nodes, mobility)
-        reference, candidate = run_pair(scenario, params)
+        scenario = scenario_for(seed, n_nodes, "random-waypoint")
+        mobility = custom_mobility(kind, scenario)
+        reference, candidate = run_pair(scenario, params, mobility)
         assert not candidate.compiled_active
-        assert "mobility" in candidate.compiled_reason
+        assert candidate.compiled_reason == (
+            f"unsupported mobility model {type(mobility).__name__}"
+        )
         # The fallback still runs on the compiled *queue* (auto mode):
         # pure protocol logic over the C heap must match heapq exactly.
         assert_identical(reference, candidate)
 
+    @pytest.mark.parametrize("mobility", MOBILITY)
     @pytest.mark.parametrize("params", CORNER_PARAMS, ids=range(4))
-    def test_corner_vectors_on_a_dense_network(self, params):
-        """32 nodes pushes deliveries over the scalar/vector batch
-        cutover and the zero-delay corner forces collision chains."""
-        scenario = scenario_for(7, 32, "random-walk")
+    def test_corner_vectors_on_a_dense_network(self, params, mobility):
+        """32 nodes and the zero-delay corner force collision chains."""
+        scenario = scenario_for(7, 32, mobility)
         reference, candidate = run_pair(scenario, params)
         assert candidate.compiled_active, candidate.compiled_reason
         assert_identical(reference, candidate)
@@ -254,3 +293,41 @@ class TestFallbackLadder:
         assert not sim.compiled_active
         assert sim.compiled_reason == "forced unavailable (test)"
         sim.run()
+
+
+def _with_leg_count(trace, value):
+    count = trace.arrays[4].copy()
+    count[-1] = value
+    return trace._replace(arrays=trace.arrays[:4] + (count,))
+
+
+class TestMalformedTrace:
+    """``run_window`` validates a trace's shape before reading it."""
+
+    @pytest.mark.parametrize(
+        "mobility, corrupt, message",
+        [
+            ("random-waypoint", lambda t: _with_leg_count(t, 0), "leg count 0"),
+            (
+                "random-direction",
+                lambda t: _with_leg_count(t, t.width + 1),
+                "leg count",
+            ),
+            ("gauss-markov", lambda t: t._replace(width=1), "tick count 1"),
+            ("gauss-markov", lambda t: t._replace(step_s=0.0), "step"),
+        ],
+        ids=["no-legs", "legs-over-width", "one-tick", "zero-step"],
+    )
+    def test_rejected_with_value_error(
+        self, monkeypatch, mobility, corrupt, message
+    ):
+        scenario = scenario_for(5, 8, mobility)
+        sim = BroadcastSimulator(
+            scenario, AEDBParams(), runtime=ScenarioRuntime(scenario),
+            compiled="auto",
+        )
+        assert sim.compiled_active, sim.compiled_reason
+        bad = corrupt(sim._mobility.kernel_trace())
+        monkeypatch.setattr(sim._mobility, "kernel_trace", lambda: bad)
+        with pytest.raises(ValueError, match=message):
+            sim.run()

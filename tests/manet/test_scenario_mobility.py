@@ -89,15 +89,12 @@ class TestSpeedConfiguration:
             scenario = make_scenarios(
                 100, n_networks=1, n_nodes=5, sim=sim, mobility_model=model
             )[0]
-            mobility = scenario.build_mobility()
-            speeds = [
-                float(np.linalg.norm(vel))
-                for legs in mobility._legs
-                for (_, _, vel, _) in legs
-                if np.linalg.norm(vel) > 0  # pauses excluded
-            ]
-            assert speeds
-            assert all(5.0 <= s <= 10.0 + 1e-9 for s in speeds), model
+            legs = scenario.build_mobility().legs
+            real = np.arange(legs.start.shape[1]) < legs.count[:, None]
+            speeds = np.linalg.norm(legs.vel[real], axis=1)
+            speeds = speeds[speeds > 0]  # pauses excluded
+            assert speeds.size
+            assert np.all((5.0 <= speeds) & (speeds <= 10.0 + 1e-9)), model
 
         gm = make_scenarios(
             100, n_networks=1, n_nodes=5, sim=sim,

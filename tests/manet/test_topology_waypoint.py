@@ -79,7 +79,9 @@ class TestRandomWaypoint:
 
     def test_straight_travel_between_waypoints(self):
         model = RandomWaypointMobility(1, 500.0, 40.0, rng=2)
-        start, p0, vel, end = model._legs[0][0]
+        legs = model.legs
+        start, end = legs.start[0, 0], legs.end[0, 0]
+        p0, vel = legs.p0[0, 0], legs.vel[0, 0]
         mid = 0.5 * (start + min(end, 40.0))
         expected = p0 + vel * (mid - start)
         np.testing.assert_allclose(model.positions_at(mid)[0], expected)
