@@ -75,7 +75,7 @@ from repro.manet.aedb import AEDBParams
 from repro.manet.metrics import BroadcastMetrics, aggregate_metrics
 from repro.manet.scenarios import NetworkScenario
 from repro.manet.shared import attach_runtime
-from repro.manet.simulator import BroadcastSimulator
+from repro.manet.simulator import BroadcastSimulator, resolve_compiled_mode
 from repro.telemetry import (
     NULL,
     JsonlRecorder,
@@ -105,6 +105,8 @@ class _SimJob:
     index: int
     scenario: NetworkScenario
     params: AEDBParams
+    #: The compiled-core mode the executor captured when it was built.
+    compiled: str
     #: Which attempt of the owning cell this job belongs to (1-based).
     #: Stamped by the backend at submission; payloads never depend on it
     #: (bit-identity), but the fault plane and heartbeat attrs do.
@@ -154,6 +156,7 @@ def _execute_job(job):
             return BroadcastSimulator(
                 job.scenario, job.params,
                 runtime=attach_runtime(job.scenario),
+                compiled=job.compiled,
             ).run()
         return _run_tune_job(job)
 
@@ -372,6 +375,9 @@ class CampaignExecutor:
         #: every shard's contribution — emitting both would double-count
         #: the merged totals that ``campaign status`` surfaces).
         self._emit_rollup_counters = True
+        # Read once: every simulation job of this executor runs on the
+        # same engine (DESIGN.md §14).
+        self._compiled_mode = resolve_compiled_mode()
 
     def _resolve_eval_cache(
         self,
@@ -423,7 +429,8 @@ class CampaignExecutor:
         if cell.algorithm == EVALUATE:
             scenarios = cell.scenarios()
             return [
-                _SimJob(cell.key, i * len(scenarios) + j, scenario, params)
+                _SimJob(cell.key, i * len(scenarios) + j, scenario, params,
+                        self._compiled_mode)
                 for i, params in enumerate(cell.param_sets())
                 for j, scenario in enumerate(scenarios)
             ]

@@ -2,15 +2,18 @@
 
 This module is the Python half of ``repro.manet._evcore`` (DESIGN.md
 §14).  It decides whether the compiled core may run (the fallback
-ladder), flattens one :class:`~repro.manet.simulator.BroadcastSimulator`
-into the typed arrays the kernel consumes, and — after the kernel has
-executed the whole broadcast window — writes the end-of-run state back
-into the live simulator objects so that metrics collection, decision
-logs, telemetry counters, and post-run introspection are byte-for-byte
-what the pure-Python reference would have produced.
+ladder) and hands one :class:`~repro.manet.simulator.BroadcastSimulator`
+run to the kernel as typed arrays built from the scenario runtime, the
+AEDB parameters and the radio config — the compiled path constructs no
+neighbour tables, medium, protocol or queue.  The kernel executes the
+whole broadcast window and returns a :class:`KernelRun`: the metrics
+are read straight from it.  :func:`apply_writeback` turns a run into
+the live objects' end state, byte for byte what the pure-Python
+reference would have left, for the callers that read them (decision
+logs, post-run introspection, the differential suites).
 
-Selection (``REPRO_COMPILED``, overridable per simulator via the
-``compiled=`` argument):
+Selection (``REPRO_COMPILED``, read once per evaluator or campaign
+executor, which pass it on as the simulator's ``compiled=`` argument):
 
 * ``auto`` (default) — use the compiled core when the extension imports,
   its arithmetic self-check passes, and the run shape is supported;
@@ -32,16 +35,19 @@ lands on the pure path with a human-readable reason.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from repro.manet.propagation import LogDistancePathLoss
 from repro.utils import flags
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.manet.simulator import BroadcastSimulator
 
 __all__ = [
+    "KernelRun",
+    "apply_writeback",
     "compiled_core_available",
     "compiled_core_reason",
     "execute_compiled_run",
@@ -155,7 +161,9 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
     The kernel covers exactly the warm evaluation path the campaign and
     tuning layers run: a :class:`ScenarioRuntime` substrate, the replay
     RNG stream, the log-distance model, and a mobility model that
-    describes its trace.  Anything else is the pure path's job.
+    describes its trace.  Anything else is the pure path's job.  Only
+    the runtime and the simulator's inputs are read: no live simulator
+    object exists yet on the compiled path.
     """
     from repro.manet.runtime import UniformStream
 
@@ -163,9 +171,9 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
         return "no ScenarioRuntime attached"
     if type(sim._protocol_rng) is not UniformStream:
         return "protocol rng is not the runtime's replay stream"
-    if sim.medium._record_deliveries:
-        return "per-frame delivery recording requested"
-    if sim.medium._fast_log_distance is None:
+    # ``type is`` (not isinstance): a subclass overriding loss_db must
+    # not be silently bypassed.
+    if type(sim.runtime.path_loss) is not LogDistancePathLoss:
         return "path-loss model is not plain log-distance"
     if _kernel_trace(sim._mobility) is None:
         return f"unsupported mobility model {type(sim._mobility).__name__}"
@@ -181,6 +189,9 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
 # fparams/iparams slot order — must match the enums in _evcore.c.
 _N_FPARAMS = 21
 _N_IPARAMS = 8
+
+# counts slots (the kernel's CN_* enum).
+_CN_FIRED, _CN_FRAMES, _CN_RESOLVED, _CN_DRAWS, _CN_DECISIONS = range(5)
 _N_COUNTS = 5
 
 #: Decision-kind codes emitted by the kernel, formatted here with the
@@ -192,87 +203,129 @@ _DECISION_DROP_TIMER = 3
 _DECISION_FORWARD = 4
 
 
+class KernelRun(NamedTuple):
+    """What one ``run_window`` call leaves: the broadcast window's end
+    state as the kernel's fresh output arrays, and the energy sum.
+
+    Metrics read it directly; :func:`apply_writeback` turns it into
+    live-object state only when someone asks for that.
+    """
+
+    first_rx: np.ndarray        # (n,) first-reception times, NaN = never
+    strongest: np.ndarray       # (n,) strongest copy heard, dBm
+    state_code: np.ndarray      # (n,) int8, AEDBNodeState order
+    heard: np.ndarray           # (n, n) bool heard-from matrix
+    frame_out: np.ndarray       # (4, n) sender / power / start / liveness
+    timer_deadline: np.ndarray  # (n,) armed-timer deadlines
+    decisions_out: np.ndarray   # (2n+1, 4) time / node / kind / value
+    counts: np.ndarray          # fired, frames, resolved, draws, decisions
+    energy: float               # sum of TX powers, raw dBm
+
+    @property
+    def events_fired(self) -> int:
+        return int(self.counts[_CN_FIRED])
+
+    @property
+    def frames_transmitted(self) -> int:
+        return int(self.counts[_CN_FRAMES])
+
+    @property
+    def frames_resolved(self) -> int:
+        return int(self.counts[_CN_RESOLVED])
+
+
 def _runtime_pack(runtime, n_nodes: int):
     """Per-runtime marshalling constants, built once and cached.
 
-    The raw uniform stream and the window snapshot tuples never change
-    for a given runtime, and the two scratch vectors are the kernel's
-    bridge into numpy's own ``log10``/``power`` ufuncs — reusing them
-    across runs keeps the per-evaluation marshalling cost to a handful
-    of small array constructions.
+    Everything here depends on the scenario alone: the raw uniform
+    stream, the last warm-up table snapshot the window opens on, the
+    window snapshot tuples, the radio/path-loss ``fparams`` slots on
+    either side of the five AEDB parameters, the fresh-output templates,
+    and the two scratch vectors that bridge the kernel into numpy's own
+    ``log10``/``power`` ufuncs.  Reusing them across runs keeps the
+    per-evaluation marshalling cost to a handful of small array
+    constructions.
     """
     pack = getattr(runtime, "_evcore_pack", None)
     if pack is None:
-        window_times = np.asarray(runtime.window_times, dtype=np.float64)
+        sim = runtime.sim
+        radio = sim.radio
+        loss = runtime.path_loss
         snaps = [runtime.table_snapshot(t) for t in runtime.window_times]
+        warm = runtime.warm_times
         pack = {
             "doubles": np.asarray(runtime.protocol_doubles, dtype=np.float64),
-            "window_times": window_times,
+            "window_times": np.asarray(runtime.window_times, dtype=np.float64),
+            "start": (
+                runtime.table_snapshot(warm[-1]) if warm
+                else runtime.initial_tables
+            ),
             "win_rx": tuple(s[0] for s in snaps),
             "win_seen": tuple(s[1] for s in snaps),
+            "f_head": (
+                sim.warmup_s,
+                sim.horizon_s,
+                float(radio.frame_airtime_s),
+                float(radio.detection_threshold_dbm),
+                10.0 ** (radio.capture_threshold_db / 10.0),
+                float(radio.min_tx_power_dbm),
+                float(radio.default_tx_power_dbm),
+                float(radio.default_tx_power_dbm),
+                float(loss.reference_distance_m),
+                float(loss.reference_loss_db),
+                10.0 * loss.exponent,
+            ),
+            "f_tail": (
+                float(radio.detection_threshold_dbm),
+                float(sim.mac_jitter_s),
+                float(sim.neighbor_expiry_s),
+            ),
             "scratch_a": np.empty(n_nodes),
             "scratch_b": np.empty(n_nodes),
+            # Templates of the fresh per-run output vectors (a copy is
+            # cheaper than a fill).
+            "nan_n": np.full(n_nodes, np.nan),
+            "neg_inf_n": np.full(n_nodes, -np.inf),
         }
         runtime._evcore_pack = pack
     return pack
 
 
-def execute_compiled_run(sim: "BroadcastSimulator") -> None:
-    """Run the broadcast window through the kernel and write back.
+def execute_compiled_run(sim: "BroadcastSimulator") -> KernelRun:
+    """Run one simulator's broadcast window through the kernel.
 
-    Preconditions (:func:`precondition_blocker`) and the warm beacon
-    replay must already have happened; on return the simulator holds
-    the same end-of-run state — protocol arrays, decision log, RNG
-    cursor, frame history, medium counters, neighbour tables, queue
-    clock/pending set — as a pure-Python ``run()`` would leave.
+    Preconditions (:func:`precondition_blocker`) must already hold.  The
+    inputs come from the runtime, the parameters and the radio config —
+    no live simulator object is read or built — and the window opens on
+    the last warm-up snapshot, exactly where the warm beacon rounds
+    would leave the tables.  Advances the protocol RNG cursor by the
+    kernel's draw count and returns the :class:`KernelRun`.
     """
-    from repro.manet.aedb import AEDBNodeState
-    from repro.manet.medium import Frame
-
     ext = _resolve_extension()[0]
     assert ext is not None, "execute_compiled_run without a usable extension"
 
     runtime = sim.runtime
     scenario = sim.scenario
-    cfg = sim._sim
-    radio = cfg.radio
-    medium = sim.medium
-    protocol = sim.protocol
-    tables = sim.tables
+    params = sim.params
     mobility = sim._mobility
     trace = _kernel_trace(mobility)
+    rng = sim._protocol_rng
     n = scenario.n_nodes
-    rng = protocol._rng
 
     pack = _runtime_pack(runtime, n)
     window_times = pack["window_times"]
-    W = len(window_times)
-    ref_d, ref_loss, scale = medium._fast_log_distance
-
+    delay_lo, delay_hi = params.delay_interval
     fparams = np.array(
-        [
-            cfg.warmup_s,
-            cfg.horizon_s,
-            medium._airtime_s,
-            medium._detection_dbm,
-            medium._capture_lin,
-            medium._min_tx,
-            medium._max_tx,
-            float(radio.default_tx_power_dbm),
-            ref_d,
-            ref_loss,
-            scale,
-            protocol._border_dbm,
-            protocol._delay_lo,
-            protocol._delay_hi,
-            protocol._neighbors_threshold,
-            protocol._margin_db,
-            protocol._required_dbm,
-            protocol._mac_jitter_s,
-            float(cfg.neighbor_expiry_s),
-            trace.step_s,
-            float(mobility.area_side_m),
-        ],
+        pack["f_head"]
+        + (
+            float(params.border_threshold_dbm),
+            delay_lo,
+            delay_hi,
+            float(params.neighbors_threshold),
+            float(params.margin_threshold_db),
+        )
+        + pack["f_tail"]
+        + (trace.step_s, float(mobility.area_side_m)),
         dtype=np.float64,
     )
     assert fparams.size == _N_FPARAMS
@@ -280,8 +333,8 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         [
             n,
             scenario.source,
-            W,
-            1 if protocol._record_decisions else 0,
+            len(window_times),
+            1 if sim._record_decisions else 0,
             trace.mode,
             trace.width,
             1 if trace.fold_one else 0,
@@ -291,20 +344,25 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     )
     assert iparams.size == _N_IPARAMS
 
+    # Fresh protocol state: the simulator is single-use, so every node
+    # is IDLE (0), unreached (NaN) and has heard nothing when the
+    # window opens.
+    nan_n = pack["nan_n"]
+    first_rx = nan_n.copy()
+    strongest = pack["neg_inf_n"].copy()
+    state_code = np.zeros(n, dtype=np.int8)
+    heard = np.zeros((n, n), dtype=bool)
     frame_out = np.empty((4, n))
-    timer_deadline = np.full(n, np.nan)
+    timer_deadline = nan_n.copy()
     decisions_out = np.empty((2 * n + 1, 4))
     counts = np.zeros(_N_COUNTS, dtype=np.int64)
-    # Per-node phase codes (AEDBNodeState order); the simulator is
-    # single-use, so every node is still IDLE (0) when the window opens.
-    state_code = np.zeros(n, dtype=np.int8)
-
+    start_rx, start_seen = pack["start"]
     energy = ext.run_window(
         fparams,
         iparams,
         pack["doubles"],
-        tables.rx_power,
-        tables.last_seen,
+        start_rx,
+        start_seen,
         window_times,
         pack["win_rx"],
         pack["win_seen"],
@@ -313,20 +371,50 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         pack["scratch_b"],
         np.log10,
         np.power,
-        protocol.first_rx_time,
-        protocol.strongest_copy_dbm,
+        first_rx,
+        strongest,
         state_code,
-        protocol._heard_from,
+        heard,
         frame_out,
         timer_deadline,
         decisions_out,
         counts,
     )
+    rng._i += int(counts[_CN_DRAWS])
+    return KernelRun(
+        first_rx, strongest, state_code, heard, frame_out, timer_deadline,
+        decisions_out, counts, energy,
+    )
 
-    fired, n_frames, n_resolved, draws, n_dec = counts.tolist()
+
+# --------------------------------------------------------------------- #
+# writeback                                                             #
+# --------------------------------------------------------------------- #
+
+def apply_writeback(sim: "BroadcastSimulator", run: KernelRun) -> None:
+    """Give a compiled simulator's freshly built live objects the exact
+    end state a pure-Python ``run()`` leaves.
+
+    Protocol arrays, node states and decision log; frame history, the
+    medium's active/recent lists and counters; the neighbour tables
+    (the whole canonical schedule replayed as O(1) snapshot swaps); and
+    the queue's clock, fired count and pending set.  The simulator calls
+    it once, when its live objects are first read after ``run()`` (or at
+    the end of ``run()`` if they were read before).
+    """
+    from repro.manet.aedb import AEDBNodeState
+    from repro.manet.medium import Frame
+
+    protocol = sim.protocol
+    medium = sim.medium
+    tables = sim.tables
+    queue = sim.queue
+    fired, n_frames, n_resolved, _, n_dec = run.counts.tolist()
 
     # -- protocol ----------------------------------------------------- #
-    rng._i += draws
+    protocol.first_rx_time[:] = run.first_rx
+    protocol.strongest_copy_dbm[:] = run.strongest
+    protocol._heard_from[:] = run.heard
     states_by_code = (
         AEDBNodeState.IDLE,
         AEDBNodeState.WAITING,
@@ -334,12 +422,12 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
         AEDBNodeState.FORWARDED,
     )
     state = protocol.state
-    for node, code in enumerate(state_code.tolist()):
+    for node, code in enumerate(run.state_code.tolist()):
         state[node] = states_by_code[code]
 
     if protocol._record_decisions and n_dec:
         append = protocol.decisions.append
-        for t, node_f, kind_f, value in decisions_out[:n_dec].tolist():
+        for t, node_f, kind_f, value in run.decisions_out[:n_dec].tolist():
             kind = int(kind_f)
             if kind == _DECISION_ARM:
                 label = f"arm:{value:.4f}"
@@ -355,6 +443,7 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
 
     # -- medium ------------------------------------------------------- #
     airtime = medium._airtime_s
+    frame_out = run.frame_out
     senders = frame_out[0, :n_frames].tolist()
     powers = frame_out[1, :n_frames].tolist()
     starts = frame_out[2, :n_frames].tolist()
@@ -375,32 +464,32 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> None:
     medium._seq = n_frames
     medium._n_frames = n_frames
     medium._n_resolved = n_resolved
-    medium._energy_dbm = energy
+    medium._energy_dbm = run.energy
 
     # -- neighbour tables --------------------------------------------- #
-    # The kernel consumed the window snapshots read-only; replaying the
-    # canonical rounds through the live tables is W O(1) snapshot swaps
-    # that land rounds_run, the canonical-tick cursor, and the current-view
-    # arrays exactly where the pure event loop leaves them.
-    for t in runtime.window_times:
+    # The kernel read the snapshots read-only; replaying the canonical
+    # rounds through the live tables is O(1) snapshot swaps that land
+    # rounds_run, the canonical-tick cursor, and the current-view arrays
+    # exactly where the pure run leaves them.
+    for t in sim.runtime.beacon_times:
         tables.beacon_round(t)
 
     # -- event queue --------------------------------------------------- #
     # Rebuild the pending set the pure run leaves behind: in-flight
     # frame resolutions and armed timers past the horizon.  (Timers are
     # re-armed through the real scheduler so cancellation handles work.)
-    queue = sim.queue
     for f in medium._active:
         queue.post(f.end_s, lambda t, fr=f: medium._resolve(fr, t))
     timers = protocol._timers
-    for node in np.flatnonzero(state_code == 1).tolist():
+    for node in np.flatnonzero(run.state_code == 1).tolist():
         timers[node] = queue.schedule(
-            float(timer_deadline[node]),
+            float(run.timer_deadline[node]),
             lambda t, nd=node: protocol._on_timer(nd, t),
         )
+    horizon = sim._sim.horizon_s
     try:
         queue._fired = fired
-        queue._now = cfg.horizon_s
+        queue._now = horizon
     except AttributeError:  # compiled queue: settable properties
         queue.fired = fired
-        queue.now = cfg.horizon_s
+        queue.now = horizon

@@ -38,7 +38,7 @@ import numpy as np
 from repro.manet.config import RadioConfig
 from repro.manet.events import EventQueue
 from repro.manet.mobility import MobilityModel
-from repro.manet.propagation import LogDistancePathLoss, build_path_loss
+from repro.manet.propagation import build_path_loss
 from repro.utils.units import dbm_to_mw
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -131,18 +131,6 @@ class RadioMedium:
         self._max_tx = float(radio.default_tx_power_dbm)
         self._detection_dbm = float(radio.detection_threshold_dbm)
         self._airtime_s = float(radio.frame_airtime_s)
-        # Log-distance (the default model) with its scalars hoisted —
-        # the compiled kernel's precondition and path-loss inputs
-        # (DESIGN.md §14).  ``type is`` (not isinstance): a subclass
-        # overriding loss_db must not be silently bypassed.
-        if type(self._loss) is LogDistancePathLoss:
-            self._fast_log_distance = (
-                float(self._loss.reference_distance_m),
-                float(self._loss.reference_loss_db),
-                10.0 * self._loss.exponent,
-            )
-        else:
-            self._fast_log_distance = None
         self._energy_dbm = 0.0
         self._n_frames = 0
         self._n_resolved = 0

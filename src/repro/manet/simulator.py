@@ -18,15 +18,26 @@ parameter-independent substrate (beacon-table timeline, position
 snapshots, path-loss model) for its precomputed form: evaluation #2..#N
 of different parameters on the same network pays zero beacon cost, and
 the metrics are bit-identical to the recompute path (DESIGN.md §8).
+
+With a runtime and the compiled event core (DESIGN.md §14), a run is
+one kernel call whose outputs the metrics are read from: no event
+queue, neighbour tables, medium or protocol object is built.  Those
+live objects (``queue``, ``tables``, ``medium``, ``protocol``) are built
+on first access and given exactly the pure path's end state, so
+decision logs and post-run inspection read the same bytes either way.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.manet.aedb import AEDBParams, AEDBProtocol
 from repro.manet.beacons import NeighborTables
 from repro.manet.compiled import (
+    KernelRun,
+    apply_writeback,
     compiled_core_available,
     compiled_core_reason,
     execute_compiled_run,
@@ -34,7 +45,7 @@ from repro.manet.compiled import (
     resolve_compiled_mode,
 )
 from repro.manet.config import SimulationConfig
-from repro.manet.events import make_event_queue
+from repro.manet.events import EventQueue, make_event_queue
 from repro.manet.medium import Frame, RadioMedium
 from repro.manet.metrics import BroadcastMetrics
 from repro.manet.mobility import MobilityModel
@@ -46,7 +57,19 @@ from repro.manet.runtime import (
 from repro.manet.scenarios import NetworkScenario
 from repro.telemetry import deep_telemetry_enabled, get_recorder
 
-__all__ = ["BroadcastSimulator", "simulate_broadcast"]
+# ``resolve_compiled_mode`` is re-exported for the layers that capture
+# the compiled-core mode once and pass it as ``compiled=`` (evaluators,
+# the campaign executor), so they depend on this seam alone.
+__all__ = ["BroadcastSimulator", "resolve_compiled_mode", "simulate_broadcast"]
+
+
+class _LiveObjects(NamedTuple):
+    """The simulation objects of one run (built together, never apart)."""
+
+    queue: EventQueue
+    tables: NeighborTables
+    medium: RadioMedium
+    protocol: AEDBProtocol
 
 
 class BroadcastSimulator:
@@ -87,6 +110,7 @@ class BroadcastSimulator:
                 else (scenario.mobility_seed ^ 0x5EDB) & 0xFFFFFFFF
             )
             self._protocol_rng = np.random.default_rng(seed)
+        self._record_decisions = bool(record_decisions)
 
         self._compiled_mode = resolve_compiled_mode(compiled)
         if self._compiled_mode == "on" and not compiled_core_available():
@@ -94,25 +118,6 @@ class BroadcastSimulator:
                 "compiled=on but the compiled event core is unavailable: "
                 f"{compiled_core_reason()}"
             )
-        self.queue = make_event_queue(self._compiled_mode)
-        self.tables = NeighborTables(
-            scenario.n_nodes, self._sim, self._mobility, runtime=runtime
-        )
-        self.medium = RadioMedium(
-            self.queue, self._mobility, self._sim.radio, self._deliver,
-            runtime=runtime,
-        )
-        self.protocol = AEDBProtocol(
-            params=params,
-            n_nodes=scenario.n_nodes,
-            queue=self.queue,
-            tables=self.tables,
-            radio=self._sim.radio,
-            transmit=self._transmit,
-            rng=self._protocol_rng,
-            mac_jitter_s=self._sim.mac_jitter_s,
-            record_decisions=record_decisions,
-        )
         self._ran = False
         # Captured once: the off path pays one boolean test per run,
         # never a per-event recorder call (DESIGN.md §12).
@@ -133,20 +138,86 @@ class BroadcastSimulator:
         else:
             self.compiled_reason = precondition_blocker(self)
             self.compiled_active = self.compiled_reason is None
+        # Live objects: the pure path runs on them, so it builds them
+        # now; the compiled path builds them on first access and then
+        # gives them the kernel's end state (:meth:`_live_objects`).
+        self._live: _LiveObjects | None = None
+        #: The kernel's outputs once a compiled run is done.
+        self._kernel_run: KernelRun | None = None
+        self._writeback_pending = False
+        if not self.compiled_active:
+            self._live = self._build_live()
+
+    # -- live objects ---------------------------------------------------- #
+    def _build_live(self) -> _LiveObjects:
+        queue = make_event_queue(self._compiled_mode)
+        tables = NeighborTables(
+            self.scenario.n_nodes, self._sim, self._mobility,
+            runtime=self.runtime,
+        )
+        medium = RadioMedium(
+            queue, self._mobility, self._sim.radio, self._deliver,
+            runtime=self.runtime,
+        )
+        protocol = AEDBProtocol(
+            params=self.params,
+            n_nodes=self.scenario.n_nodes,
+            queue=queue,
+            tables=tables,
+            radio=self._sim.radio,
+            transmit=self._transmit,
+            rng=self._protocol_rng,
+            mac_jitter_s=self._sim.mac_jitter_s,
+            record_decisions=self._record_decisions,
+        )
+        return _LiveObjects(queue, tables, medium, protocol)
+
+    def _live_objects(self) -> _LiveObjects:
+        """The live objects, built on first access and brought to the
+        end state of a finished compiled run before anyone reads them."""
+        if self._live is None:
+            self._live = self._build_live()
+        if self._writeback_pending:
+            self._writeback_pending = False
+            apply_writeback(self, self._kernel_run)
+        return self._live
+
+    @property
+    def queue(self) -> EventQueue:
+        """The run's event queue."""
+        return self._live_objects().queue
+
+    @property
+    def tables(self) -> NeighborTables:
+        """The run's neighbour tables."""
+        return self._live_objects().tables
+
+    @property
+    def medium(self) -> RadioMedium:
+        """The run's radio medium."""
+        return self._live_objects().medium
+
+    @property
+    def protocol(self) -> AEDBProtocol:
+        """The run's AEDB state machines."""
+        return self._live_objects().protocol
 
     # -- wiring ---------------------------------------------------------- #
+    # Callbacks fire only on built live objects, so they skip the
+    # properties' writeback check.
     def _deliver(self, receiver: int, frame: Frame, rx_dbm: float, t: float) -> None:
-        self.protocol.on_receive(receiver, frame.sender, rx_dbm, t)
+        self._live.protocol.on_receive(receiver, frame.sender, rx_dbm, t)
 
     def _transmit(self, sender: int, power_dbm: float, t: float) -> None:
         # Protocol asks for a transmission "now" (or now + jitter); the
         # medium schedules the frame-end resolution on the queue.
-        now = self.queue.now
+        queue, _, medium, _ = self._live
+        now = queue.now
         if t <= now:
-            self.medium.transmit(sender, power_dbm, now)
+            medium.transmit(sender, power_dbm, now)
         else:
-            self.queue.post(
-                t, lambda fire_t, s=sender, p=power_dbm: self.medium.transmit(s, p, fire_t)
+            queue.post(
+                t, lambda fire_t, s=sender, p=power_dbm: medium.transmit(s, p, fire_t)
             )
 
     # -- execution ------------------------------------------------------- #
@@ -159,59 +230,80 @@ class BroadcastSimulator:
         rec = get_recorder()
 
         with rec.span("sim.run", n_nodes=self.scenario.n_nodes):
-            # Warm-up and in-window beacons on the canonical integer-indexed
-            # grid (shared with ScenarioRuntime, so precomputed snapshots and
-            # the live schedule agree exactly).  The grid starts just early
-            # enough to fully warm the tables: entries older than
-            # ``neighbor_expiry_s`` at broadcast time can never influence a
-            # query (identical semantics, ~3x fewer pairwise-loss matrices).
             if self.compiled_active:
-                # Compiled core (DESIGN.md §14): warm rounds stay in
-                # Python (O(1) snapshot swaps), then the whole broadcast
+                # Compiled core (DESIGN.md §14): the whole broadcast
                 # window — window beacons, frames, timers, deliveries —
-                # runs as one kernel call whose writeback restores the
-                # exact pure-path end state.
-                with rec.span("sim.beacon_schedule"):
-                    for t in self.runtime.warm_times:
-                        self.tables.beacon_round(t)
+                # runs as one kernel call that opens on the runtime's
+                # last warm-up snapshot, so no warm round runs here.
+                # Live objects learn the end state only if read.
                 with rec.span("sim.broadcast_window"):
-                    execute_compiled_run(self)
+                    self._kernel_run = execute_compiled_run(self)
+                self._writeback_pending = True
+                if self._live is not None:  # read before the run
+                    self._live_objects()
             else:
+                # Warm-up and in-window beacons on the canonical
+                # integer-indexed grid (shared with ScenarioRuntime, so
+                # precomputed snapshots and the live schedule agree
+                # exactly).  The grid starts just early enough to fully
+                # warm the tables: entries older than
+                # ``neighbor_expiry_s`` at broadcast time can never
+                # influence a query (identical semantics, ~3x fewer
+                # pairwise-loss matrices).
+                live = self._live
                 with rec.span("sim.beacon_schedule"):
-                    run_beacon_schedule(sim, self.runtime, self.tables, self.queue)
+                    run_beacon_schedule(sim, self.runtime, live.tables, live.queue)
 
-                self.protocol.start_broadcast(self.scenario.source, sim.warmup_s)
+                live.protocol.start_broadcast(self.scenario.source, sim.warmup_s)
                 with rec.span("sim.broadcast_window"):
-                    self.queue.run_until(sim.horizon_s)
+                    live.queue.run_until(sim.horizon_s)
             metrics = self._collect_metrics()
         if self._deep:
             # Fine-grained readout (REPRO_TELEMETRY=deep): totals kept as
             # plain ints on the warm path, shipped as counters once per
-            # run — zero recorder traffic inside the event loop.
-            rec.count("sim.events_fired", self.queue.fired)
-            rec.count("sim.frames_transmitted",
-                      self.medium.transmission_count)
-            rec.count("sim.frames_resolved", self.medium.resolved_count)
+            # run — zero recorder traffic inside the event loop.  A
+            # compiled run reports the kernel's counts, so deep mode
+            # never forces the writeback.
+            run = self._kernel_run
+            if run is None:
+                live = self._live
+                fired = live.queue.fired
+                transmitted = live.medium.transmission_count
+                resolved = live.medium.resolved_count
+            else:
+                fired = run.events_fired
+                transmitted = run.frames_transmitted
+                resolved = run.frames_resolved
+            rec.count("sim.events_fired", fired)
+            rec.count("sim.frames_transmitted", transmitted)
+            rec.count("sim.frames_resolved", resolved)
             rec.count("sim.runs")
         return metrics
 
     def _collect_metrics(self) -> BroadcastMetrics:
         sim = self._sim
         src = self.scenario.source
-        first_rx = self.protocol.first_rx_time
-        received = ~np.isnan(first_rx)
-        received_non_source = received.copy()
+        run = self._kernel_run
+        if run is None:
+            medium = self._live.medium
+            first_rx = self._live.protocol.first_rx_time
+            transmissions = medium.transmission_count
+            energy = medium.energy_dbm_total()
+        else:
+            first_rx = run.first_rx
+            transmissions = run.frames_transmitted
+            energy = run.energy
+        received_non_source = ~np.isnan(first_rx)
         received_non_source[src] = False
         coverage = int(np.count_nonzero(received_non_source))
 
-        forwardings = max(self.medium.transmission_count - 1, 0)
-        energy = self.medium.energy_dbm_total()
+        forwardings = max(transmissions - 1, 0)
 
         if coverage > 0:
             # Last first-reception among receivers: the mask selects
             # exactly the non-NaN entries (excluding the source), so a
             # plain max equals the nanmax over the masked array.
-            bt = float(np.max(first_rx[received_non_source]))
+            bt = float(first_rx[received_non_source].max())
             broadcast_time = bt - sim.warmup_s
         else:
             broadcast_time = 0.0

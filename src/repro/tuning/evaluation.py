@@ -55,7 +55,7 @@ from repro.manet.metrics import BroadcastMetrics, aggregate_metrics
 from repro.manet.runtime import get_runtime
 from repro.manet.scenarios import NetworkScenario, make_scenarios
 from repro.manet.shared import SharedRuntimeArena, attach_runtime
-from repro.manet.simulator import BroadcastSimulator
+from repro.manet.simulator import BroadcastSimulator, resolve_compiled_mode
 from repro.telemetry import get_recorder
 from repro.tuning.cache import EvaluationCache, PersistentEvaluationCache
 
@@ -63,17 +63,18 @@ __all__ = ["NetworkSetEvaluator", "ParallelNetworkSetEvaluator"]
 
 
 def _simulate_one(
-    scenario: NetworkScenario, params: AEDBParams
+    scenario: NetworkScenario, params: AEDBParams, compiled: str
 ) -> BroadcastMetrics:
     """Module-level worker (must be picklable for process pools).
 
     The worker reads the runtime the evaluator prepared before the pool
     forked (one precompute for the whole pool); a scenario the table
     does not hold resolves from the worker's own per-process LRU.
-    Either way the metrics are bit-identical.
+    Either way the metrics are bit-identical.  ``compiled`` is the
+    evaluator's captured compiled-core mode.
     """
     return BroadcastSimulator(
-        scenario, params, runtime=attach_runtime(scenario)
+        scenario, params, runtime=attach_runtime(scenario), compiled=compiled
     ).run()
 
 
@@ -105,6 +106,10 @@ class NetworkSetEvaluator:
         self.persistent = persistent
         #: Simulations actually executed (cache hits excluded).
         self.simulations_run = 0
+        #: The compiled-core mode (DESIGN.md §14), read from
+        #: ``REPRO_COMPILED`` once here and handed to every simulator,
+        #: so one evaluator never straddles engines.
+        self.compiled_mode = resolve_compiled_mode()
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -162,7 +167,8 @@ class NetworkSetEvaluator:
                 # the whole parameter-independent substrate; results
                 # are bit-identical to the recompute path.
                 stored = BroadcastSimulator(
-                    scenario, params, runtime=get_runtime(scenario)
+                    scenario, params, runtime=get_runtime(scenario),
+                    compiled=self.compiled_mode,
                 ).run()
                 self.simulations_run += 1
                 if self.persistent is not None:
@@ -278,6 +284,7 @@ class ParallelNetworkSetEvaluator(NetworkSetEvaluator):
                         _simulate_one,
                         [pairs[i][0] for i in todo],
                         [pairs[i][1] for i in todo],
+                        [self.compiled_mode] * len(todo),
                     )
                 )
             self.simulations_run += len(runs)
