@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from scipy.spatial.distance import cdist
-
 __all__ = ["inverted_generational_distance", "generational_distance"]
 
 
 def _min_distances(from_points: np.ndarray, to_points: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     a = np.atleast_2d(np.asarray(from_points, dtype=float))
     b = np.atleast_2d(np.asarray(to_points, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:

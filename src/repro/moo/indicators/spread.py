@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from scipy.spatial.distance import cdist
-
 __all__ = ["spread", "generalized_spread"]
 
 
@@ -26,6 +24,8 @@ def spread(front: np.ndarray, reference_front: np.ndarray) -> float:
     """Deb's Δ spread indicator (2 objectives)."""
     pts = np.atleast_2d(np.asarray(front, dtype=float))
     ref = np.atleast_2d(np.asarray(reference_front, dtype=float))
+    if pts.shape[0] == 0 or ref.shape[0] == 0:
+        raise ValueError("fronts must be non-empty")
     if pts.shape[1] != 2 or ref.shape[1] != 2:
         raise ValueError("spread() is defined for 2 objectives; "
                          "use generalized_spread() otherwise")
@@ -51,8 +51,12 @@ def spread(front: np.ndarray, reference_front: np.ndarray) -> float:
 
 def generalized_spread(front: np.ndarray, reference_front: np.ndarray) -> float:
     """Generalised spread (Zhou et al. 2006) for m >= 2 objectives."""
+    from scipy.spatial.distance import cdist
+
     pts = np.atleast_2d(np.asarray(front, dtype=float))
     ref = np.atleast_2d(np.asarray(reference_front, dtype=float))
+    if pts.shape[0] == 0 or ref.shape[0] == 0:
+        raise ValueError("fronts must be non-empty")
     if pts.shape[1] != ref.shape[1]:
         raise ValueError(
             f"objective mismatch: {pts.shape[1]} vs {ref.shape[1]}"

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = ["SobolResult", "saltelli_sample", "sobol_indices", "run_sobol"]
 
@@ -70,6 +69,8 @@ def saltelli_sample(
     this.  ``n_base`` is rounded up to a power of two (a Sobol'-sequence
     balance requirement).
     """
+    from scipy.stats import qmc
+
     k = len(bounds)
     if k < 2:
         raise ValueError("Sobol analysis needs at least 2 parameters")

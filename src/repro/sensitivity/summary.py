@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from repro.manet.aedb import AEDBParams
 from repro.sensitivity.analysis import (
@@ -110,6 +109,8 @@ def trend_probe(
 
 def _direction(sweep: np.ndarray, response: np.ndarray, sense: int) -> tuple[str, float]:
     """Direction to move the parameter to *improve* the objective."""
+    from scipy.stats import spearmanr
+
     if np.allclose(response, response[0]):
         return "mixed", 0.0
     rho = float(spearmanr(sweep, response).statistic)

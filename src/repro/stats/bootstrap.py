@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.utils.rng import as_generator
 
@@ -89,6 +88,8 @@ def bootstrap_ci(
     elif method == "percentile":
         lo, hi = np.quantile(replicates, [alpha / 2.0, 1.0 - alpha / 2.0])
     else:  # BCa
+        from scipy.stats import norm
+
         # Bias correction: fraction of replicates below the observed value.
         prop = np.mean(replicates < observed) + 0.5 * np.mean(
             replicates == observed

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, f as f_dist
 
 from repro.stats.ranks import midranks, tie_groups
 from repro.stats.wilcoxon import rank_sum_test
@@ -66,6 +65,8 @@ def friedman_test(matrix) -> FriedmanResult:
     treatments (algorithms).  Values are ranked *within* rows with
     midranks; smaller values get smaller ranks.
     """
+    from scipy.stats import chi2, f as f_dist
+
     data = np.asarray(matrix, dtype=float)
     if data.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {data.shape}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.stats.ranks import midranks, tie_groups
 
@@ -50,6 +49,8 @@ def rank_sum_test(a, b) -> RankSumResult:
     with a 0.5 continuity correction.  Degenerate inputs (all values
     identical across both samples) return p = 1.
     """
+    from scipy.stats import norm
+
     xa = np.asarray(a, dtype=float).ravel()
     xb = np.asarray(b, dtype=float).ravel()
     n_a, n_b = xa.size, xb.size

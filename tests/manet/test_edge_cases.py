@@ -8,6 +8,7 @@ from repro.manet.config import RadioConfig, SimulationConfig
 from repro.manet.events import EventQueue
 from repro.manet.mobility import StaticMobility
 from repro.manet.protocols import FloodingProtocol, ProtocolSimulator
+from repro.manet.runtime import ScenarioRuntime
 from repro.manet.scenarios import NetworkScenario
 from repro.manet.simulator import BroadcastSimulator, simulate_broadcast
 
@@ -59,6 +60,47 @@ class TestDegenerateNetworks:
         m = BroadcastSimulator(scen, AEDBParams(), mobility=mob).run()
         assert m.coverage == 4
         assert m.forwardings == 0  # all copies far above border threshold
+
+
+#: Degenerate networks both engines must run identically.
+DEGENERATE = {
+    "one-node": [(250.0, 250.0)],
+    "two-isolated": [(25.0, 250.0), (475.0, 250.0)],
+    "two-connected": [(200.0, 250.0), (300.0, 250.0)],
+    # The source hears nobody when the warm-up ends, so the broadcast
+    # window delivers nothing, while the other two nodes stay linked.
+    "source-isolated": [(25.0, 25.0), (400.0, 400.0), (450.0, 400.0)],
+}
+
+
+class TestEngineParity:
+    """The pure window and the compiled kernel agree on degenerate runs."""
+
+    @staticmethod
+    def _run(positions, compiled):
+        scen, mob = scenario_with(positions)
+        sim = BroadcastSimulator(
+            scen, AEDBParams(), mobility=mob,
+            runtime=ScenarioRuntime(scen, mobility=mob),
+            record_decisions=True, compiled=compiled,
+        )
+        metrics = sim.run()
+        assert sim.compiled_active == (compiled == "on"), sim.compiled_reason
+        return metrics.as_tuple(), sim.protocol.decisions
+
+    @pytest.mark.compiled
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_compiled_matches_pure(self, name):
+        positions = DEGENERATE[name]
+        assert self._run(positions, "on") == self._run(positions, "off")
+
+    @pytest.mark.parametrize("name", ["one-node", "source-isolated"])
+    def test_nobody_reached(self, name):
+        (coverage, _, forwardings, broadcast_time), decisions = self._run(
+            DEGENERATE[name], "off"
+        )
+        assert (coverage, forwardings, broadcast_time) == (0, 0, 0.0)
+        assert decisions == [(SimulationConfig().warmup_s, 0, "source")]
 
 
 class TestExtremeParameters:

@@ -126,8 +126,12 @@ class TestIGD:
         ) < inverted_generational_distance(sparse, ref)
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fronts must be non-empty"):
             inverted_generational_distance(np.empty((0, 2)), np.ones((1, 2)))
+
+    def test_empty_reference_front_raises(self):
+        with pytest.raises(ValueError, match="fronts must be non-empty"):
+            inverted_generational_distance(np.ones((1, 2)), np.empty((0, 2)))
 
 
 class TestSpread:
@@ -174,6 +178,18 @@ class TestSpread:
     def test_spread_requires_2d(self):
         with pytest.raises(ValueError):
             spread(np.ones((3, 3)), np.ones((3, 3)))
+
+    @pytest.mark.parametrize("indicator", [spread, generalized_spread])
+    def test_empty_reference_front_raises(self, indicator):
+        front = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="fronts must be non-empty"):
+            indicator(front, np.empty((0, 2)))
+
+    @pytest.mark.parametrize("indicator", [spread, generalized_spread])
+    def test_empty_front_raises(self, indicator):
+        ref = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="fronts must be non-empty"):
+            indicator(np.empty((0, 2)), ref)
 
 
 class TestEpsilon:
