@@ -31,6 +31,7 @@ deliveries and ``transmit`` back to the medium.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -96,13 +97,22 @@ class AEDBParams:
 
     @classmethod
     def from_array(cls, values) -> "AEDBParams":
-        """Build from a length-5 vector in canonical order."""
+        """Build from a length-5 vector in canonical order.
+
+        A NaN is rejected, naming its field: :meth:`clipped` cannot
+        project it (``max(nan, lo)`` is ``nan``), so it would otherwise
+        be simulated as a plausible-looking configuration.
+        """
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size != len(cls.DOMAINS):
             raise ValueError(
                 f"expected {len(cls.DOMAINS)} values, got {arr.size}"
             )
-        return cls(**{name: float(v) for (name, _, _), v in zip(cls.DOMAINS, arr)})
+        named = {name: float(v) for (name, _, _), v in zip(cls.DOMAINS, arr)}
+        for name, value in named.items():
+            if math.isnan(value):
+                raise ValueError(f"AEDB parameter {name} is NaN")
+        return cls(**named)
 
     def as_array(self) -> np.ndarray:
         """The parameter vector in canonical order."""

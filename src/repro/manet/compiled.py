@@ -28,8 +28,10 @@ The fallback ladder, in order: extension import → ``probe_ops``
 arithmetic self-check (sqrt / FMA-contraction canary / floored-mod
 replica vs numpy) → per-run preconditions (runtime attached, replay RNG
 stream, log-distance path loss, a mobility model that describes its
-trace through ``kernel_trace`` — every built-in model does).  Every rung
-lands on the pure path with a human-readable reason.
+trace through ``kernel_trace`` — every built-in model does — and
+in-window beacon ticks; all but the first two are decided once per
+runtime).  Every rung lands on the pure path with a human-readable
+reason.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from repro.manet.propagation import LogDistancePathLoss
+from repro.manet.runtime import UniformStream
 from repro.utils import flags
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,13 +151,6 @@ def _describes_itself(cls) -> bool:
     return owner[0] is owner[1]
 
 
-def _kernel_trace(mobility):
-    """The model's :class:`~repro.manet.mobility.KernelTrace`, or None."""
-    if not _describes_itself(type(mobility)):
-        return None
-    return mobility.kernel_trace()
-
-
 def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
     """First unsupported-run-shape reason, or None if the kernel applies.
 
@@ -163,23 +159,15 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
     RNG stream, the log-distance model, and a mobility model that
     describes its trace.  Anything else is the pure path's job.  Only
     the runtime and the simulator's inputs are read: no live simulator
-    object exists yet on the compiled path.
+    object exists yet on the compiled path.  The RNG clause is the
+    simulator's own; the rest depends on the runtime alone and is
+    decided once per runtime (:func:`_runtime_pack`).
     """
-    from repro.manet.runtime import UniformStream
-
     if sim.runtime is None:
         return "no ScenarioRuntime attached"
     if type(sim._protocol_rng) is not UniformStream:
         return "protocol rng is not the runtime's replay stream"
-    # ``type is`` (not isinstance): a subclass overriding loss_db must
-    # not be silently bypassed.
-    if type(sim.runtime.path_loss) is not LogDistancePathLoss:
-        return "path-loss model is not plain log-distance"
-    if _kernel_trace(sim._mobility) is None:
-        return f"unsupported mobility model {type(sim._mobility).__name__}"
-    if not sim.runtime.window_times:
-        return "runtime has no in-window beacon ticks"
-    return None
+    return _runtime_pack(sim.runtime)["blocker"]
 
 
 # --------------------------------------------------------------------- #
@@ -189,6 +177,11 @@ def precondition_blocker(sim: "BroadcastSimulator") -> str | None:
 # fparams/iparams slot order — must match the enums in _evcore.c.
 _N_FPARAMS = 21
 _N_IPARAMS = 8
+#: The five AEDB-parameter slots (FP_BORDER .. FP_MARGIN).
+_FP_AEDB = slice(11, 16)
+#: The simulator's own iparams slots.
+_IP_RECORD = 3
+_IP_RNG_OFFSET = 7
 
 # counts slots (the kernel's CN_* enum).
 _CN_FIRED, _CN_FRAMES, _CN_RESOLVED, _CN_DRAWS, _CN_DECISIONS = range(5)
@@ -234,61 +227,111 @@ class KernelRun(NamedTuple):
         return int(self.counts[_CN_RESOLVED])
 
 
-def _runtime_pack(runtime, n_nodes: int):
-    """Per-runtime marshalling constants, built once and cached.
+def _runtime_pack(runtime) -> dict:
+    """Per-runtime constants, built once and cached on the runtime.
 
-    Everything here depends on the scenario alone: the raw uniform
+    Everything here depends on the scenario alone.  ``blocker`` is the
+    runtime's half of :func:`precondition_blocker` (path-loss type,
+    mobility self-description, in-window beacon ticks); only when it is
+    None does the pack hold the marshalling constants: the mobility
+    model's :class:`~repro.manet.mobility.KernelTrace`, the raw uniform
     stream, the last warm-up table snapshot the window opens on, the
-    window snapshot tuples, the radio/path-loss ``fparams`` slots on
-    either side of the five AEDB parameters, the fresh-output templates,
+    window snapshot tuples, the ``fparams``/``iparams`` templates (every
+    slot but the simulator's own: the five AEDB parameters, the
+    decision-log switch and the RNG cursor), the fresh-output templates,
     and the two scratch vectors that bridge the kernel into numpy's own
     ``log10``/``power`` ufuncs.  Reusing them across runs keeps the
-    per-evaluation marshalling cost to a handful of small array
-    constructions.
+    per-evaluation marshalling cost to a handful of small array copies.
     """
     pack = getattr(runtime, "_evcore_pack", None)
     if pack is None:
-        sim = runtime.sim
-        radio = sim.radio
-        loss = runtime.path_loss
-        snaps = [runtime.table_snapshot(t) for t in runtime.window_times]
-        warm = runtime.warm_times
-        pack = {
-            "doubles": np.asarray(runtime.protocol_doubles, dtype=np.float64),
-            "window_times": np.asarray(runtime.window_times, dtype=np.float64),
-            "start": (
-                runtime.table_snapshot(warm[-1]) if warm
-                else runtime.initial_tables
-            ),
-            "win_rx": tuple(s[0] for s in snaps),
-            "win_seen": tuple(s[1] for s in snaps),
-            "f_head": (
-                sim.warmup_s,
-                sim.horizon_s,
-                float(radio.frame_airtime_s),
-                float(radio.detection_threshold_dbm),
-                10.0 ** (radio.capture_threshold_db / 10.0),
-                float(radio.min_tx_power_dbm),
-                float(radio.default_tx_power_dbm),
-                float(radio.default_tx_power_dbm),
-                float(loss.reference_distance_m),
-                float(loss.reference_loss_db),
-                10.0 * loss.exponent,
-            ),
-            "f_tail": (
-                float(radio.detection_threshold_dbm),
-                float(sim.mac_jitter_s),
-                float(sim.neighbor_expiry_s),
-            ),
-            "scratch_a": np.empty(n_nodes),
-            "scratch_b": np.empty(n_nodes),
-            # Templates of the fresh per-run output vectors (a copy is
-            # cheaper than a fill).
-            "nan_n": np.full(n_nodes, np.nan),
-            "neg_inf_n": np.full(n_nodes, -np.inf),
-        }
+        pack = _build_runtime_pack(runtime)
         runtime._evcore_pack = pack
     return pack
+
+
+def _build_runtime_pack(runtime) -> dict:
+    mobility = runtime.mobility
+    # ``type is`` (not isinstance): a subclass overriding loss_db must
+    # not be silently bypassed.
+    if type(runtime.path_loss) is not LogDistancePathLoss:
+        return {"blocker": "path-loss model is not plain log-distance"}
+    trace = (
+        mobility.kernel_trace() if _describes_itself(type(mobility)) else None
+    )
+    if trace is None:
+        return {"blocker": f"unsupported mobility model {type(mobility).__name__}"}
+    if not runtime.window_times:
+        return {"blocker": "runtime has no in-window beacon ticks"}
+
+    scenario = runtime.scenario
+    n = scenario.n_nodes
+    sim = runtime.sim
+    radio = sim.radio
+    loss = runtime.path_loss
+    snaps = [runtime.table_snapshot(t) for t in runtime.window_times]
+    warm = runtime.warm_times
+    fparams = np.array(
+        (
+            sim.warmup_s,
+            sim.horizon_s,
+            float(radio.frame_airtime_s),
+            float(radio.detection_threshold_dbm),
+            10.0 ** (radio.capture_threshold_db / 10.0),
+            float(radio.min_tx_power_dbm),
+            float(radio.default_tx_power_dbm),
+            float(radio.default_tx_power_dbm),
+            float(loss.reference_distance_m),
+            float(loss.reference_loss_db),
+            10.0 * loss.exponent,
+        )
+        + (np.nan,) * 5  # _FP_AEDB: written per simulation
+        + (
+            float(radio.detection_threshold_dbm),
+            float(sim.mac_jitter_s),
+            float(sim.neighbor_expiry_s),
+            trace.step_s,
+            float(mobility.area_side_m),
+        ),
+        dtype=np.float64,
+    )
+    assert fparams.size == _N_FPARAMS
+    iparams = np.array(
+        [
+            n,
+            scenario.source,
+            len(runtime.window_times),
+            0,  # _IP_RECORD
+            trace.mode,
+            trace.width,
+            1 if trace.fold_one else 0,
+            0,  # _IP_RNG_OFFSET
+        ],
+        dtype=np.int64,
+    )
+    assert iparams.size == _N_IPARAMS
+    fparams.setflags(write=False)  # templates: each run writes a copy
+    iparams.setflags(write=False)
+    return {
+        "blocker": None,
+        "trace_arrays": trace.arrays,
+        "fparams": fparams,
+        "iparams": iparams,
+        "doubles": np.asarray(runtime.protocol_doubles, dtype=np.float64),
+        "window_times": np.asarray(runtime.window_times, dtype=np.float64),
+        "start": (
+            runtime.table_snapshot(warm[-1]) if warm
+            else runtime.initial_tables
+        ),
+        "win_rx": tuple(s[0] for s in snaps),
+        "win_seen": tuple(s[1] for s in snaps),
+        "scratch_a": np.empty(n),
+        "scratch_b": np.empty(n),
+        # Templates of the fresh per-run output vectors (a copy is
+        # cheaper than a fill).
+        "nan_n": np.full(n, np.nan),
+        "neg_inf_n": np.full(n, -np.inf),
+    }
 
 
 def execute_compiled_run(sim: "BroadcastSimulator") -> KernelRun:
@@ -304,45 +347,25 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> KernelRun:
     ext = _resolve_extension()[0]
     assert ext is not None, "execute_compiled_run without a usable extension"
 
-    runtime = sim.runtime
-    scenario = sim.scenario
+    pack = _runtime_pack(sim.runtime)
     params = sim.params
-    mobility = sim._mobility
-    trace = _kernel_trace(mobility)
     rng = sim._protocol_rng
-    n = scenario.n_nodes
+    n = sim.scenario.n_nodes
 
-    pack = _runtime_pack(runtime, n)
-    window_times = pack["window_times"]
+    # Per simulation only the AEDB parameters, the decision-log switch
+    # and the RNG cursor differ from the runtime's templates.
     delay_lo, delay_hi = params.delay_interval
-    fparams = np.array(
-        pack["f_head"]
-        + (
-            float(params.border_threshold_dbm),
-            delay_lo,
-            delay_hi,
-            float(params.neighbors_threshold),
-            float(params.margin_threshold_db),
-        )
-        + pack["f_tail"]
-        + (trace.step_s, float(mobility.area_side_m)),
-        dtype=np.float64,
+    fparams = pack["fparams"].copy()
+    fparams[_FP_AEDB] = (
+        params.border_threshold_dbm,
+        delay_lo,
+        delay_hi,
+        params.neighbors_threshold,
+        params.margin_threshold_db,
     )
-    assert fparams.size == _N_FPARAMS
-    iparams = np.array(
-        [
-            n,
-            scenario.source,
-            len(window_times),
-            1 if sim._record_decisions else 0,
-            trace.mode,
-            trace.width,
-            1 if trace.fold_one else 0,
-            rng._i,
-        ],
-        dtype=np.int64,
-    )
-    assert iparams.size == _N_IPARAMS
+    iparams = pack["iparams"].copy()
+    iparams[_IP_RECORD] = sim._record_decisions
+    iparams[_IP_RNG_OFFSET] = rng._i
 
     # Fresh protocol state: the simulator is single-use, so every node
     # is IDLE (0), unreached (NaN) and has heard nothing when the
@@ -363,10 +386,10 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> KernelRun:
         pack["doubles"],
         start_rx,
         start_seen,
-        window_times,
+        pack["window_times"],
         pack["win_rx"],
         pack["win_seen"],
-        trace.arrays,
+        pack["trace_arrays"],
         pack["scratch_a"],
         pack["scratch_b"],
         np.log10,

@@ -103,7 +103,10 @@ def resolve_mobility(scenario, mobility, runtime):
     validation can never drift apart.
     """
     if runtime is not None:
-        if runtime.scenario != scenario:
+        # Identity first: evaluators hand over the very scenario the
+        # runtime was built from, and the value comparison walks every
+        # nested config.
+        if runtime.scenario is not scenario and runtime.scenario != scenario:
             raise ValueError(
                 "runtime was precomputed for a different scenario"
             )

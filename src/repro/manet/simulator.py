@@ -293,17 +293,18 @@ class BroadcastSimulator:
             first_rx = run.first_rx
             transmissions = run.frames_transmitted
             energy = run.energy
-        received_non_source = ~np.isnan(first_rx)
-        received_non_source[src] = False
-        coverage = int(np.count_nonzero(received_non_source))
+        # One pass for the receivers (NaN is the only value unequal to
+        # itself), one count, and one masked max for the last
+        # first-reception: over exactly the non-NaN non-source entries,
+        # so it equals the nanmax of the masked array.
+        received = first_rx == first_rx
+        received[src] = False
+        coverage = int(np.count_nonzero(received))
 
         forwardings = max(transmissions - 1, 0)
 
         if coverage > 0:
-            # Last first-reception among receivers: the mask selects
-            # exactly the non-NaN entries (excluding the source), so a
-            # plain max equals the nanmax over the masked array.
-            bt = float(first_rx[received_non_source].max())
+            bt = float(np.maximum.reduce(first_rx, where=received, initial=-np.inf))
             broadcast_time = bt - sim.warmup_s
         else:
             broadcast_time = 0.0

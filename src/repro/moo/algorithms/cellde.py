@@ -27,15 +27,44 @@ import numpy as np
 
 from repro.moo.algorithms.base import EvolutionaryAlgorithm
 from repro.moo.archive import CrowdingDistanceArchive
-from repro.moo.density import assign_crowding_distance, crowding_distance_of
+from repro.moo.density import crowding
 from repro.moo.dominance import compare
 from repro.moo.problem import Problem
-from repro.moo.ranking import fast_non_dominated_sort
+from repro.moo.ranking import ranks
 from repro.moo.selection import binary_tournament
 from repro.moo.solution import FloatSolution
 from repro.moo.variation import DifferentialEvolutionCrossover
 
 __all__ = ["CellDE"]
+
+
+def displaced_member(view: list[FloatSolution]) -> int | None:
+    """Position in ``view[:-1]`` that the newcomer ``view[-1]`` replaces,
+    or None: cellular replacement on a local view.
+
+    The worst member is the one with the largest ``(rank, -crowding
+    distance)``, the first of them on a tie; the newcomer replaces it
+    when its own key is smaller.  Ranks come from one objective matrix,
+    and only the worst member's front needs crowding distances.  A
+    solution that fills several cells of the view (a 2-wide torus) takes
+    the distance of its last position in that front, as annotating the
+    solutions front by front leaves it.
+    """
+    objectives = np.array([s.objectives for s in view])
+    rank = ranks(objectives, np.array([s.constraint_violation for s in view]))
+    newcomer = len(view) - 1
+    rank_list = rank.tolist()
+    worst_rank = max(rank_list[:newcomer])
+    if rank_list[newcomer] > worst_rank:
+        return None
+    front = np.flatnonzero(rank == worst_rank).tolist()
+    distance = crowding(objectives[front]).tolist()
+    slot = {id(view[k]): i for i, k in enumerate(front)}
+    keys = {k: (worst_rank, -distance[slot[id(view[k])]]) for k in front}
+    worst = max((k for k in front if k != newcomer), key=keys.__getitem__)
+    if rank_list[newcomer] < worst_rank or keys[newcomer] < keys[worst]:
+        return worst
+    return None
 
 
 class CellDE(EvolutionaryAlgorithm):
@@ -131,27 +160,9 @@ class CellDE(EvolutionaryAlgorithm):
         # Mutually non-dominated: the trial displaces the worst neighbour
         # by (rank, crowding) computed on the local view.
         view_idx = [cell, *self._neighbor_idx[cell]]
-        view = [self.population[i] for i in view_idx] + [trial]
-        fronts = fast_non_dominated_sort(view)
-        for front in fronts:
-            assign_crowding_distance(front)
-        worst_local = max(
-            range(len(view_idx)),
-            key=lambda k: (
-                view[k].attributes.get("rank", 0),
-                -crowding_distance_of(view[k]),
-            ),
-        )
-        trial_key = (
-            trial.attributes.get("rank", 0),
-            -crowding_distance_of(trial),
-        )
-        worst_key = (
-            view[worst_local].attributes.get("rank", 0),
-            -crowding_distance_of(view[worst_local]),
-        )
-        if trial_key < worst_key:
-            self.population[view_idx[worst_local]] = trial
+        worst = displaced_member([self.population[i] for i in view_idx] + [trial])
+        if worst is not None:
+            self.population[view_idx[worst]] = trial
 
     def _archive_feedback(self) -> None:
         if not len(self.archive):

@@ -15,11 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.moo.algorithms.base import EvolutionaryAlgorithm
+from repro.moo.algorithms.cellde import displaced_member
 from repro.moo.archive import CrowdingDistanceArchive
-from repro.moo.density import assign_crowding_distance, crowding_distance_of
 from repro.moo.dominance import compare
 from repro.moo.problem import Problem
-from repro.moo.ranking import fast_non_dominated_sort
 from repro.moo.selection import binary_tournament
 from repro.moo.solution import FloatSolution
 from repro.moo.variation import PolynomialMutation, SBXCrossover
@@ -119,27 +118,9 @@ class MOCell(EvolutionaryAlgorithm):
         # Mutually non-dominated: displace the worst neighbour by
         # (rank, crowding) on the local view — same rule as CellDE.
         view_idx = [cell, *self._neighbor_idx[cell]]
-        view = [self.population[i] for i in view_idx] + [child]
-        fronts = fast_non_dominated_sort(view)
-        for front in fronts:
-            assign_crowding_distance(front)
-        worst_local = max(
-            range(len(view_idx)),
-            key=lambda k: (
-                view[k].attributes.get("rank", 0),
-                -crowding_distance_of(view[k]),
-            ),
-        )
-        child_key = (
-            child.attributes.get("rank", 0),
-            -crowding_distance_of(child),
-        )
-        worst_key = (
-            view[worst_local].attributes.get("rank", 0),
-            -crowding_distance_of(view[worst_local]),
-        )
-        if child_key < worst_key:
-            self.population[view_idx[worst_local]] = child
+        worst = displaced_member([self.population[i] for i in view_idx] + [child])
+        if worst is not None:
+            self.population[view_idx[worst]] = child
 
     def _archive_feedback(self) -> None:
         if not len(self.archive):

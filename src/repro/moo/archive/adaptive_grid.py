@@ -66,7 +66,7 @@ class AdaptiveGridArchive(UnboundedArchive):
     def _recompute_grid(self) -> None:
         """Fit the grid to the current members (with 10% padding, as in
         Knowles' reference implementation)."""
-        objs = np.vstack([m.objectives for m in self._members])
+        objs = self._obj
         lo = objs.min(axis=0)
         hi = objs.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
@@ -94,9 +94,8 @@ class AdaptiveGridArchive(UnboundedArchive):
 
     def _cell_census(self) -> dict[tuple[int, ...], list[int]]:
         """Member indices per occupied cell — one vectorised pass."""
-        objs = np.vstack([m.objectives for m in self._members])
         span = self._grid_upper - self._grid_lower
-        rel = (objs - self._grid_lower[None, :]) / span[None, :]
+        rel = (self._obj - self._grid_lower[None, :]) / span[None, :]
         idx = np.clip(
             np.floor(rel * self._divisions).astype(int),
             0,
@@ -109,11 +108,7 @@ class AdaptiveGridArchive(UnboundedArchive):
 
     def _protected_indices(self) -> set[int]:
         """Indices of per-objective extreme members (never evicted)."""
-        objs = np.vstack([m.objectives for m in self._members])
-        protected: set[int] = set()
-        for m in range(objs.shape[1]):
-            protected.add(int(np.argmin(objs[:, m])))
-        return protected
+        return set(np.argmin(self._obj, axis=0).tolist())
 
     # ------------------------------------------------------------------ #
     # insertion policy                                                   #
@@ -179,7 +174,7 @@ class AdaptiveGridArchive(UnboundedArchive):
                     if i not in protected and i != candidate_idx
                 ]
                 victim = int(self._rng.choice(fallback)) if fallback else candidate_idx
-        del self._members[victim]
+        self._remove(victim)
 
     # ------------------------------------------------------------------ #
     # sampling (AEDB-MLS population re-initialisation)                   #
@@ -211,6 +206,4 @@ class AdaptiveGridArchive(UnboundedArchive):
         if not self._members:
             return 0
         target = self.cell_of(np.asarray(objectives, dtype=float))
-        return sum(
-            1 for m in self._members if self.cell_of(m.objectives) == target
-        )
+        return len(self._cell_census().get(target, ()))

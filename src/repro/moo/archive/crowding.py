@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.moo.archive.nondominated import UnboundedArchive
-from repro.moo.density import assign_crowding_distance, crowding_distance_of
+from repro.moo.density import crowding
 from repro.moo.solution import FloatSolution
 
 __all__ = ["CrowdingDistanceArchive"]
@@ -29,7 +29,4 @@ class CrowdingDistanceArchive(UnboundedArchive):
     def _on_accept(self, candidate: FloatSolution) -> None:
         if len(self._members) <= self.capacity:
             return
-        assign_crowding_distance(self._members)
-        distances = np.array([crowding_distance_of(m) for m in self._members])
-        victim = int(np.argmin(distances))
-        del self._members[victim]
+        self._remove(int(np.argmin(crowding(self._obj))))

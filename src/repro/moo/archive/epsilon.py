@@ -23,17 +23,25 @@ been seen, the single least-violating solution is retained.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.moo.archive.nondominated import UnboundedArchive
 from repro.moo.solution import FloatSolution
 
 __all__ = ["EpsilonArchive"]
 
 
-class EpsilonArchive:
-    """Bounded-by-construction archive under additive epsilon-dominance."""
+class EpsilonArchive(UnboundedArchive):
+    """Bounded-by-construction archive under additive epsilon-dominance.
+
+    Members change only through the base class's ``_append``/``_put``/
+    ``_remove``, so its objective matrix stays in step.  While nothing
+    feasible has been seen, the sole member is the infeasible
+    placeholder and ``_boxes`` is empty; otherwise ``_boxes[i]`` is the
+    box of member ``i``.
+    """
 
     def __init__(self, epsilon: float | Sequence[float], n_objectives: int):
         if n_objectives <= 0:
@@ -48,12 +56,10 @@ class EpsilonArchive:
             )
         if np.any(eps <= 0):
             raise ValueError("every epsilon must be positive")
+        super().__init__()
         self.epsilon = eps
         self.n_objectives = int(n_objectives)
-        self._members: list[FloatSolution] = []
         self._boxes: list[tuple[int, ...]] = []
-        #: Sole infeasible placeholder while nothing feasible was seen.
-        self._infeasible: FloatSolution | None = None
 
     # ------------------------------------------------------------------ #
     def box_of(self, objectives: np.ndarray) -> tuple[int, ...]:
@@ -80,18 +86,21 @@ class EpsilonArchive:
             )
 
         if candidate.constraint_violation > 0:
-            if self._members:
+            if self._boxes:
                 return False  # any feasible member rejects it
+            if not self._members:
+                self._append(candidate)
+                return True
             if (
-                self._infeasible is None
-                or candidate.constraint_violation
-                < self._infeasible.constraint_violation
+                candidate.constraint_violation
+                < self._members[0].constraint_violation
             ):
-                self._infeasible = candidate
+                self._put(0, candidate)
                 return True
             return False
         # First feasible solution displaces the infeasible placeholder.
-        self._infeasible = None
+        if self._members and not self._boxes:
+            self._remove(0)
 
         box = self.box_of(candidate.objectives)
         # Reject if epsilon-dominated at box level (equal box handled below).
@@ -104,20 +113,20 @@ class EpsilonArchive:
             i = self._boxes.index(box)
             occupant = self._members[i]
             if self._corner_distance(candidate) < self._corner_distance(occupant):
-                self._members[i] = candidate
+                self._put(i, candidate)
                 return True
             return False
 
         # Evict boxes the candidate's box dominates, then insert.
-        keep = [
+        evict = [
             j
             for j, other in enumerate(self._boxes)
-            if not self._box_dominates(box, other)
+            if self._box_dominates(box, other)
         ]
-        if len(keep) != len(self._boxes):
-            self._members = [self._members[j] for j in keep]
-            self._boxes = [self._boxes[j] for j in keep]
-        self._members.append(candidate)
+        if evict:
+            self._remove(evict)
+            self._boxes = [b for j, b in enumerate(self._boxes) if j not in evict]
+        self._append(candidate)
         self._boxes.append(box)
         return True
 
@@ -126,31 +135,6 @@ class EpsilonArchive:
         obj = solution.objectives
         corner = np.floor(obj / self.epsilon) * self.epsilon
         return float(np.linalg.norm((obj - corner) / self.epsilon))
-
-    def add_all(self, candidates: Sequence[FloatSolution]) -> int:
-        """Offer many; return how many were retained."""
-        return sum(1 for c in candidates if self.add(c))
-
-    # ------------------------------------------------------------------ #
-    @property
-    def members(self) -> list[FloatSolution]:
-        """Current members (feasible boxes, or the sole infeasible)."""
-        if self._members:
-            return list(self._members)
-        return [self._infeasible] if self._infeasible is not None else []
-
-    def objectives_matrix(self) -> np.ndarray:
-        """``(n, m)`` matrix of member objectives (empty -> shape (0, 0))."""
-        mem = self.members
-        if not mem:
-            return np.empty((0, 0))
-        return np.vstack([m.objectives for m in mem])
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[FloatSolution]:
-        return iter(self.members)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -18,10 +18,50 @@ __all__ = ["UnboundedArchive"]
 
 
 class UnboundedArchive:
-    """Archive without a size limit."""
+    """Archive without a size limit.
+
+    Beside the member list it keeps the members' ``(n, m)`` objective
+    matrix and their clamped violations, changed only through
+    :meth:`_append`, :meth:`_put` and :meth:`_remove`, so the dominance
+    screen and the subclasses' density estimates never restack the
+    member list.
+    """
 
     def __init__(self) -> None:
         self._members: list[FloatSolution] = []
+        #: Row ``i`` is ``_members[i].objectives``.
+        self._obj = np.empty((0, 0))
+        #: Entry ``i`` is ``max(_members[i].constraint_violation, 0)``.
+        self._vio = np.empty(0)
+
+    # ------------------------------------------------------------------ #
+    # the only places members, matrix and violations change             #
+    # ------------------------------------------------------------------ #
+    def _append(self, candidate: FloatSolution) -> None:
+        row = np.array(candidate.objectives, dtype=float, ndmin=2)
+        vio = max(candidate.constraint_violation, 0.0)
+        if self._members:
+            self._obj = np.concatenate((self._obj, row))
+            self._vio = np.append(self._vio, vio)
+        else:
+            self._obj = row
+            self._vio = np.array([vio])
+        self._members.append(candidate)
+
+    def _put(self, index: int, candidate: FloatSolution) -> None:
+        """Replace member ``index`` in place (its position is kept)."""
+        self._members[index] = candidate
+        self._obj[index] = candidate.objectives
+        self._vio[index] = max(candidate.constraint_violation, 0.0)
+
+    def _remove(self, indices) -> None:
+        """Drop the members at ``indices`` (an index, an index array or a
+        boolean mask), keeping the survivors' order."""
+        keep = np.ones(len(self._members), dtype=bool)
+        keep[indices] = False
+        self._obj = self._obj[keep]
+        self._vio = self._vio[keep]
+        self._members = [m for m, k in zip(self._members, keep.tolist()) if k]
 
     # ------------------------------------------------------------------ #
     def add(self, candidate: FloatSolution) -> bool:
@@ -35,36 +75,33 @@ class UnboundedArchive:
         if not candidate.is_evaluated:
             raise ValueError("cannot archive an unevaluated solution")
         if self._members:
-            obj_m = np.vstack([m.objectives for m in self._members])
-            vio_m = np.maximum(
-                np.array([m.constraint_violation for m in self._members]), 0.0
-            )
+            obj_m = self._obj
+            vio_m = self._vio
             obj_c = candidate.objectives
             vio_c = max(candidate.constraint_violation, 0.0)
             feas_m = vio_m <= 0.0
             feas_c = vio_c <= 0.0
 
-            pareto_mc = np.all(obj_m <= obj_c, axis=1) & np.any(
-                obj_m < obj_c, axis=1
-            )
-            pareto_cm = np.all(obj_c <= obj_m, axis=1) & np.any(
-                obj_c < obj_m, axis=1
-            )
+            # No NaN reaches here (members passed the same evaluated
+            # check), so "better somewhere" is "not no-better everywhere".
+            no_worse_m = (obj_m <= obj_c).all(axis=1)
+            no_worse_c = (obj_m >= obj_c).all(axis=1)
+            pareto_mc = no_worse_m & ~no_worse_c
+            pareto_cm = no_worse_c & ~no_worse_m
             if feas_c:
                 member_dominates = feas_m & pareto_mc
                 cand_dominates = np.where(feas_m, pareto_cm, True)
             else:
                 member_dominates = feas_m | (vio_m < vio_c)
                 cand_dominates = ~feas_m & (vio_c < vio_m)
-            if bool(member_dominates.any()):
+            if member_dominates.any():
                 return False
-            duplicate = np.all(obj_m == obj_c, axis=1) & ~cand_dominates
-            if bool(duplicate.any()):
+            duplicate = no_worse_m & no_worse_c & ~cand_dominates
+            if duplicate.any():
                 return False
-            if bool(cand_dominates.any()):
-                keep = np.flatnonzero(~cand_dominates)
-                self._members = [self._members[i] for i in keep]
-        self._members.append(candidate)
+            if cand_dominates.any():
+                self._remove(cand_dominates)
+        self._append(candidate)
         self._on_accept(candidate)
         return True
 
@@ -86,7 +123,7 @@ class UnboundedArchive:
         """``(n, m)`` matrix of member objectives (empty -> shape (0, 0))."""
         if not self._members:
             return np.empty((0, 0))
-        return np.vstack([m.objectives for m in self._members])
+        return self._obj.copy()
 
     def __len__(self) -> int:
         return len(self._members)

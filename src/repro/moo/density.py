@@ -2,8 +2,10 @@
 
 Assigns each solution of a front the sum over objectives of the
 normalised gap between its neighbours; boundary solutions get infinity.
-Stored in ``attributes["crowding_distance"]`` and consumed by NSGA-II's
-truncation, the crowded tournament, and the crowding archive.
+:func:`crowding` is the array core (one front's objective matrix in,
+distances out); :func:`assign_crowding_distance` stores its result in
+``attributes["crowding_distance"]`` for NSGA-II's truncation and the
+crowded tournament.
 """
 
 from __future__ import annotations
@@ -14,22 +16,22 @@ import numpy as np
 
 from repro.moo.solution import FloatSolution
 
-__all__ = ["assign_crowding_distance", "crowding_distance_of", "crowded_compare"]
+__all__ = [
+    "assign_crowding_distance",
+    "crowded_compare",
+    "crowding",
+    "crowding_distance_of",
+]
 
 _KEY = "crowding_distance"
 
 
-def assign_crowding_distance(front: Sequence[FloatSolution]) -> None:
-    """Annotate every member of ``front`` with its crowding distance."""
-    n = len(front)
-    if n == 0:
-        return
+def crowding(objectives: np.ndarray) -> np.ndarray:
+    """Crowding distance of every row of one front's ``(n, m)``
+    objective matrix; fronts of at most two members are all boundary."""
+    n = objectives.shape[0]
     if n <= 2:
-        for sol in front:
-            sol.attributes[_KEY] = np.inf
-        return
-
-    objectives = np.vstack([s.objectives for s in front])
+        return np.full(n, np.inf)
     distance = np.zeros(n)
     for m in range(objectives.shape[1]):
         order = np.argsort(objectives[:, m], kind="stable")
@@ -43,9 +45,16 @@ def assign_crowding_distance(front: Sequence[FloatSolution]) -> None:
         interior = order[1:-1]
         finite = ~np.isinf(distance[interior])
         distance[interior[finite]] += gaps[finite]
+    return distance
 
-    for sol, d in zip(front, distance):
-        sol.attributes[_KEY] = float(d)
+
+def assign_crowding_distance(front: Sequence[FloatSolution]) -> None:
+    """Annotate every member of ``front`` with its crowding distance."""
+    if not front:
+        return
+    distance = crowding(np.array([s.objectives for s in front]))
+    for sol, d in zip(front, distance.tolist()):
+        sol.attributes[_KEY] = d
 
 
 def crowding_distance_of(solution: FloatSolution) -> float:

@@ -26,12 +26,24 @@ __all__ = [
 ]
 
 
+def _dominates(a: list[float], b: list[float]) -> bool:
+    """Pareto dominance on plain float sequences (minimisation).  A NaN
+    on either side fails ``<=``, so it never dominates."""
+    better = False
+    for x, y in zip(a, b, strict=True):
+        if not x <= y:
+            return False
+        if x < y:
+            better = True
+    return better
+
+
 def pareto_dominates(a: np.ndarray, b: np.ndarray) -> bool:
     """Unconstrained Pareto dominance on raw objective vectors
     (minimisation): ``a`` is no worse everywhere and better somewhere."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    return bool(np.all(a_arr <= b_arr) and np.any(a_arr < b_arr))
+    return _dominates(
+        np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    )
 
 
 def compare(a: FloatSolution, b: FloatSolution) -> int:
@@ -51,9 +63,10 @@ def compare(a: FloatSolution, b: FloatSolution) -> int:
         if vb < va:
             return 1
         return 0
-    if pareto_dominates(a.objectives, b.objectives):
+    oa, ob = a.objectives.tolist(), b.objectives.tolist()
+    if _dominates(oa, ob):
         return -1
-    if pareto_dominates(b.objectives, a.objectives):
+    if _dominates(ob, oa):
         return 1
     return 0
 

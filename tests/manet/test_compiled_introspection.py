@@ -7,8 +7,11 @@ end state by one writeback.  These tests pin that the writeback lands
 every introspectable byte where the pure reference leaves it, whether
 the objects are first read after ``run()`` or before it; that
 evaluators build none of them; that the compiled-core mode is read
-once per evaluator; that a non-log-distance radio falls back with its
-reason; and that deep telemetry counts without forcing the writeback.
+once per evaluator; that the runtime-only inputs (trace, precondition
+verdict, parameter templates) are built once per runtime while the
+simulator-only checks stay per simulator; that a non-log-distance radio
+falls back with its reason; and that deep telemetry counts without
+forcing the writeback.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import pytest
 from test_property_compiled_core import (
     CORNER_PARAMS,
     MOBILITY,
+    RedefinedWaypoint,
+    custom_mobility,
     metric_bytes,
     scenario_for,
 )
@@ -29,7 +34,8 @@ from repro.manet.aedb import AEDBProtocol
 from repro.manet.beacons import NeighborTables
 from repro.manet.config import RadioConfig, SimulationConfig
 from repro.manet.medium import RadioMedium
-from repro.manet.runtime import ScenarioRuntime
+from repro.manet.mobility import RandomWalkMobility
+from repro.manet.runtime import ScenarioRuntime, clear_runtime_cache, get_runtime
 from repro.manet.simulator import BroadcastSimulator
 from repro.telemetry import MemoryRecorder, using
 from repro.tuning import NetworkSetEvaluator
@@ -208,6 +214,82 @@ class TestPreconditions:
         reference = simulator(scenario, AEDBParams(), runtime, "off")
         assert metric_bytes(candidate.run()) == metric_bytes(reference.run())
         assert candidate.protocol.decisions == reference.protocol.decisions
+
+
+class TestPerRuntimeMemo:
+    """Runtime-only marshalling inputs are built once per runtime."""
+
+    def test_warm_evaluate_reads_each_trace_once(self, monkeypatch):
+        clear_runtime_cache()  # the first evaluate below builds the runtimes
+        traces: Counter = Counter()
+        kernel_trace = RandomWalkMobility.kernel_trace
+
+        def counting_trace(self):
+            traces[id(self)] += 1
+            return kernel_trace(self)
+
+        monkeypatch.setattr(RandomWalkMobility, "kernel_trace", counting_trace)
+        evaluator = NetworkSetEvaluator(evaluation_set())
+        evaluator.evaluate(AEDBParams())
+        mobilities = {
+            id(get_runtime(s).mobility) for s in evaluator.scenarios
+        }
+        assert traces == Counter(dict.fromkeys(mobilities, 1))
+
+        from repro.manet import _evcore  # collected without the extension too
+
+        runs = count_kernel_runs(monkeypatch)
+        windows: Counter = Counter()
+        run_window = _evcore.run_window
+
+        def counting_window(*args):
+            windows["kernel"] += 1
+            return run_window(*args)
+
+        monkeypatch.setattr(_evcore, "run_window", counting_window)
+        for params in CORNER_PARAMS:
+            evaluator.evaluate(params)
+        simulations = len(CORNER_PARAMS) * evaluator.n_networks
+        # The ledger's contract: one execute and one kernel call per
+        # simulation, and no trace read on a warm runtime.
+        assert runs["kernel"] == windows["kernel"] == simulations
+        assert traces == Counter(dict.fromkeys(mobilities, 1))
+
+    def test_protocol_seed_falls_back_on_a_memoised_runtime(self):
+        scenario = scenario_for(5, 16, "random-walk")
+        runtime = ScenarioRuntime(scenario)
+        assert simulator(scenario, AEDBParams(), runtime, "auto").compiled_active
+        sims = [
+            BroadcastSimulator(
+                scenario, AEDBParams(), runtime=runtime, protocol_seed=99,
+                compiled=mode,
+            )
+            for mode in ("auto", "off")
+        ]
+        candidate, reference = sims
+        assert not candidate.compiled_active
+        assert candidate.compiled_reason == (
+            "protocol rng is not the runtime's replay stream"
+        )
+        assert metric_bytes(candidate.run()) == metric_bytes(reference.run())
+        # The simulator-only clause did not poison the runtime's verdict.
+        assert simulator(scenario, AEDBParams(), runtime, "auto").compiled_active
+
+    def test_redefined_motion_falls_back_on_every_simulator(self):
+        scenario = scenario_for(5, 16, "random-waypoint")
+        plain = ScenarioRuntime(scenario)
+        assert simulator(scenario, AEDBParams(), plain, "auto").compiled_active
+        runtime = ScenarioRuntime(
+            scenario, custom_mobility("redefined-waypoint", scenario)
+        )
+        reason = f"unsupported mobility model {RedefinedWaypoint.__name__}"
+        for _ in range(2):  # the second one reads the memoised verdict
+            candidate = simulator(scenario, AEDBParams(), runtime, "auto")
+            assert not candidate.compiled_active
+            assert candidate.compiled_reason == reason
+        reference = simulator(scenario, AEDBParams(), runtime, "off")
+        assert metric_bytes(candidate.run()) == metric_bytes(reference.run())
+        assert simulator(scenario, AEDBParams(), plain, "auto").compiled_active
 
 
 DEEP_COUNTERS = (

@@ -322,12 +322,14 @@ class TestMalformedTrace:
         self, monkeypatch, mobility, corrupt, message
     ):
         scenario = scenario_for(5, 8, mobility)
+        runtime = ScenarioRuntime(scenario)
+        # The trace is read once per runtime, when its first simulator
+        # is built, so it is corrupted before that.
+        bad = corrupt(runtime.mobility.kernel_trace())
+        monkeypatch.setattr(runtime.mobility, "kernel_trace", lambda: bad)
         sim = BroadcastSimulator(
-            scenario, AEDBParams(), runtime=ScenarioRuntime(scenario),
-            compiled="auto",
+            scenario, AEDBParams(), runtime=runtime, compiled="auto",
         )
         assert sim.compiled_active, sim.compiled_reason
-        bad = corrupt(sim._mobility.kernel_trace())
-        monkeypatch.setattr(sim._mobility, "kernel_trace", lambda: bad)
         with pytest.raises(ValueError, match=message):
             sim.run()

@@ -98,11 +98,36 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate_metrics([])
 
-    def test_aggregate_rejects_mixed_sizes(self):
-        a = BroadcastMetrics(1, 1.0, 1, 1.0, n_nodes=10)
-        b = BroadcastMetrics(1, 1.0, 1, 1.0, n_nodes=20)
-        with pytest.raises(ValueError):
-            aggregate_metrics([a, b])
+    @pytest.mark.parametrize("odd_one", [0, 1, 4])
+    def test_aggregate_rejects_mixed_sizes(self, odd_one):
+        samples = [BroadcastMetrics(1, 1.0, 1, 1.0, n_nodes=10)] * 5
+        samples[odd_one] = BroadcastMetrics(1, 1.0, 1, 1.0, n_nodes=20)
+        with pytest.raises(ValueError, match=r"mixed n_nodes.*\[10, 20\]"):
+            aggregate_metrics(samples)
+
+    @pytest.mark.parametrize("scale", ["unit", "huge", "negative", "mixed"])
+    def test_aggregate_is_bitwise_the_per_field_mean(self, scale):
+        """One (4, n) reduction equals ``np.mean`` of each field's list,
+        bit for bit, across numpy's 8-wide pairwise-sum unroll."""
+        rng = np.random.default_rng(["unit", "huge", "negative", "mixed"].index(scale))
+        for n in range(1, 34):
+            if scale == "unit":
+                table = rng.random((n, 4))
+            elif scale == "huge":
+                table = rng.normal(size=(n, 4)) * 1e300
+            elif scale == "negative":
+                table = -rng.uniform(0.0, 1e17, size=(n, 4))
+            else:
+                table = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-12, 12, (n, 4))
+            samples = [BroadcastMetrics(*row.tolist(), n_nodes=9) for row in table]
+            expected = [
+                float(np.mean([getattr(m, name) for m in samples])).hex()
+                for name in ("coverage", "energy_dbm", "forwardings",
+                             "broadcast_time_s")
+            ]
+            mean = aggregate_metrics(samples)
+            assert [v.hex() for v in mean.as_tuple()] == expected, n
+            assert mean.n_nodes == 9
 
     def test_coverage_ratio(self):
         m = BroadcastMetrics(7, 0.0, 0, 0.0, n_nodes=15)

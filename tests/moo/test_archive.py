@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.moo.archive import (
     AdaptiveGridArchive,
     CrowdingDistanceArchive,
+    EpsilonArchive,
     UnboundedArchive,
 )
 from repro.moo.dominance import dominates
@@ -187,3 +188,62 @@ class TestAGA:
             AdaptiveGridArchive(10, 0)
         with pytest.raises(ValueError):
             AdaptiveGridArchive(10, 2, bisections=0)
+
+
+#: Offers on a coarse grid (ties, duplicates and dominance are common),
+#: a third of them infeasible.
+offer = st.tuples(
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=3, max_size=3),
+    st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 1.0]),
+)
+
+ARCHIVES = {
+    "unbounded": UnboundedArchive,
+    "crowding": lambda: CrowdingDistanceArchive(4),
+    "grid": lambda: AdaptiveGridArchive(4, 3, bisections=2, rng=0),
+    "epsilon": lambda: EpsilonArchive(0.7, 3),
+}
+
+
+class TestMatrixSync:
+    """Every archive keeps its objective matrix and clamped violations in
+    step with its members, through whatever insertions and evictions."""
+
+    @pytest.mark.parametrize("kind", ARCHIVES)
+    @given(offers=st.lists(offer, min_size=20, max_size=60))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_cached_matrix_is_the_stacked_members(self, kind, offers):
+        archive = ARCHIVES[kind]()
+        for objectives, violation in offers:
+            archive.add(sol(objectives, violation))
+            members = archive.members
+            if members:
+                stacked = np.vstack([m.objectives for m in members])
+            else:
+                stacked = np.empty((0, 0))
+            matrix = archive.objectives_matrix()
+            assert matrix.shape == stacked.shape
+            assert matrix.tobytes() == stacked.tobytes()
+            assert archive._vio.tolist() == [
+                max(m.constraint_violation, 0.0) for m in members
+            ]
+            assert mutually_nondominated(archive)
+
+    @given(offers=st.lists(offer, min_size=20, max_size=60))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_unbounded_members_are_the_brute_force_filter(self, offers):
+        offered = [sol(objectives, violation) for objectives, violation in offers]
+        archive = UnboundedArchive()
+        for candidate in offered:
+            archive.add(candidate)
+        # Every offer no other offer constraint-dominates, in offer order,
+        # the first of each objective vector.
+        expected, seen = [], set()
+        for candidate in offered:
+            if any(dominates(other, candidate) for other in offered):
+                continue
+            key = candidate.objectives.tobytes()
+            if key not in seen:
+                seen.add(key)
+                expected.append(candidate)
+        assert [id(m) for m in archive.members] == [id(m) for m in expected]

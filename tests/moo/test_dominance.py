@@ -44,6 +44,11 @@ objective_vec = st.lists(
     st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3
 )
 
+#: Small integer grids make ties common; NaN appears in some slots.
+nan_objective_vec = st.lists(
+    st.sampled_from([-1.0, 0.0, 1.0, 2.0, np.nan]), min_size=3, max_size=3
+)
+
 
 class TestCompare:
     def test_feasible_beats_infeasible(self):
@@ -60,6 +65,30 @@ class TestCompare:
         assert compare(sol([1, 1, 1]), sol([2, 2, 2])) == -1
         assert compare(sol([2, 2, 2]), sol([1, 1, 1])) == 1
         assert compare(sol([1, 2, 1]), sol([2, 1, 1])) == 0
+
+    def test_equal_vectors_tie(self):
+        assert compare(sol([1, 2, 3]), sol([1, 2, 3])) == 0
+        assert compare(sol([0.0, 1, 1]), sol([-0.0, 1, 1])) == 0
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nan_never_dominates(self, slot):
+        worse = [5.0, 5.0, 5.0]
+        with_nan = [0.0, 0.0, 0.0]
+        with_nan[slot] = np.nan
+        assert compare(sol(with_nan), sol(worse)) == 0
+        assert compare(sol(worse), sol(with_nan)) == 0
+        assert compare(sol(with_nan), sol(with_nan)) == 0
+        assert not pareto_dominates(with_nan, worse)
+        assert not pareto_dominates(np.array(worse), np.array(with_nan))
+
+    @given(nan_objective_vec, nan_objective_vec)
+    def test_matches_the_numpy_reference(self, a, b):
+        """The float loop is the numpy all/any formula, NaN included."""
+        x, y = np.array(a), np.array(b)
+        reference = bool(np.all(x <= y) and np.any(x < y))
+        assert pareto_dominates(x, y) is reference
+        expected = -1 if reference else (1 if np.all(y <= x) and np.any(y < x) else 0)
+        assert compare(sol(a), sol(b)) == expected
 
     @given(objective_vec, objective_vec)
     def test_antisymmetric(self, a, b):

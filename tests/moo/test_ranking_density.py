@@ -9,8 +9,9 @@ from repro.moo.density import (
     crowded_compare,
     crowding_distance_of,
 )
+from repro.moo.algorithms.cellde import displaced_member
 from repro.moo.dominance import compare
-from repro.moo.ranking import domination_matrix, fast_non_dominated_sort
+from repro.moo.ranking import domination_matrix, fast_non_dominated_sort, ranks
 from repro.moo.solution import FloatSolution
 
 
@@ -112,3 +113,60 @@ class TestCrowding:
         a.attributes["crowding_distance"] = 1.0
         b.attributes["crowding_distance"] = 2.0
         assert crowded_compare(a, b) == 1
+
+
+def python_ranks(pop):
+    """Reference front index: the longest constraint-domination chain
+    ending at each solution, from pairwise ``compare`` alone."""
+    rank = [0] * len(pop)
+    for _ in pop:
+        rank = [
+            max(
+                [rank[i] + 1 for i in range(len(pop)) if compare(pop[i], s) == -1],
+                default=0,
+            )
+            for s in pop
+        ]
+    return rank
+
+
+def reference_displaced(view):
+    """Cellular replacement through the solution-list wrappers: rank and
+    crowd every front, annotate, pick the worst by (rank, -crowding)."""
+    for front in fast_non_dominated_sort(view):
+        assign_crowding_distance(front)
+
+    def key(s):
+        return (s.attributes["rank"], -crowding_distance_of(s))
+
+    worst = max(range(len(view) - 1), key=lambda k: key(view[k]))
+    return worst if key(view[-1]) < key(view[worst]) else None
+
+
+grid_point = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=3, max_size=3)
+
+
+class TestArrayCores:
+    @given(
+        st.lists(st.tuples(grid_point, st.sampled_from([0.0, 0.0, 1.0, 2.0])),
+                 min_size=1, max_size=25)
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_ranks_are_the_longest_domination_chain(self, points):
+        pop = [sol(objectives, violation) for objectives, violation in points]
+        obj = np.array([s.objectives for s in pop])
+        vio = np.array([s.constraint_violation for s in pop])
+        assert ranks(obj, vio).tolist() == python_ranks(pop)
+
+    @given(
+        st.lists(st.tuples(grid_point, st.sampled_from([0.0, 0.0, 0.0, 1.0])),
+                 min_size=3, max_size=12),
+        st.lists(st.integers(0, 11), min_size=9, max_size=9),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_displaced_member_matches_the_wrappers(self, pool, picks):
+        # Nine cells drawn with repetition (the same solution may fill
+        # several cells, as on a 2-wide torus) plus the newcomer.
+        members = [sol(objectives, violation) for objectives, violation in pool]
+        view = [members[i % (len(members) - 1)] for i in picks] + [members[-1]]
+        assert displaced_member(view) == reference_displaced(view)

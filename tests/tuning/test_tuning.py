@@ -52,6 +52,18 @@ class TestEvaluator:
         )
         assert m.n_nodes == tiny_evaluator.n_nodes
 
+    @pytest.mark.parametrize("slot", range(5))
+    def test_evaluate_vector_rejects_nan_naming_the_field(
+        self, tiny_scenarios, slot
+    ):
+        evaluator = NetworkSetEvaluator(list(tiny_scenarios))
+        vector = np.array([0.0, 1.0, -90.0, 1.0, 10.0])
+        vector[slot] = np.nan
+        name = AEDBParams.names()[slot]
+        with pytest.raises(ValueError, match=f"{name} is NaN"):
+            evaluator.evaluate_vector(vector)
+        assert evaluator.simulations_run == 0
+
     def test_rejects_empty_or_mixed(self, tiny_scenarios):
         with pytest.raises(ValueError):
             NetworkSetEvaluator([])
