@@ -4,8 +4,9 @@ PR 6's tentpole guarantee (DESIGN.md §12): instrumenting the campaign
 and simulation layers is free when telemetry is off, cheap when a null
 sink is installed, and bounded when every span/counter streams to a
 ``telemetry.jsonl``.  This benchmark quantifies all four recorder modes
-on the same warm ``evaluate_many`` workload as bench_compiled_core.py
-(the dense 300-node networks with the standard benchmark trio):
+on a warm ``evaluate_many`` workload (the dense 300-node networks with
+the standard benchmark trio; the kernel's own share of the paper
+workload is perfbench's ``paper-rw`` ``kernel.share``):
 
 - ``off``     — ``REPRO_TELEMETRY`` unset: ``get_recorder()`` short-
   circuits to the shared :data:`~repro.telemetry.NULL` singleton.
@@ -41,7 +42,7 @@ from repro.tuning import NetworkSetEvaluator
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
 
-#: The repo's standard benchmark trio (same as bench_compiled_core.py).
+#: The repo's standard benchmark trio.
 PARAM_VECTORS = (
     AEDBParams(),
     AEDBParams(0.0, 0.4, -78.0, 0.3, 3.0),

@@ -48,8 +48,9 @@ class MLSConfig:
     #: span ``3ρ − 2`` with the zero-mean ``3ρ − 1.5``.
     symmetric_blx: bool = False
     #: Intra-population scheduling inside each worker of the process
-    #: engine: "cooperative" (GIL-friendly round-robin; default) or
-    #: "threads" (real OS threads — see engines/cooperative.py).
+    #: engine.  Cooperative round-robin is the only schedule (see
+    #: engines/cooperative.py); the field stays because tune records
+    #: carry ``repr(MLSConfig)`` and the benchmark pins their bytes.
     process_worker: str = "cooperative"
 
     def __post_init__(self) -> None:
@@ -65,10 +66,9 @@ class MLSConfig:
             raise ValueError(
                 f"engine must be one of {_ENGINES}, got {self.engine!r}"
             )
-        if self.process_worker not in ("cooperative", "threads"):
+        if self.process_worker != "cooperative":
             raise ValueError(
-                "process_worker must be 'cooperative' or 'threads', "
-                f"got {self.process_worker!r}"
+                f"process_worker must be 'cooperative', got {self.process_worker!r}"
             )
         if self.criterion_weights is not None:
             if len(self.criterion_weights) != 3:

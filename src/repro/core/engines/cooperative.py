@@ -9,11 +9,9 @@ threads at the same iteration boundaries anyway, a *cooperative*
 round-robin over the population's procedures executes the identical
 sequence of algorithm states with none of the GIL traffic.
 
-The process engine therefore defaults to cooperative intra-population
-scheduling (``MLSConfig.process_worker = "cooperative"``) and keeps real
-threads available (``"threads"``) for interpreters where they pay off
-(free-threaded CPython, or C-level evaluation functions that hold the
-GIL released for long stretches).
+The process engine therefore schedules each population's procedures
+cooperatively; real OS threads remain the thread engine's
+(:mod:`repro.core.engines.threads`).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ archive, and shared-memory is used in the collaboration between solutions
 in the same population" (Sect. IV).
 
 Topology here: one OS **process per population**, each running its T
-local-search threads via :func:`~repro.core.engines.threads.run_population_threaded`;
-the parent process hosts the Adaptive Grid Archive and serves ``add`` /
+local-search procedures round-robin via
+:func:`~repro.core.engines.cooperative.run_population_cooperative`; the
+parent process hosts the Adaptive Grid Archive and serves ``add`` /
 ``sample`` requests over per-population pipes.  Solutions cross the
 process boundary as plain ``(variables, objectives, violation)`` tuples.
 
@@ -26,7 +27,6 @@ import numpy as np
 
 from repro.core.config import MLSConfig
 from repro.core.engines.cooperative import run_population_cooperative
-from repro.core.engines.threads import run_population_threaded
 from repro.core.localsearch import ArchivePort
 from repro.moo.archive import AdaptiveGridArchive
 from repro.moo.problem import Problem
@@ -90,22 +90,16 @@ def _population_worker(
 ) -> None:
     """Process entry point: run one population, then report stats.
 
-    The intra-population schedule is selected by
-    ``config.process_worker``: cooperative round-robin (default,
-    GIL-friendly) or real OS threads — see
-    :mod:`repro.core.engines.cooperative` for the rationale.
+    The population's procedures run cooperatively (round-robin) rather
+    than as OS threads — see :mod:`repro.core.engines.cooperative` for
+    the rationale.
     """
     try:
         factory = RngFactory(seed)
         port = _PipeArchiveClient(conn)
-        if config.process_worker == "threads":
-            stats = run_population_threaded(
-                problem, config, population_index, port, factory
-            )
-        else:
-            stats = run_population_cooperative(
-                problem, config, population_index, port, factory
-            )
+        stats = run_population_cooperative(
+            problem, config, population_index, port, factory
+        )
         conn.send(("done", stats))
     except BaseException as exc:  # surfaced in the parent
         conn.send(("error", repr(exc)))

@@ -43,7 +43,6 @@ from repro.manet.config import (
     RadioConfig,
     SimulationConfig,
 )
-from repro.manet.events import make_event_queue
 from repro.manet.metrics import BroadcastMetrics
 from repro.manet.runtime import (
     ScenarioRuntime,
@@ -67,7 +66,6 @@ from repro.manet.simulator import BroadcastSimulator, simulate_broadcast
 __all__ = [
     "compiled_core_available",
     "compiled_core_reason",
-    "make_event_queue",
     "AEDBParams",
     "RadioConfig",
     "MobilityConfig",

@@ -1,16 +1,12 @@
 /* Compiled event core for the AEDB broadcast simulator (DESIGN.md §14).
  *
- * Two layers, both pinned bit-identical to the pure-Python reference:
- *
- * 1. ``EventQueue`` / ``EventHandle`` — drop-in replacements for
- *    ``repro.manet.events`` with the same semantics, messages and
- *    tie-breaking (a (time, counter) min-heap; cancellation via
- *    tombstones; the unconditional horizon clock advance of PR 5).
- *
- * 2. ``run_window`` — the whole broadcast window of one
- *    ``BroadcastSimulator`` run as a single C event loop: window beacon
- *    snapshot swaps, frame transmission/resolution with SINR capture,
- *    and the AEDB decision kernel, flattened into typed arrays.
+ * One layer, pinned bit-identical to the pure-Python reference:
+ * ``run_window`` runs the whole broadcast window of one
+ * ``BroadcastSimulator`` run as a single C event loop (window beacon
+ * snapshot swaps, frame transmission/resolution with SINR capture, and
+ * the AEDB decision kernel, flattened into typed arrays).
+ * ``probe_ops`` exposes the kernel's IEEE-exact arithmetic so the
+ * Python layer can check it before trusting the kernel.
  *
  * Bit-identity strategy (probed on this host, see DESIGN.md §14):
  * every IEEE-exact operation (+ - * / sqrt fmod fabs comparisons) runs
@@ -29,406 +25,9 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <math.h>
 #include <string.h>
 #include <stdlib.h>
-
-/* ------------------------------------------------------------------ */
-/* EventHandle                                                        */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    char cancelled;
-} EvHandle;
-
-static PyObject *
-EvHandle_cancel(EvHandle *self, PyObject *Py_UNUSED(ignored))
-{
-    self->cancelled = 1;
-    Py_RETURN_NONE;
-}
-
-static PyMethodDef EvHandle_methods[] = {
-    {"cancel", (PyCFunction)EvHandle_cancel, METH_NOARGS,
-     "Prevent the event from firing (no-op if already fired)."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyMemberDef EvHandle_members[] = {
-    {"cancelled", T_BOOL, offsetof(EvHandle, cancelled), 0,
-     "True once cancel() has been called."},
-    {NULL, 0, 0, 0, NULL},
-};
-
-static PyObject *
-EvHandle_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    EvHandle *self = (EvHandle *)type->tp_alloc(type, 0);
-    if (self != NULL)
-        self->cancelled = 0;
-    return (PyObject *)self;
-}
-
-static PyTypeObject EvHandle_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.manet._evcore.EventHandle",
-    .tp_basicsize = sizeof(EvHandle),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Opaque handle returned by EventQueue.schedule; supports "
-              "cancellation.",
-    .tp_new = EvHandle_new,
-    .tp_methods = EvHandle_methods,
-    .tp_members = EvHandle_members,
-};
-
-/* ------------------------------------------------------------------ */
-/* EventQueue                                                         */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    double t;
-    long long seq;
-    PyObject *handle;  /* owned EvHandle*, or NULL for post() events */
-    PyObject *cb;      /* owned callable */
-} QEntry;
-
-typedef struct {
-    PyObject_HEAD
-    QEntry *heap;
-    Py_ssize_t len;
-    Py_ssize_t cap;
-    long long counter;
-    double now;
-    long long fired;
-} EvQueue;
-
-static inline int
-qentry_lt(const QEntry *a, const QEntry *b)
-{
-    if (a->t < b->t) return 1;
-    if (a->t > b->t) return 0;
-    return a->seq < b->seq;
-}
-
-static int
-evq_grow(EvQueue *self)
-{
-    Py_ssize_t cap = self->cap ? self->cap * 2 : 64;
-    QEntry *heap = (QEntry *)PyMem_Realloc(self->heap, cap * sizeof(QEntry));
-    if (heap == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    self->heap = heap;
-    self->cap = cap;
-    return 0;
-}
-
-/* Push an entry (steals the handle/cb references on success only). */
-static int
-evq_push(EvQueue *self, double t, PyObject *handle, PyObject *cb)
-{
-    if (self->len >= self->cap && evq_grow(self) < 0)
-        return -1;
-    QEntry *heap = self->heap;
-    Py_ssize_t i = self->len++;
-    QEntry item = {t, self->counter++, handle, cb};
-    while (i > 0) {
-        Py_ssize_t parent = (i - 1) >> 1;
-        if (!qentry_lt(&item, &heap[parent]))
-            break;
-        heap[i] = heap[parent];
-        i = parent;
-    }
-    heap[i] = item;
-    return 0;
-}
-
-static QEntry
-evq_pop(EvQueue *self)
-{
-    QEntry *heap = self->heap;
-    QEntry top = heap[0];
-    QEntry last = heap[--self->len];
-    Py_ssize_t n = self->len, i = 0;
-    while (1) {
-        Py_ssize_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && qentry_lt(&heap[child + 1], &heap[child]))
-            child += 1;
-        if (!qentry_lt(&heap[child], &last))
-            break;
-        heap[i] = heap[child];
-        i = child;
-    }
-    if (n > 0)
-        heap[i] = last;
-    return top;
-}
-
-static PyObject *
-EvQueue_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    EvQueue *self = (EvQueue *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->heap = NULL;
-    self->len = self->cap = 0;
-    self->counter = 0;
-    self->now = 0.0;
-    self->fired = 0;
-    return (PyObject *)self;
-}
-
-static int
-EvQueue_traverse(EvQueue *self, visitproc visit, void *arg)
-{
-    for (Py_ssize_t i = 0; i < self->len; i++) {
-        Py_VISIT(self->heap[i].handle);
-        Py_VISIT(self->heap[i].cb);
-    }
-    return 0;
-}
-
-static int
-EvQueue_clear(EvQueue *self)
-{
-    Py_ssize_t n = self->len;
-    self->len = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        Py_CLEAR(self->heap[i].handle);
-        Py_CLEAR(self->heap[i].cb);
-    }
-    return 0;
-}
-
-static void
-EvQueue_dealloc(EvQueue *self)
-{
-    PyObject_GC_UnTrack(self);
-    EvQueue_clear(self);
-    PyMem_Free(self->heap);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static int
-evq_check_future(EvQueue *self, double time_s)
-{
-    if (time_s < self->now) {
-        PyObject *t_obj = PyFloat_FromDouble(time_s);
-        PyObject *now_obj = PyFloat_FromDouble(self->now);
-        if (t_obj != NULL && now_obj != NULL)
-            PyErr_Format(PyExc_ValueError,
-                         "cannot schedule at %R (current time %R)",
-                         t_obj, now_obj);
-        Py_XDECREF(t_obj);
-        Py_XDECREF(now_obj);
-        return -1;
-    }
-    return 0;
-}
-
-static PyObject *
-EvQueue_schedule(EvQueue *self, PyObject *args)
-{
-    double time_s;
-    PyObject *callback;
-    if (!PyArg_ParseTuple(args, "dO:schedule", &time_s, &callback))
-        return NULL;
-    if (evq_check_future(self, time_s) < 0)
-        return NULL;
-    PyObject *handle = EvHandle_new(&EvHandle_Type, NULL, NULL);
-    if (handle == NULL)
-        return NULL;
-    Py_INCREF(handle);   /* heap's reference */
-    Py_INCREF(callback);
-    if (evq_push(self, time_s, handle, callback) < 0) {
-        Py_DECREF(handle);
-        Py_DECREF(callback);
-        Py_DECREF(handle);
-        return NULL;
-    }
-    return handle;   /* caller's reference */
-}
-
-static PyObject *
-EvQueue_post(EvQueue *self, PyObject *args)
-{
-    double time_s;
-    PyObject *callback;
-    if (!PyArg_ParseTuple(args, "dO:post", &time_s, &callback))
-        return NULL;
-    if (evq_check_future(self, time_s) < 0)
-        return NULL;
-    Py_INCREF(callback);
-    if (evq_push(self, time_s, NULL, callback) < 0) {
-        Py_DECREF(callback);
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-EvQueue_run_until(EvQueue *self, PyObject *args)
-{
-    double horizon;
-    if (!PyArg_ParseTuple(args, "d:run_until", &horizon))
-        return NULL;
-    long long fired_here = 0;
-    while (self->len > 0 && self->heap[0].t <= horizon) {
-        QEntry e = evq_pop(self);
-        if (e.handle != NULL && ((EvHandle *)e.handle)->cancelled) {
-            Py_DECREF(e.handle);
-            Py_DECREF(e.cb);
-            continue;
-        }
-        self->now = e.t;
-        PyObject *res = PyObject_CallFunction(e.cb, "d", e.t);
-        Py_XDECREF(e.handle);
-        Py_DECREF(e.cb);
-        if (res == NULL)
-            return NULL;   /* exception propagates before fired++ */
-        Py_DECREF(res);
-        self->fired += 1;
-        fired_here += 1;
-    }
-    /* Unconditional clock advance (the PR 5 fix): the caller has
-     * observed time ``horizon``, so later schedules before it must be
-     * rejected even when the heap still holds events beyond it. */
-    if (horizon > self->now)
-        self->now = horizon;
-    return PyLong_FromLongLong(fired_here);
-}
-
-static PyObject *
-EvQueue_run_all(EvQueue *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"hard_limit", NULL};
-    long long hard_limit = 10000000;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|L:run_all", kwlist,
-                                     &hard_limit))
-        return NULL;
-    long long fired_here = 0;
-    while (self->len > 0) {
-        if (fired_here >= hard_limit) {
-            PyErr_SetString(PyExc_RuntimeError,
-                            "event limit exceeded; runaway schedule?");
-            return NULL;
-        }
-        QEntry e = evq_pop(self);
-        if (e.handle != NULL && ((EvHandle *)e.handle)->cancelled) {
-            Py_DECREF(e.handle);
-            Py_DECREF(e.cb);
-            continue;
-        }
-        self->now = e.t;
-        PyObject *res = PyObject_CallFunction(e.cb, "d", e.t);
-        Py_XDECREF(e.handle);
-        Py_DECREF(e.cb);
-        if (res == NULL)
-            return NULL;
-        Py_DECREF(res);
-        self->fired += 1;
-        fired_here += 1;
-    }
-    return PyLong_FromLongLong(fired_here);
-}
-
-static PyObject *
-EvQueue_get_now(EvQueue *self, void *closure)
-{
-    return PyFloat_FromDouble(self->now);
-}
-
-static PyObject *
-EvQueue_get_pending(EvQueue *self, void *closure)
-{
-    Py_ssize_t pending = 0;
-    for (Py_ssize_t i = 0; i < self->len; i++) {
-        PyObject *h = self->heap[i].handle;
-        if (h == NULL || !((EvHandle *)h)->cancelled)
-            pending += 1;
-    }
-    return PyLong_FromSsize_t(pending);
-}
-
-static PyObject *
-EvQueue_get_fired(EvQueue *self, void *closure)
-{
-    return PyLong_FromLongLong(self->fired);
-}
-
-/* The clock and the fired counter are settable so the compiled-kernel
- * writeback (repro.manet.compiled) can restore the exact end-of-run
- * queue state the pure path would leave behind. */
-static int
-EvQueue_set_now(EvQueue *self, PyObject *value, void *closure)
-{
-    if (value == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "cannot delete now");
-        return -1;
-    }
-    double v = PyFloat_AsDouble(value);
-    if (v == -1.0 && PyErr_Occurred())
-        return -1;
-    self->now = v;
-    return 0;
-}
-
-static int
-EvQueue_set_fired(EvQueue *self, PyObject *value, void *closure)
-{
-    if (value == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "cannot delete fired");
-        return -1;
-    }
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->fired = v;
-    return 0;
-}
-
-static PyGetSetDef EvQueue_getset[] = {
-    {"now", (getter)EvQueue_get_now, (setter)EvQueue_set_now,
-     "Timestamp of the most recently fired event (0 before any).", NULL},
-    {"pending", (getter)EvQueue_get_pending, NULL,
-     "Number of not-yet-fired, not-cancelled events.", NULL},
-    {"fired", (getter)EvQueue_get_fired, (setter)EvQueue_set_fired,
-     "Total number of events executed so far.", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
-
-static PyMethodDef EvQueue_methods[] = {
-    {"schedule", (PyCFunction)EvQueue_schedule, METH_VARARGS,
-     "Enqueue ``callback`` to fire at ``time_s``; returns a handle."},
-    {"post", (PyCFunction)EvQueue_post, METH_VARARGS,
-     "Fire-and-forget schedule: no cancellation handle."},
-    {"run_until", (PyCFunction)EvQueue_run_until, METH_VARARGS,
-     "Fire events with timestamp <= horizon; return how many fired."},
-    {"run_all", (PyCFunction)EvQueue_run_all,
-     METH_VARARGS | METH_KEYWORDS,
-     "Fire every pending event (guarded against runaway schedules)."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyTypeObject EvQueue_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.manet._evcore.EventQueue",
-    .tp_basicsize = sizeof(EvQueue),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled time-ordered callback queue (drop-in for "
-              "repro.manet.events.EventQueue).",
-    .tp_new = EvQueue_new,
-    .tp_dealloc = (destructor)EvQueue_dealloc,
-    .tp_traverse = (traverseproc)EvQueue_traverse,
-    .tp_clear = (inquiry)EvQueue_clear,
-    .tp_methods = EvQueue_methods,
-    .tp_getset = EvQueue_getset,
-};
 
 /* ------------------------------------------------------------------ */
 /* run_window kernel                                                  */
@@ -1466,8 +1065,8 @@ static PyMethodDef evcore_methods[] = {
 static struct PyModuleDef evcore_module = {
     PyModuleDef_HEAD_INIT,
     "repro.manet._evcore",
-    "Compiled event core: EventQueue/EventHandle drop-ins and the "
-    "run_window broadcast kernel (DESIGN.md §14).",
+    "Compiled event core: the run_window broadcast kernel and its "
+    "probe_ops arithmetic self-check (DESIGN.md §14).",
     -1,
     evcore_methods,
 };
@@ -1475,22 +1074,5 @@ static struct PyModuleDef evcore_module = {
 PyMODINIT_FUNC
 PyInit__evcore(void)
 {
-    if (PyType_Ready(&EvHandle_Type) < 0 || PyType_Ready(&EvQueue_Type) < 0)
-        return NULL;
-    PyObject *m = PyModule_Create(&evcore_module);
-    if (m == NULL)
-        return NULL;
-    Py_INCREF(&EvHandle_Type);
-    if (PyModule_AddObject(m, "EventHandle", (PyObject *)&EvHandle_Type) < 0) {
-        Py_DECREF(&EvHandle_Type);
-        Py_DECREF(m);
-        return NULL;
-    }
-    Py_INCREF(&EvQueue_Type);
-    if (PyModule_AddObject(m, "EventQueue", (PyObject *)&EvQueue_Type) < 0) {
-        Py_DECREF(&EvQueue_Type);
-        Py_DECREF(m);
-        return NULL;
-    }
-    return m;
+    return PyModule_Create(&evcore_module);
 }

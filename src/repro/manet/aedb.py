@@ -80,6 +80,17 @@ class AEDBParams:
         ("neighbors_threshold", 0.0, 50.0),
     )
 
+    def __post_init__(self) -> None:
+        # A non-finite field is rejected, naming it: :meth:`clipped`
+        # cannot project NaN (``max(nan, lo)`` is ``nan``), and NaN or
+        # +-inf would otherwise be simulated as a plausible-looking
+        # configuration.
+        for name, _, _ in self.DOMAINS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                shown = "NaN" if math.isnan(value) else value
+                raise ValueError(f"AEDB parameter {name} is {shown}")
+
     @classmethod
     def names(cls) -> tuple[str, ...]:
         """Canonical variable names, in vector order."""
@@ -97,22 +108,13 @@ class AEDBParams:
 
     @classmethod
     def from_array(cls, values) -> "AEDBParams":
-        """Build from a length-5 vector in canonical order.
-
-        A NaN is rejected, naming its field: :meth:`clipped` cannot
-        project it (``max(nan, lo)`` is ``nan``), so it would otherwise
-        be simulated as a plausible-looking configuration.
-        """
+        """Build from a length-5 vector in canonical order."""
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size != len(cls.DOMAINS):
             raise ValueError(
                 f"expected {len(cls.DOMAINS)} values, got {arr.size}"
             )
-        named = {name: float(v) for (name, _, _), v in zip(cls.DOMAINS, arr)}
-        for name, value in named.items():
-            if math.isnan(value):
-                raise ValueError(f"AEDB parameter {name} is NaN")
-        return cls(**named)
+        return cls(**{name: float(v) for (name, _, _), v in zip(cls.DOMAINS, arr)})
 
     def as_array(self) -> np.ndarray:
         """The parameter vector in canonical order."""

@@ -509,10 +509,5 @@ def apply_writeback(sim: "BroadcastSimulator", run: KernelRun) -> None:
             float(run.timer_deadline[node]),
             lambda t, nd=node: protocol._on_timer(nd, t),
         )
-    horizon = sim._sim.horizon_s
-    try:
-        queue._fired = fired
-        queue._now = horizon
-    except AttributeError:  # compiled queue: settable properties
-        queue.fired = fired
-        queue.now = horizon
+    queue._fired = fired
+    queue._now = sim._sim.horizon_s

@@ -12,7 +12,7 @@ import heapq
 import itertools
 from typing import Callable
 
-__all__ = ["EventQueue", "EventHandle", "make_event_queue"]
+__all__ = ["EventQueue", "EventHandle"]
 
 
 class EventHandle:
@@ -39,8 +39,10 @@ class EventQueue:
     ``schedule(t, fn)`` enqueues ``fn`` to run at simulated time ``t``;
     ``run_until(horizon)`` pops and executes events in time order until the
     queue drains or the next event lies beyond the horizon.  Scheduling in
-    the past (before the most recently fired event) is rejected — that
-    always indicates a protocol-logic bug.
+    the past (before the most recently fired event) or at NaN is rejected
+    — that always indicates a protocol-logic bug (a NaN entry would sit at
+    the heap top, comparing False against everything, and block every
+    later event).
     """
 
     def __init__(self) -> None:
@@ -66,7 +68,7 @@ class EventQueue:
 
     def schedule(self, time_s: float, callback: Callable[[float], None]) -> EventHandle:
         """Enqueue ``callback`` to fire at ``time_s``; returns a handle."""
-        if time_s < self._now:
+        if not time_s >= self._now:
             raise ValueError(
                 f"cannot schedule at {time_s} (current time {self._now})"
             )
@@ -82,7 +84,7 @@ class EventQueue:
         allocation on paths that never cancel (frame starts/ends, beacon
         rounds — the bulk of a simulation's events).
         """
-        if time_s < self._now:
+        if not time_s >= self._now:
             raise ValueError(
                 f"cannot schedule at {time_s} (current time {self._now})"
             )
@@ -124,36 +126,3 @@ class EventQueue:
             self._fired += 1
             fired_here += 1
         return fired_here
-
-
-def make_event_queue(mode: str | None = None):
-    """An event queue honouring the compiled-core mode (DESIGN.md §14).
-
-    Returns the compiled :class:`repro.manet._evcore.EventQueue` when the
-    extension is usable and the mode allows it, else the pure-Python
-    :class:`EventQueue`.  The two are drop-in interchangeable: identical
-    (time, insertion-order) pop ordering, tombstone cancellation, clock
-    semantics, and error messages — pinned by
-    ``tests/manet/test_events_spec.py`` running every case against both.
-
-    ``mode`` is a pre-resolved ``auto``/``on``/``off`` (e.g. a
-    simulator's ``compiled=`` argument); ``None`` reads
-    ``REPRO_COMPILED``.  ``on`` with no usable extension raises.
-    """
-    from repro.manet.compiled import (
-        compiled_core_available,
-        compiled_core_reason,
-        resolve_compiled_mode,
-    )
-
-    mode = resolve_compiled_mode(mode)
-    if mode != "off" and compiled_core_available():
-        from repro.manet import _evcore
-
-        return _evcore.EventQueue()
-    if mode == "on":
-        raise RuntimeError(
-            "REPRO_COMPILED=on but the compiled event core is unavailable: "
-            f"{compiled_core_reason()}"
-        )
-    return EventQueue()

@@ -26,7 +26,7 @@ import numpy as np
 from repro.manet.aedb import AEDBParams, AEDBProtocol
 from repro.manet.beacons import NeighborTables
 from repro.manet.config import SimulationConfig
-from repro.manet.events import make_event_queue
+from repro.manet.events import EventQueue
 from repro.manet.medium import Frame, RadioMedium
 from repro.manet.metrics import BroadcastMetrics
 from repro.manet.mobility import MobilityModel
@@ -64,11 +64,7 @@ class ProtocolSimulator:
             if protocol_seed is not None
             else (scenario.mobility_seed ^ 0x5EDB) & 0xFFFFFFFF
         )
-        # The event queue honours REPRO_COMPILED like the AEDB simulator:
-        # baseline protocols run on the compiled heap when it is built
-        # (identical semantics either way; the §14 kernel itself only
-        # dispatches for AEDB, so this buys the queue, not the window).
-        self.queue = make_event_queue()
+        self.queue = EventQueue()
         self.tables = NeighborTables(
             scenario.n_nodes, self._sim, self._mobility, runtime=runtime
         )

@@ -45,7 +45,7 @@ from repro.manet.compiled import (
     resolve_compiled_mode,
 )
 from repro.manet.config import SimulationConfig
-from repro.manet.events import EventQueue, make_event_queue
+from repro.manet.events import EventQueue
 from repro.manet.medium import Frame, RadioMedium
 from repro.manet.metrics import BroadcastMetrics
 from repro.manet.mobility import MobilityModel
@@ -150,7 +150,7 @@ class BroadcastSimulator:
 
     # -- live objects ---------------------------------------------------- #
     def _build_live(self) -> _LiveObjects:
-        queue = make_event_queue(self._compiled_mode)
+        queue = EventQueue()
         tables = NeighborTables(
             self.scenario.n_nodes, self._sim, self._mobility,
             runtime=self.runtime,

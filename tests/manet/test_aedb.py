@@ -50,6 +50,17 @@ class TestParams:
         with pytest.raises(ValueError):
             AEDBParams.from_array([1.0, 2.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("name", AEDBParams.names())
+    def test_non_finite_field_rejected_naming_it(self, name, value):
+        shown = "NaN" if np.isnan(value) else str(value)
+        with pytest.raises(ValueError, match=f"{name} is {shown}$"):
+            AEDBParams(**{name: value})
+        vector = AEDBParams().as_array()
+        vector[AEDBParams.names().index(name)] = value
+        with pytest.raises(ValueError, match=f"{name} is {shown}$"):
+            AEDBParams.from_array(vector)
+
 
 def make_protocol(positions, params, seed=0):
     """Protocol over static nodes with warmed neighbour tables."""

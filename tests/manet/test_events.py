@@ -1,158 +1,282 @@
-"""Discrete-event queue semantics."""
+"""The event-queue contract: one test per behavioural clause.
+
+:class:`repro.manet.events.EventQueue` is the only event queue, so this
+is its spec: (time, insertion-order) pop ordering, tombstone
+cancellation, clock semantics (including the unconditional horizon
+clock advance), the runaway guard, and the exact error messages.
+"""
+
+from __future__ import annotations
+
+import math
 
 import pytest
 
 from repro.manet.events import EventQueue
 
-
-class TestOrdering:
-    def test_time_order(self):
-        q = EventQueue()
-        log = []
-        q.schedule(3.0, lambda t: log.append(("c", t)))
-        q.schedule(1.0, lambda t: log.append(("a", t)))
-        q.schedule(2.0, lambda t: log.append(("b", t)))
-        q.run_all()
-        assert [x[0] for x in log] == ["a", "b", "c"]
-
-    def test_stable_ties(self):
-        q = EventQueue()
-        log = []
-        for name in "abcd":
-            q.schedule(1.0, lambda t, n=name: log.append(n))
-        q.run_all()
-        assert log == list("abcd")
-
-    def test_now_advances(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(5.0, lambda t: seen.append(q.now))
-        q.run_all()
-        assert seen == [5.0]
-        assert q.now == 5.0
-
-    def test_events_can_schedule_events(self):
-        q = EventQueue()
-        log = []
-
-        def first(t):
-            log.append(("first", t))
-            q.schedule(t + 1.0, lambda t2: log.append(("second", t2)))
-
-        q.schedule(1.0, first)
-        q.run_all()
-        assert log == [("first", 1.0), ("second", 2.0)]
+# --------------------------------------------------------------------- #
+# Ordering
+# --------------------------------------------------------------------- #
 
 
-class TestHorizon:
-    def test_run_until_stops(self):
-        q = EventQueue()
-        log = []
-        q.schedule(1.0, lambda t: log.append(1))
-        q.schedule(10.0, lambda t: log.append(10))
-        fired = q.run_until(5.0)
-        assert fired == 1 and log == [1]
-        assert q.pending == 1
-        q.run_until(20.0)
-        assert log == [1, 10]
-
-    def test_boundary_inclusive(self):
-        q = EventQueue()
-        log = []
-        q.schedule(5.0, lambda t: log.append(t))
-        q.run_until(5.0)
-        assert log == [5.0]
+def test_events_fire_in_time_order():
+    q = EventQueue()
+    log = []
+    q.schedule(3.0, lambda t: log.append(("c", t)))
+    q.schedule(1.0, lambda t: log.append(("a", t)))
+    q.schedule(2.0, lambda t: log.append(("b", t)))
+    assert q.run_until(10.0) == 3
+    assert log == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
 
 
-class TestHorizonClockAdvance:
-    """Regression: run_until must advance ``now`` to the horizon even
-    while the heap still holds events (or tombstones) beyond it —
-    otherwise a later schedule() can book an event *before* a horizon
-    the caller already observed."""
-
-    def test_now_reaches_horizon_with_pending_event_beyond(self):
-        q = EventQueue()
-        q.schedule(10.0, lambda t: None)
-        q.run_until(5.0)
-        assert q.now == 5.0
-        with pytest.raises(ValueError, match="cannot schedule"):
-            q.schedule(4.0, lambda t: None)
-
-    def test_now_reaches_horizon_with_cancelled_tombstone_beyond(self):
-        q = EventQueue()
-        q.schedule(10.0, lambda t: None).cancel()
-        q.run_until(5.0)
-        assert q.now == 5.0
-        with pytest.raises(ValueError, match="cannot schedule"):
-            q.schedule(4.9, lambda t: None)
-
-    def test_earlier_horizon_does_not_rewind(self):
-        q = EventQueue()
-        q.schedule(3.0, lambda t: None)
-        q.run_until(5.0)
-        q.run_until(4.0)  # looking backwards must not rewind the clock
-        assert q.now == 5.0
+def test_ties_fire_in_insertion_order():
+    q = EventQueue()
+    log = []
+    for name in "abcde":
+        q.schedule(5.0, lambda t, n=name: log.append(n))
+    q.run_until(5.0)
+    assert log == list("abcde")
 
 
-class TestPost:
-    def test_post_fires_in_order_without_handle(self):
-        q = EventQueue()
-        log = []
-        q.post(2.0, lambda t: log.append(("b", t)))
-        q.post(1.0, lambda t: log.append(("a", t)))
-        handle = q.schedule(1.0, lambda t: log.append(("h", t)))
-        assert handle is not None
-        assert q.pending == 3
-        q.run_all()
-        assert log == [("a", 1.0), ("h", 1.0), ("b", 2.0)]
-
-    def test_post_rejects_scheduling_in_past(self):
-        q = EventQueue()
-        q.schedule(2.0, lambda t: None)
-        q.run_all()
-        with pytest.raises(ValueError, match="cannot schedule"):
-            q.post(1.0, lambda t: None)
+def test_post_and_schedule_share_one_sequence():
+    """Interleaved ``post`` and ``schedule`` at one timestamp keep global
+    insertion order — they draw from the same tie-break counter."""
+    q = EventQueue()
+    log = []
+    q.schedule(2.0, lambda t: log.append("s0"))
+    q.post(2.0, lambda t: log.append("p1"))
+    q.schedule(2.0, lambda t: log.append("s2"))
+    q.post(2.0, lambda t: log.append("p3"))
+    q.run_until(2.0)
+    assert log == ["s0", "p1", "s2", "p3"]
 
 
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        q = EventQueue()
-        log = []
-        handle = q.schedule(1.0, lambda t: log.append("x"))
-        handle.cancel()
-        q.run_all()
-        assert log == []
-        assert q.fired == 0
-
-    def test_pending_excludes_cancelled(self):
-        q = EventQueue()
-        h = q.schedule(1.0, lambda t: None)
-        q.schedule(2.0, lambda t: None)
-        h.cancel()
-        assert q.pending == 1
+def test_post_fires_in_order_without_handle():
+    q = EventQueue()
+    log = []
+    assert q.post(2.0, lambda t: log.append(("b", t))) is None
+    q.post(1.0, lambda t: log.append(("a", t)))
+    assert q.pending == 2
+    assert q.run_until(5.0) == 2
+    assert log == [("a", 1.0), ("b", 2.0)]
 
 
-class TestSafety:
-    def test_rejects_scheduling_in_past(self):
-        q = EventQueue()
-        q.schedule(5.0, lambda t: None)
-        q.run_all()
-        with pytest.raises(ValueError):
-            q.schedule(1.0, lambda t: None)
+def test_events_can_schedule_events():
+    q = EventQueue()
+    log = []
 
-    def test_runaway_guard(self):
-        q = EventQueue()
+    def first(t):
+        log.append(("first", t))
+        q.schedule(t + 1.0, lambda t2: log.append(("second", t2)))
 
-        def loop(t):
-            q.schedule(t + 0.001, loop)
+    q.schedule(1.0, first)
+    assert q.run_until(5.0) == 2
+    assert log == [("first", 1.0), ("second", 2.0)]
 
-        q.schedule(0.0, loop)
-        with pytest.raises(RuntimeError):
-            q.run_all(hard_limit=100)
 
-    def test_fired_counter(self):
-        q = EventQueue()
-        for i in range(5):
-            q.schedule(float(i), lambda t: None)
-        q.run_all()
-        assert q.fired == 5
+# --------------------------------------------------------------------- #
+# Clock and horizon
+# --------------------------------------------------------------------- #
+
+
+def test_now_tracks_fired_events():
+    q = EventQueue()
+    seen = []
+    q.schedule(1.5, lambda t: seen.append(q.now))
+    q.schedule(4.0, lambda t: seen.append(q.now))
+    q.run_until(10.0)
+    assert seen == [1.5, 4.0]
+    assert q.now == 10.0
+
+
+def test_run_until_is_boundary_inclusive():
+    q = EventQueue()
+    log = []
+    q.schedule(2.0, lambda t: log.append("at"))
+    q.schedule(2.0000001, lambda t: log.append("after"))
+    assert q.run_until(2.0) == 1
+    assert log == ["at"]
+    assert q.pending == 1
+
+
+def test_run_until_stops_at_horizon():
+    q = EventQueue()
+    log = []
+    for i in range(6):
+        q.schedule(float(i), lambda t, i=i: log.append(i))
+    assert q.run_until(3.0) == 4  # 0,1,2,3 inclusive
+    assert log == [0, 1, 2, 3]
+    assert q.run_until(10.0) == 2
+
+
+def test_horizon_advances_clock_past_pending_events():
+    """The clock must reach the horizon even when the heap still holds
+    events beyond it, so a later schedule() inside the observed window
+    is rejected."""
+    q = EventQueue()
+    q.schedule(10.0, lambda t: None)
+    q.run_until(5.0)
+    assert q.now == 5.0
+    with pytest.raises(ValueError):
+        q.schedule(4.0, lambda t: None)
+
+
+def test_horizon_advances_clock_past_cancelled_tombstone():
+    """A cancelled tombstone beyond the horizon must not pin the clock
+    below it."""
+    q = EventQueue()
+    h = q.schedule(10.0, lambda t: None)
+    h.cancel()
+    q.run_until(5.0)
+    assert q.now == 5.0
+    assert q.pending == 0
+
+
+def test_earlier_horizon_does_not_rewind_clock():
+    q = EventQueue()
+    q.schedule(8.0, lambda t: None)
+    q.run_until(8.0)
+    assert q.now == 8.0
+    q.run_until(3.0)  # lower horizon: a no-op, never a rewind
+    assert q.now == 8.0
+
+
+# --------------------------------------------------------------------- #
+# Rejected schedules
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("time_s", [4.5, math.nan])
+@pytest.mark.parametrize("method", ["schedule", "post"])
+def test_rejects_past_or_nan_with_exact_message(method, time_s):
+    """A NaN time is refused like a past one: it would sit at the heap
+    top (every comparison against it is False) and block every later
+    event."""
+    q = EventQueue()
+    q.schedule(5.0, lambda t: None)
+    q.run_until(5.0)
+    with pytest.raises(ValueError) as exc:
+        getattr(q, method)(time_s, lambda t: None)
+    assert str(exc.value) == f"cannot schedule at {time_s} (current time 5.0)"
+
+
+def test_rejected_nan_leaves_queue_running():
+    q = EventQueue()
+    log = []
+    with pytest.raises(ValueError):
+        q.schedule(math.nan, lambda t: log.append("nan"))
+    q.schedule(1.0, lambda t: log.append("g"))
+    assert q.run_until(5.0) == 1
+    assert log == ["g"]
+    assert q.pending == 0
+
+
+# --------------------------------------------------------------------- #
+# Cancellation and counters
+# --------------------------------------------------------------------- #
+
+
+def test_cancelled_event_is_skipped():
+    q = EventQueue()
+    log = []
+    keep = q.schedule(1.0, lambda t: log.append("keep"))
+    drop = q.schedule(2.0, lambda t: log.append("drop"))
+    q.schedule(3.0, lambda t: log.append("tail"))
+    drop.cancel()
+    assert drop.cancelled and not keep.cancelled
+    assert q.run_until(10.0) == 2
+    assert log == ["keep", "tail"]
+
+
+def test_cancel_during_run_suppresses_later_event():
+    q = EventQueue()
+    log = []
+    victim = q.schedule(2.0, lambda t: log.append("victim"))
+    q.schedule(1.0, lambda t: victim.cancel())
+    q.run_until(10.0)
+    assert log == []
+    assert q.fired == 1  # the canceller fired; the victim did not
+
+
+def test_cancelled_events_do_not_count_as_fired():
+    q = EventQueue()
+    h = q.schedule(1.0, lambda t: None)
+    h.cancel()
+    q.schedule(2.0, lambda t: None)
+    assert q.run_until(10.0) == 1
+    assert q.fired == 1
+
+
+def test_pending_excludes_cancelled():
+    q = EventQueue()
+    q.schedule(1.0, lambda t: None)
+    h = q.schedule(2.0, lambda t: None)
+    assert q.pending == 2
+    h.cancel()
+    assert q.pending == 1
+
+
+def test_cancel_after_fire_is_a_noop():
+    q = EventQueue()
+    log = []
+    h = q.schedule(1.0, lambda t: log.append("fired"))
+    q.run_until(1.0)
+    h.cancel()  # late cancel must not corrupt anything
+    assert log == ["fired"]
+    assert q.fired == 1
+
+
+def test_fired_accumulates_across_runs():
+    q = EventQueue()
+    for i in range(4):
+        q.schedule(float(i), lambda t: None)
+    q.run_until(1.0)
+    assert q.fired == 2
+    q.run_until(10.0)
+    assert q.fired == 4
+
+
+def test_callback_exception_propagates_with_clock_at_event():
+    """A raising callback leaves the queue usable: the clock sits at the
+    failing event's time, the failure is not counted as fired, and the
+    remaining events still run."""
+    q = EventQueue()
+    q.schedule(1.0, lambda t: None)
+
+    def boom(t):
+        raise RuntimeError("boom")
+
+    q.schedule(2.0, boom)
+    q.schedule(3.0, lambda t: None)
+    with pytest.raises(RuntimeError, match="boom"):
+        q.run_until(10.0)
+    assert q.now == 2.0
+    assert q.fired == 1
+    assert q.run_until(10.0) == 1
+
+
+# --------------------------------------------------------------------- #
+# run_all
+# --------------------------------------------------------------------- #
+
+
+def test_run_all_drains_everything():
+    q = EventQueue()
+    log = []
+    q.schedule(2.0, lambda t: log.append("b"))
+    q.schedule(1.0, lambda t: log.append("a"))
+    assert q.run_all() == 2
+    assert log == ["a", "b"]
+    assert q.pending == 0
+
+
+def test_run_all_guards_against_runaway_schedules():
+    q = EventQueue()
+
+    def reschedule(t):
+        q.schedule(t + 1.0, reschedule)
+
+    q.schedule(0.0, reschedule)
+    with pytest.raises(RuntimeError) as exc:
+        q.run_all(hard_limit=100)
+    assert str(exc.value) == "event limit exceeded; runaway schedule?"
