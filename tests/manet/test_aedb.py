@@ -56,6 +56,11 @@ class TestParams:
         shown = "NaN" if np.isnan(value) else str(value)
         with pytest.raises(ValueError, match=f"{name} is {shown}$"):
             AEDBParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("name", AEDBParams.names())
+    def test_from_array_rejects_non_finite_field_naming_it(self, name, value):
+        shown = "NaN" if np.isnan(value) else str(value)
         vector = AEDBParams().as_array()
         vector[AEDBParams.names().index(name)] = value
         with pytest.raises(ValueError, match=f"{name} is {shown}$"):

@@ -280,3 +280,83 @@ def test_run_all_guards_against_runaway_schedules():
     with pytest.raises(RuntimeError) as exc:
         q.run_all(hard_limit=100)
     assert str(exc.value) == "event limit exceeded; runaway schedule?"
+
+
+# --------------------------------------------------------------------- #
+# Randomised op scripts against a reference model
+# --------------------------------------------------------------------- #
+
+
+class _ReferenceQueue:
+    """The spec above restated as a sorted list: fire live entries in
+    (time, insertion) order up to the horizon, then lift the clock to it."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.fired = 0
+        self.entries = []  # [time, seq, live, callback]
+
+    @property
+    def pending(self):
+        return sum(1 for e in self.entries if e[2])
+
+    def add(self, time_s, callback):
+        entry = [time_s, len(self.entries), True, callback]
+        self.entries.append(entry)
+        return entry
+
+    def cancel(self, entry):
+        entry[2] = False
+
+    def run_until(self, horizon_s):
+        for entry in sorted(self.entries, key=lambda e: (e[0], e[1])):
+            if entry[0] > horizon_s:
+                break
+            if entry[2]:
+                entry[2] = False
+                self.now = entry[0]
+                self.fired += 1
+                entry[3](entry[0])
+        self.now = max(self.now, horizon_s)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_randomised_op_script_matches_reference_model(seed):
+    import numpy as np
+
+    rng = np.random.default_rng([0xE5CE, seed])
+    q, ref = EventQueue(), _ReferenceQueue()
+    logs = ([], [])
+    handles = []
+
+    def observe():
+        assert q.now == ref.now
+        assert q.fired == ref.fired
+        assert q.pending == ref.pending
+        assert logs[0] == logs[1]
+
+    for step in range(400):
+        op = rng.integers(0, 10)
+        t = q.now + float(np.round(rng.uniform(0.0, 3.0), 1))  # coarse: many ties
+        if op <= 4:  # schedule
+            handles.append(
+                (
+                    q.schedule(t, lambda ft, s=step: logs[0].append((s, ft))),
+                    ref.add(t, lambda ft, s=step: logs[1].append((s, ft))),
+                )
+            )
+        elif op <= 6:  # post
+            q.post(t, lambda ft, s=step: logs[0].append((s, ft)))
+            ref.add(t, lambda ft, s=step: logs[1].append((s, ft)))
+        elif op == 7 and handles:  # cancel a pseudo-random handle
+            handle, entry = handles[int(rng.integers(0, len(handles)))]
+            handle.cancel()
+            ref.cancel(entry)
+        else:  # run a slice of the timeline
+            q.run_until(t)
+            ref.run_until(t)
+        observe()
+    q.run_all()
+    ref.run_until(math.inf)
+    assert q.fired == ref.fired and q.pending == ref.pending == 0
+    assert logs[0] == logs[1]
