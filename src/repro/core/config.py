@@ -8,7 +8,7 @@ capacity 100 with the AGA method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.utils.validation import check_in_range, check_positive
 
@@ -49,9 +49,10 @@ class MLSConfig:
     symmetric_blx: bool = False
     #: Intra-population scheduling inside each worker of the process
     #: engine.  Cooperative round-robin is the only schedule (see
-    #: engines/cooperative.py); the field stays because tune records
-    #: carry ``repr(MLSConfig)`` and the benchmark pins their bytes.
-    process_worker: str = "cooperative"
+    #: engines/cooperative.py), so this is not a constructor argument;
+    #: it stays in ``repr(MLSConfig)`` because tune records carry that
+    #: string and the benchmark pins their bytes.
+    process_worker: str = field(default="cooperative", init=False)
 
     def __post_init__(self) -> None:
         check_positive(self.n_populations, "n_populations")
@@ -65,10 +66,6 @@ class MLSConfig:
         if self.engine not in _ENGINES:
             raise ValueError(
                 f"engine must be one of {_ENGINES}, got {self.engine!r}"
-            )
-        if self.process_worker != "cooperative":
-            raise ValueError(
-                f"process_worker must be 'cooperative', got {self.process_worker!r}"
             )
         if self.criterion_weights is not None:
             if len(self.criterion_weights) != 3:

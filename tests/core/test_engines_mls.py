@@ -198,10 +198,11 @@ class TestProcessWorkerModes:
         assert result.evaluations == cfg.total_evaluations
         assert len(result.front) > 0
 
-    def test_invalid_worker_rejected(self):
-        for worker in ("threads", "fibers"):
-            with pytest.raises(ValueError, match="process_worker"):
+    def test_worker_is_not_a_constructor_argument(self):
+        for worker in ("cooperative", "threads", "fibers"):
+            with pytest.raises(TypeError, match="process_worker"):
                 MLSConfig(**FAST_CFG, process_worker=worker)
+        assert "process_worker='cooperative'" in repr(MLSConfig(**FAST_CFG))
 
     def test_cooperative_function_directly(self):
         from repro.core.engines.cooperative import run_population_cooperative
