@@ -1,24 +1,25 @@
 #!/usr/bin/env python
 # Demonstrates: README §Package map (core engines); the paper's parallel local-search claim.
-"""The three AEDB-MLS execution engines side by side.
+"""The two AEDB-MLS execution engines side by side.
 
-Same algorithm, same budget, three concurrency models (paper Sect. IV:
+Same algorithm, same budget, two execution models (paper Sect. IV:
 "hybrid parallel model: message-passing ... between the distributed
 populations and the external archive, and shared-memory ... between
 solutions in the same population"):
 
-* serial    — deterministic round-robin reference;
-* threads   — shared-memory (CPython caveat: numpy's GIL releases make
-  this a semantics demo, not a speed-up, on small arrays);
-* processes — message-passing populations with a parent archive server,
-  the paper's deployment model.
+* serial    — deterministic round-robin reference, every population in
+  one thread;
+* processes — one process per population, with a parent archive server
+  reached over pipes, the paper's deployment model.
+
+Both engines step a population's procedures round-robin in one thread
+(the shared-memory level).
 
 Run:  python examples/parallel_engines.py
 """
 
-import numpy as np
-
 from repro.core import AEDBMLS, MLSConfig
+from repro.core.config import ENGINE_NAMES
 from repro.tuning import make_tuning_problem
 
 
@@ -32,7 +33,7 @@ def main() -> None:
     )
     print(f"{'engine':>10s} {'wall[s]':>8s} {'evals':>6s} {'front':>6s} "
           f"{'best coverage':>14s}")
-    for engine in ("serial", "threads", "processes"):
+    for engine in ENGINE_NAMES:
         problem = make_tuning_problem(100, n_networks=3)
         config = MLSConfig(**base, engine=engine)
         result = AEDBMLS(problem, config, seed=11).run()
@@ -47,7 +48,7 @@ def main() -> None:
             print(f"{'':>10s} archive served {msgs} messages over pipes")
 
     print(
-        "\nAll engines run the identical Fig. 3 procedure; on a "
+        "\nBoth engines run the identical Fig. 3 procedure; on a "
         "many-core host the process engine is the one that scales "
         "(the paper used 8 nodes x 12 threads)."
     )

@@ -13,7 +13,7 @@ Public API layers (see DESIGN.md for the full inventory):
   broadcast-time constraint) evaluated on fixed network sets, serially
   or on a process pool;
 * :mod:`repro.core` — AEDB-MLS, the paper's parallel multi-objective local
-  search, with serial / thread / process execution engines, and the
+  search, with a serial reference engine and a process engine, and the
   CellDE-MLS hybrid (§VII future work);
 * :mod:`repro.sensitivity` — FAST99 global sensitivity analysis (Fig. 2 /
   Table I) plus Sobol'/Saltelli and Morris cross-checks;

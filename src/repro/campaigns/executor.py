@@ -321,7 +321,8 @@ class CampaignExecutor:
         ``scale`` overrides the spec's named preset with a concrete
         :class:`~repro.experiments.config.ExperimentScale` (the runner
         passes ad-hoc scales that have no registry name);
-        ``mls_engine`` is forwarded to AEDB-MLS tune cells.
+        ``mls_engine`` is forwarded to AEDB-MLS tune cells; a name that
+        is not an engine raises ``ValueError`` here, before any cell runs.
 
         ``eval_cache`` selects the persistent per-simulation cache:
         ``"auto"`` (default) uses the store's ``evaluations.jsonl``
@@ -356,6 +357,13 @@ class CampaignExecutor:
         """
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
+        if mls_engine is not None:
+            from repro.core.config import ENGINE_NAMES
+
+            if mls_engine not in ENGINE_NAMES:
+                raise ValueError(
+                    f"mls_engine must be one of {ENGINE_NAMES}, got {mls_engine!r}"
+                )
         self.spec = spec
         self.store = store
         self.max_workers = max_workers

@@ -47,6 +47,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for tests)."""
+    from repro.core.config import ENGINE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro-aedb",
         description=(
@@ -74,9 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", help="run AEDB-MLS")
     tune.add_argument("--density", type=int, default=100)
-    tune.add_argument(
-        "--engine", choices=("serial", "threads", "processes"), default=None
-    )
+    tune.add_argument("--engine", choices=ENGINE_NAMES, default=None)
 
     comp = sub.add_parser("compare", help="algorithm comparison campaign")
     comp.add_argument("--density", type=int, default=100)

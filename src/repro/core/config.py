@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 from repro.utils.validation import check_in_range, check_positive
 
-__all__ = ["MLSConfig"]
+__all__ = ["MLSConfig", "ENGINE_NAMES"]
 
-_ENGINES = ("serial", "threads", "processes")
+#: The execution engines (:mod:`repro.core.engines`), by name.
+ENGINE_NAMES = ("serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class MLSConfig:
     archive_capacity: int = 100
     #: AGA grid bisections per objective.
     archive_bisections: int = 5
-    #: Execution engine: "serial", "threads" or "processes".
+    #: Execution engine: "serial" or "processes".
     engine: str = "serial"
     #: Attempts at drawing a feasible initial solution before accepting an
     #: infeasible one (each attempt costs one evaluation).
@@ -63,9 +64,9 @@ class MLSConfig:
         check_positive(self.archive_capacity, "archive_capacity")
         check_positive(self.archive_bisections, "archive_bisections")
         check_positive(self.max_init_attempts, "max_init_attempts")
-        if self.engine not in _ENGINES:
+        if self.engine not in ENGINE_NAMES:
             raise ValueError(
-                f"engine must be one of {_ENGINES}, got {self.engine!r}"
+                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
             )
         if self.criterion_weights is not None:
             if len(self.criterion_weights) != 3:

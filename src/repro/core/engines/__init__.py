@@ -1,25 +1,19 @@
 """Execution engines for AEDB-MLS.
 
 The same local-search procedure (:mod:`repro.core.localsearch`) runs under
-three concurrency models:
+two engines, and both step each population through one
+:class:`~repro.core.engines.cooperative.PopulationRun`:
 
-* :mod:`~repro.core.engines.serial` — deterministic round-robin in one
-  thread; the reference semantics used by the test suite;
-* :mod:`~repro.core.engines.threads` — one OS thread per procedure,
-  shared-memory populations and a lock-guarded shared archive;
-* :mod:`~repro.core.engines.processes` — one OS process per population
-  (threads inside), with the archive hosted by the parent and reached by
-  message passing — the paper's hybrid MPI + pthreads model.
+* :mod:`~repro.core.engines.serial` — every population in one thread,
+  round-robin; deterministic, the reference semantics used by the tests;
+* :mod:`~repro.core.engines.processes` — one OS process per population,
+  with the archive hosted by the parent and reached by message passing —
+  the paper's hybrid parallel model and the fast path.
 """
 
 from repro.core.engines.processes import ProcessEngine
 from repro.core.engines.serial import SerialEngine
-from repro.core.engines.threads import ThreadEngine
 
-ENGINES = {
-    "serial": SerialEngine,
-    "threads": ThreadEngine,
-    "processes": ProcessEngine,
-}
+ENGINES = {engine.name: engine for engine in (SerialEngine, ProcessEngine)}
 
-__all__ = ["SerialEngine", "ThreadEngine", "ProcessEngine", "ENGINES"]
+__all__ = ["SerialEngine", "ProcessEngine", "ENGINES"]

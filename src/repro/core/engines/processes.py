@@ -12,9 +12,9 @@ parent process hosts the Adaptive Grid Archive and serves ``add`` /
 ``sample`` requests over per-population pipes.  Solutions cross the
 process boundary as plain ``(variables, objectives, violation)`` tuples.
 
-The archive protocol is deliberately identical to the serial/thread
-engines' :class:`~repro.core.localsearch.ArchivePort`, so the algorithm
-code cannot tell which engine it runs under.
+The archive protocol is deliberately the serial engine's
+:class:`~repro.core.localsearch.ArchivePort`, so the algorithm code cannot
+tell which engine it runs under.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from multiprocessing.connection import Connection, wait as mp_wait
 import numpy as np
 
 from repro.core.config import MLSConfig
-from repro.core.engines.cooperative import run_population_cooperative
+from repro.core.engines.cooperative import build_archive, run_population_cooperative
 from repro.core.localsearch import ArchivePort
-from repro.moo.archive import AdaptiveGridArchive
 from repro.moo.problem import Problem
 from repro.moo.solution import FloatSolution
 from repro.utils.rng import RngFactory
@@ -55,13 +54,13 @@ def _unpack(payload: tuple) -> FloatSolution:
 class _PipeArchiveClient(ArchivePort):
     """Archive port that forwards operations over a pipe.
 
-    The population's threads share one connection; a lock serialises
-    message sequences (pipe messages must not interleave).  ``add`` is
-    fire-and-forget — its boolean result only feeds per-thread statistics,
-    and a blocking round trip per evaluation would serialise the workers
-    on the archive server.  The optimistic ``True`` makes the local
-    ``archived`` counters upper bounds; the authoritative counts live in
-    the server-side archive.
+    A lock serialises each message sequence on the connection (a
+    ``sample`` request and its reply must not interleave with another
+    message).  ``add`` is fire-and-forget — its boolean result only
+    feeds per-procedure statistics, and a blocking round trip per
+    evaluation would serialise the workers on the archive server.  The
+    optimistic ``True`` makes the local ``archived`` counters upper
+    bounds; the authoritative counts live in the server-side archive.
     """
 
     def __init__(self, conn: Connection):
@@ -90,9 +89,8 @@ def _population_worker(
 ) -> None:
     """Process entry point: run one population, then report stats.
 
-    The population's procedures run cooperatively (round-robin) rather
-    than as OS threads — see :mod:`repro.core.engines.cooperative` for
-    the rationale.
+    The population's procedures take turns in this process's one thread
+    (:mod:`repro.core.engines.cooperative`).
     """
     try:
         factory = RngFactory(seed)
@@ -112,12 +110,6 @@ class ProcessEngine:
 
     name = "processes"
 
-    def __init__(self, start_method: str | None = None):
-        #: ``fork`` (default on Linux) shares the problem by COW memory;
-        #: ``spawn`` pickles it — both are supported, problems are
-        #: picklable by construction.
-        self.start_method = start_method
-
     def run(
         self,
         problem: Problem,
@@ -125,14 +117,9 @@ class ProcessEngine:
         seed: int = 0,
     ) -> tuple[list[FloatSolution], dict]:
         """Execute a full AEDB-MLS run; return (archive members, stats)."""
-        ctx = mp.get_context(self.start_method)
+        ctx = mp.get_context()
         factory = RngFactory(seed)
-        archive = AdaptiveGridArchive(
-            capacity=config.archive_capacity,
-            n_objectives=problem.n_objectives,
-            bisections=config.archive_bisections,
-            rng=factory.generator("archive"),
-        )
+        archive = build_archive(problem, config, factory)
 
         parent_conns: list[Connection] = []
         processes: list[mp.process.BaseProcess] = []
@@ -192,15 +179,7 @@ class ProcessEngine:
 
         stats = {
             "engine": self.name,
-            "evaluations": int(
-                np.sum(
-                    [
-                        proc_stats["evaluations"]
-                        for pop in per_population
-                        for proc_stats in pop
-                    ]
-                )
-            ),
+            "evaluations": sum(s["evaluations"] for pop in per_population for s in pop),
             "archive_size": len(archive),
             "archive_messages": messages,
             "per_population": per_population,

@@ -9,12 +9,13 @@ its solution iteratively:
 3. evaluate; if the perturbed solution is *feasible* (broadcast time
    within limit), accept it unconditionally and offer it to the archive;
 4. on the reset condition, replace the owned solution with an archive
-   sample (the engine coordinates the population-wide synchronisation).
+   sample (:func:`drain_population`, once for the whole population).
 
-The procedure is engine-agnostic: the engine supplies a population view,
-an archive port (add/sample callables) and the RNG stream, then calls
-:meth:`initialise` / :meth:`step` under whatever concurrency model it
-implements.
+The procedure is engine-agnostic:
+:class:`~repro.core.engines.cooperative.PopulationRun` supplies a
+population view, an archive port (add/sample callables) and the RNG
+stream, then calls :meth:`initialise` / :meth:`step` round-robin, under
+the serial and the process engine alike.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ __all__ = ["ArchivePort", "Population", "LocalSearchProcedure"]
 class ArchivePort:
     """The two archive operations a procedure needs.
 
-    Engines bind these to a local AGA instance (serial/threads) or to a
-    message channel toward the archive server (processes).
+    Engines bind these to a local AGA instance (serial) or to a message
+    channel toward the archive server (processes).
     """
 
     def __init__(
@@ -60,10 +61,8 @@ class ArchivePort:
 class Population:
     """A fixed-size slot array shared by the procedures of one population.
 
-    Engines that run procedures concurrently must guard :meth:`set_slot`
-    and :meth:`peer_of` with their own synchronisation if their memory
-    model requires it (CPython list item assignment is atomic, which the
-    thread engine relies on).
+    The procedures of a population take turns in one thread, so the slots
+    need no synchronisation.
     """
 
     def __init__(self, size: int):
@@ -219,13 +218,14 @@ class LocalSearchProcedure:
 def drain_population(
     procedures: Sequence[LocalSearchProcedure],
     archive: ArchivePort,
-    rng: np.random.Generator,
 ) -> int:
-    """Population-wide reset: every procedure restarts from the archive.
+    """Population-wide reset: every live procedure restarts from its own
+    archive sample, drawn in one ``sample`` call.
 
-    Returns the number of procedures reset.  Shared by the serial and
-    thread engines (the process engine performs the same logic inside the
-    worker process).
+    Returns the number of procedures reset.  Called by
+    :meth:`~repro.core.engines.cooperative.PopulationRun.step` under both
+    engines; under the process engine the sample is a round trip to the
+    parent's archive.
     """
     live = [p for p in procedures if not p.done]
     if not live:

@@ -11,7 +11,7 @@ as a per-node state machine driven by the radio medium:
 * **Duplicate suppression** — copies heard while waiting update the
   strongest-copy tracker (the paper's ``pmin``; it tracks the *closest*
   transmitter, hence minimum distance == maximum power — see DESIGN.md
-  §4/§7).  When the timer fires, the candidate re-runs the border test
+  §6).  When the timer fires, the candidate re-runs the border test
   against the tracker and silently drops if some transmitter got (or was)
   too close.
 * **Adaptive power** — a surviving candidate chooses its TX power from its

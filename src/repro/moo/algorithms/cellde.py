@@ -7,7 +7,7 @@ crowding archive, and archive feedback into the grid — "solving
 three-objective optimisation problems using a new hybrid cellular genetic
 algorithm" (reference [4] of the paper).
 
-Implementation notes (canonical choices recorded in DESIGN.md §7):
+Implementation notes (canonical choices):
 
 * grid: square torus (default 10 x 10 = population 100);
 * neighbourhood: C9 (Moore — the 8 surrounding cells plus self);

@@ -14,8 +14,7 @@ larger than the Table III optimisation domains):
 ====================  ==================  =========================
 
 Note: the paper quotes border thresholds as magnitudes; physically they
-are received-power levels in dBm, so the range maps to [−95, 0] dBm
-(DESIGN.md §7).
+are received-power levels in dBm, so the range maps to [−95, 0] dBm.
 
 Each of the four outputs of Fig. 2 (broadcast time, coverage,
 forwardings, energy) is analysed as one scalar model over the same

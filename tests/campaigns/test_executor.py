@@ -259,6 +259,22 @@ class TestTuneCells:
         with pytest.raises(ValueError):
             CampaignExecutor(tiny_spec(), max_workers=0)
 
+    @pytest.mark.parametrize("engine", ["gpu", "threads"])
+    def test_unknown_mls_engine_rejected_before_any_cell(
+        self, tmp_path, tiny_scale, engine
+    ):
+        spec = CampaignSpec(
+            name="bad-engine", densities=(100,), algorithms=("AEDB-MLS",),
+            n_seeds=1, n_networks=1, n_nodes=8,
+        )
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ValueError, match=f"serial.*processes.*'{engine}'"):
+            CampaignExecutor(
+                spec, store, backend="inline", scale=tiny_scale,
+                mls_engine=engine,
+            )
+        assert not store.root.exists()
+
 
 #: Cell keys the module-level flaky worker fails on.  Module-level so the
 #: patched function pickles by qualified name and fork-started pool

@@ -1,10 +1,12 @@
 """AEDB-MLS engines: semantics, determinism, cross-engine agreement."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import AEDBMLS, MLSConfig
-from repro.core.engines.threads import ResetBarrier
 from repro.moo.algorithms.base import AlgorithmResult
 from tests.core.test_localsearch import ToyAEDBLike
 
@@ -36,7 +38,7 @@ class TestConfig:
         [
             {"alpha": 0.0},
             {"alpha": 1.0},
-            {"engine": "gpu"},
+            {"engine": "threads"},
             {"n_populations": 0},
             {"criterion_weights": (1.0, 1.0)},
             {"criterion_weights": (0.0, 0.0, 0.0)},
@@ -48,47 +50,36 @@ class TestConfig:
             MLSConfig(**kwargs)
 
 
-class TestResetBarrier:
-    def test_wait_releases_all(self):
-        import threading
+#: Digests of serial AEDB-MLS runs with 3 populations on ``ToyAEDBLike``
+#: (see :func:`_run_digest`).  They pin the round-robin order over
+#: populations and procedures, the RNG stream keys and the stats record.
+SERIAL_DIGESTS = {
+    0: "80f4237907859ac1",
+    1: "9fcc643511f397f9",
+    2: "49a250ef7616f1ed",
+    3: "791d93593a818423",
+}
 
-        barrier = ResetBarrier(3)
-        hits = []
 
-        def worker(i):
-            barrier.wait(leader_action=(lambda: hits.append("lead")) if i == 0 else None)
-            hits.append(i)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert not any(t.is_alive() for t in threads)
-        assert "lead" in hits and len(hits) == 4
-
-    def test_deregister_unblocks_waiters(self):
-        import threading
-
-        barrier = ResetBarrier(2)
-        released = []
-
-        def waiter():
-            barrier.wait()
-            released.append(True)
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        barrier.deregister()  # the other party leaves
-        t.join(timeout=5)
-        assert not t.is_alive() and released == [True]
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ResetBarrier(0)
+def _run_digest(result) -> str:
+    """sha256 prefix over the front (variables and objectives as
+    ``float.hex``) and the run's ``info`` without its config."""
+    h = hashlib.sha256()
+    for sol in result.front:
+        h.update(",".join(float(v).hex() for v in sol.variables).encode())
+        h.update(";".join(float(v).hex() for v in sol.objectives).encode())
+    info = {k: v for k, v in result.info.items() if k != "config"}
+    h.update(json.dumps(info).encode())
+    return h.hexdigest()[:16]
 
 
 class TestSerialEngine:
+    @pytest.mark.parametrize("seed", sorted(SERIAL_DIGESTS))
+    def test_golden_digest(self, seed):
+        cfg = MLSConfig(**{**FAST_CFG, "n_populations": 3})
+        result = AEDBMLS(ToyAEDBLike(), cfg, seed=seed).run()
+        assert _run_digest(result) == SERIAL_DIGESTS[seed]
+
     def test_deterministic(self):
         a = AEDBMLS(ToyAEDBLike(), MLSConfig(**FAST_CFG), seed=5).run()
         b = AEDBMLS(ToyAEDBLike(), MLSConfig(**FAST_CFG), seed=5).run()
@@ -124,7 +115,7 @@ class TestSerialEngine:
         )
 
 
-@pytest.mark.parametrize("engine", ["threads", "processes"])
+@pytest.mark.parametrize("engine", ["processes"])
 class TestConcurrentEngines:
     def test_runs_and_respects_budget(self, engine):
         cfg = MLSConfig(**FAST_CFG, engine=engine)
@@ -222,3 +213,35 @@ class TestProcessWorkerModes:
             s["evaluations"] == cfg.evaluations_per_thread for s in stats
         )
         assert len(archive) > 0
+
+    def test_one_population_matches_in_process_loop(self):
+        # With one population nothing races: the worker's adds and
+        # samples reach the parent's archive in program order, so the
+        # front equals that of the same loop run in this process on the
+        # worker's seed, with the parent's archive stream.
+        from repro.core.engines.cooperative import (
+            build_archive,
+            run_population_cooperative,
+        )
+        from repro.core.engines.processes import ProcessEngine
+        from repro.core.localsearch import ArchivePort
+        from repro.utils.rng import RngFactory
+
+        problem = ToyAEDBLike()
+        cfg = MLSConfig(**{**FAST_CFG, "n_populations": 1}, engine="processes")
+        seed = 5
+        factory = RngFactory(seed)
+        worker_seed = int(factory.seed_sequence("worker", 0).generate_state(1)[0])
+        archive = build_archive(problem, cfg, factory)
+        run_population_cooperative(
+            problem, cfg, 0, ArchivePort(archive.add, archive.sample),
+            RngFactory(worker_seed),
+        )
+        expected = [
+            (m.variables.tolist(), m.objectives.tolist()) for m in archive.members
+        ]
+        for _ in range(2):
+            members, _ = ProcessEngine().run(problem, cfg, seed=seed)
+            assert [
+                (m.variables.tolist(), m.objectives.tolist()) for m in members
+            ] == expected

@@ -158,7 +158,7 @@ class TestDrain:
         for p in procs:
             p.initialise()
         before = [p.current for p in procs]
-        n = drain_population(procs, port, np.random.default_rng(1))
+        n = drain_population(procs, port)
         assert n == len(procs)
         # Current solutions now come from the archive (fresh copies).
         for p, old in zip(procs, before):
@@ -171,5 +171,5 @@ class TestDrain:
         # Exhaust one procedure.
         while not procs[0].done:
             procs[0].step()
-        n = drain_population(procs, port, np.random.default_rng(1))
+        n = drain_population(procs, port)
         assert n == len(procs) - 1

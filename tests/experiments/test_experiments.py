@@ -120,8 +120,8 @@ class TestMakeAlgorithm:
 
     def test_mls_engine_override(self, problem):
         scale = get_scale("quick")
-        alg = make_algorithm("AEDB-MLS", problem, scale, 0, mls_engine="threads")
-        assert alg.config.engine == "threads"
+        alg = make_algorithm("AEDB-MLS", problem, scale, 0, mls_engine="processes")
+        assert alg.config.engine == "processes"
 
     def test_unknown_rejected(self, problem):
         with pytest.raises(ValueError):

@@ -22,8 +22,10 @@ class TestParser:
             build_parser().parse_args(["--scale", "huge", "timing"])
 
     def test_tune_engine_choice(self):
-        args = build_parser().parse_args(["tune", "--engine", "threads"])
-        assert args.engine == "threads"
+        args = build_parser().parse_args(["tune", "--engine", "processes"])
+        assert args.engine == "processes"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["tune", "--engine", "threads"])
 
     def test_sensitivity_method_choice(self):
         args = build_parser().parse_args(["sensitivity", "--method", "sobol"])
