@@ -101,7 +101,6 @@ class LintConfig:
     wall_clock_zones: list[str] = field(default_factory=lambda: [
         "src/repro/telemetry/",
         "src/repro/campaigns/resilience.py",
-        "src/repro/campaigns/service.py",
         "src/repro/campaigns/faults.py",
         "src/repro/campaigns/backends/",
         "src/repro/experiments/timing.py",

@@ -1,8 +1,8 @@
 """E-series: the ``REPRO_*`` environment-flag registry (DESIGN.md §16).
 
-Flags cross process and host boundaries as plain environment strings
-(fork/spawn workers, remote shard bundles, the campaign daemon), so a
-typo'd name fails silently as ``None``.  The registry in
+Flags cross process boundaries as plain environment strings
+(fork/spawn pool and shard workers), so a typo'd name fails silently
+as ``None``.  The registry in
 ``repro/utils/flags.py`` is the single source of truth; these rules
 force every read through it (E301), every referenced name into it
 (E302), and confine direct environment *writes* to pragma-annotated

@@ -38,6 +38,13 @@ def _used_names(ctx: FileContext) -> set[str]:
     used: set[str] = set()
     all_names: set[str] = set()
     in_type_checking_strings: list[str] = []
+    # Docstrings (and any other bare string statement) are prose: a
+    # word in them must not keep an import alive.
+    prose = {
+        id(node.value)
+        for node in ast.walk(ctx.tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
@@ -53,7 +60,11 @@ def _used_names(ctx: FileContext) -> set[str]:
                                 elt.value, str
                             ):
                                 all_names.add(elt.value)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in prose
+        ):
             in_type_checking_strings.append(node.value)
     used |= all_names
     # Quoted forward references ("Frame", "np.ndarray", dict[str,

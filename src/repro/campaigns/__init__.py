@@ -93,23 +93,15 @@ Execution backends (DESIGN.md §10)
 *How* the cells run is a pluggable strategy behind the
 :class:`~repro.campaigns.backends.Backend` protocol —
 ``CampaignExecutor(..., backend=...)`` or ``repro-aedb campaign run
---backend {inline,pool,shard:N,remote:N}``:
+--backend {inline,pool,shard:N}``:
 
 * ``inline`` — serial, in-process; the debuggable reference;
 * ``pool`` (default) — one shared process pool over all cells' jobs;
 * ``shard:N`` — the cells partition into N content-keyed shards, each
-  written as a self-contained bundle (``request.json`` + cache warm
-  start) and run by a forked worker against **its own** store directory
-  (own ``evaluations.jsonl`` handle, warmed from the parent's), then
-  merged back with dedup-by-key and conflict detection.  ``repro-aedb
-  campaign merge <dirs...>`` exposes the same merge standalone;
-* ``remote:N[@transport]`` — the same shard backend with a transport
-  (DESIGN.md §15): each bundle (plus any seed store) ships to a worker,
-  runs via ``repro-aedb campaign shard-exec``, and streams its store
-  back for the identical merge.  ``@loopback`` (the default and only
-  built-in transport) runs workers as local subprocesses.
-  ``repro-aedb campaign serve`` / ``worker`` put the same backend
-  behind a queue-backed daemon + fleet (:mod:`repro.campaigns.service`).
+  run by a forked worker against **its own** store directory (own
+  ``evaluations.jsonl`` handle, warmed from the parent's), then merged
+  back with dedup-by-key and conflict detection.  ``repro-aedb
+  campaign merge <dirs...>`` exposes the same merge standalone.
 
 All backends produce **byte-identical** stores for the same spec —
 the invariant ``tests/campaigns/test_backend_identity.py`` pins — so
@@ -137,11 +129,8 @@ JSONL store.
 from repro.campaigns.backends import (
     Backend,
     InlineBackend,
-    LoopbackTransport,
     PoolBackend,
     ShardBackend,
-    ShardTransport,
-    TransportError,
     resolve_backend,
 )
 from repro.campaigns.executor import (
@@ -161,12 +150,6 @@ from repro.campaigns.resilience import (
     FailureLedger,
     LeaseTable,
     RetryPolicy,
-)
-from repro.campaigns.service import (
-    CampaignDaemon,
-    QueueTransport,
-    serve_worker,
-    submit_campaign,
 )
 from repro.campaigns.spec import (
     DEFAULT_PARAMS,
@@ -195,13 +178,6 @@ __all__ = [
     "InlineBackend",
     "PoolBackend",
     "ShardBackend",
-    "ShardTransport",
-    "LoopbackTransport",
-    "TransportError",
-    "CampaignDaemon",
-    "QueueTransport",
-    "submit_campaign",
-    "serve_worker",
     "resolve_backend",
     "render_report",
     "render_status",

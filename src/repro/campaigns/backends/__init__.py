@@ -8,12 +8,9 @@ backend     strategy
 ==========  ========================================================
 inline      serial, in-process — debuggable reference implementation
 pool        one shared process pool over every cell's jobs (DESIGN §9)
-shard:N     N content-keyed shard bundles, each run against its own
-            store by forked local workers, merged back with dedup +
-            conflict detection
-remote:N    the same shard backend over a transport — bundles shipped
-            to workers, stores streamed back (DESIGN §15);
-            ``remote:N`` = ``remote:N@loopback``
+shard:N     N content-keyed shards, each run against its own store
+            by a forked worker, merged back with dedup + conflict
+            detection
 ==========  ========================================================
 
 Select one with ``CampaignExecutor(..., backend="shard:4")`` (a string
@@ -32,11 +29,6 @@ from repro.campaigns.backends.shard import (
     partition_cells,
     shard_index_for,
 )
-from repro.campaigns.backends.transport import (
-    LoopbackTransport,
-    ShardTransport,
-    TransportError,
-)
 
 __all__ = [
     "Backend",
@@ -45,19 +37,16 @@ __all__ = [
     "PoolBackend",
     "ShardBackend",
     "ShardSpec",
-    "ShardTransport",
-    "LoopbackTransport",
-    "TransportError",
     "partition_cells",
     "shard_index_for",
     "resolve_backend",
 ]
 
-#: Default shard count when ``"shard"``/``"remote"`` is given bare.
+#: Default shard count when ``"shard"`` is given bare.
 DEFAULT_SHARDS = 2
 
 
-def _parse_count(raw: str, value: str, form: str) -> int:
+def _parse_count(raw: str, value: str) -> int:
     """A positive shard count, or a ValueError naming the bad string.
 
     Validation happens here — at parse time — so ``--backend shard:0``
@@ -70,23 +59,9 @@ def _parse_count(raw: str, value: str, form: str) -> int:
         n_shards = 0
     if n_shards <= 0:
         raise ValueError(
-            f"bad shard count in backend {value!r}; use {form} with N >= 1"
+            f"bad shard count in backend {value!r}; use shard:N with N >= 1"
         )
     return n_shards
-
-
-def _parse_remote(spec: str, value: str, keep_shards: bool) -> Backend:
-    """``remote[:N[@loopback]]`` → a ShardBackend over loopback."""
-    rest = spec.split(":", 1)[1] if ":" in spec else str(DEFAULT_SHARDS)
-    count_part, _, transport_part = rest.partition("@")
-    n_shards = _parse_count(count_part, value, "remote:N")
-    if transport_part and transport_part != "loopback":
-        raise ValueError(
-            f"unknown transport in backend {value!r}; use remote:N@loopback"
-        )
-    return ShardBackend(
-        n_shards, transport=LoopbackTransport(), keep_shards=keep_shards
-    )
 
 
 def resolve_backend(
@@ -95,9 +70,8 @@ def resolve_backend(
     """A :class:`Backend` from an instance or a CLI-style string.
 
     Accepted strings: ``"inline"``, ``"pool"``, ``"shard"`` (=
-    ``shard:2``), ``"shard:N"``, ``"remote"`` (= ``remote:2`` over
-    loopback), ``"remote:N"``, ``"remote:N@loopback"``.  ``keep_shards``
-    applies to shard-family backends only (other strings ignore it).
+    ``shard:2``) and ``"shard:N"``.  ``keep_shards`` applies to the
+    shard backend only (other strings ignore it).
     """
     if not isinstance(value, str):
         if isinstance(value, Backend):
@@ -113,11 +87,8 @@ def resolve_backend(
     if spec == "shard":
         return ShardBackend(DEFAULT_SHARDS, keep_shards=keep_shards)
     if spec.startswith("shard:"):
-        n_shards = _parse_count(spec.split(":", 1)[1], value, "shard:N")
+        n_shards = _parse_count(spec.split(":", 1)[1], value)
         return ShardBackend(n_shards, keep_shards=keep_shards)
-    if spec == "remote" or spec.startswith("remote:"):
-        return _parse_remote(spec, value, keep_shards)
     raise ValueError(
-        f"unknown backend {value!r}; expected 'inline', 'pool', "
-        "'shard:N', or 'remote:N[@transport]'"
+        f"unknown backend {value!r}; expected 'inline', 'pool' or 'shard:N'"
     )

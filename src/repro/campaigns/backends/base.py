@@ -28,8 +28,7 @@ Shipped backends: :class:`~repro.campaigns.backends.inline.InlineBackend`
 :class:`~repro.campaigns.backends.pool.PoolBackend` (one shared process
 pool over all cells' jobs), and
 :class:`~repro.campaigns.backends.shard.ShardBackend` (content-keyed
-cell partitions into per-shard stores, merged back).  A transport is a
-parameter of the shard backend, not a fourth implementation.
+cell partitions into per-shard stores, merged back).
 """
 
 from __future__ import annotations

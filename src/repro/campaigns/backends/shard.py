@@ -1,28 +1,20 @@
-"""Sharded campaign execution: partition cells, run bundles, merge back.
+"""Sharded campaign execution: partition cells, run shards, merge back.
 
 A campaign's pending cells are partitioned into N **content-keyed shard
 specs** (a cell's shard is a pure function of its content key, so any
-machine partitioning the same spec derives the same shards).  Each
-shard is written as a bundle (:func:`~repro.campaigns.backends.transport.write_request`)
-and run by :func:`~repro.campaigns.backends.transport.execute_request`
-against **its own** :class:`~repro.campaigns.store.ResultStore`
-directory with its own evaluation-cache sidecar handle (single writer
-per file); the shard stores are then merged back into the parent store
-with dedup-by-key and conflict detection (:meth:`ResultStore.merge_from`).
+run partitioning the same spec derives the same shards).  Each shard is
+one :func:`run_shard` call in a forked
+:class:`~concurrent.futures.ProcessPoolExecutor` worker, against **its
+own** :class:`~repro.campaigns.store.ResultStore` directory under the
+parent store, with its own evaluation-cache sidecar handle (single
+writer per file) warmed read-only from the parent's cache.  The shard
+stores are then merged back into the parent store with dedup-by-key and
+conflict detection (:meth:`ResultStore.merge_from`).
 
-One backend, two ways to reach a worker (DESIGN.md §10, §15):
-
-* ``shard:N`` (no transport) — a forked
-  :class:`~concurrent.futures.ProcessPoolExecutor` worker runs the
-  bundle straight against the parent-side shard directory, so there is
-  nothing to fetch;
-* ``remote:N@loopback`` or the daemon's queue — a
-  :class:`~repro.campaigns.backends.transport.ShardTransport` ships the
-  bundle and streams the store back into the same directory.
-
-Either way the worker's ``result.json`` summary stamps the digest of
-the store it wrote; the parent compares it with the store it holds
-before merging, so an altered or torn fetch requeues instead of merging.
+The worker's summary stamps the digest of the store it wrote; the
+parent compares it with the store it reads before merging, so a store
+altered or torn after the worker finished requeues instead of merging
+(DESIGN.md §15).
 
 Failure handling works at two granularities (DESIGN.md §13).  *Inside*
 a shard, the in-shard executor owns cell-level retries and quarantines
@@ -47,27 +39,23 @@ import hashlib
 import shutil
 import tempfile
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.campaigns.backends.base import ExecutionContext
-from repro.campaigns.backends.transport import (
-    ShardTransport,
-    TransportError,
-    execute_request,
-    write_request,
-)
-from repro.campaigns.resilience import QUARANTINED, FailureLedger
-from repro.campaigns.spec import CampaignCell, canonical_json
+from repro.campaigns.resilience import QUARANTINED, FailureLedger, RetryPolicy
+from repro.campaigns.spec import CampaignCell, CampaignSpec, canonical_json
 from repro.campaigns.store import ResultStore
 
-__all__ = ["ShardBackend", "ShardSpec", "partition_cells", "shard_index_for"]
+__all__ = [
+    "ShardBackend",
+    "ShardSpec",
+    "partition_cells",
+    "run_shard",
+    "shard_index_for",
+]
 
 #: Subdirectory of the parent store that holds in-flight shard stores.
 SHARDS_DIR = "shards"
@@ -144,6 +132,71 @@ def partition_cells(
     ]
 
 
+def run_shard(
+    spec_json: str,
+    cell_keys: tuple[str, ...],
+    shard_index: int,
+    store_dir: str,
+    warm_path: str | None,
+    use_cache: bool,
+    mls_engine: str | None,
+    policy: RetryPolicy,
+    initial_attempts: dict[str, int],
+) -> dict:
+    """The worker side: run one shard's cells into ``store_dir``.
+
+    A serial in-shard :class:`~repro.campaigns.executor.CampaignExecutor`
+    against the shard's own store, its cache sidecar warmed read-only
+    from the parent's cache at ``warm_path`` — one writer per file with
+    any number of concurrent shards.  Parallelism comes from running
+    shards concurrently, not from nesting pools.  Re-running it on the
+    same directory resumes: completed cells are skipped.  The summary
+    carries only keys, counters and the store's
+    :meth:`~ResultStore.content_digest`; records live in the store files.
+    """
+    from repro.campaigns.executor import CampaignExecutor
+    from repro.tuning.cache import PersistentEvaluationCache
+
+    store = ResultStore(store_dir)
+    cache = None
+    if use_cache:
+        cache = PersistentEvaluationCache(store.eval_cache_path)
+        if warm_path is not None:
+            cache.warm_from(warm_path)
+    executor = CampaignExecutor(
+        CampaignSpec.from_json(spec_json),
+        store,
+        serial=True,
+        mls_engine=mls_engine,
+        eval_cache=cache,
+        only_cells=cell_keys,
+        # With REPRO_TELEMETRY set (inherited from the parent), the
+        # in-shard run streams to the shard store's telemetry.jsonl,
+        # every line tagged with this shard's index; the parent folds
+        # the file into its own stream after the merge (DESIGN.md §12).
+        telemetry_attrs={"shard": shard_index},
+        retry_policy=policy,
+        initial_attempts=initial_attempts,
+    )
+    # The parent emits the campaign-wide roll-up counters after the
+    # merge; a shard re-emitting its slice would double-count them in
+    # the folded stream.
+    executor._emit_rollup_counters = False
+    try:
+        report = executor.run()
+    finally:
+        if cache is not None:
+            cache.close()
+    return {
+        "executed": [r.cell.key for r in report.executed],
+        "resumed": [cell.key for cell in report.skipped],
+        "failed": [(f.cell_key, f.attempts, f.error) for f in report.failed],
+        "cache_hits": report.cache_hits,
+        "simulations_executed": report.simulations_executed,
+        "store_digest": store.content_digest(),
+    }
+
+
 # --------------------------------------------------------------------- #
 class ShardBackend:
     """Partition cells into per-store shards; run; merge; recover."""
@@ -151,15 +204,13 @@ class ShardBackend:
     def __init__(
         self,
         n_shards: int,
-        transport: ShardTransport | None = None,
         max_workers: int | None = None,
         keep_shards: bool = False,
     ):
         """``n_shards`` fixes the partition (and the parallelism: one
-        worker per non-empty shard, capped by ``max_workers`` or the
-        executor's setting).  ``transport=None`` runs each shard in a
-        forked local worker; a :class:`ShardTransport` ships it instead.
-        ``keep_shards=True`` leaves the shard stores under
+        forked worker per non-empty shard, capped by ``max_workers`` or
+        the executor's setting).  ``keep_shards=True`` leaves the shard
+        stores under
         ``<store>/shards`` after a successful merge — the inputs the
         standalone ``repro-aedb campaign merge`` command operates on.
         """
@@ -168,13 +219,9 @@ class ShardBackend:
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.n_shards = int(n_shards)
-        self.transport = transport
         self.max_workers = max_workers
         self.keep_shards = keep_shards
-        self.name = (
-            f"shard:{self.n_shards}" if transport is None
-            else f"remote:{self.n_shards}@{transport.name}"
-        )
+        self.name = f"shard:{self.n_shards}"
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -299,51 +346,26 @@ class ShardBackend:
 
     # ------------------------------------------------------------------ #
     def _dispatch_round(self, ctx, shards, shards_root, round_no):
-        """Run one bundle per shard; ``(results by index, exceptions)``.
+        """Run one :func:`run_shard` per shard; ``(results by index,
+        exceptions)``.
 
-        Local shards run in a process pool submitted from this (main)
-        thread — forking from a thread is never safe — and write their
-        store in place; transport shards run in threads waiting on
-        ``run_shard``.  Each result is checked and read in the same
-        ``try`` as ``future.result()``, so a bad fetch costs only its
-        shard.
+        Shards run in a process pool submitted from this (main) thread —
+        forking from a thread is never safe — and each writes its store
+        in place under ``shards_root``.  Each result is checked and read
+        in the same ``try`` as ``future.result()``, so a bad store costs
+        only its shard.
         """
         rec = ctx.recorder
         attempts = ctx.leases.attempts
         max_workers = self.max_workers or ctx.max_workers
         n_workers = min(len(shards), max_workers or len(shards))
-        pool_cls = (
-            ProcessPoolExecutor if self.transport is None
-            else ThreadPoolExecutor
-        )
+        spec_json = ctx.spec.to_json()
+        warm_path = str(ctx.cache.path) if ctx.cache is not None else None
         results: dict[int, tuple] = {}
         failures: dict[int, Exception] = {}
-        with tempfile.TemporaryDirectory(
-            prefix="repro-aedb-bundles-"
-        ) as tmp, pool_cls(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = {}
             for shard in shards:
-                dest = shards_root / shard.key
-                bundle = Path(tmp) / shard.key
-                write_request(
-                    bundle,
-                    spec=ctx.spec,
-                    shard=shard,
-                    use_cache=ctx.cache is not None,
-                    warm_path=(
-                        Path(ctx.cache.path) if ctx.cache is not None
-                        else None
-                    ),
-                    # A local worker resumes ``dest`` in place.
-                    seed_store=dest if self.transport is not None else None,
-                    mls_engine=ctx.mls_engine,
-                    policy=ctx.policy,
-                    initial_attempts={
-                        key: attempts(key)
-                        for key in shard.cell_keys
-                        if attempts(key) > 0
-                    },
-                )
                 # The parent's lease: cell → shard assignment.  The
                 # worker re-emits its own (inline-tagged) lifecycle
                 # into the shard stream, merged back below.
@@ -352,12 +374,22 @@ class ShardBackend:
                               backend=self.name, shard=shard.index)
                 rec.event("shard.dispatched", shard=shard.index,
                           n_cells=len(shard.cells), round=round_no)
-                if self.transport is None:
-                    future = pool.submit(execute_request, bundle, dest)
-                else:
-                    future = pool.submit(
-                        self._ship, ctx, shard, bundle, dest
-                    )
+                future = pool.submit(
+                    run_shard,
+                    spec_json,
+                    shard.cell_keys,
+                    shard.index,
+                    str(shards_root / shard.key),
+                    warm_path,
+                    ctx.cache is not None,
+                    ctx.mls_engine,
+                    ctx.policy,
+                    {
+                        key: attempts(key)
+                        for key in shard.cell_keys
+                        if attempts(key) > 0
+                    },
+                )
                 futures[future] = shard
             for future in as_completed(futures):
                 shard = futures[future]
@@ -375,30 +407,20 @@ class ShardBackend:
                               round=round_no, error=repr(exc))
         return results, failures
 
-    def _ship(self, ctx, shard, bundle, dest) -> dict:
-        """One transport call (a thread); returns the worker summary."""
-        t0 = time.perf_counter()
-        summary = self.transport.run_shard(shard.key, bundle, dest)
-        ctx.recorder.record_span(
-            "shard.transport", time.perf_counter() - t0,
-            shard=shard.index, transport=self.transport.name,
-        )
-        return summary
-
     @staticmethod
     def _collect(shard, dest, summary) -> tuple:
         """``(summary, cell results)`` for a finished shard.
 
         The store must digest as the worker's summary says it did: an
-        altered or torn fetch is deleted and raised as a lost worker, so
+        altered or torn store is deleted and raised as a lost worker, so
         the shard requeues instead of merging bad bytes.
         """
         store = ResultStore(dest)
-        if store.content_digest() != summary.get("store_digest"):
+        if store.content_digest() != summary["store_digest"]:
             shutil.rmtree(dest, ignore_errors=True)
-            raise TransportError(
-                f"shard {shard.key}: fetched store does not match the "
-                "worker's digest"
+            raise RuntimeError(
+                f"shard {shard.key}: store does not match the worker's "
+                "digest"
             )
         from repro.campaigns.executor import CellResult
 
@@ -429,8 +451,8 @@ class ShardBackend:
                 # the parent's.  Idempotent per shard key: counter
                 # lines are deltas and ledger entries per-quarantine,
                 # so the fold layer dedups re-merges — a resumed run
-                # re-merging a leftover shard directory, or a remote
-                # shard fetched twice, folds each line exactly once.
+                # re-merging a leftover shard directory, or a recovery
+                # round reusing one, folds each line exactly once.
                 merge_telemetry_files(
                     ctx.store.telemetry_path,
                     shard_store.telemetry_path,

@@ -16,10 +16,9 @@ DESIGN.md §10):
   whole-optimiser job each, filling the pool while simulation jobs of
   other cells drain;
 * ``backend="shard:N"`` partitions the cells into N content-keyed
-  shards, runs each shard bundle against its own store directory in a
-  forked worker, and merges the shard stores back (dedup + conflict
-  detection); ``backend="remote:N"`` is the same shard backend with
-  each bundle shipped over the loopback transport.
+  shards, runs each shard against its own store directory in a forked
+  worker, and merges the shard stores back (dedup + conflict
+  detection).
 
 Whatever the backend, each cell's results persist the moment its last
 job lands, so an interrupted campaign keeps everything finished so far

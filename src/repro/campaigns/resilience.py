@@ -48,7 +48,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.utils import flags
@@ -62,8 +62,6 @@ __all__ = [
     "HeartbeatMonitor",
     "maybe_heartbeat",
     "recorder_heartbeat",
-    "heartbeat_file",
-    "reset_heartbeat_dir",
     "RETRY",
     "QUARANTINED",
     "HEARTBEAT_DIR_ENV",
@@ -145,20 +143,6 @@ class RetryPolicy:
     def disabled(cls) -> "RetryPolicy":
         """No retries, no timeouts, no heartbeats (fail-fast baseline)."""
         return cls(max_attempts=1)
-
-    # ------------------------------------------------------------------ #
-    def as_dict(self) -> dict:
-        """JSON-serializable form (every shard request carries it, so
-        an in-shard quarantine spends the parent's budget)."""
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RetryPolicy":
-        """Inverse of :meth:`as_dict`; unknown keys are rejected by the
-        constructor (a policy must never silently lose a field)."""
-        return cls(**data)
 
     # ------------------------------------------------------------------ #
     @property
@@ -495,10 +479,10 @@ class FailureLedger:
         argument as ``merge_telemetry_files`` — but **idempotent**:
         an entry whose canonical serialization is already present in
         this ledger is skipped, so folding the same shard's
-        ``failures.jsonl`` twice (the retry-after-partial-fetch case
-        a shard transport makes routine) records each quarantine
-        exactly once.  Entries carry wall-clock timestamps, so distinct
-        quarantine events never collide.  Returns lines appended.
+        ``failures.jsonl`` twice (a resumed run re-merging a leftover
+        shard directory) records each quarantine exactly once.  Entries
+        carry wall-clock timestamps, so distinct quarantine events never
+        collide.  Returns lines appended.
         """
         src = (
             source
@@ -632,54 +616,6 @@ def maybe_heartbeat(cell: str):
     interval = flags.read_float(HEARTBEAT_INTERVAL_ENV, 1.0)
     sink = _worker_sink(directory)
     return _HeartbeatThread(interval, lambda: sink.emit(cell))
-
-
-def reset_heartbeat_dir(directory: str | Path) -> int:
-    """Scrub stale per-PID heartbeat files at run (or lease) start.
-
-    Heartbeat files are named ``heartbeat-<pid>.jsonl`` and *survive*
-    the process that wrote them — which is exactly right mid-run (the
-    monitor must read a dead worker's last beats) and exactly wrong
-    across runs: in a persistent directory (the campaign daemon's task
-    dirs, a user-exported :data:`HEARTBEAT_DIR_ENV`), a file left by a
-    previous run still looks live for a whole liveness window, and a
-    recycled PID appending to it can mask a hung worker indefinitely.
-    Callers that reuse a heartbeat directory call this before arming a
-    :class:`HeartbeatMonitor`; per-run ``mkdtemp`` directories (the pool
-    driver) are namespaced fresh and never need it.  Returns the number
-    of stale files removed; a missing directory is not an error.
-    """
-    directory = Path(directory)
-    removed = 0
-    try:
-        files = sorted(directory.glob("heartbeat-*.jsonl"))
-    except OSError:
-        return 0
-    for path in files:
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-    return removed
-
-
-@contextmanager
-def heartbeat_file(directory: str | Path, label: str, interval_s: float):
-    """Stream ``cell.heartbeat`` lines for ``label`` to a per-PID file
-    under ``directory`` for the duration of the context.
-
-    The service-scope worker beat: a campaign-daemon worker wraps each
-    leased shard execution in this, so the serving side's
-    :class:`HeartbeatMonitor` + :class:`LeaseTable` detect a killed
-    worker by silence — the same machinery the pool driver uses per
-    run, lifted to the fleet.  Beats start immediately (before any
-    heavy imports or scenario setup in the work itself).
-    """
-    Path(directory).mkdir(parents=True, exist_ok=True)
-    sink = _WorkerSink(str(directory))
-    with _HeartbeatThread(interval_s, lambda: sink.emit(label)):
-        yield
 
 
 class HeartbeatMonitor:

@@ -155,10 +155,9 @@ class ResultStore:
         Hashes exactly the bit-identity surface (``cells/*.jsonl``, name
         and bytes; never telemetry, ledger, or sidecar).  Two stores
         holding the same completed results digest identically whatever
-        backend or transport produced them — the shard worker stamps
-        this into its ``result.json`` and the shard backend checks the
-        store it holds against it before merging, and the identity
-        tests compare it directly.
+        backend produced them — the shard worker stamps this into its
+        summary and the shard backend checks the store it reads against
+        it before merging, and the identity tests compare it directly.
         """
         digest = hashlib.sha1()
         cells_dir = self.root / self.CELLS_DIR

@@ -13,7 +13,7 @@ Subcommands map to the deliverables:
   context);
 * ``campaign``    — declarative scenario-space sweeps (densities ×
   mobility models × arenas × seeds × algorithms) with pluggable
-  execution backends (``--backend {inline,pool,shard:N,remote:N}``)
+  execution backends (``--backend {inline,pool,shard:N}``)
   and a resumable result store: ``campaign run``, ``campaign status``,
   ``campaign report``, ``campaign merge`` (fold shard stores into one
   directory, dedup + conflict-checked), ``campaign telemetry`` (replay
@@ -22,12 +22,7 @@ Subcommands map to the deliverables:
   ``campaign failures`` (the quarantine ledger: cells that exhausted
   their retry budget, DESIGN.md §13 — ``campaign run`` takes
   ``--retries/--cell-timeout/--heartbeat`` and exits 2 when cells were
-  quarantined, never aborting the run).  The service face of the same
-  layer (DESIGN.md §15): ``campaign serve`` (daemon draining a submit
-  queue through the shard backend), ``campaign worker`` (fleet member
-  claiming and executing shard tasks), ``campaign shard-exec`` (the
-  worker entry point every shard transport invokes on one shard
-  bundle);
+  quarantined, never aborting the run);
 * ``cache``       — maintenance of the persistent evaluation cache
   (the ``evaluations.jsonl`` sidecar): ``cache stats``, ``cache flush``.
 
@@ -144,12 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--backend", default=None,
-        metavar="{inline,pool,shard:N,remote:N[@transport]}",
+        metavar="{inline,pool,shard:N}",
         help="execution backend (default: pool; --serial = inline; "
              "shard:N partitions the cells into N per-store shards "
-             "run by forked workers and merges them back; remote:N "
-             "ships the same shard bundles over a transport — "
-             "remote:2@loopback runs workers as local subprocesses)",
+             "run by forked workers and merges them back)",
     )
     run_p.add_argument(
         "--keep-shards", action="store_true",
@@ -211,95 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report quarantined cells (the failures.jsonl ledger)",
     )
     fail_p.add_argument("--out", required=True, help="campaign directory")
-
-    serve_p = camp_sub.add_parser(
-        "serve",
-        help="campaign daemon: drain the submit queue over a worker fleet",
-    )
-    serve_p.add_argument(
-        "--root", required=True,
-        help="service root directory (holds queue/ and tasks/)",
-    )
-    serve_p.add_argument(
-        "--spec", default=None, metavar="PATH",
-        help="JSON spec file to enqueue before serving (needs --out)",
-    )
-    serve_p.add_argument(
-        "--out", default=None,
-        help="campaign directory for a --spec submission",
-    )
-    serve_p.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="shard tasks per campaign (default 2)",
-    )
-    serve_p.add_argument(
-        "--workers", type=int, default=None,
-        help="concurrent shard dispatches (default: all shards)",
-    )
-    serve_p.add_argument(
-        "--once", action="store_true",
-        help="serve the currently queued campaigns and exit",
-    )
-    serve_p.add_argument(
-        "--poll", type=float, default=0.5, metavar="S",
-        help="queue/task poll interval in seconds (default 0.5)",
-    )
-    serve_p.add_argument(
-        "--claim-timeout", type=float, default=60.0, metavar="S",
-        help="give up on a shard task no worker claims within S "
-             "(default 60)",
-    )
-    serve_p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="attempts per cell before quarantine (default 3)",
-    )
-    serve_p.add_argument(
-        "--heartbeat", type=float, default=1.0, metavar="S",
-        help="worker heartbeat cadence; silence past the liveness "
-             "window requeues the shard (default 1.0)",
-    )
-    serve_p.add_argument(
-        "--keep-shards", action="store_true",
-        help="keep shard stores under each campaign's shards/ dir",
-    )
-
-    worker_p = camp_sub.add_parser(
-        "worker",
-        help="fleet member: claim and execute shard tasks under --root",
-    )
-    worker_p.add_argument(
-        "--root", required=True, help="service root directory"
-    )
-    worker_p.add_argument(
-        "--once", action="store_true",
-        help="drain the currently claimable tasks and exit",
-    )
-    worker_p.add_argument(
-        "--poll", type=float, default=0.1, metavar="S",
-        help="task poll interval in seconds (default 0.1)",
-    )
-    worker_p.add_argument(
-        "--id", default=None, metavar="NAME",
-        help="worker identity (default: worker-<pid>)",
-    )
-
-    exec_p = camp_sub.add_parser(
-        "shard-exec",
-        help="execute one shard bundle (the shard-transport worker "
-             "entry point)",
-    )
-    exec_p.add_argument(
-        "--request", required=True, metavar="DIR",
-        help="shard bundle directory (request.json inside)",
-    )
-    exec_p.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="store directory override (default: <bundle>/store)",
-    )
-    exec_p.add_argument(
-        "--result", default=None, metavar="PATH",
-        help="summary path override (default: <bundle>/result.json)",
-    )
 
     merge_p = camp_sub.add_parser(
         "merge", help="merge shard stores into one campaign directory"
@@ -479,81 +383,6 @@ def _campaign_spec_from_args(args, scale):
     )
 
 
-def _cmd_campaign_service(args) -> int:
-    """The fleet-facing subcommands (no campaign store of their own)."""
-    if args.campaign_command == "shard-exec":
-        from repro.campaigns.backends.transport import execute_request
-
-        # In-shard quarantines are *results* (they travel in the
-        # summary, budget-accounted by the parent) — only a genuinely
-        # broken worker exits nonzero, which transports read as loss.
-        summary = execute_request(
-            args.request, store_dir=args.store, result_path=args.result
-        )
-        print(
-            f"shard {summary['shard_key']}: "
-            f"{len(summary['executed'])} executed, "
-            f"{len(summary['resumed'])} resumed, "
-            f"{len(summary['failed'])} quarantined"
-        )
-        return 0
-    if args.campaign_command == "worker":
-        from repro.campaigns import serve_worker
-
-        n = serve_worker(
-            args.root, worker_id=args.id, once=args.once, poll_s=args.poll
-        )
-        print(f"worker processed {n} task(s)")
-        return 0
-    # serve
-    from repro.campaigns import (
-        CampaignDaemon,
-        CampaignSpec,
-        RetryPolicy,
-        submit_campaign,
-    )
-
-    defaults = RetryPolicy()
-    policy = RetryPolicy(
-        max_attempts=(
-            defaults.max_attempts if args.retries is None else args.retries
-        ),
-        heartbeat_s=args.heartbeat,
-    )
-    if args.spec is not None:
-        if args.out is None:
-            print("campaign serve: --spec needs --out", file=sys.stderr)
-            return 2
-        path = submit_campaign(
-            args.root, CampaignSpec.from_file(args.spec), args.out
-        )
-        print(f"enqueued {path.name}")
-    daemon = CampaignDaemon(
-        args.root,
-        n_shards=args.shards,
-        policy=policy,
-        keep_shards=args.keep_shards,
-        poll_s=args.poll,
-        claim_timeout_s=args.claim_timeout,
-        max_workers=args.workers,
-    )
-    if not args.once:  # pragma: no cover - runs until killed
-        daemon.serve_forever()
-        return 0
-    failed = 0
-    for row in daemon.serve_once():
-        if row["ok"]:
-            report = row["report"]
-            print(
-                f"served {row['name']}: {len(report.executed)} cells "
-                f"executed, {len(report.skipped)} already complete"
-            )
-        else:
-            failed += 1
-            print(f"FAILED {row['name']}: {row['error']}")
-    return 2 if failed else 0
-
-
 def _cmd_campaign(args, scale) -> int:
     from repro.campaigns import (
         CampaignExecutor,
@@ -564,9 +393,6 @@ def _cmd_campaign(args, scale) -> int:
         render_status,
         resolve_backend,
     )
-
-    if args.campaign_command in ("serve", "worker", "shard-exec"):
-        return _cmd_campaign_service(args)
 
     store = ResultStore(args.out)
     if args.campaign_command == "status":

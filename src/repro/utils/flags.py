@@ -1,11 +1,11 @@
 """Central registry for every ``REPRO_*`` environment flag.
 
 Every behaviour toggle in this repo crosses process boundaries as an
-environment variable (``fork``/``spawn`` workers, remote shard bundles,
-the campaign daemon all inherit it for free), which means a typo'd name
-fails silently: ``os.environ.get("REPRO_TELEMTRY")`` is just ``None``.
-This module closes that hole the same way the telemetry layer closed
-the counter-naming hole — one registry, consulted at read time, with a
+environment variable (``fork``/``spawn`` pool and shard workers
+inherit it for free), which means a typo'd name fails silently:
+``os.environ.get("REPRO_TELEMTRY")`` is just ``None``.  This module
+closes that hole the same way the telemetry layer closed the
+counter-naming hole — one registry, consulted at read time, with a
 static-analysis rule (``repro-lint`` E301/E302, DESIGN.md §16) that
 forbids raw ``os.environ`` reads of ``REPRO_*`` names anywhere else.
 

@@ -350,6 +350,30 @@ class TestStyleRules:
         assert rule_ids(result) == ["S601"]
         assert "json" in result.violations[0].message
 
+    def test_s601_docstring_word_is_not_a_use(self, lint_tree):
+        result = lint_tree({
+            "src/repro/core/thing.py": (
+                "from dataclasses import dataclass, field\n\n\n"
+                "@dataclass\nclass Thing:\n"
+                "    \"\"\"Rejects an unknown field.\"\"\"\n\n"
+                "    x: int = 0\n"
+            ),
+        }, select=["S601"])
+        assert rule_ids(result) == ["S601"]
+        assert "field" in result.violations[0].message
+
+    def test_s601_quoted_annotation_counts_as_use(self, lint_tree):
+        result = lint_tree({
+            "src/repro/core/thing.py": (
+                "from typing import TYPE_CHECKING\n\n"
+                "if TYPE_CHECKING:\n"
+                "    from pathlib import Path\n\n\n"
+                "def f(p: \"Path\") -> None:\n"
+                "    \"\"\"Take a path.\"\"\"\n"
+            ),
+        }, select=["S601"])
+        assert result.violations == []
+
     def test_s601_all_reexport_counts_as_use(self, lint_tree):
         result = lint_tree({
             "src/repro/core/thing.py": (

@@ -2,11 +2,10 @@
 
 DESIGN.md §10's headline invariant, pinned in one place instead of the
 ad-hoc per-PR identity checks that preceded it: for the same
-:class:`CampaignSpec`, the ``inline``, ``pool``, ``shard:2``, and
-``remote:2`` (loopback transport — shards shipped as bundles to
-subprocess workers and streamed back) backends must persist
-**byte-identical** result records — and a standalone ``campaign merge`` of
-kept shard stores must equal the single-store run.  Re-running any
+:class:`CampaignSpec`, the ``inline``, ``pool`` and ``shard:2``
+backends must persist **byte-identical** result records — and a
+standalone ``campaign merge`` of kept shard stores must equal the
+single-store run.  Re-running any
 backend against a populated evaluation cache must execute zero
 simulations.
 
@@ -22,10 +21,12 @@ import pytest
 from repro.campaigns import (
     CampaignExecutor,
     ResultStore,
+    RetryPolicy,
     ShardBackend,
 )
+from repro.campaigns.backends.shard import partition_cells, run_shard
 
-BACKENDS = ("inline", "pool", "shard:2", "remote:2")
+BACKENDS = ("inline", "pool", "shard:2")
 
 
 def eval_cache_keys_at(path) -> set:
@@ -205,3 +206,58 @@ class TestCachedRerun:
         ).run()
         assert again.simulations_executed == 0
         assert again.cache_hits == n
+
+
+class TestShardGuards:
+    def test_storeless_cacheless_run_matches_inline(self, golden_spec):
+        """Neither a store nor a cache: shards run against temporary
+        stores and the report still carries every cell's records."""
+
+        def records(name):
+            report = CampaignExecutor(
+                golden_spec, store=None, backend=name, max_workers=2,
+                eval_cache=None,
+            ).run()
+            return {r.cell.key: r.records for r in report.executed}
+
+        expected = records("inline")
+        assert len(expected) == golden_spec.n_cells
+        assert records("shard:2") == expected
+
+    def test_adhoc_scale_objects_are_rejected(self, golden_spec, tmp_path):
+        from repro.experiments.config import get_scale
+
+        with pytest.raises(ValueError, match="scale"):
+            CampaignExecutor(
+                golden_spec, ResultStore(tmp_path / "s"),
+                backend="shard:2", scale=get_scale("quick"),
+            ).run()
+
+    def test_run_shard_twice_on_one_store_resumes(
+        self, golden_spec, tmp_path
+    ):
+        """A second :func:`run_shard` on the same directory executes
+        nothing: the completed cells are resumed from the store, and
+        the summary's digest is the store's own fingerprint."""
+        shard = next(
+            s for s in partition_cells(golden_spec.cells(), 2) if s.cells
+        )
+        store_dir = tmp_path / "shard"
+
+        def run():
+            return run_shard(
+                golden_spec.to_json(), shard.cell_keys, shard.index,
+                str(store_dir), None, False, None, RetryPolicy(), {},
+            )
+
+        first = run()
+        assert sorted(first["executed"]) == sorted(shard.cell_keys)
+        assert first["resumed"] == [] and first["failed"] == []
+        store = ResultStore(store_dir)
+        assert all(store.is_complete(c) for c in shard.cells)
+        assert first["store_digest"] == store.content_digest()
+        second = run()
+        assert second["executed"] == []
+        assert sorted(second["resumed"]) == sorted(shard.cell_keys)
+        assert second["simulations_executed"] == 0
+        assert second["store_digest"] == first["store_digest"]

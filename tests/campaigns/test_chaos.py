@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -25,7 +26,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.campaigns import CampaignExecutor, ResultStore, render_failures
+from repro.campaigns import (
+    CampaignExecutor,
+    ResultStore,
+    ShardBackend,
+    render_failures,
+)
 from repro.campaigns.faults import TORN_JUNK
 from repro.campaigns.resilience import FailureLedger, RetryPolicy
 
@@ -211,66 +217,31 @@ class TestShardRecovery:
         assert [e["cell"] for e in ledger.entries()] == [poison]
 
 
-class TestRemoteRecovery:
-    def test_dead_remote_worker_requeues_onto_survivors(
+class TestShardRemerge:
+    def test_same_shard_merged_twice_is_idempotent(
         self, golden_spec, golden_digests, run_backend, store_digests,
         monkeypatch,
     ):
-        """The loopback twin of the dead-shard test: the fault plane
-        hard-exits one remote worker subprocess mid-shard (crossing the
-        transport boundary via the environment).  The partial store the
-        transport salvaged merges back, the lost cells requeue onto the
-        surviving shard count, and the final store is byte-identical."""
-        victim = golden_spec.cells()[0].key
-        monkeypatch.setenv("REPRO_FAULTS", f"crash:{victim}@1")
-        monkeypatch.setenv("REPRO_TELEMETRY", "on")
-        report, store = run_backend(
-            "remote:2", "dead-remote", golden_spec, retry_policy=FAST
-        )
-        assert report.failed == []
-        assert report.requeues >= 1
-        assert store_digests(store.root) == golden_digests
-        telemetry = store.telemetry_path.read_text()
-        assert '"shard.requeue"' in telemetry
-        assert '"shard.transport"' in telemetry
-        assert not (store.root / "shards").exists()
+        """The same shard directory run and merged **twice** into one store.
 
-    def test_twice_fetched_shard_merges_identical_with_zero_duplicates(
-        self, golden_spec, golden_digests, run_backend, store_digests,
-        monkeypatch,
-    ):
-        """The same shard fetched and merged **twice** into one dest.
-
-        ``remote:1`` with a crash on the very first cell: the requeued
+        ``shard:1`` with a crash on the very first cell: the requeued
         retry covers the identical cell set over the identical shard
         count, so the recovery round reuses the *same* content-keyed
-        shard directory — the partial salvage from attempt 1 ships back
-        out as the bundle seed, the second fetch overwrites it
-        file-by-file, and the parent folds the same shard source twice.
-        Everything downstream must be idempotent: byte-identical store,
-        each evaluation cached once, each telemetry line counted once."""
-        from repro.campaigns.backends.shard import ShardBackend
-        from repro.campaigns.backends.transport import LoopbackTransport
-
-        class Recording(LoopbackTransport):
-            calls: list = []
-
-            def run_shard(self, shard_key, bundle_dir, dest_store):
-                self.calls.append(shard_key)
-                return super().run_shard(shard_key, bundle_dir, dest_store)
+        shard directory and the parent folds the same shard source
+        twice.  Everything downstream must be idempotent: byte-identical
+        store, each evaluation cached once, each telemetry line counted
+        once."""
+        from repro.telemetry import TelemetrySummary
 
         victim = golden_spec.cells()[0].key
         monkeypatch.setenv("REPRO_FAULTS", f"crash:{victim}@1")
         monkeypatch.setenv("REPRO_TELEMETRY", "on")
-        transport = Recording()
-        transport.calls = []
         report, store = run_backend(
-            ShardBackend(1, transport=transport),
-            "twice-fetched", golden_spec, retry_policy=FAST,
+            "shard:1", "remerged", golden_spec, retry_policy=FAST
         )
-        # One shard, dispatched twice, same content key = same dest dir.
-        assert len(transport.calls) == 2
-        assert transport.calls[0] == transport.calls[1]
+        summary = TelemetrySummary.from_file(store.telemetry_path)
+        # One shard, dispatched twice: the second round reuses its dir.
+        assert summary.event_counts()["shard.dispatched"] == 2
         assert report.failed == []
         assert report.requeues >= 1
         assert store_digests(store.root) == golden_digests
@@ -284,14 +255,57 @@ class TestRemoteRecovery:
         assert len(keys) == len(set(keys)) == golden_spec.n_cells
         # The telemetry rollups agree: every simulation ran exactly
         # once across both dispatches, none served from cache twice.
-        from repro.telemetry import TelemetrySummary
-
-        summary = TelemetrySummary.from_file(store.telemetry_path)
         assert (
             summary.counter("campaign.simulations_executed")
             == golden_spec.n_cells
         )
         assert summary.counter("campaign.cache_hits") == 0
+
+
+def _alter_one_digit(text: str) -> str:
+    """Change the first decimal digit of the first record line."""
+    lines = text.splitlines(keepends=True)
+    lines[1], n = re.subn(
+        r"\.(\d)", lambda m: f".{(int(m.group(1)) + 1) % 10}", lines[1],
+        count=1,
+    )
+    assert n == 1
+    return "".join(lines)
+
+
+class TestShardDigest:
+    @pytest.mark.parametrize(
+        "damage",
+        [_alter_one_digit, lambda text: text[: len(text) // 2]],
+        ids=["altered-cell", "torn-cell"],
+    )
+    def test_damaged_shard_store_requeues_to_identical_store(
+        self, damage, golden_spec, golden_digests, run_backend,
+        store_digests,
+    ):
+        """One cell file of a finished shard is damaged before the
+        parent reads it.  The store no longer digests as the worker's
+        summary says, so the shard is dropped and requeued — never
+        merged — and the run ends byte-identical to inline."""
+        class Damaging(ShardBackend):
+            damaged = False
+
+            def _collect(self, shard, dest, summary):
+                if not self.damaged:
+                    self.damaged = True
+                    path = sorted(Path(dest, "cells").glob("*.jsonl"))[0]
+                    path.write_text(damage(path.read_text()))
+                return super()._collect(shard, dest, summary)
+
+        backend = Damaging(2)
+        report, store = run_backend(
+            backend, "damaged", golden_spec, retry_policy=FAST
+        )
+        assert backend.damaged
+        assert report.failed == []
+        assert report.requeues >= 1
+        assert len(report.executed) == golden_spec.n_cells
+        assert store_digests(store.root) == golden_digests
 
 
 class TestTornTailRecovery:

@@ -12,6 +12,7 @@ from repro.campaigns import (
     ResultStore,
     render_report,
     render_status,
+    resolve_backend,
 )
 
 
@@ -49,9 +50,26 @@ class TestDeterminism:
 
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            CampaignExecutor(tiny_spec(), backend="carrier-pigeon").run()
+    @pytest.mark.parametrize(
+        "bad", ["carrier-pigeon", "remote", "remote:2", "remote:2@loopback"]
+    )
+    def test_unknown_backend_rejected(self, bad, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            CampaignExecutor(tiny_spec(), store, backend=bad).run()
+        message = str(excinfo.value)
+        assert repr(bad) in message
+        assert "'inline', 'pool' or 'shard:N'" in message
+        # Rejected at the boundary: no store state was written.
+        assert not store.root.exists() or not any(store.root.iterdir())
+
+    @pytest.mark.parametrize(
+        "bad", ["remote", "remote:2", "remote:2@loopback"]
+    )
+    def test_removed_remote_spellings_fail_in_the_parser(self, bad):
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            resolve_backend(bad)
+        assert repr(bad) in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "bad", ["shard:0", "shard:x", "shard:-1", "shard:-2"]
@@ -59,6 +77,12 @@ class TestBackendSelection:
     def test_bad_shard_count_rejected(self, bad):
         with pytest.raises(ValueError, match="shard count"):
             CampaignExecutor(tiny_spec(), backend=bad).run()
+
+    @pytest.mark.parametrize("bad", ["shard:0", "shard:-1", "shard:x"])
+    def test_bad_shard_count_names_the_string(self, bad):
+        with pytest.raises(ValueError, match="N >= 1") as excinfo:
+            resolve_backend(bad)
+        assert repr(bad) in str(excinfo.value)
 
     def test_serial_flag_is_inline_backend(self):
         assert CampaignExecutor(tiny_spec(), serial=True)._resolve_backend().name == "inline"

@@ -4,7 +4,7 @@ The chaos suite (``test_chaos.py``) proves the end-to-end recovery
 paths; this file pins the building blocks in isolation — deterministic
 backoff, the lease/attempt ledger, the quarantine ledger's torn-tail
 tolerance, fault-spec parsing, store healing, and both heartbeat
-transports — so a chaos failure bisects to one primitive.
+paths — so a chaos failure bisects to one primitive.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from repro.campaigns.resilience import (
     LeaseTable,
     RetryPolicy,
     heartbeat_env,
-    heartbeat_file,
     maybe_heartbeat,
     recorder_heartbeat,
-    reset_heartbeat_dir,
 )
 from repro.campaigns.store import ResultStore
 
@@ -203,14 +201,14 @@ class TestFailureLedger:
         assert [e["cell"] for e in parent.entries()] == ["cell-a"]
 
     def test_fold_from_is_idempotent_per_source(self, tmp_path):
-        """Folding the same shard ledger twice (the twice-fetched
-        remote shard) records each quarantine exactly once."""
+        """Folding the same shard ledger twice (a re-merged shard
+        directory) records each quarantine exactly once."""
         parent = FailureLedger(tmp_path / "failures.jsonl")
         shard = FailureLedger(tmp_path / "shard" / "failures.jsonl")
         shard.record("cell-a", attempts=3, error="boom")
         shard.record("cell-b", attempts=2, error="pop")
         assert parent.fold_from(shard) == 2
-        assert parent.fold_from(shard) == 0  # second fetch: all dedup
+        assert parent.fold_from(shard) == 0  # second fold: all dedup
         assert [e["cell"] for e in parent.entries()] == ["cell-a", "cell-b"]
         # A *grown* source folds only its new entries.
         shard.record("cell-c", attempts=1, error="fizz")
@@ -360,35 +358,6 @@ class TestHeartbeats:
         telemetry = tmp_path / "telemetry.jsonl"
         assert monitor.fold_into(telemetry) >= 1
         assert '"cell.heartbeat"' in telemetry.read_text()
-
-    def test_reset_heartbeat_dir_scrubs_stale_files(self, tmp_path):
-        """Regression: per-PID heartbeat files survive their writer, so
-        a reused directory still holds the previous run's beats — which
-        look live for a whole liveness window and, under PID recycling,
-        could mask a hung worker forever.  A run start scrubs them."""
-        stale = tmp_path / "heartbeat-99999.jsonl"
-        stale.write_text(
-            '{"v":1,"kind":"event","name":"cell.heartbeat","t":1.0,'
-            '"attrs":{"cell":"ghost","pid":99999}}\n'
-        )
-        (tmp_path / "unrelated.txt").write_text("keep me\n")
-        assert reset_heartbeat_dir(tmp_path) == 1
-        assert not stale.exists()
-        assert (tmp_path / "unrelated.txt").exists()  # only beats go
-        assert HeartbeatMonitor(tmp_path).poll() == {}  # ghost is gone
-        # Missing directory is a no-op, not an error.
-        assert reset_heartbeat_dir(tmp_path / "absent") == 0
-
-    def test_heartbeat_file_streams_per_pid_beats(self, tmp_path):
-        """The service-scope beat: the daemon worker wraps each leased
-        shard in this, and the serving side's monitor sees the label."""
-        import os
-
-        with heartbeat_file(tmp_path, "shard-00", 0.01):
-            time.sleep(0.03)
-        files = list(tmp_path.glob("heartbeat-*.jsonl"))
-        assert [f.name for f in files] == [f"heartbeat-{os.getpid()}.jsonl"]
-        assert HeartbeatMonitor(tmp_path).poll().keys() == {"shard-00"}
 
     def test_monitor_carries_partial_lines(self, tmp_path):
         monitor = HeartbeatMonitor(tmp_path)

@@ -161,9 +161,13 @@ class TestBackendHint:
         # files still match byte-for-byte on resume).
         assert "backend" not in plain.to_json()
 
-    def test_invalid_hint_rejected_at_declaration(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            tiny_spec(backend="abacus")
+    @pytest.mark.parametrize(
+        "bad", ["abacus", "remote", "remote:2", "remote:2@loopback"]
+    )
+    def test_invalid_hint_rejected_at_declaration(self, bad):
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            tiny_spec(backend=bad)
+        assert repr(bad) in str(excinfo.value)
 
     def test_hint_drives_executor_resolution(self):
         from repro.campaigns import CampaignExecutor

@@ -270,7 +270,7 @@ class TestMergeTelemetryFiles:
         assert TelemetrySummary.from_file(dest).event_counts() == {"e": 1}
 
     def test_source_id_makes_the_fold_idempotent(self, tmp_path):
-        """The twice-fetched remote shard: folding the same source file
+        """A re-merged shard directory: folding the same source file
         again under the same id appends nothing, so counter deltas are
         counted exactly once."""
         src = tmp_path / "src.jsonl"

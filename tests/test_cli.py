@@ -217,9 +217,35 @@ class TestCampaignBackends:
             for p in sorted(Path(out, "cells").glob("*.jsonl"))
         }
 
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown backend"):
-            main(self.run_args(tmp_path / "x", "--backend", "smoke-signals"))
+    @pytest.mark.parametrize(
+        "bad", ["smoke-signals", "remote", "remote:2", "remote:2@loopback"]
+    )
+    def test_unknown_backend_rejected(self, bad, tmp_path):
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            main(self.run_args(tmp_path / "x", "--backend", bad))
+        assert repr(bad) in str(excinfo.value)
+
+    @pytest.mark.parametrize("command", ["serve", "worker"])
+    def test_fleet_subcommands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["campaign", command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_campaign_subcommands_are_exactly_the_store_commands(self):
+        import argparse
+
+        def subcommands(parser):
+            action = next(
+                a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)
+            )
+            return action.choices
+
+        campaign = subcommands(build_parser())["campaign"]
+        assert set(subcommands(campaign)) == {
+            "run", "status", "telemetry", "report", "failures", "merge",
+        }
 
     def test_inline_backend_runs(self, capsys, tmp_path):
         out = tmp_path / "inline"

@@ -84,3 +84,20 @@ def test_cited_records_and_root_docs_exist():
             if not (REPO_ROOT / name).exists():
                 missing.setdefault(name, path.relative_to(REPO_ROOT).as_posix())
     assert missing == {}
+
+
+def test_ci_workflow_paths_exist():
+    # Every test, benchmark, perfbench or tools path the CI workflow
+    # names must exist — a deletion must not leave a step aimed at a
+    # missing file.
+    import re
+
+    text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8"
+    )
+    pattern = re.compile(
+        r"(?<![\w/.-])((?:tests|benchmarks|perfbench|tools)/[\w/.-]+)"
+    )
+    paths = {m.rstrip(".") for m in pattern.findall(text)}
+    assert paths
+    assert sorted(p for p in paths if not (REPO_ROOT / p).exists()) == []
