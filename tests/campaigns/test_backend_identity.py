@@ -43,6 +43,20 @@ def eval_cache_keys(store: ResultStore) -> set:
     return eval_cache_keys_at(store.eval_cache_path)
 
 
+def first_shard(spec):
+    """The first non-empty shard of ``spec``'s ``shard:2`` partition."""
+    return next(s for s in partition_cells(spec.cells(), 2) if s.cells)
+
+
+def run_shard_into(spec, shard, store_dir, use_cache=False, warm_path=None):
+    """One :func:`run_shard` call with the default policy, no engine
+    override and no pre-charged attempts."""
+    return run_shard(
+        spec.to_json(), shard.cell_keys, shard.index, str(store_dir),
+        warm_path, use_cache, None, RetryPolicy(), {},
+    )
+
+
 @pytest.fixture()
 def golden_digests(golden_spec, run_backend, store_digests):
     """The inline reference store's digests (the golden bytes)."""
@@ -239,16 +253,11 @@ class TestShardGuards:
         """A second :func:`run_shard` on the same directory executes
         nothing: the completed cells are resumed from the store, and
         the summary's digest is the store's own fingerprint."""
-        shard = next(
-            s for s in partition_cells(golden_spec.cells(), 2) if s.cells
-        )
+        shard = first_shard(golden_spec)
         store_dir = tmp_path / "shard"
 
         def run():
-            return run_shard(
-                golden_spec.to_json(), shard.cell_keys, shard.index,
-                str(store_dir), None, False, None, RetryPolicy(), {},
-            )
+            return run_shard_into(golden_spec, shard, store_dir)
 
         first = run()
         assert sorted(first["executed"]) == sorted(shard.cell_keys)
@@ -261,3 +270,86 @@ class TestShardGuards:
         assert sorted(second["resumed"]) == sorted(shard.cell_keys)
         assert second["simulations_executed"] == 0
         assert second["store_digest"] == first["store_digest"]
+
+    def test_run_shard_writes_only_its_own_cells(self, golden_spec, tmp_path):
+        shards = [
+            s for s in partition_cells(golden_spec.cells(), 2) if s.cells
+        ]
+        assert len(shards) == 2
+        run_shard_into(golden_spec, shards[0], tmp_path / "shard")
+        store = ResultStore(tmp_path / "shard")
+        assert all(store.is_complete(c) for c in shards[0].cells)
+        assert not any(store.is_complete(c) for c in shards[1].cells)
+
+    def test_run_shard_without_cache_writes_no_sidecar(
+        self, golden_spec, tmp_path
+    ):
+        run_shard_into(golden_spec, first_shard(golden_spec), tmp_path / "s")
+        assert not ResultStore(tmp_path / "s").eval_cache_path.exists()
+
+    def test_run_shard_warms_from_the_parent_cache_path(
+        self, golden_spec, tmp_path, store_digests
+    ):
+        """The shard reads the parent's cache file directly: a fully
+        warm shard simulates nothing and writes the same cell bytes."""
+        shard = first_shard(golden_spec)
+        parent = ResultStore(tmp_path / "parent")
+        cold = run_shard_into(golden_spec, shard, parent.root, use_cache=True)
+        assert cold["simulations_executed"] == len(shard.cells)
+        warm = run_shard_into(
+            golden_spec, shard, tmp_path / "warm", use_cache=True,
+            warm_path=str(parent.eval_cache_path),
+        )
+        assert warm["simulations_executed"] == 0
+        assert warm["cache_hits"] == cold["simulations_executed"]
+        assert sorted(warm["executed"]) == sorted(shard.cell_keys)
+        assert warm["store_digest"] == cold["store_digest"]
+        assert store_digests(tmp_path / "warm") == store_digests(parent.root)
+
+    def test_run_shard_telemetry_is_tagged_and_has_no_rollups(
+        self, golden_spec, tmp_path, monkeypatch
+    ):
+        """Every shard-stream line carries the shard index, and the
+        campaign-wide roll-up counters are left to the parent (a shard
+        re-emitting its slice would double-count them after the fold)."""
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        shard = first_shard(golden_spec)
+        run_shard_into(golden_spec, shard, tmp_path / "s")
+        lines = [
+            json.loads(line)
+            for line in ResultStore(tmp_path / "s")
+            .telemetry_path.read_text()
+            .splitlines()
+        ]
+        assert lines
+        assert all(line["attrs"]["shard"] == shard.index for line in lines)
+        assert not any(
+            line["name"].startswith("campaign.") and line["kind"] == "count"
+            for line in lines
+        )
+
+
+class TestShardCollect:
+    """:meth:`ShardBackend._collect`, the parent's check of a finished
+    shard's store against the digest its worker reported."""
+
+    def test_matching_store_yields_every_done_cell(
+        self, golden_spec, tmp_path
+    ):
+        shard = first_shard(golden_spec)
+        summary = run_shard_into(golden_spec, shard, tmp_path / "s")
+        got, results = ShardBackend._collect(shard, tmp_path / "s", summary)
+        assert got is summary
+        store = ResultStore(tmp_path / "s")
+        assert [r.cell for r in results] == list(shard.cells)
+        assert all(r.records == store.read_cell(r.cell) for r in results)
+
+    def test_digest_mismatch_raises_and_discards_the_store(
+        self, golden_spec, tmp_path
+    ):
+        shard = first_shard(golden_spec)
+        summary = run_shard_into(golden_spec, shard, tmp_path / "s")
+        summary["store_digest"] = "0" * 40
+        with pytest.raises(RuntimeError, match=shard.key):
+            ShardBackend._collect(shard, tmp_path / "s", summary)
+        assert not (tmp_path / "s").exists()

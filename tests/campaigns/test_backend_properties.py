@@ -32,7 +32,11 @@ from repro.campaigns import (
     MergeConflictError,
     ResultStore,
 )
-from repro.campaigns.backends import partition_cells, shard_index_for
+from repro.campaigns.backends import (
+    ShardBackend,
+    partition_cells,
+    shard_index_for,
+)
 
 #: One spec, expanded once — 8 evaluate cells with distinct content keys.
 SPEC = CampaignSpec(
@@ -109,6 +113,43 @@ class TestPartition:
             partition_cells(CELLS, 0)
         with pytest.raises(ValueError):
             shard_index_for(CELLS[0].key, -1)
+
+    @given(n_shards=st.integers(1, 6))
+    @SETTINGS
+    def test_cells_keep_input_order_within_a_shard(self, n_shards):
+        order = {c.key: i for i, c in enumerate(CELLS)}
+        for shard in partition_cells(CELLS, n_shards):
+            positions = [order[key] for key in shard.cell_keys]
+            assert positions == sorted(positions)
+
+    def test_more_shards_than_cells_keeps_empty_shards(self):
+        shards = partition_cells(CELLS[:2], 5)
+        assert [s.index for s in shards] == list(range(5))
+        assert all(s.n_shards == 5 for s in shards)
+        assert sum(len(s.cells) for s in shards) == 2
+        assert any(not s.cells for s in shards)
+
+
+class TestShardBackendArgs:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n_shards": 0}, "n_shards"),
+            ({"n_shards": -1}, "n_shards"),
+            ({"n_shards": 2, "max_workers": 0}, "max_workers"),
+            ({"n_shards": 2, "max_workers": -3}, "max_workers"),
+        ],
+    )
+    def test_non_positive_counts_rejected_naming_the_field(
+        self, kwargs, field
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            ShardBackend(**kwargs)
+
+    def test_name_is_the_cli_spelling(self):
+        backend = ShardBackend(4, max_workers=2)
+        assert backend.name == "shard:4"
+        assert backend.max_workers == 2 and not backend.keep_shards
 
 
 class TestMergeRoundTrip:

@@ -10,6 +10,7 @@ from repro.campaigns import (
     CampaignExecutor,
     CampaignSpec,
     ResultStore,
+    ShardBackend,
     render_report,
     render_status,
     resolve_backend,
@@ -83,6 +84,31 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="N >= 1") as excinfo:
             resolve_backend(bad)
         assert repr(bad) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [
+            ("inline", "inline"),
+            ("pool", "pool"),
+            ("shard", "shard:2"),
+            ("shard:3", "shard:3"),
+            (" SHARD:3 ", "shard:3"),
+        ],
+    )
+    def test_valid_spellings_resolve(self, value, name):
+        assert resolve_backend(value).name == name
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_keep_shards_reaches_the_shard_backend(self, keep):
+        assert resolve_backend("shard:2", keep_shards=keep).keep_shards is keep
+
+    def test_backend_instance_passes_through(self):
+        backend = ShardBackend(3)
+        assert resolve_backend(backend) is backend
+
+    def test_non_string_non_backend_rejected(self):
+        with pytest.raises(ValueError, match="string or a Backend"):
+            resolve_backend(2)
 
     def test_serial_flag_is_inline_backend(self):
         assert CampaignExecutor(tiny_spec(), serial=True)._resolve_backend().name == "inline"

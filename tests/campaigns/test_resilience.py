@@ -10,6 +10,7 @@ paths — so a chaos failure bisects to one primitive.
 from __future__ import annotations
 
 import json
+import pickle
 import time
 
 import pytest
@@ -66,6 +67,17 @@ class TestRetryPolicy:
     def test_invalid_policies_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
+
+    def test_survives_pickling_to_a_shard_worker(self):
+        """``shard:N`` hands the policy to :func:`run_shard` by pickling;
+        every field must arrive, and the delays it derives with it."""
+        policy = RetryPolicy(
+            max_attempts=5, base_delay_s=0.01, cell_timeout_s=2.0,
+            heartbeat_s=0.25,
+        )
+        copy = pickle.loads(pickle.dumps(policy))
+        assert copy == policy
+        assert copy.delay_for("cell", 2) == policy.delay_for("cell", 2)
 
     def test_delay_is_deterministic_and_exponential(self):
         policy = RetryPolicy(
