@@ -41,7 +41,7 @@ RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
 
 WORKERS = 2
 
-#: The repo's standard benchmark trio (same as bench_backends.py).
+#: The repo's standard benchmark trio.
 PARAM_VECTORS = tuple(
     tuple(float(v) for v in p.as_array())
     for p in (

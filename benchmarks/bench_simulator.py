@@ -84,29 +84,6 @@ def test_warm_runtime_evaluation(benchmark, density, emit):
     assert metrics.n_nodes == evaluator.n_nodes
 
 
-@pytest.mark.parametrize("density", [100, 300])
-@pytest.mark.parametrize("mode", ["serial", "parallel"])
-def test_evaluation_fanout(benchmark, density, mode, emit):
-    """Serial vs process-pool evaluation at both density extremes.
-
-    The fan-out amortises process round-trips only once per-simulation
-    cost is large enough (75-node networks); the 25-node rows show the
-    overhead side of the break-even.  Results are identical either way.
-    """
-    from repro.tuning import ParallelNetworkSetEvaluator
-
-    scenarios = NetworkSetEvaluator.for_density(density, n_networks=10).scenarios
-    if mode == "serial":
-        evaluator = NetworkSetEvaluator(scenarios)
-        metrics = benchmark(lambda: evaluator.evaluate(PARAMS))
-        assert metrics.n_nodes == scenarios[0].n_nodes
-    else:
-        with ParallelNetworkSetEvaluator(scenarios, max_workers=2) as evaluator:
-            expected = NetworkSetEvaluator(scenarios).evaluate(PARAMS)
-            metrics = benchmark(lambda: evaluator.evaluate(PARAMS))
-        assert metrics == expected
-
-
 def test_mobility_position_queries(benchmark, emit):
     scenario = make_scenarios(300, n_networks=1)[0]
     mobility = scenario.build_mobility()

@@ -116,7 +116,6 @@ class LintConfig:
         "repro.manet.metrics",
         "repro.manet.runtime",
         "repro.manet.scenarios",
-        "repro.manet.shared",
         "repro.manet.simulator",
     ])
     #: Layer order (L502): a module under key may not import prefixes

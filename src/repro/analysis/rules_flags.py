@@ -1,7 +1,7 @@
 """E-series: the ``REPRO_*`` environment-flag registry (DESIGN.md §16).
 
 Flags cross process boundaries as plain environment strings
-(fork/spawn pool and shard workers), so a typo'd name fails silently
+(fork/spawn pool and population workers), so a typo'd name fails silently
 as ``None``.  The registry in
 ``repro/utils/flags.py`` is the single source of truth; these rules
 force every read through it (E301), every referenced name into it

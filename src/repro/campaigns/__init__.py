@@ -27,9 +27,9 @@ Quick guide
    ``master_seed``), so the same spec always names the same work.
 
 2. **Run it.**  :class:`CampaignExecutor` skips completed cells and
-   batches everything else through one persistent process pool —
-   simulations interleave *across* cells, so workers never idle at cell
-   boundaries::
+   runs everything else through one persistent process pool, one task
+   per cell — the worker that simulates a cell builds that cell's
+   scenario runtimes itself::
 
        from repro.campaigns import CampaignExecutor, ResultStore
 
@@ -47,35 +47,25 @@ Quick guide
    face of the same objects; :func:`render_report` and
    :func:`render_status` produce the text views.
 
-What the executor shares under the pool (DESIGN.md §9)
-======================================================
+The persistent evaluation cache (DESIGN.md §9)
+==============================================
 
-Two layers make repeated and parallel evaluation nearly free, both
-transparent (identical metrics, bit for bit):
+Every finished simulation is appended to the store's
+``evaluations.jsonl`` sidecar
+(:class:`~repro.tuning.cache.PersistentEvaluationCache`), keyed on the
+full ``(scenario, params)`` content, and served back bit for bit.
+Re-running a completed grid into a *fresh* store — or running a
+different campaign whose cells overlap — executes zero simulations::
 
-* **Pool-shared runtimes** — before the pool forks, the executor
-  builds each pending scenario's parameter-independent substrate
-  (per-tick neighbour tables, the replayed protocol RNG stream) once
-  via :class:`~repro.manet.shared.SharedRuntimeArena`; workers inherit
-  it copy-on-write instead of privately rebuilding it, so warm-up cost
-  scales with *scenario* count, not worker count.
+    store_b = ResultStore("runs/other-dir")
+    report = CampaignExecutor(
+        spec, store_b,
+        eval_cache="runs/mobility-sweep/evaluations.jsonl",
+    ).run()
+    assert report.simulations_executed == 0   # all served from disk
 
-* **Persistent evaluation cache** — every finished simulation is
-  appended to the store's ``evaluations.jsonl`` sidecar
-  (:class:`~repro.tuning.cache.PersistentEvaluationCache`), keyed on
-  the full ``(scenario, params)`` content.  Re-running a completed
-  grid into a *fresh* store — or running a different campaign whose
-  cells overlap — executes zero simulations::
-
-      store_b = ResultStore("runs/other-dir")
-      report = CampaignExecutor(
-          spec, store_b,
-          eval_cache="runs/mobility-sweep/evaluations.jsonl",
-      ).run()
-      assert report.simulations_executed == 0   # all served from disk
-
-  ``eval_cache=None`` disables it; ``repro-aedb cache stats|flush``
-  maintains it.
+``eval_cache=None`` disables it; ``repro-aedb cache stats|flush``
+maintains it.
 
 Workloads
 =========
@@ -93,17 +83,12 @@ Execution backends (DESIGN.md §10)
 *How* the cells run is a pluggable strategy behind the
 :class:`~repro.campaigns.backends.Backend` protocol —
 ``CampaignExecutor(..., backend=...)`` or ``repro-aedb campaign run
---backend {inline,pool,shard:N}``:
+--backend {inline,pool}``:
 
 * ``inline`` — serial, in-process; the debuggable reference;
-* ``pool`` (default) — one shared process pool over all cells' jobs;
-* ``shard:N`` — the cells partition into N content-keyed shards, each
-  run by a forked worker against **its own** store directory (own
-  ``evaluations.jsonl`` handle, warmed from the parent's), then merged
-  back with dedup-by-key and conflict detection.  ``repro-aedb
-  campaign merge <dirs...>`` exposes the same merge standalone.
+* ``pool`` (default) — one shared process pool, one task per cell.
 
-All backends produce **byte-identical** stores for the same spec —
+Both backends produce **byte-identical** stores for the same spec —
 the invariant ``tests/campaigns/test_backend_identity.py`` pins — so
 backend choice is purely an execution/deployment decision.
 
@@ -114,8 +99,7 @@ The scheduler owns failure, not the caller.  Every run carries a
 :class:`~repro.campaigns.resilience.RetryPolicy` (``repro-aedb campaign
 run --retries/--cell-timeout/--heartbeat``): failed attempts retry with
 deterministic backoff, the pool backend survives broken pools and
-wedged workers (leases + ``cell.heartbeat`` telemetry), the shard
-backend requeues a dead shard's lost cells onto a recovery pass, and a
+wedged workers (leases + ``cell.heartbeat`` telemetry), and a
 cell that exhausts its budget is **quarantined** into the store's
 ``failures.jsonl`` (``repro-aedb campaign failures``) instead of
 aborting anything.  Recovered runs stay byte-identical to fault-free
@@ -130,7 +114,6 @@ from repro.campaigns.backends import (
     Backend,
     InlineBackend,
     PoolBackend,
-    ShardBackend,
     resolve_backend,
 )
 from repro.campaigns.executor import (
@@ -142,7 +125,6 @@ from repro.campaigns.executor import (
 from repro.campaigns.faults import FaultPlane, InjectedFault
 from repro.campaigns.report import (
     render_failures,
-    render_merge,
     render_report,
     render_status,
 )
@@ -157,12 +139,7 @@ from repro.campaigns.spec import (
     CampaignCell,
     CampaignSpec,
 )
-from repro.campaigns.store import (
-    CampaignStatus,
-    MergeConflictError,
-    MergeReport,
-    ResultStore,
-)
+from repro.campaigns.store import CampaignStatus, ResultStore
 
 __all__ = [
     "CampaignSpec",
@@ -172,16 +149,12 @@ __all__ = [
     "CellResult",
     "ResultStore",
     "CampaignStatus",
-    "MergeConflictError",
-    "MergeReport",
     "Backend",
     "InlineBackend",
     "PoolBackend",
-    "ShardBackend",
     "resolve_backend",
     "render_report",
     "render_status",
-    "render_merge",
     "render_failures",
     "EVALUATE",
     "DEFAULT_PARAMS",

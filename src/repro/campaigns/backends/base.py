@@ -14,8 +14,8 @@ The contract every backend must keep (DESIGN.md §10):
   functions of their jobs, so a backend may reorder, distribute, batch,
   or cache-resolve work freely, but must reassemble each cell's
   payloads in job-index order.  ``tests/campaigns/test_backend_identity.py``
-  pins this across all shipped backends.
-* **Crash-isolation.**  A failed cell (or shard) must not abort the
+  pins this across both shipped backends.
+* **Crash-isolation.**  A failed cell must not abort the
   rest of the run; everything that completed persists, so the next
   invocation re-executes only what failed.
 * **Cache discipline.**  Persistent-cache hits are resolved through
@@ -24,11 +24,9 @@ The contract every backend must keep (DESIGN.md §10):
   diverge between backends.
 
 Shipped backends: :class:`~repro.campaigns.backends.inline.InlineBackend`
-(serial, in-process — the debuggable reference),
+(serial, in-process — the debuggable reference) and
 :class:`~repro.campaigns.backends.pool.PoolBackend` (one shared process
-pool over all cells' jobs), and
-:class:`~repro.campaigns.backends.shard.ShardBackend` (content-keyed
-cell partitions into per-shard stores, merged back).
+pool, one task per cell).
 """
 
 from __future__ import annotations
@@ -44,12 +42,8 @@ from repro.campaigns.resilience import (
 from repro.telemetry import NULL, Recorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.campaigns.executor import (
-        CampaignExecutor,
-        CampaignRunReport,
-        CellResult,
-    )
-    from repro.campaigns.spec import CampaignCell, CampaignSpec
+    from repro.campaigns.executor import CampaignExecutor, CampaignRunReport
+    from repro.campaigns.spec import CampaignCell
     from repro.campaigns.store import ResultStore
     from repro.tuning.cache import PersistentEvaluationCache
 
@@ -60,7 +54,7 @@ __all__ = ["Backend", "ExecutionContext"]
 class Backend(Protocol):
     """One execution strategy for a campaign's pending cells."""
 
-    #: Stable identifier (``"inline"``, ``"pool"``, ``"shard:4"``, ...).
+    #: Stable identifier (``"inline"`` or ``"pool"``).
     name: str
 
     def execute(self, ctx: "ExecutionContext") -> None:
@@ -104,25 +98,12 @@ class ExecutionContext:
 
     # ------------------------------------------------------------------ #
     @property
-    def spec(self) -> "CampaignSpec":
-        return self.executor.spec
-
-    @property
     def store(self) -> "ResultStore | None":
         return self.executor.store
 
     @property
     def max_workers(self) -> int | None:
         return self.executor.max_workers
-
-    @property
-    def scale_override(self):
-        """Ad-hoc scale object (or None), forwarded to sub-executors."""
-        return self.executor._scale_override
-
-    @property
-    def mls_engine(self) -> str | None:
-        return self.executor.mls_engine
 
     @property
     def policy(self) -> RetryPolicy:
@@ -138,13 +119,6 @@ class ExecutionContext:
     def finish_cell(self, cell: "CampaignCell", payloads: list) -> None:
         """Serialise, persist, report, and fire progress for one cell."""
         self.executor._finish_cell(cell, payloads, self.report, self.progress)
-
-    def report_cell(self, result: "CellResult") -> None:
-        """Report a cell finished *elsewhere* (already persisted —
-        e.g. written by a shard store and merged); fires progress."""
-        self.report.executed.append(result)
-        if self.progress is not None:
-            self.progress(result)
 
     def cached_payload(self, job):
         """Persistent-cache hit for ``job`` or None (hits are counted)."""

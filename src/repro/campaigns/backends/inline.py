@@ -14,11 +14,11 @@ __all__ = ["InlineBackend"]
 class InlineBackend:
     """Run every job in-process, in spec order.
 
-    No pool, no subprocesses, no runtime arena: the cheapest path for
-    tiny sweeps, the mode the experiment runner uses to reproduce its
-    historical single-threaded behaviour exactly, and the debuggable
-    reference the other backends are bit-compared against (a breakpoint
-    lands in the same process; tracebacks are undecorated).
+    No pool, no subprocesses: the cheapest path for tiny sweeps, the
+    mode the experiment runner uses to reproduce its historical
+    single-threaded behaviour exactly, and the debuggable reference the
+    pool backend is bit-compared against (a breakpoint lands in the same
+    process; tracebacks are undecorated).
 
     Resilience here is the in-process slice of DESIGN.md §13: a raising
     cell is retried with backoff up to the policy's budget, then

@@ -1,41 +1,40 @@
-"""Process-pool campaign execution — one shared pool over all cells.
+"""Process-pool campaign execution — one pool task per cell.
 
-This is the strategy PR 1 shipped inside the executor, extracted behind
-the :class:`~repro.campaigns.backends.base.Backend` protocol: every
-pending cell's jobs are built up front and submitted to ONE persistent
-:class:`~concurrent.futures.ProcessPoolExecutor`, so simulations
-interleave *across* cells (no per-cell pool spin-up, no idle workers at
-cell boundaries), persistent-cache hits resolve before the pool even
-exists, and a :class:`~repro.manet.shared.SharedRuntimeArena` built
-before the pool forks gives every worker the owner's copy of each
-scenario's precomputed substrate (DESIGN.md §9).
+Every pending cell with uncached jobs becomes ONE task,
+``executor._execute_cell(jobs)``, for a persistent
+:class:`~concurrent.futures.ProcessPoolExecutor`.  The worker that
+simulates a cell builds that cell's scenario runtimes from its own
+per-process memo (DESIGN.md §8), so runtime builds spread across the
+workers and the owner builds none.  Persistent-cache hits resolve per
+job in the owner before the pool exists; a cell served entirely from
+disk never reaches a worker (DESIGN.md §9–§10).
 
-PR 7 made the pool *survive its workers* (DESIGN.md §13).  The drain
-loop became a lease-driven driver:
+The pool *survives its workers* (DESIGN.md §13).  The drain loop is a
+lease-driven driver:
 
-* a cell is **leased** when its first job enters the pool (at most
-  ``workers`` jobs are in flight, so a leased job is running, not
-  queued) and every completed job extends the lease — the per-cell
-  timeout bounds *inactivity*, and the heartbeat monitor extends the
-  liveness deadline from the ``cell.heartbeat`` lines workers stream;
-* a **raising** job fails its cell's attempt: the cell's lost jobs are
-  requeued with deterministic backoff, or the cell is quarantined into
-  ``failures.jsonl`` once the budget is spent — never aborting the run;
+* a cell is **leased** when its task enters the pool (at most
+  ``workers`` tasks are in flight, so a leased task is running, not
+  queued); ``cell_timeout_s`` caps the wall clock of one attempt, and
+  the heartbeat monitor extends the liveness deadline from the
+  ``cell.heartbeat`` lines workers stream;
+* a **raising** task fails its cell's attempt: the cell is requeued
+  with deterministic backoff, or quarantined into ``failures.jsonl``
+  once the budget is spent — never aborting the run;
 * a **broken pool** (worker OOM-killed, segfault, injected crash) is
-  survived: in-flight jobs requeue, the attempt is charged to the
-  casualty cell only when attribution is unambiguous (all casualties
-  belong to one cell — guaranteed at 1 worker, so poison-cell hunts
-  terminate), and the pool is rebuilt **degraded** to half the workers,
-  down to inline-equivalent single-worker execution;
+  survived: in-flight cells requeue, the attempt is charged only when
+  one cell was in flight (guaranteed at 1 worker, so poison-cell hunts
+  terminate), and an ambiguous breakage rebuilds the pool **degraded**
+  to half the workers, down to inline-equivalent single-worker
+  execution;
 * an **expired lease** (hard timeout or heartbeat silence) means a
   wedged worker the futures API cannot reclaim: the pool's processes
-  are killed, innocent in-flight jobs requeue free of charge, and the
+  are killed, innocent in-flight cells requeue free of charge, and the
   hung cell is charged one attempt.
 
-Payloads are pure functions of their jobs, so a retried job lands the
-same bytes and completed sibling jobs of a failed attempt keep their
-results — recovery re-executes only what was lost, and final stores
-stay byte-identical to fault-free runs (the chaos suite pins this).
+A failed attempt re-runs all of its cell's uncached jobs.  Payloads are
+pure functions of their jobs, so the retry lands the same bytes and
+final stores stay byte-identical to fault-free runs (the chaos suite
+pins this).
 """
 
 from __future__ import annotations
@@ -58,14 +57,13 @@ from repro.campaigns.resilience import (
     HeartbeatMonitor,
     heartbeat_env,
 )
-from repro.manet.shared import SharedRuntimeArena
 from repro.telemetry import telemetry_enabled
 
 __all__ = ["PoolBackend"]
 
 
 class PoolBackend:
-    """Batch all pending cells' jobs through one shared process pool."""
+    """Run each pending cell as one task of a shared process pool."""
 
     name = "pool"
 
@@ -81,60 +79,43 @@ class PoolBackend:
         # at submission time, so tests (and instrumentation) can swap it.
         from repro.campaigns import executor as executor_mod
 
-        max_workers = self.max_workers or ctx.max_workers
-        # Build every job up front so the pool sees the whole campaign's
-        # work at once; buckets reassemble payloads per cell in job order.
-        jobs_by_cell = {cell.key: ctx.jobs_for(cell) for cell in ctx.pending}
-        cell_by_key = {cell.key: cell for cell in ctx.pending}
-        buckets: dict[str, dict[int, object]] = {
-            key: {} for key in jobs_by_cell
-        }
-        # Persistent-cache hits resolve before the pool exists; cells
-        # fully served from disk complete without a single worker.
-        submit: list = []
-        for key, jobs in jobs_by_cell.items():
-            for job in jobs:
-                stored = ctx.cached_payload(job)
-                if stored is not None:
-                    buckets[key][job.index] = stored
-                else:
-                    submit.append(job)
         rec = ctx.recorder
+        #: Per cell with uncached jobs: its cache hits by job index, and
+        #: the jobs its one pool task must run.
+        hits: dict[str, dict[int, object]] = {}
+        todo: dict[str, list] = {}
         for cell in ctx.pending:
-            bucket = buckets[cell.key]
-            if len(bucket) == len(jobs_by_cell[cell.key]):
-                # Fully cache-served: the whole lifecycle happens here.
-                rec.event("cell.leased", cell=cell.key, backend=self.name)
-                rec.event("cell.started", cell=cell.key, backend=self.name,
-                          cached=True)
-                t0 = time.perf_counter()
-                ctx.finish_cell(cell, [bucket[i] for i in sorted(bucket)])
-                rec.record_span(
-                    "campaign.cell", time.perf_counter() - t0,
-                    cell=cell.key, backend=self.name,
-                )
-        if not submit:
-            return  # everything came from the cache: no pool, no arena
-        # One precompute per distinct pending scenario, built here before
-        # the driver forks its first pool and inherited by every pool it
-        # rebuilds after a breakage.
-        arena = SharedRuntimeArena.create(
-            [j.scenario for j in submit if isinstance(j, executor_mod._SimJob)]
-        )
-        try:
+            cell_hits: dict[int, object] = {}
+            misses: list = []
+            for job in ctx.jobs_for(cell):
+                stored = ctx.cached_payload(job)
+                if stored is None:
+                    misses.append(job)
+                else:
+                    cell_hits[job.index] = stored
+            if misses:
+                hits[cell.key] = cell_hits
+                todo[cell.key] = misses
+                continue
+            # Fully cache-served: the whole lifecycle happens here.
+            rec.event("cell.leased", cell=cell.key, backend=self.name)
+            rec.event("cell.started", cell=cell.key, backend=self.name,
+                      cached=True)
+            t0 = time.perf_counter()
+            ctx.finish_cell(cell, [cell_hits[i] for i in sorted(cell_hits)])
+            rec.record_span(
+                "campaign.cell", time.perf_counter() - t0,
+                cell=cell.key, backend=self.name,
+            )
+        if todo:
             _PoolDriver(
                 backend_name=self.name,
                 ctx=ctx,
                 executor_mod=executor_mod,
-                jobs=submit,
-                jobs_by_cell=jobs_by_cell,
-                cell_by_key=cell_by_key,
-                buckets=buckets,
-                max_workers=max_workers,
+                todo=todo,
+                hits=hits,
+                max_workers=self.max_workers or ctx.max_workers,
             ).drive()
-        finally:
-            if arena is not None:
-                arena.close()
 
 
 class _PoolDriver:
@@ -142,36 +123,35 @@ class _PoolDriver:
 
     All mutable scheduling state lives here; the pool object itself is
     disposable — breakage and hangs abandon it and build a fresh one,
-    while the queue, buckets and leases carry over.
+    while the queue and leases carry over.
     """
 
     #: Floor for the lease-check tick so a tight timeout cannot turn
     #: the drain loop into a busy-wait.
     MIN_TICK_S = 0.05
 
-    def __init__(
-        self, backend_name, ctx, executor_mod, jobs, jobs_by_cell,
-        cell_by_key, buckets, max_workers,
-    ):
+    def __init__(self, backend_name, ctx, executor_mod, todo, hits,
+                 max_workers):
         self.name = backend_name
         self.ctx = ctx
         self.rec = ctx.recorder
         self.leases = ctx.leases
         self.policy = ctx.policy
         self.executor_mod = executor_mod
-        self.jobs_by_cell = jobs_by_cell
-        self.cell_by_key = cell_by_key
-        self.buckets = buckets
-        #: FIFO of jobs waiting for a pool slot (attempt stamped at
-        #: submission, so requeued entries need no rewriting).
-        self.queue: list = list(jobs)
-        #: Per-cell backoff gate: no job of the cell submits before t.
-        self.cell_not_before: dict[str, float] = {}
+        self.cell_by_key = {cell.key: cell for cell in ctx.pending}
+        self.todo = todo
+        self.hits = hits
+        #: FIFO of cell keys waiting for a pool slot.
+        self.queue: list[str] = list(todo)
+        #: Per-cell backoff gate: the cell does not submit before t.
+        self.not_before: dict[str, float] = {}
+        #: In-flight tasks: future -> (cell key, attempt).
         self.futures: dict = {}
-        self.workers = max(1, max_workers or os.cpu_count() or 1)
+        # Fewer cells than workers: one worker per cell, no idle forks.
+        self.workers = max(
+            1, min(max_workers or os.cpu_count() or 1, len(todo))
+        )
         self.pool: ProcessPoolExecutor | None = None
-        self.started: set[str] = set()
-        self.finished: set[str] = set()
         self.cell_t0: dict[str, float] = {}
         timeouts = [
             t
@@ -216,13 +196,8 @@ class _PoolDriver:
             now = time.monotonic()
             self._submit_ready(now)
             if not self.futures:
-                if not self.queue:
-                    break  # everything left was quarantined and dropped
-                # All queued cells are inside their backoff window.
-                gate = min(
-                    self.cell_not_before.get(j.cell_key, now)
-                    for j in self.queue
-                )
+                # Every queued cell is inside its backoff window.
+                gate = min(self.not_before.get(k, now) for k in self.queue)
                 time.sleep(min(max(gate - now, 0.0) + 1e-3, 0.25))
                 continue
             done, _ = wait(
@@ -238,150 +213,114 @@ class _PoolDriver:
 
     # ------------------------------------------------------------------ #
     def _submit_ready(self, now: float) -> None:
-        """Submit queued jobs while pool slots are free.
+        """Submit queued cells while pool slots are free.
 
         In-flight is capped at the worker count on purpose: a submitted
-        job is *running*, so lease deadlines measure worker time, not
-        queue time (a job stuck behind a long queue must not count
-        against its cell's timeout).
+        task is *running*, so lease deadlines measure worker time, not
+        queue time (a cell stuck behind a long queue must not count
+        against its timeout).
         """
-        if not self.queue:
-            return
-        held: list = []
+        held: list[str] = []
         while self.queue and len(self.futures) < self.workers:
-            job = self.queue.pop(0)
-            key = job.cell_key
-            if self.leases.is_quarantined(key):
-                continue  # budget spent: drop the cell's remaining work
-            if self.cell_not_before.get(key, 0.0) > now:
-                held.append(job)
+            key = self.queue.pop(0)
+            if self.not_before.get(key, 0.0) > now:
+                held.append(key)
                 continue
-            if self.leases.holds(key):
-                attempt = self.leases.attempt_of(key)
-            else:
-                lease = self.leases.acquire(key, worker="pool", now=now)
-                attempt = lease.attempt
-                if key not in self.cell_t0:
-                    self.cell_t0[key] = time.perf_counter()
-                self.rec.event("cell.leased", cell=key, backend=self.name,
-                               attempt=attempt)
-            job = replace(job, attempt=attempt)
+            lease = self.leases.acquire(key, worker="pool", now=now)
+            self.cell_t0.setdefault(key, time.perf_counter())
+            self.rec.event("cell.leased", cell=key, backend=self.name,
+                           attempt=lease.attempt)
+            self.rec.event("cell.started", cell=key, backend=self.name)
+            jobs = [replace(job, attempt=lease.attempt)
+                    for job in self.todo[key]]
             try:
                 future = self.pool.submit(
-                    self.executor_mod._execute_job, job
+                    self.executor_mod._execute_cell, jobs
                 )
             except BrokenExecutor as exc:
-                held.append(job)
-                self.queue = held + self.queue
+                self.leases.release(key)
+                self.queue = held + [key] + self.queue
                 casualties = list(self.futures.values())
                 self.futures = {}
                 self._handle_breakage(casualties, exc)
                 return
-            self.futures[future] = job
+            self.futures[future] = (key, lease.attempt)
         self.queue = held + self.queue
 
-    # ------------------------------------------------------------------ #
     def _drain_done(self, done) -> None:
         casualties: list = []
         broken: BaseException | None = None
         for future in done:
-            job = self.futures.pop(future)
+            key, attempt = self.futures.pop(future)
             try:
-                payload = future.result()
+                payloads = future.result()
             except BrokenExecutor as exc:
-                # The pool died under this job; siblings in the same
+                # The pool died under this task; siblings in the same
                 # ``done`` batch may still hold *successful* results
                 # harvested before the break — keep them, they're paid
                 # for (and payloads are pure, so keeping them is safe).
-                casualties.append(job)
+                casualties.append((key, attempt))
                 broken = exc
                 continue
             except Exception as exc:  # noqa: BLE001 - §13: never fatal
-                self._job_failed(job, exc)
+                if self._charge(key, attempt, repr(exc)):
+                    self.queue.append(key)
                 continue
-            self._job_done(job, payload)
+            self._cell_done(key, payloads)
         if broken is not None:
             casualties.extend(self.futures.values())
             self.futures = {}
             self._handle_breakage(casualties, broken)
 
-    def _job_done(self, job, payload) -> None:
-        key = job.cell_key
-        self.ctx.record_executed(job, payload)
-        self.leases.touch(key)
-        if self.leases.is_quarantined(key):
-            return  # late result of a quarantined cell: cached, not kept
-        if key not in self.started:
-            self.started.add(key)
-            self.rec.event("cell.started", cell=key, backend=self.name)
-        bucket = self.buckets[key]
-        bucket[job.index] = payload
-        if (
-            key not in self.finished
-            and len(bucket) == len(self.jobs_by_cell[key])
-        ):
-            self.finished.add(key)
-            self.leases.release(key)
-            self.ctx.finish_cell(
-                self.cell_by_key[key], [bucket[i] for i in sorted(bucket)]
-            )
-            self.rec.record_span(
-                "campaign.cell",
-                time.perf_counter() - self.cell_t0.get(
-                    key, time.perf_counter()
-                ),
-                cell=key, backend=self.name,
-            )
-
-    def _job_failed(self, job, exc: BaseException) -> None:
-        key = job.cell_key
-        if self.leases.is_quarantined(key):
-            return  # a sibling already spent the budget
-        verdict = self.ctx.fail_cell(key, repr(exc), attempt=job.attempt)
-        if verdict == QUARANTINED:
-            return  # queued siblings are dropped at submission time
-        self.cell_not_before[key] = time.monotonic() + self.policy.delay_for(
-            key, job.attempt
+    def _cell_done(self, key: str, payloads: list) -> None:
+        self.leases.release(key)
+        bucket = self.hits[key]
+        for job, payload in zip(self.todo[key], payloads):
+            self.ctx.record_executed(job, payload)
+            bucket[job.index] = payload
+        self.ctx.finish_cell(
+            self.cell_by_key[key], [bucket[i] for i in sorted(bucket)]
         )
-        self.queue.append(job)
+        self.rec.record_span(
+            "campaign.cell", time.perf_counter() - self.cell_t0[key],
+            cell=key, backend=self.name,
+        )
+
+    def _charge(
+        self, key: str, attempt: int, error: str, now: float | None = None
+    ) -> bool:
+        """Charge one failed attempt of ``key``; True when the cell may
+        run again (its backoff gate is then set), False once quarantined."""
+        if self.ctx.fail_cell(key, error, attempt=attempt) == QUARANTINED:
+            return False
+        now = time.monotonic() if now is None else now
+        self.not_before[key] = now + self.policy.delay_for(key, attempt)
+        return True
 
     # ------------------------------------------------------------------ #
     def _handle_breakage(self, casualties: list, exc: BaseException) -> None:
         """Survive a dead pool: requeue, attribute, degrade, rebuild.
 
-        The attempt is charged only when every casualty belongs to one
-        cell — with several cells in flight the killer is ambiguous and
-        everyone requeues free.  Degrading to half the workers converges
-        on 1, where attribution is always unambiguous, so a genuinely
-        poisonous cell is quarantined after at most
-        ``log2(workers) + max_attempts`` pool rebuilds.
+        The attempt is charged only when one cell was in flight — with
+        several, the killer is ambiguous and every cell requeues free.
+        Degrading to half the workers converges on 1, where attribution
+        is always unambiguous, so a genuinely poisonous cell is
+        quarantined after at most ``log2(workers) + max_attempts`` pool
+        rebuilds.
         """
-        suspects = {j.cell_key for j in casualties}
-        requeue: list = []
-        for job in casualties:
-            if len(suspects) == 1 and job.cell_key in suspects:
-                continue  # handled below via fail_cell
-            requeue.append(job)
-        if len(suspects) == 1:
-            key = next(iter(suspects))
-            attempt = max(j.attempt for j in casualties)
-            verdict = self.ctx.fail_cell(key, repr(exc), attempt=attempt)
-            if verdict != QUARANTINED:
-                self.cell_not_before[key] = (
-                    time.monotonic()
-                    + self.policy.delay_for(key, attempt)
-                )
-                requeue.extend(j for j in casualties if j.cell_key == key)
+        requeue = [key for key, _ in casualties]
+        if len(casualties) == 1:
+            key, attempt = casualties[0]
+            if not self._charge(key, attempt, repr(exc)):
+                requeue = []
         else:
-            for key in suspects:
+            for key in requeue:
                 self.leases.release(key)
         if requeue:
-            self.leases.count_requeue(
-                len({j.cell_key for j in requeue})
-            )
+            self.leases.count_requeue(len(requeue))
             self.queue = requeue + self.queue
         old = self.workers
-        if len(suspects) > 1:
+        if len(casualties) > 1:
             # Ambiguous breakage may mean resource pressure (OOM), not a
             # poison cell: halve the blast radius before trying again.
             self.workers = max(1, self.workers // 2)
@@ -404,43 +343,36 @@ class _PoolDriver:
             return
         hung = {lease.cell: lease for lease in expired}
         # The futures API cannot reclaim a wedged worker process: kill
-        # the pool's processes and rebuild.  Innocent in-flight jobs
+        # the pool's processes and rebuild.  Innocent in-flight cells
         # requeue free of charge; the hung cells are charged an attempt.
         casualties = list(self.futures.values())
         self.futures = {}
         self._kill_pool()
-        innocents: list = []
-        for job in casualties:
-            if job.cell_key not in hung:
+        requeue: list[str] = []
+        for key, _ in casualties:
+            if key not in hung:
                 # Release so resubmission re-acquires with a fresh
                 # deadline (queue time must not count against the cell)
                 # — attempts only advance through fail_cell, so the
                 # re-acquired lease keeps the same attempt number.
-                self.leases.release(job.cell_key)
-                innocents.append(job)
+                self.leases.release(key)
+                requeue.append(key)
         for key, lease in sorted(hung.items()):
             self.rec.event(
                 "cell.hung", cell=key, backend=self.name,
                 attempt=lease.attempt,
             )
-            verdict = self.ctx.fail_cell(
+            if self._charge(
                 key,
-                f"hung: no progress or heartbeat within the lease "
-                f"deadline (attempt {lease.attempt})",
-                attempt=lease.attempt,
-            )
-            if verdict != QUARANTINED:
-                self.cell_not_before[key] = now + self.policy.delay_for(
-                    key, lease.attempt
-                )
-                innocents.extend(
-                    j for j in casualties if j.cell_key == key
-                )
-        if innocents:
-            self.leases.count_requeue(
-                len({j.cell_key for j in innocents})
-            )
-            self.queue = innocents + self.queue
+                lease.attempt,
+                f"hung: attempt {lease.attempt} passed its timeout or "
+                f"heartbeat deadline",
+                now,
+            ):
+                requeue.append(key)
+        if requeue:
+            self.leases.count_requeue(len(requeue))
+            self.queue = requeue + self.queue
         self._rebuild_pool()
 
     def _kill_pool(self) -> None:

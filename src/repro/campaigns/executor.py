@@ -9,16 +9,11 @@ DESIGN.md §10):
   mode the experiment runner uses to reproduce its historical
   single-threaded behaviour exactly, and the cheapest path for tiny
   sweeps (``serial=True`` is the legacy spelling);
-* ``backend="pool"`` (the default) pushes all cells' jobs through ONE
-  persistent process pool: evaluate cells flatten into individual
-  ``(scenario, params)`` simulation jobs so workers interleave
-  simulations *across* cells, and tune cells ship as one
-  whole-optimiser job each, filling the pool while simulation jobs of
-  other cells drain;
-* ``backend="shard:N"`` partitions the cells into N content-keyed
-  shards, runs each shard against its own store directory in a forked
-  worker, and merges the shard stores back (dedup + conflict
-  detection).
+* ``backend="pool"`` (the default) runs each cell as one task of ONE
+  persistent process pool: the task carries the cell's uncached
+  ``(scenario, params)`` simulation jobs (or its one whole-optimiser
+  job), so the worker that simulates a cell also builds that cell's
+  scenario runtimes, and cells run side by side on the workers.
 
 Whatever the backend, each cell's results persist the moment its last
 job lands, so an interrupted campaign keeps everything finished so far
@@ -28,28 +23,23 @@ in job order, and every record derives only from ``(cell, payloads)`` —
 never from wall-clock or scheduling order (tune records carry a
 ``runtime_s`` diagnostic, which is the one intentionally
 non-reproducible field).  ``tests/campaigns/test_backend_identity.py``
-pins all backends to byte-identical stores.
+pins both backends to byte-identical stores.
 
-Two transparent layers sit under every backend (DESIGN.md §9):
+A :class:`~repro.tuning.cache.PersistentEvaluationCache` sidecar next
+to the store (``evaluations.jsonl``, DESIGN.md §9) sits under both
+backends: it records every simulation result, so re-running a grid —
+or a *different* campaign whose cells overlap on (scenario, params,
+seed) — serves those simulations from disk without touching a worker.
+Cached results are the exact stored metrics, so resumed and fresh runs
+stay bit-identical.
 
-* a :class:`~repro.manet.shared.SharedRuntimeArena` builds each
-  pending scenario's substrate once in the pool owner before the pool
-  forks, so every pool worker inherits the same precompute instead of
-  privately rebuilding it;
-* a :class:`~repro.tuning.cache.PersistentEvaluationCache` sidecar next
-  to the store (``evaluations.jsonl``) records every simulation result,
-  so re-running a grid — or a *different* campaign whose cells overlap
-  on (scenario, params, seed) — serves those simulations from disk
-  without touching a worker.  Cached results are the exact stored
-  metrics, so resumed and fresh runs stay bit-identical.
-
-With ``REPRO_TELEMETRY`` set, a third observation-only layer streams
+With ``REPRO_TELEMETRY`` set, an observation-only layer streams
 ``telemetry.jsonl`` next to the store (DESIGN.md §12): per-cell
 lifecycle events (``cell.queued`` → ``cell.leased`` → ``cell.started``
-→ ``cell.finished``, tagged with the backend id and — under the shard
-backend — the shard index), ``campaign.cell`` timing spans, and the
-``campaign.cache_hits`` / ``campaign.simulations_executed`` counters
-that ``campaign status`` surfaces.  Telemetry never perturbs results;
+→ ``cell.finished``, tagged with the backend id), ``campaign.cell``
+timing spans, and the ``campaign.cache_hits`` /
+``campaign.simulations_executed`` counters that ``campaign status``
+surfaces.  Telemetry never perturbs results;
 stores stay byte-identical with it off, on, or deep.
 """
 
@@ -57,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -72,8 +62,8 @@ from repro.campaigns.spec import EVALUATE, CampaignCell, CampaignSpec
 from repro.campaigns.store import ResultStore
 from repro.manet.aedb import AEDBParams
 from repro.manet.metrics import BroadcastMetrics, aggregate_metrics
+from repro.manet.runtime import get_runtime
 from repro.manet.scenarios import NetworkScenario
-from repro.manet.shared import attach_runtime
 from repro.manet.simulator import BroadcastSimulator, resolve_compiled_mode
 from repro.telemetry import (
     NULL,
@@ -131,16 +121,13 @@ class _TuneJob:
 
 
 def _execute_job(job):
-    """Worker entry point: one simulation or one optimiser run.
+    """One simulation or one optimiser run (inline, or in a pool worker).
 
-    Simulation jobs read the runtime the pool owner prepared before the
-    fork (snapshot timeline and protocol RNG stream, DESIGN.md §9); a
-    scenario the owner did not prepare — every inline job — resolves its
-    :class:`~repro.manet.runtime.ScenarioRuntime` from the worker's
-    per-process LRU instead, so cells that reference the same scenario
-    — within a campaign or across param-sweep cells — still share one
-    precomputed beacon grid per process.  Results are bit-identical on
-    every path.
+    Simulation jobs resolve their
+    :class:`~repro.manet.runtime.ScenarioRuntime` from the per-process
+    LRU (DESIGN.md §8), so the jobs of a cell — and cells that reference
+    the same scenario — share one precomputed beacon grid per process.
+    Results are bit-identical to the recompute path.
 
     Two resilience hooks bracket the work (DESIGN.md §13), both free
     when their env toggles are unset: the fault plane may crash, hang,
@@ -154,10 +141,20 @@ def _execute_job(job):
         if isinstance(job, _SimJob):
             return BroadcastSimulator(
                 job.scenario, job.params,
-                runtime=attach_runtime(job.scenario),
+                runtime=get_runtime(job.scenario),
                 compiled=job.compiled,
             ).run()
         return _run_tune_job(job)
+
+
+def _execute_cell(jobs):
+    """Pool worker entry point: one cell's uncached jobs, in job order.
+
+    Each job goes through :func:`_execute_job`, looked up as a module
+    global at call time, so a patched job function (tests,
+    instrumentation) reaches the workers too.
+    """
+    return [_execute_job(job) for job in jobs]
 
 
 def _run_tune_job(job: _TuneJob):
@@ -247,9 +244,7 @@ class CellResult:
     #: Store-shaped records (what :class:`ResultStore` persisted).
     records: list[dict]
     #: In-process payloads in job order — :class:`BroadcastMetrics` for
-    #: evaluate cells, one ``AlgorithmResult`` for tune cells.  Cells a
-    #: shard-family backend ran carry ``[]``: their results come back
-    #: as store records only.
+    #: evaluate cells, one ``AlgorithmResult`` for tune cells.
     payloads: list
 
 
@@ -279,7 +274,7 @@ class CampaignRunReport:
     failed: list[CellFailure] = field(default_factory=list)
     #: Failed attempts that were retried (quarantines excluded).
     retries: int = 0
-    #: Cells put back on the queue after a worker/shard loss.
+    #: Cells put back on the queue after a worker loss.
     requeues: int = 0
 
     @property
@@ -310,10 +305,7 @@ class CampaignExecutor:
         mls_engine: str | None = None,
         eval_cache="auto",
         backend: "Backend | str | None" = None,
-        only_cells: Iterable[str] | None = None,
-        telemetry_attrs: dict | None = None,
         retry_policy: RetryPolicy | None = None,
-        initial_attempts: dict[str, int] | None = None,
     ):
         """``store=None`` runs in memory (results only in the report).
 
@@ -332,27 +324,16 @@ class CampaignExecutor:
 
         ``backend`` selects the execution strategy
         (:mod:`repro.campaigns.backends`): a :class:`Backend` instance
-        or one of ``"inline"``, ``"pool"``, ``"shard:N"``.  When None,
-        ``serial`` keeps its historical meaning (``True`` = inline) and
-        otherwise the spec's ``backend`` hint — or pool — applies.  An
-        explicit backend wins over both.
-
-        ``only_cells`` restricts the run to the named cell keys (every
-        key must belong to the spec) — the hook shard workers use to
-        execute their slice of a campaign.
-
-        ``telemetry_attrs`` tags every telemetry line this run records
-        (e.g. ``{"shard": 3}`` for a shard worker); ignored when
-        ``REPRO_TELEMETRY`` is off.
+        or one of ``"inline"``, ``"pool"``.  When None, ``serial`` keeps
+        its historical meaning (``True`` = inline) and otherwise the
+        spec's ``backend`` hint — or pool — applies.  An explicit
+        backend wins over both.
 
         ``retry_policy`` is the run's failure budget (DESIGN.md §13):
         None means the default :class:`RetryPolicy` (3 attempts,
         sub-second backoff, no timeouts/heartbeats);
         :meth:`RetryPolicy.disabled` restores fail-fast single-attempt
-        behaviour.  ``initial_attempts`` pre-charges the attempt ledger
-        (``{cell key: attempts already failed elsewhere}``) — the hook
-        shard recovery passes use so a cell that crashed its shard does
-        not get a fresh budget in the next round.
+        behaviour.
         """
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
@@ -371,17 +352,7 @@ class CampaignExecutor:
         self.mls_engine = mls_engine
         self._eval_cache_spec = eval_cache
         self.backend = backend
-        self.only_cells = None if only_cells is None else tuple(only_cells)
-        self.telemetry_attrs = dict(telemetry_attrs or {})
         self.retry_policy = retry_policy or RetryPolicy()
-        self._initial_attempts = dict(initial_attempts or {})
-        #: Emit the run-level ``campaign.cache_hits`` /
-        #: ``campaign.simulations_executed`` counters at the end of
-        #: :meth:`run`.  Shard workers flip this off (their stream is
-        #: folded into the parent's, whose own roll-up already includes
-        #: every shard's contribution — emitting both would double-count
-        #: the merged totals that ``campaign status`` surfaces).
-        self._emit_rollup_counters = True
         # Read once: every simulation job of this executor runs on the
         # same engine (DESIGN.md §14).
         self._compiled_mode = resolve_compiled_mode()
@@ -415,13 +386,7 @@ class CampaignExecutor:
         if not telemetry_enabled():
             return NULL, False
         if self.store is not None:
-            return (
-                JsonlRecorder(
-                    self.store.telemetry_path,
-                    base_attrs=self.telemetry_attrs or None,
-                ),
-                True,
-            )
+            return JsonlRecorder(self.store.telemetry_path), True
         return get_recorder(), False
 
     # ------------------------------------------------------------------ #
@@ -458,27 +423,13 @@ class CampaignExecutor:
             )
         ]
 
-    def _selected_cells(self) -> list[CampaignCell]:
-        """The spec's cells, restricted to ``only_cells`` when set."""
-        cells = self.spec.cells()
-        if self.only_cells is None:
-            return cells
-        wanted = set(self.only_cells)
-        unknown = wanted - {c.key for c in cells}
-        if unknown:
-            raise ValueError(
-                f"only_cells names keys not in the spec: {sorted(unknown)}"
-            )
-        return [c for c in cells if c.key in wanted]
-
     def _resolve_backend(self) -> "Backend":
         """The execution strategy for this run (lazy import: no cycle).
 
         Precedence: an explicit executor/CLI ``backend`` > ``serial=True``
         (inline) > the spec's ``backend`` hint > pool.  ``serial`` must
-        outrank the spec hint: shard workers (and the experiment runner)
-        demand in-process execution of a spec that may itself say
-        ``"shard:N"`` — honouring the hint there would recurse.
+        outrank the spec hint: "run in-process" (the experiment runner,
+        ``--serial``) must hold even for a spec whose hint says ``"pool"``.
         """
         from repro.campaigns.backends import resolve_backend
 
@@ -499,7 +450,7 @@ class CampaignExecutor:
         """
         from repro.campaigns.backends.base import ExecutionContext
 
-        cells = self._selected_cells()
+        cells = self.spec.cells()
         self._check_algorithms(cells)
         backend = self._resolve_backend()
         ledger = None
@@ -528,8 +479,6 @@ class CampaignExecutor:
         cache, owned = self._resolve_eval_cache()
         recorder, rec_owned = self._resolve_recorder()
         leases = LeaseTable(self.retry_policy, ledger)
-        if self._initial_attempts:
-            leases.seed_attempts(self._initial_attempts)
         ctx = ExecutionContext(
             executor=self,
             pending=pending,
@@ -580,20 +529,18 @@ class CampaignExecutor:
                 )
             if owned and cache is not None:
                 cache.close()
-            if self._emit_rollup_counters:
-                recorder.count("campaign.cache_hits", report.cache_hits)
-                recorder.count(
-                    "campaign.simulations_executed",
-                    report.simulations_executed,
-                )
-                if report.retries:
-                    recorder.count("campaign.retries", report.retries)
-                if report.requeues:
-                    recorder.count("campaign.requeued_cells",
-                                   report.requeues)
-                if report.failed:
-                    recorder.count("campaign.quarantined_cells",
-                                   len(report.failed))
+            recorder.count("campaign.cache_hits", report.cache_hits)
+            recorder.count(
+                "campaign.simulations_executed",
+                report.simulations_executed,
+            )
+            if report.retries:
+                recorder.count("campaign.retries", report.retries)
+            if report.requeues:
+                recorder.count("campaign.requeued_cells", report.requeues)
+            if report.failed:
+                recorder.count("campaign.quarantined_cells",
+                               len(report.failed))
             recorder.event(
                 "campaign.run.finished",
                 backend=backend.name,

@@ -1,14 +1,13 @@
-"""Plain-text campaign status, result, and merge rendering (CLI surface)."""
+"""Plain-text campaign status, result, and failure rendering (CLI surface)."""
 
 from __future__ import annotations
 
 from repro.campaigns.spec import EVALUATE, CampaignSpec
-from repro.campaigns.store import MergeReport, ResultStore
+from repro.campaigns.store import ResultStore
 
 __all__ = [
     "render_status",
     "render_report",
-    "render_merge",
     "render_failures",
 ]
 
@@ -99,24 +98,6 @@ def render_report(spec: CampaignSpec, store: ResultStore) -> str:
                 )
     if incomplete:
         lines.append(f"({incomplete} cells not yet complete)")
-    return "\n".join(lines)
-
-
-def render_merge(dest: ResultStore, reports: list[MergeReport]) -> str:
-    """One line per merged source plus totals (``campaign merge``)."""
-    lines = [f"merging {len(reports)} store(s) into {dest.root}"]
-    for report in reports:
-        lines.append(
-            f"  {report.source}: {report.cells_merged} cells merged, "
-            f"{report.cells_deduped} identical, "
-            f"{report.cells_skipped} incomplete skipped; "
-            f"{report.eval_entries_merged} eval entries merged "
-            f"({report.eval_entries_deduped} identical)"
-        )
-    lines.append(
-        f"total: {sum(r.cells_merged for r in reports)} cells merged, "
-        f"{sum(r.eval_entries_merged for r in reports)} eval entries merged"
-    )
     return "\n".join(lines)
 
 

@@ -12,7 +12,7 @@ backend through the :class:`~repro.campaigns.backends.base.ExecutionContext`:
   exactly), the per-cell wall-clock timeout, and the worker heartbeat
   cadence.
 * :class:`LeaseTable` — in-memory cell → worker leases with heartbeat
-  deadlines.  The pool driver acquires a lease when a cell's first job
+  deadlines.  The pool driver acquires a lease when a cell's task
   enters the pool, extends it on every observed ``cell.heartbeat``, and
   treats an expired lease as a hung attempt.  The table also owns the
   per-cell attempt ledger: :meth:`LeaseTable.fail` decides *retry* vs
@@ -23,9 +23,9 @@ backend through the :class:`~repro.campaigns.backends.base.ExecutionContext`:
   failures`` renders the ledger, and entries for cells that later
   complete are pruned on the next run.
 
-Heartbeats travel two ways.  In-process backends (inline, and the serial
-executor inside a shard worker) emit ``cell.heartbeat`` telemetry events
-straight into the active recorder from a daemon thread.  Pool workers
+Heartbeats travel two ways.  The in-process backend (inline) emits
+``cell.heartbeat`` telemetry events straight into the active recorder
+from a daemon thread.  Pool workers
 are separate processes: :func:`maybe_heartbeat` (called inside the
 worker entry point) appends telemetry-shaped heartbeat lines to a
 per-process file under ``REPRO_HEARTBEAT_DIR``, and the parent's
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -113,7 +114,7 @@ class RetryPolicy:
     #: retry stampedes without sacrificing reproducibility.
     jitter: float = 0.1
     #: Per-cell wall-clock cap per attempt (None = no timeout).  Only
-    #: preemptive backends (pool) can enforce it.
+    #: the preemptive backend (pool) can enforce it.
     cell_timeout_s: float | None = None
     #: Worker heartbeat cadence (None = heartbeats off).
     heartbeat_s: float | None = None
@@ -122,6 +123,14 @@ class RetryPolicy:
     heartbeat_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("base_delay_s", "backoff_factor", "max_delay_s",
+                     "jitter", "cell_timeout_s", "heartbeat_s",
+                     "heartbeat_timeout_s"):
+            value = getattr(self, name)
+            # NaN passes every ordered comparison below, and an infinite
+            # timeout or delay never fires: reject both by name.
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.max_attempts <= 0:
             raise ValueError(
                 f"max_attempts must be positive, got {self.max_attempts}"
@@ -211,9 +220,9 @@ class LeaseTable:
     Thread-safe (the pool driver's heartbeat poll and drain loop share
     it).  Attempt accounting is per cell and per *attempt generation*:
     :meth:`fail` records ``attempts[cell] = max(attempts, attempt)``, so
-    ten jobs of one cell all failing on attempt 1 count as one failed
-    attempt, not ten — the unit the quarantine budget is spent in is a
-    whole cell execution, matching the retry unit.
+    repeated reports of one failed attempt count once — the unit the
+    quarantine budget is spent in is a whole cell execution, matching
+    the retry unit.
     """
 
     def __init__(self, policy: RetryPolicy, ledger: "FailureLedger | None" = None):
@@ -227,7 +236,7 @@ class LeaseTable:
         self.quarantined: dict[str, tuple[int, str]] = {}
         #: Total failure events observed (telemetry roll-up).
         self.failures = 0
-        #: Jobs/cells put back on the queue after a loss (telemetry).
+        #: Cells put back on the queue after a loss (telemetry).
         self.requeues = 0
 
     # ------------------------------------------------------------------ #
@@ -240,24 +249,6 @@ class LeaseTable:
         """The attempt number the next execution of ``cell`` runs as."""
         return self.attempts(cell) + 1
 
-    def seed_attempts(self, mapping: dict[str, int]) -> None:
-        """Pre-charge the attempt ledger with failures counted elsewhere
-        (a shard recovery pass forwarding the parent's accounting)."""
-        with self._lock:
-            for cell, n in mapping.items():
-                self._attempts[cell] = max(
-                    self._attempts.get(cell, 0), int(n)
-                )
-
-    def is_quarantined(self, cell: str) -> bool:
-        with self._lock:
-            return cell in self.quarantined
-
-    @property
-    def active(self) -> list[Lease]:
-        with self._lock:
-            return list(self._leases.values())
-
     # ------------------------------------------------------------------ #
     def acquire(
         self, cell: str, worker: str, now: float | None = None
@@ -268,7 +259,7 @@ class LeaseTable:
         deadline arms only when the policy runs heartbeats (a worker
         that never manages a first beat within the liveness window
         counts as hung — the pool driver keeps in-flight ≤ workers, so
-        a leased job is running, not queued).
+        a leased cell is running, not queued).
         """
         now = time.monotonic() if now is None else now
         policy = self.policy
@@ -291,35 +282,6 @@ class LeaseTable:
         with self._lock:
             self._leases[cell] = lease
         return lease
-
-    def holds(self, cell: str) -> bool:
-        """Is a lease currently held for ``cell``?"""
-        with self._lock:
-            return cell in self._leases
-
-    def attempt_of(self, cell: str) -> int | None:
-        """The active lease's attempt number (None = no lease held)."""
-        with self._lock:
-            lease = self._leases.get(cell)
-            return None if lease is None else lease.attempt
-
-    def touch(self, cell: str, now: float | None = None) -> bool:
-        """Progress evidence (a job of the cell completed): extend the
-        hard *and* liveness deadlines — the per-cell timeout bounds
-        inactivity, so a wide cell draining jobs steadily never trips
-        it, while a wedged one does."""
-        now = time.monotonic() if now is None else now
-        policy = self.policy
-        with self._lock:
-            lease = self._leases.get(cell)
-            if lease is None:
-                return False
-            lease.last_beat_t = now
-            if policy.cell_timeout_s is not None:
-                lease.hard_deadline = now + policy.cell_timeout_s
-            if policy.liveness_timeout_s is not None:
-                lease.liveness_deadline = now + policy.liveness_timeout_s
-            return True
 
     def beat(self, cell: str, now: float | None = None) -> bool:
         """Extend ``cell``'s liveness deadline; False for unknown leases."""
@@ -365,14 +327,6 @@ class LeaseTable:
         if self.ledger is not None:
             self.ledger.record(cell, attempts=attempts, error=error)
         return QUARANTINED
-
-    def adopt_quarantine(self, cell: str, attempts: int, error: str) -> None:
-        """Register a quarantine decided elsewhere (a shard worker's
-        in-shard executor already wrote its own ledger — no re-record)."""
-        with self._lock:
-            self._attempts[cell] = max(self._attempts.get(cell, 0), attempts)
-            self.quarantined[cell] = (attempts, error)
-            self._leases.pop(cell, None)
 
     def count_requeue(self, n: int = 1) -> None:
         with self._lock:
@@ -471,49 +425,6 @@ class FailureLedger:
         tmp.write_text("\n".join(lines) + "\n")
         os.replace(tmp, self.path)
         return removed
-
-    def fold_from(self, source: "FailureLedger | str | Path") -> int:
-        """Fold another ledger's parseable entries in (shard aggregation).
-
-        Line-level append of whole flushed lines — the same safety
-        argument as ``merge_telemetry_files`` — but **idempotent**:
-        an entry whose canonical serialization is already present in
-        this ledger is skipped, so folding the same shard's
-        ``failures.jsonl`` twice (a resumed run re-merging a leftover
-        shard directory) records each quarantine exactly once.  Entries
-        carry wall-clock timestamps, so distinct quarantine events never
-        collide.  Returns lines appended.
-        """
-        src = (
-            source
-            if isinstance(source, FailureLedger)
-            else FailureLedger(source)
-        )
-        entries = src.entries()
-        if not entries:
-            return 0
-        seen = {
-            json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            for entry in self.entries()
-        }
-        lines = [
-            line
-            for line in (
-                json.dumps(entry, sort_keys=True, separators=(",", ":"))
-                for entry in entries
-            )
-            if line not in seen
-        ]
-        if not lines:
-            return 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        ensure_line_boundary(self.path)
-        with self.path.open("a", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-            fh.flush()
-        return len(lines)
-
 
 # --------------------------------------------------------------------- #
 # Heartbeats.

@@ -198,7 +198,7 @@ class CampaignSpec:
     master_seed: int = 0xAEDB
     #: Scale preset name budgeting tune cells.
     scale: str = "quick"
-    #: Preferred execution backend ("inline", "pool", "shard:N"), or
+    #: Preferred execution backend ("inline" or "pool"), or
     #: None to defer to the executor/CLI.  An execution *hint*, not
     #: content: cells (and their keys) ignore it — every backend
     #: produces byte-identical results (DESIGN.md §10) — so it is

@@ -23,19 +23,11 @@ changes the keys, so stale results are never picked up by mistake.
 
 Reading is torn-tail tolerant, the same contract
 :class:`~repro.tuning.cache.PersistentEvaluationCache` applies to its
-sidecar: a final line cut mid-record (a crash during an external copy or
-merge) drops just that line and leaves the cell *incomplete* — never an
+sidecar: a final line cut mid-record (a crash during an external copy)
+drops just that line and leaves the cell *incomplete* — never an
 error, and never a half-trusted read.  Damage earlier in the file marks
 the whole cell incomplete; either way the next run re-executes it and
 the atomic rewrite heals the file.
-
-:meth:`ResultStore.merge_from` folds another store — typically a shard
-store produced by the shard backend — into this one: complete cell files
-copy over byte-for-byte, cells present on both sides must be
-*byte-identical* (dedup) or the merge raises :class:`MergeConflictError`
-(a silently "winning" payload would break the campaign determinism
-contract), and the ``evaluations.jsonl`` sidecars merge key-by-key under
-the same dedup/conflict rule.
 
 All JSON is canonically encoded (sorted keys, fixed separators), which
 makes a re-run of the same spec + seed produce bit-identical files —
@@ -44,7 +36,6 @@ the determinism contract the campaign tests pin down.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -52,36 +43,8 @@ from pathlib import Path
 
 from repro.campaigns.spec import CampaignCell, CampaignSpec, canonical_json
 from repro.utils import flags
-from repro.utils.jsonl import ensure_line_boundary
 
-__all__ = ["ResultStore", "CampaignStatus", "MergeConflictError", "MergeReport"]
-
-
-class MergeConflictError(ValueError):
-    """Two stores hold *different* completed payloads for the same key.
-
-    Raised instead of silently overwriting: a conflicting record means
-    the stores were produced by diverging code or inputs, and picking a
-    winner would hide the divergence.
-    """
-
-
-@dataclass(frozen=True)
-class MergeReport:
-    """What one :meth:`ResultStore.merge_from` call did."""
-
-    #: Root of the store that was merged in.
-    source: str
-    #: Complete cell files copied into this store.
-    cells_merged: int
-    #: Cells already present with byte-identical contents.
-    cells_deduped: int
-    #: Source cell files skipped because incomplete/torn (re-run later).
-    cells_skipped: int
-    #: Evaluation-cache entries appended to this store's sidecar.
-    eval_entries_merged: int
-    #: Evaluation-cache entries already present (identical payload).
-    eval_entries_deduped: int
+__all__ = ["ResultStore", "CampaignStatus"]
 
 
 @dataclass(frozen=True)
@@ -148,26 +111,6 @@ class ResultStore:
 
     def cell_path(self, cell: CampaignCell) -> Path:
         return self.root / self.CELLS_DIR / f"{cell.key}.jsonl"
-
-    def content_digest(self) -> str:
-        """sha1 over the sorted cell files — the store's result identity.
-
-        Hashes exactly the bit-identity surface (``cells/*.jsonl``, name
-        and bytes; never telemetry, ledger, or sidecar).  Two stores
-        holding the same completed results digest identically whatever
-        backend produced them — the shard worker stamps this into its
-        summary and the shard backend checks the store it reads against
-        it before merging, and the identity tests compare it directly.
-        """
-        digest = hashlib.sha1()
-        cells_dir = self.root / self.CELLS_DIR
-        files = sorted(cells_dir.glob("*.jsonl")) if cells_dir.is_dir() else []
-        for path in files:
-            digest.update(path.name.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(path.read_bytes())
-            digest.update(b"\x00")
-        return digest.hexdigest()
 
     # ------------------------------------------------------------------ #
     def save_spec(self, spec: CampaignSpec) -> None:
@@ -309,155 +252,6 @@ class ResultStore:
         if damaged or not entries or entries[-1].get("kind") != "done":
             return None
         return entries
-
-    # ------------------------------------------------------------------ #
-    def merge_from(
-        self,
-        source: "ResultStore | str | Path",
-        eval_dest: str | Path | None = None,
-    ) -> MergeReport:
-        """Fold another store's results into this one (dedup by key).
-
-        The operation behind ``repro-aedb campaign merge`` and the shard
-        backend's recombination step:
-
-        * the source's ``spec.json`` is adopted if this store has none,
-          and must match byte-for-byte if it does — one directory, one
-          campaign, same rule as :meth:`save_spec`;
-        * every *complete* source cell file is copied byte-for-byte
-          (atomic write); incomplete/torn source cells are skipped and
-          counted, never an error;
-        * a cell present on both sides must be byte-identical (counted
-          as dedup) — different completed payloads raise
-          :class:`MergeConflictError`.  An *incomplete* local copy is
-          replaced by the source's complete one;
-        * ``evaluations.jsonl`` sidecar entries merge key-by-key under
-          the same identical-or-conflict rule, preserving source order.
-          They land in this store's sidecar by default; ``eval_dest``
-          redirects them (the shard backend points it at the run's
-          actual cache file, which under ``--cache`` is *not* the
-          store's sidecar).
-
-        Merging is idempotent: re-merging the same source is all dedup
-        and changes nothing.  A source that is not a campaign directory
-        (missing, or lacking ``spec.json``) raises — a typo'd path must
-        not report a successful 0-cell merge.
-        """
-        src = source if isinstance(source, ResultStore) else ResultStore(source)
-        if not src.spec_path.exists():
-            raise FileNotFoundError(
-                f"{src.root} is not a campaign directory (no "
-                f"{self.SPEC_FILE}); nothing to merge"
-            )
-        text = src.spec_path.read_text()
-        if self.spec_path.exists():
-            if self.spec_path.read_text() != text:
-                raise MergeConflictError(
-                    f"{src.root} holds a different campaign spec than "
-                    f"{self.root}; merge only shards of one campaign"
-                )
-        else:
-            self.root.mkdir(parents=True, exist_ok=True)
-            (self.root / self.CELLS_DIR).mkdir(exist_ok=True)
-            self._write_atomic(self.spec_path, text)
-        merged = deduped = skipped = 0
-        src_cells_dir = src.root / self.CELLS_DIR
-        src_files = sorted(src_cells_dir.glob("*.jsonl")) if src_cells_dir.is_dir() else []
-        for path in src_files:
-            text = path.read_text()
-            entries = self._complete_entries(text.splitlines())
-            if entries is None:
-                skipped += 1
-                continue
-            head = entries[0]
-            if head.get("kind") != "cell" or f"{head.get('key')}.jsonl" != path.name:
-                skipped += 1  # foreign or mislabelled file: don't propagate
-                continue
-            dest = self.root / self.CELLS_DIR / path.name
-            if dest.exists():
-                dest_text = dest.read_text()
-                if dest_text == text:
-                    deduped += 1
-                    continue
-                if self._complete_entries(dest_text.splitlines()) is not None:
-                    raise MergeConflictError(
-                        f"cell {head['key']}: {path} and {dest} hold "
-                        "different completed results"
-                    )
-                # Local copy incomplete/torn: the complete source wins.
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            self._write_atomic(dest, text)
-            merged += 1
-        eval_merged, eval_deduped = self.merge_eval_files(
-            Path(eval_dest) if eval_dest is not None else self.eval_cache_path,
-            src.eval_cache_path,
-        )
-        return MergeReport(
-            source=str(src.root),
-            cells_merged=merged,
-            cells_deduped=deduped,
-            cells_skipped=skipped,
-            eval_entries_merged=eval_merged,
-            eval_entries_deduped=eval_deduped,
-        )
-
-    @staticmethod
-    def merge_eval_files(dest: Path, src: Path) -> tuple[int, int]:
-        """Merge one evaluation-cache file into another; ``(merged, deduped)``.
-
-        Line-level, matching the cache's own load contract: unparseable
-        lines (torn tails) are skipped, keys are deduped on identical
-        payload lines, and a key mapping to a *different* payload raises
-        :class:`MergeConflictError`.  Appended lines keep the source's
-        order, and the single append + flush keeps the sidecar's crash
-        contract (a torn tail is skipped by the next loader).  Writes
-        use a private ``O_APPEND`` handle of whole flushed lines, so a
-        live :class:`~repro.tuning.cache.PersistentEvaluationCache`
-        writer on ``dest`` cannot be torn by a concurrent merge (during
-        shard runs the executor's cache only reads anyway).
-        """
-        def entries_of(path: Path) -> dict[str, str]:
-            try:
-                text = path.read_text()
-            except FileNotFoundError:
-                return {}
-            out: dict[str, str] = {}
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    key = json.loads(line).get("key")
-                except json.JSONDecodeError:
-                    continue  # torn tail from a crash mid-append
-                if key is not None:
-                    out[key] = line
-            return out
-
-        src_entries = entries_of(src)
-        if not src_entries:
-            return 0, 0
-        dest_entries = entries_of(dest)
-        fresh: list[str] = []
-        deduped = 0
-        for key, line in src_entries.items():
-            have = dest_entries.get(key)
-            if have is None:
-                fresh.append(line)
-            elif have == line:
-                deduped += 1
-            else:
-                raise MergeConflictError(
-                    f"evaluation-cache entry {key}: {src} "
-                    f"and {dest} hold different payloads"
-                )
-        if fresh:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            ensure_line_boundary(dest)
-            with dest.open("a", encoding="utf-8") as fh:
-                fh.write("\n".join(fresh) + "\n")
-                fh.flush()
-        return len(fresh), deduped
 
     # ------------------------------------------------------------------ #
     def completed_cells(self, spec: CampaignSpec) -> list[CampaignCell]:

@@ -12,17 +12,16 @@ Subcommands map to the deliverables:
 * ``protocols``   — broadcast-storm baseline suite vs AEDB (Sect. I
   context);
 * ``campaign``    — declarative scenario-space sweeps (densities ×
-  mobility models × arenas × seeds × algorithms) with pluggable
-  execution backends (``--backend {inline,pool,shard:N}``)
-  and a resumable result store: ``campaign run``, ``campaign status``,
-  ``campaign report``, ``campaign merge`` (fold shard stores into one
-  directory, dedup + conflict-checked), ``campaign telemetry`` (replay
-  a run's ``telemetry.jsonl`` — recorded when ``REPRO_TELEMETRY`` is
-  set — into a timing/counter summary or a Prometheus snapshot), and
-  ``campaign failures`` (the quarantine ledger: cells that exhausted
-  their retry budget, DESIGN.md §13 — ``campaign run`` takes
-  ``--retries/--cell-timeout/--heartbeat`` and exits 2 when cells were
-  quarantined, never aborting the run);
+  mobility models × arenas × seeds × algorithms) with two execution
+  backends (``--backend {inline,pool}``) and a resumable result store:
+  ``campaign run``, ``campaign status``, ``campaign report``,
+  ``campaign telemetry`` (replay a run's ``telemetry.jsonl`` — recorded
+  when ``REPRO_TELEMETRY`` is set — into a timing/counter summary or a
+  Prometheus snapshot), and ``campaign failures`` (the quarantine
+  ledger: cells that exhausted their retry budget, DESIGN.md §13 —
+  ``campaign run`` takes ``--retries/--cell-timeout/--heartbeat``,
+  rejects a bad value of any of them with exit code 2, and exits 2
+  when cells were quarantined, never aborting the run);
 * ``cache``       — maintenance of the persistent evaluation cache
   (the ``evaluations.jsonl`` sidecar): ``cache stats``, ``cache flush``.
 
@@ -38,6 +37,25 @@ import sys
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+
+def _policy_arg(field: str, cast):
+    """An argparse type checking one :class:`RetryPolicy` field, so a bad
+    ``--retries``/``--cell-timeout``/``--heartbeat`` value (zero, NaN,
+    infinite, ...) exits 2 naming the flag before any run starts."""
+
+    def parse(text: str):
+        from repro.campaigns.resilience import RetryPolicy
+
+        value = cast(text)
+        try:
+            RetryPolicy(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid <name> value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,15 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--backend", default=None,
-        metavar="{inline,pool,shard:N}",
-        help="execution backend (default: pool; --serial = inline; "
-             "shard:N partitions the cells into N per-store shards "
-             "run by forked workers and merges them back)",
-    )
-    run_p.add_argument(
-        "--keep-shards", action="store_true",
-        help="keep shard stores under <out>/shards after merging "
-             "(shard backend only)",
+        metavar="{inline,pool}",
+        help="execution backend (default: pool, one process-pool task "
+             "per cell; --serial = inline)",
     )
     cache_group = run_p.add_mutually_exclusive_group()
     cache_group.add_argument(
@@ -161,18 +173,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent evaluation cache",
     )
     run_p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_policy_arg("max_attempts", int), default=None,
+        metavar="N",
         help="attempts per cell before quarantine (default 3; 1 = "
              "fail-fast, no retries)",
     )
     run_p.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="S",
-        help="per-cell inactivity timeout in seconds (pool backend): "
-             "an attempt with no completed job within S is failed and "
+        "--cell-timeout", type=_policy_arg("cell_timeout_s", float),
+        default=None, metavar="S",
+        help="wall-clock cap in seconds on one attempt of a cell (pool "
+             "backend): an attempt still running after S is failed and "
              "retried (default: no timeout)",
     )
     run_p.add_argument(
-        "--heartbeat", type=float, default=None, metavar="S",
+        "--heartbeat", type=_policy_arg("heartbeat_s", float),
+        default=None, metavar="S",
         help="worker heartbeat cadence in seconds: workers stream "
              "cell.heartbeat events so the parent detects hangs, not "
              "just crashes (default: off)",
@@ -204,19 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report quarantined cells (the failures.jsonl ledger)",
     )
     fail_p.add_argument("--out", required=True, help="campaign directory")
-
-    merge_p = camp_sub.add_parser(
-        "merge", help="merge shard stores into one campaign directory"
-    )
-    merge_p.add_argument(
-        "--out", required=True,
-        help="destination campaign directory (created if missing; "
-             "adopts the first source's spec)",
-    )
-    merge_p.add_argument(
-        "sources", nargs="+",
-        help="shard campaign directories (e.g. <out>/shards/*)",
-    )
 
     cache_p = sub.add_parser(
         "cache", help="persistent evaluation-cache maintenance"
@@ -388,10 +390,8 @@ def _cmd_campaign(args, scale) -> int:
         CampaignExecutor,
         ResultStore,
         render_failures,
-        render_merge,
         render_report,
         render_status,
-        resolve_backend,
     )
 
     store = ResultStore(args.out)
@@ -423,23 +423,8 @@ def _cmd_campaign(args, scale) -> int:
     if args.campaign_command == "report":
         print(render_report(store.load_spec(), store))
         return 0
-    if args.campaign_command == "merge":
-        reports = [store.merge_from(source) for source in args.sources]
-        print(render_merge(store, reports))
-        print(render_status(store.load_spec(), store))
-        return 0
 
     spec = _campaign_spec_from_args(args, scale)
-    # --backend wins; otherwise the spec's own hint (a spec file may
-    # carry backend="shard:N") — resolved here so --keep-shards applies
-    # to either source.  --serial outranks the hint (same precedence as
-    # the executor's): "run in-process" must never shard.
-    backend = None
-    choice = args.backend
-    if choice is None and not args.serial:
-        choice = spec.backend
-    if choice is not None:
-        backend = resolve_backend(choice, keep_shards=args.keep_shards)
     retry_policy = None
     if (
         args.retries is not None
@@ -457,9 +442,12 @@ def _cmd_campaign(args, scale) -> int:
             cell_timeout_s=args.cell_timeout,
             heartbeat_s=args.heartbeat,
         )
+    # --backend wins; otherwise --serial, then the spec's own hint, then
+    # pool (the executor's precedence; it rejects a bad name before it
+    # touches the store).
     executor = CampaignExecutor(
         spec, store, max_workers=args.workers, serial=args.serial,
-        backend=backend,
+        backend=args.backend,
         eval_cache=(
             None if args.no_cache
             else args.cache if args.cache is not None

@@ -24,9 +24,6 @@ configuration the way the paper does with ns3:
   parameter-independent substrate (beacon-table timeline, position
   snapshots, path-loss model) that makes repeated evaluations on the
   same network skip the whole beacon cost;
-* :mod:`repro.manet.shared` — the pool form of that cache: the pool
-  owner builds each scenario's runtime once before its workers fork,
-  and every worker inherits it (DESIGN.md §9);
 * :mod:`repro.manet.compiled` — dispatch for the optional compiled
   event core (``repro.manet._evcore``, built by ``setup.py
   build_ext``): bit-identical to the pure path, selected by
@@ -57,10 +54,6 @@ from repro.manet.scenarios import (
     make_scenarios,
     nodes_for_density,
 )
-from repro.manet.shared import (
-    SharedRuntimeArena,
-    attach_runtime,
-)
 from repro.manet.simulator import BroadcastSimulator, simulate_broadcast
 
 __all__ = [
@@ -82,6 +75,4 @@ __all__ = [
     "set_runtime_memoisation",
     "clear_runtime_cache",
     "runtime_cache_size",
-    "SharedRuntimeArena",
-    "attach_runtime",
 ]

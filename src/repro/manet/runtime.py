@@ -43,24 +43,19 @@ cache for every evaluation after the first.  Opt out with
 :func:`set_runtime_memoisation`, which makes :func:`get_runtime` return
 ``None`` and callers fall back to the recompute path.
 
-Usage — the two public entry points:
+Usage — ask for the shared runtime and hand it to a simulator::
 
-* **Per-process memo** (the default everywhere): ask for the shared
-  runtime and hand it to a simulator::
+    from repro.manet import get_runtime, make_scenarios
+    from repro.manet.simulator import BroadcastSimulator
 
-      from repro.manet import get_runtime, make_scenarios
-      from repro.manet.simulator import BroadcastSimulator
+    scenario = make_scenarios(300, n_networks=1)[0]
+    sim = BroadcastSimulator(scenario, params,
+                             runtime=get_runtime(scenario))
 
-      scenario = make_scenarios(300, n_networks=1)[0]
-      sim = BroadcastSimulator(scenario, params,
-                               runtime=get_runtime(scenario))
-
-* **Pool sharing** (:mod:`repro.manet.shared`, DESIGN.md §9): the
-  pool owner builds the runtimes before its workers fork, and the
-  workers read them through :func:`~repro.manet.shared.attach_runtime`.
-
-Both paths are bound by the same invariant: metrics from a
-runtime-backed run are bit-identical to the recompute path
+Every caller goes through this one memo: the serial evaluator, the
+inline campaign backend, and each campaign pool worker, which builds
+the runtimes of the cells it simulates (DESIGN.md §10).  Metrics from
+a runtime-backed run are bit-identical to the recompute path
 (``runtime=None``) for every ``(scenario, params, seed)``.
 """
 
@@ -406,8 +401,8 @@ def runtime_memoisation_enabled() -> bool:
     """Whether cached runtimes may be served at all.
 
     ``set_runtime_memoisation(False)`` promises the recompute path
-    everywhere; :mod:`repro.manet.shared` checks this so a runtime the
-    pool owner prepared cannot silently undo the ablation.
+    everywhere; :mod:`repro.manet.shared` checks this so a prepared
+    runtime cannot silently undo the ablation.
     """
     return _MEMO_ENABLED
 

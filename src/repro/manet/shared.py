@@ -1,41 +1,35 @@
-"""Pool-shared scenario runtimes: one precompute per pool, not per worker.
+"""Pre-fork runtime table: build scenario runtimes once, before a fork.
 
-The per-process runtime memo (:mod:`repro.manet.runtime`) spares a worker
-the substrate recompute *within* its own process, but a pool of W workers
-evaluating the same scenarios would still build W copies of every
-per-tick neighbour-table timeline — warm-up cost scaling with worker
-count instead of scenario count, the exact overhead the paper's parallel
-local search is designed to avoid.
+No campaign or tuning path uses this module any more.  The campaign
+pool runs one task per cell, and the worker that simulates a cell
+builds that cell's runtimes through its own
+:func:`~repro.manet.runtime.get_runtime` memo (DESIGN.md §10).  The
+module stays only because ``perfbench/tracer.py`` wraps
+:func:`attach_runtime` and ``SharedRuntimeArena.create`` and its smoke
+check requires every non-kernel target to exist; delete it together
+with those two tracer rows (ROADMAP item 1).
 
-:class:`SharedRuntimeArena` avoids it by building each distinct pending
-scenario's :class:`~repro.manet.runtime.ScenarioRuntime` in the **pool
-owner**, before the pool forks its workers.  The runtimes go into one
-module-level table that the workers inherit copy-on-write: their
-snapshot arrays are read-only, so a worker reads the owner's pages and
-never copies or recomputes them, and the metrics stay bit-identical
-(DESIGN.md §9).
+:class:`SharedRuntimeArena` builds each distinct scenario's
+:class:`~repro.manet.runtime.ScenarioRuntime` in the calling process
+and puts it in one module-level table that processes forked afterwards
+inherit copy-on-write.  The snapshot arrays are read-only, so a child
+reads the parent's pages and never recomputes them, and metrics stay
+bit-identical to the recompute path.
 
-The table is deliberately not the bounded memo LRU behind
-:func:`~repro.manet.runtime.get_runtime`: a sweep's pending scenarios
-can outnumber the memo's entries, and every runtime evicted before the
-fork would be rebuilt by every worker.
+:func:`attach_runtime` returns the prepared runtime when the table
+holds the scenario and otherwise defers to
+:func:`~repro.manet.runtime.get_runtime`, with the same result either
+way.  ``SharedRuntimeArena.create`` returns ``None`` for an empty list
+or when runtime memoisation is off (that switch promises the recompute
+path).
 
-Fallback semantics: :func:`attach_runtime` returns the prepared runtime
-when the table holds the scenario and otherwise defers to
-:func:`~repro.manet.runtime.get_runtime`, so callers never branch — the
-result is identical either way.  ``SharedRuntimeArena.create`` returns
-``None`` for an empty list or when runtime memoisation is off (that
-switch promises the recompute path).
-
-Usage (what the pooled evaluator and the pool backend do)::
+Usage::
 
     from repro.manet.shared import SharedRuntimeArena, attach_runtime
 
-    arena = SharedRuntimeArena.create(scenarios)      # owner, before the fork
-    # ... fork the pool; ship (scenario, params) to a worker ...
-    runtime = attach_runtime(scenario)                # worker, a dict lookup
-    metrics = BroadcastSimulator(scenario, params, runtime=runtime).run()
-    arena.close()                                     # owner, at the end
+    arena = SharedRuntimeArena.create(scenarios)      # parent, before the fork
+    runtime = attach_runtime(scenario)                # child, a dict lookup
+    arena.close()                                     # parent, at the end
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Protocol, runtime_checkable
+from typing import IO, Iterator, Protocol, runtime_checkable
 
 from repro.utils import flags
 from repro.utils.jsonl import ensure_line_boundary
@@ -300,30 +300,22 @@ class JsonlRecorder:
     (:mod:`repro.telemetry.summary` applies the store's torn-tail
     contract).  Counter increments accumulate in memory and are written
     as **delta** lines by :meth:`flush` — appending two recorders' files
-    therefore sums their counters, which is exactly what the shard-merge
-    path needs.
+    therefore sums their counters.
 
-    ``base_attrs`` are merged under every line's attrs (per-call attrs
-    win) — how shard workers tag their whole stream with a shard index.
     The file contract is single-writer-per-handle appends of whole
-    flushed lines, so a parent may fold a finished shard's file into its
-    own with :func:`merge_telemetry_files` while its own handle is open.
+    flushed lines, so another file (the pool's worker heartbeats) may be
+    folded in with :func:`merge_telemetry_files` while this handle is
+    open.
     """
 
-    def __init__(self, path: str | Path, base_attrs: dict | None = None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.base_attrs = dict(base_attrs or {})
         self._lock = threading.Lock()
         self._writer: IO[str] | None = None
         self._pending_counts: dict[tuple, int] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    def _merged(self, attrs: dict) -> dict:
-        if not self.base_attrs:
-            return attrs
-        return {**self.base_attrs, **attrs}
-
     def _write_line(self, obj: dict) -> None:
         """Append one whole line and flush (caller holds the lock)."""
         if self._closed:
@@ -349,11 +341,11 @@ class JsonlRecorder:
                 "name": name,
                 "dur_s": float(duration_s),
                 "t": time.time(),
-                "attrs": self._merged(attrs),
+                "attrs": attrs,
             })
 
     def count(self, name: str, n: int = 1, **attrs) -> None:
-        key = (name, _attrs_key(self._merged(attrs)))
+        key = (name, _attrs_key(attrs))
         with self._lock:
             self._pending_counts[key] = self._pending_counts.get(key, 0) + int(n)
 
@@ -365,7 +357,7 @@ class JsonlRecorder:
                 "name": name,
                 "value": float(value),
                 "t": time.time(),
-                "attrs": self._merged(attrs),
+                "attrs": attrs,
             })
 
     def event(self, name: str, **attrs) -> None:
@@ -375,7 +367,7 @@ class JsonlRecorder:
                 "kind": "event",
                 "name": name,
                 "t": time.time(),
-                "attrs": self._merged(attrs),
+                "attrs": attrs,
             })
 
     def flush(self) -> None:
@@ -458,7 +450,7 @@ def using(recorder: Recorder) -> Iterator[Recorder]:
 
 
 # --------------------------------------------------------------------- #
-def _parseable_lines(path: Path) -> Iterable[str]:
+def _parseable_lines(path: Path) -> list[str]:
     try:
         text = path.read_text()
     except FileNotFoundError:
@@ -476,87 +468,22 @@ def _parseable_lines(path: Path) -> Iterable[str]:
     return out
 
 
-def _fold_progress(dest: Path, source_id: str) -> int:
-    """Parseable source lines already folded into ``dest`` for this id.
-
-    Fold-marker lines (``kind="fold"``) record the cumulative count; the
-    highest wins (markers are whole flushed lines, so a torn marker is
-    simply skipped and the fold re-appends at worst its own batch).
-    """
-    best = 0
-    for line in _parseable_lines(dest):
-        obj = json.loads(line)
-        if (
-            isinstance(obj, dict)
-            and obj.get("kind") == "fold"
-            and obj.get("id") == source_id
-        ):
-            try:
-                best = max(best, int(obj.get("n", 0)))
-            except (TypeError, ValueError):
-                continue
-    return best
-
-
-def merge_telemetry_files(
-    dest: str | Path, src: str | Path, source_id: str | None = None
-) -> int:
+def merge_telemetry_files(dest: str | Path, src: str | Path) -> int:
     """Append ``src``'s parseable telemetry lines to ``dest``.
 
-    The shard backend's aggregation step: a finished shard store's
-    ``telemetry.jsonl`` folds into the parent campaign's.  Line-level
-    append of whole flushed lines through a private handle (the same
-    safety argument as ``ResultStore.merge_eval_files``), torn tails
-    skipped.
-
-    Telemetry entries are *not* content-keyed (counter lines are
-    deltas), so a naive re-merge double-counts.  Passing ``source_id``
-    (the shard backends use the shard's content key) makes the fold
-    **idempotent and incremental per source**: after appending, a
-    ``{"kind": "fold", "id": ..., "n": <cumulative lines>}`` marker line
-    is written to ``dest``, and a later fold of the same source skips
-    the already-folded prefix — re-folding an unchanged file is a no-op,
-    re-folding a *grown* one (a resumed shard that appended) folds only
-    the tail.  Markers are invisible to every reader
-    (:class:`~repro.telemetry.summary.TelemetrySummary` passes over the
-    ``fold`` kind) and are never copied between files.  Without
-    ``source_id`` the merge stays plainly additive (callers that fold a
-    file exactly once, like the heartbeat monitor's per-run scratch
-    directory).  Returns the number of lines appended.
+    How the pool's per-worker heartbeat files fold into a campaign's
+    ``telemetry.jsonl`` at the end of a run.  Line-level append of whole
+    flushed lines through a private handle, torn tails skipped.  Plainly
+    additive (counter lines are deltas), so fold each source once.
+    Returns the number of lines appended.
     """
-    src_lines = [
-        line
-        for line in _parseable_lines(Path(src))
-        # A source's own fold markers are its local bookkeeping: copying
-        # them would corrupt the destination's progress accounting.
-        if json.loads(line).get("kind") != "fold"
-    ]
-    dest = Path(dest)
-    skip = 0
-    if source_id is not None:
-        skip = _fold_progress(dest, source_id)
-        if len(src_lines) <= skip:
-            return 0
-    lines = src_lines[skip:]
+    lines = _parseable_lines(Path(src))
     if not lines:
         return 0
-    if source_id is not None:
-        lines = lines + [
-            json.dumps(
-                {
-                    "v": LINE_VERSION,
-                    "kind": "fold",
-                    "id": source_id,
-                    "n": len(src_lines),
-                    "t": time.time(),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        ]
+    dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
     ensure_line_boundary(dest)
     with dest.open("a", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
         fh.flush()
-    return len(lines) - (1 if source_id is not None else 0)
+    return len(lines)

@@ -3,7 +3,7 @@
 The read side of the telemetry layer (DESIGN.md §12): everything here
 derives purely from the recorded lines — no simulation, no store access
 — so ``repro-aedb campaign telemetry`` and the Prometheus export work
-on a copy of the file, a merged shard aggregate, or a live campaign's
+on a copy of the file or a live campaign's
 stream mid-run.
 
 Parsing applies the repo-wide torn-tail contract
@@ -104,11 +104,6 @@ class TelemetrySummary:
                         f"{name}{json.dumps(attrs, sort_keys=True)}"
                     )
                     summary.gauges[gkey] = float(obj["value"])
-                elif kind == "fold":
-                    # Merge-idempotence bookkeeping written by
-                    # merge_telemetry_files — not an observation, not a
-                    # torn line; pass over it silently.
-                    pass
                 else:
                     summary.n_skipped += 1
             except (KeyError, TypeError, ValueError):

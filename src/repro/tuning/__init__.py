@@ -9,17 +9,13 @@ the paper), computed by :class:`NetworkSetEvaluator`.
 
 from repro.tuning.bounds import VARIABLE_DOMAINS, variable_names
 from repro.tuning.cache import EvaluationCache, PersistentEvaluationCache
-from repro.tuning.evaluation import (
-    NetworkSetEvaluator,
-    ParallelNetworkSetEvaluator,
-)
+from repro.tuning.evaluation import NetworkSetEvaluator
 from repro.tuning.problem import AEDBTuningProblem, make_tuning_problem
 
 __all__ = [
     "AEDBTuningProblem",
     "make_tuning_problem",
     "NetworkSetEvaluator",
-    "ParallelNetworkSetEvaluator",
     "EvaluationCache",
     "PersistentEvaluationCache",
     "VARIABLE_DOMAINS",

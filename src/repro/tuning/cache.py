@@ -231,25 +231,6 @@ class PersistentEvaluationCache:
     def _load(self) -> None:
         self._entries.update(self._read_entries(self.path))
 
-    def warm_from(self, path: str | Path) -> int:
-        """Preload entries from *another* cache file, memory only.
-
-        Nothing is written: hits on warmed entries are served from
-        memory and never re-appended, so this cache's own file stays
-        single-writer and append-only.  Keys already present keep their
-        current value.  This is how a shard backend's workers each own
-        their shard's sidecar while still starting warm from the parent
-        campaign's cache.  Returns the number of entries added.
-        """
-        loaded = self._read_entries(Path(path))
-        with self._lock:
-            added = 0
-            for key, metrics in loaded.items():
-                if key not in self._entries:
-                    self._entries[key] = metrics
-                    added += 1
-        return added
-
     @classmethod
     def simulation_key(
         cls, scenario: NetworkScenario, params: AEDBParams

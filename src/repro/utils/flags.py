@@ -1,7 +1,7 @@
 """Central registry for every ``REPRO_*`` environment flag.
 
 Every behaviour toggle in this repo crosses process boundaries as an
-environment variable (``fork``/``spawn`` pool and shard workers
+environment variable (``fork``/``spawn`` pool and population workers
 inherit it for free), which means a typo'd name fails silently:
 ``os.environ.get("REPRO_TELEMTRY")`` is just ``None``.  This module
 closes that hole the same way the telemetry layer closed the

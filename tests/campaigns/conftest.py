@@ -42,10 +42,8 @@ def golden_spec():
 
     Evaluate-only on purpose — tune records carry the ``runtime_s``
     wall-clock diagnostic, the one intentionally non-reproducible field,
-    so byte-identity is only a contract for evaluate cells.  ``n_seeds``
-    is 3 so the content-keyed partition populates *both* shards of a
-    ``shard:2`` run (the assignment is a pure function of the cell
-    keys; this grid happens to split 5/1).
+    so byte-identity is only a contract for evaluate cells.  Six cells
+    keep both workers of a 2-worker pool busy with several tasks each.
     """
     return CampaignSpec(
         name="golden",
@@ -62,8 +60,8 @@ def run_backend(tmp_path):
     """``run_backend(backend, subdir, spec, **kw) -> (report, store)``.
 
     One campaign run through the named backend into a fresh store under
-    this test's tmp dir; 2 workers so pool and shard backends actually
-    exercise concurrency.
+    this test's tmp dir; 2 workers so the pool backend actually
+    exercises concurrency.
     """
 
     def run(backend, subdir: str, spec: CampaignSpec, **kwargs):

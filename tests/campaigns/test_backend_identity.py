@@ -1,32 +1,32 @@
-"""The golden bit-identity harness: every backend, byte-identical stores.
+"""The golden bit-identity harness: both backends, byte-identical stores.
 
-DESIGN.md §10's headline invariant, pinned in one place instead of the
-ad-hoc per-PR identity checks that preceded it: for the same
-:class:`CampaignSpec`, the ``inline``, ``pool`` and ``shard:2``
-backends must persist **byte-identical** result records — and a
-standalone ``campaign merge`` of kept shard stores must equal the
-single-store run.  Re-running any
-backend against a populated evaluation cache must execute zero
-simulations.
+DESIGN.md §10's headline invariant, pinned in one place: for the same
+:class:`CampaignSpec`, the ``inline`` and ``pool`` backends must persist
+**byte-identical** result records.  Re-running either backend against a
+populated evaluation cache must execute zero simulations, and a
+half-warm cache must leave the same bytes with only the uncached half
+simulated.  The pool's unit of work — one task per cell, built and
+simulated in the worker — is pinned here too.
 
 Seeds are fully pinned by the spec (``master_seed`` fans out every
 stream), so this file is deterministic under any test ordering; CI's
 tier-2 job runs it with 2 workers.
 """
 
+import dataclasses
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.campaigns import (
-    CampaignExecutor,
-    ResultStore,
-    RetryPolicy,
-    ShardBackend,
-)
-from repro.campaigns.backends.shard import partition_cells, run_shard
+from repro.campaigns import CampaignExecutor, CampaignSpec, ResultStore
+from repro.campaigns import executor as executor_mod
+from repro.campaigns.backends import pool as pool_mod
+from repro.manet import ScenarioRuntime, clear_runtime_cache
+from repro.tuning import PersistentEvaluationCache
 
-BACKENDS = ("inline", "pool", "shard:2")
+BACKENDS = ("inline", "pool")
 
 
 def eval_cache_keys_at(path) -> set:
@@ -43,18 +43,20 @@ def eval_cache_keys(store: ResultStore) -> set:
     return eval_cache_keys_at(store.eval_cache_path)
 
 
-def first_shard(spec):
-    """The first non-empty shard of ``spec``'s ``shard:2`` partition."""
-    return next(s for s in partition_cells(spec.cells(), 2) if s.cells)
-
-
-def run_shard_into(spec, shard, store_dir, use_cache=False, warm_path=None):
-    """One :func:`run_shard` call with the default policy, no engine
-    override and no pre-charged attempts."""
-    return run_shard(
-        spec.to_json(), shard.cell_keys, shard.index, str(store_dir),
-        warm_path, use_cache, None, RetryPolicy(), {},
-    )
+def warm_cache(path, spec, picks) -> None:
+    """Store the simulations ``picks`` names (``{cell index: [job
+    indices]}``) in the cache at ``path``, computed in this process."""
+    executor = CampaignExecutor(spec)
+    cells = spec.cells()
+    cache = PersistentEvaluationCache(path)
+    for cell_index, job_indices in picks.items():
+        jobs = executor._jobs_for(cells[cell_index])
+        for i in job_indices:
+            job = jobs[i]
+            cache.put_metrics(
+                job.scenario, job.params, executor_mod._execute_job(job)
+            )
+    cache.close()
 
 
 @pytest.fixture()
@@ -62,6 +64,21 @@ def golden_digests(golden_spec, run_backend, store_digests):
     """The inline reference store's digests (the golden bytes)."""
     _, store = run_backend("inline", "golden", golden_spec)
     return store_digests(store.root)
+
+
+@pytest.fixture()
+def pool_tasks(monkeypatch):
+    """Every ``(function, args)`` the pool backend submits, recorded in
+    the owner process."""
+    tasks = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            tasks.append((fn, args))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", RecordingPool)
+    return tasks
 
 
 class TestGoldenIdentity:
@@ -125,51 +142,13 @@ class TestGoldenIdentity:
         assert len(keys) == golden_spec.n_cells * golden_spec.n_networks
 
 
-class TestShardMerge:
-    def test_standalone_merge_of_shards_equals_single_store(
-        self, golden_spec, golden_digests, run_backend, store_digests, tmp_path
-    ):
-        """The acceptance path: shard run with kept shards, merged by
-        hand into a fresh directory, equals the single-store run —
-        records and evaluation-cache entries alike."""
-        _, store = run_backend(
-            ShardBackend(2, keep_shards=True), "kept", golden_spec
-        )
-        shard_dirs = sorted((store.root / "shards").iterdir())
-        assert len(shard_dirs) == 2
-        dest = ResultStore(tmp_path / "merged")
-        reports = [dest.merge_from(d) for d in shard_dirs]
-        assert sum(r.cells_merged for r in reports) == golden_spec.n_cells
-        assert store_digests(dest.root) == golden_digests
-        assert eval_cache_keys(dest) == eval_cache_keys(store)
-        assert dest.status(golden_spec).is_complete
-        # Idempotent: merging the same shards again is all dedup.
-        again = [dest.merge_from(d) for d in shard_dirs]
-        assert sum(r.cells_merged for r in again) == 0
-        assert sum(r.cells_deduped for r in again) == golden_spec.n_cells
-        assert store_digests(dest.root) == golden_digests
-
-    def test_merged_store_resumes_with_nothing_pending(
-        self, golden_spec, run_backend, tmp_path
-    ):
-        _, store = run_backend(
-            ShardBackend(2, keep_shards=True), "kept", golden_spec
-        )
-        dest = ResultStore(tmp_path / "merged")
-        for d in sorted((store.root / "shards").iterdir()):
-            dest.merge_from(d)
-        report = CampaignExecutor(golden_spec, dest, serial=True).run()
-        assert report.executed == []
-        assert len(report.skipped) == golden_spec.n_cells
-
-
 class TestCachedRerun:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rerun_with_cache_executes_zero_simulations(
         self, backend, golden_spec, golden_digests, run_backend, store_digests
     ):
         """Fresh store + populated cache: 0 simulations, same bytes —
-        for every backend (the shard backend must not even spawn)."""
+        for both backends (the pool backend must not even spawn)."""
         _, first = run_backend(backend, f"c1-{backend}", golden_spec)
         report, second = run_backend(
             backend,
@@ -203,29 +182,27 @@ class TestCachedRerun:
         assert again.simulations_executed == 0
         assert again.cache_hits == n
 
-    def test_storeless_shard_run_still_feeds_the_cache(
+    def test_storeless_pool_run_still_feeds_the_cache(
         self, golden_spec, tmp_path
     ):
         shared = tmp_path / "shared.jsonl"
         n = golden_spec.n_cells * golden_spec.n_networks
         report = CampaignExecutor(
-            golden_spec, store=None, backend="shard:2", max_workers=2,
+            golden_spec, store=None, backend="pool", max_workers=2,
             eval_cache=shared,
         ).run()
         assert report.simulations_executed == n
         assert len(eval_cache_keys_at(shared)) == n
         again = CampaignExecutor(
-            golden_spec, store=None, backend="shard:2", max_workers=2,
+            golden_spec, store=None, backend="pool", max_workers=2,
             eval_cache=shared,
         ).run()
         assert again.simulations_executed == 0
         assert again.cache_hits == n
 
-
-class TestShardGuards:
-    def test_storeless_cacheless_run_matches_inline(self, golden_spec):
-        """Neither a store nor a cache: shards run against temporary
-        stores and the report still carries every cell's records."""
+    def test_storeless_cacheless_pool_run_matches_inline(self, golden_spec):
+        """Neither a store nor a cache: the report still carries every
+        cell's records, equal to the inline run's."""
 
         def records(name):
             report = CampaignExecutor(
@@ -236,120 +213,75 @@ class TestShardGuards:
 
         expected = records("inline")
         assert len(expected) == golden_spec.n_cells
-        assert records("shard:2") == expected
+        assert records("pool") == expected
 
-    def test_adhoc_scale_objects_are_rejected(self, golden_spec, tmp_path):
-        from repro.experiments.config import get_scale
-
-        with pytest.raises(ValueError, match="scale"):
-            CampaignExecutor(
-                golden_spec, ResultStore(tmp_path / "s"),
-                backend="shard:2", scale=get_scale("quick"),
-            ).run()
-
-    def test_run_shard_twice_on_one_store_resumes(
-        self, golden_spec, tmp_path
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_half_warm_cell_simulates_only_its_uncached_half(
+        self, backend, tmp_path, run_backend, store_digests
     ):
-        """A second :func:`run_shard` on the same directory executes
-        nothing: the completed cells are resumed from the store, and
-        the summary's digest is the store's own fingerprint."""
-        shard = first_shard(golden_spec)
-        store_dir = tmp_path / "shard"
-
-        def run():
-            return run_shard_into(golden_spec, shard, store_dir)
-
-        first = run()
-        assert sorted(first["executed"]) == sorted(shard.cell_keys)
-        assert first["resumed"] == [] and first["failed"] == []
-        store = ResultStore(store_dir)
-        assert all(store.is_complete(c) for c in shard.cells)
-        assert first["store_digest"] == store.content_digest()
-        second = run()
-        assert second["executed"] == []
-        assert sorted(second["resumed"]) == sorted(shard.cell_keys)
-        assert second["simulations_executed"] == 0
-        assert second["store_digest"] == first["store_digest"]
-
-    def test_run_shard_writes_only_its_own_cells(self, golden_spec, tmp_path):
-        shards = [
-            s for s in partition_cells(golden_spec.cells(), 2) if s.cells
-        ]
-        assert len(shards) == 2
-        run_shard_into(golden_spec, shards[0], tmp_path / "shard")
-        store = ResultStore(tmp_path / "shard")
-        assert all(store.is_complete(c) for c in shards[0].cells)
-        assert not any(store.is_complete(c) for c in shards[1].cells)
-
-    def test_run_shard_without_cache_writes_no_sidecar(
-        self, golden_spec, tmp_path
-    ):
-        run_shard_into(golden_spec, first_shard(golden_spec), tmp_path / "s")
-        assert not ResultStore(tmp_path / "s").eval_cache_path.exists()
-
-    def test_run_shard_warms_from_the_parent_cache_path(
-        self, golden_spec, tmp_path, store_digests
-    ):
-        """The shard reads the parent's cache file directly: a fully
-        warm shard simulates nothing and writes the same cell bytes."""
-        shard = first_shard(golden_spec)
-        parent = ResultStore(tmp_path / "parent")
-        cold = run_shard_into(golden_spec, shard, parent.root, use_cache=True)
-        assert cold["simulations_executed"] == len(shard.cells)
-        warm = run_shard_into(
-            golden_spec, shard, tmp_path / "warm", use_cache=True,
-            warm_path=str(parent.eval_cache_path),
+        """One evaluate cell over 4 networks, 2 of them in the cache:
+        both backends write the golden bytes, simulating exactly the
+        uncached half and serving the other half from disk."""
+        spec = CampaignSpec(
+            name="half", densities=(100,), n_networks=4, n_nodes=8
         )
-        assert warm["simulations_executed"] == 0
-        assert warm["cache_hits"] == cold["simulations_executed"]
-        assert sorted(warm["executed"]) == sorted(shard.cell_keys)
-        assert warm["store_digest"] == cold["store_digest"]
-        assert store_digests(tmp_path / "warm") == store_digests(parent.root)
-
-    def test_run_shard_telemetry_is_tagged_and_has_no_rollups(
-        self, golden_spec, tmp_path, monkeypatch
-    ):
-        """Every shard-stream line carries the shard index, and the
-        campaign-wide roll-up counters are left to the parent (a shard
-        re-emitting its slice would double-count them after the fold)."""
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        shard = first_shard(golden_spec)
-        run_shard_into(golden_spec, shard, tmp_path / "s")
-        lines = [
-            json.loads(line)
-            for line in ResultStore(tmp_path / "s")
-            .telemetry_path.read_text()
-            .splitlines()
-        ]
-        assert lines
-        assert all(line["attrs"]["shard"] == shard.index for line in lines)
-        assert not any(
-            line["name"].startswith("campaign.") and line["kind"] == "count"
-            for line in lines
+        _, cold = run_backend("inline", "cold", spec, eval_cache=None)
+        warm = tmp_path / "warm.jsonl"
+        warm_cache(warm, spec, {0: [0, 2]})
+        report, store = run_backend(
+            backend, f"half-{backend}", spec, eval_cache=warm
         )
+        assert report.simulations_executed == 2
+        assert report.cache_hits == 2
+        assert store_digests(store.root) == store_digests(cold.root)
+        assert len(eval_cache_keys_at(warm)) == 4
 
 
-class TestShardCollect:
-    """:meth:`ShardBackend._collect`, the parent's check of a finished
-    shard's store against the digest its worker reported."""
+class TestPoolUnit:
+    """The pool's unit of work is one cell: one task per cell with
+    uncached jobs, and the worker that runs it builds its runtimes."""
 
-    def test_matching_store_yields_every_done_cell(
-        self, golden_spec, tmp_path
+    def test_one_task_per_cell_with_uncached_jobs(
+        self, golden_spec, pool_tasks, tmp_path, run_backend, store_digests
     ):
-        shard = first_shard(golden_spec)
-        summary = run_shard_into(golden_spec, shard, tmp_path / "s")
-        got, results = ShardBackend._collect(shard, tmp_path / "s", summary)
-        assert got is summary
-        store = ResultStore(tmp_path / "s")
-        assert [r.cell for r in results] == list(shard.cells)
-        assert all(r.records == store.read_cell(r.cell) for r in results)
+        spec = dataclasses.replace(golden_spec, n_networks=2)
+        _, reference = run_backend("inline", "ref", spec, eval_cache=None)
+        warm = tmp_path / "warm.jsonl"
+        # Cell 0 fully cached (no task), cell 1 half cached.
+        warm_cache(warm, spec, {0: [0, 1], 1: [1]})
+        report, store = run_backend("pool", "tasks", spec, eval_cache=warm)
+        cells = spec.cells()
+        assert all(fn is executor_mod._execute_cell for fn, _ in pool_tasks)
+        task_jobs = {args[0][0].cell_key: args[0] for _, args in pool_tasks}
+        assert len(pool_tasks) == len(task_jobs) == spec.n_cells - 1
+        assert set(task_jobs) == {c.key for c in cells[1:]}
+        assert [j.index for j in task_jobs[cells[1].key]] == [0]
+        for cell in cells[2:]:
+            jobs = task_jobs[cell.key]
+            assert [j.index for j in jobs] == [0, 1]
+            assert {j.cell_key for j in jobs} == {cell.key}
+        assert report.simulations_executed == 2 * spec.n_cells - 3
+        assert report.cache_hits == 3
+        assert store_digests(store.root) == store_digests(reference.root)
 
-    def test_digest_mismatch_raises_and_discards_the_store(
-        self, golden_spec, tmp_path
+    def test_owner_builds_no_scenario_runtime(
+        self, golden_spec, golden_digests, tmp_path, monkeypatch,
+        run_backend, store_digests,
     ):
-        shard = first_shard(golden_spec)
-        summary = run_shard_into(golden_spec, shard, tmp_path / "s")
-        summary["store_digest"] = "0" * 40
-        with pytest.raises(RuntimeError, match=shard.key):
-            ShardBackend._collect(shard, tmp_path / "s", summary)
-        assert not (tmp_path / "s").exists()
+        """Every :class:`ScenarioRuntime` of a 2-worker pool run is built
+        in a worker; the owner (this process) builds none."""
+        log = tmp_path / "builds.log"
+        original = ScenarioRuntime.__init__
+
+        def logging_init(self, *args, **kwargs):
+            # Forked workers inherit the patch and append their own pid.
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            original(self, *args, **kwargs)
+
+        clear_runtime_cache()  # workers must not inherit built runtimes
+        monkeypatch.setattr(ScenarioRuntime, "__init__", logging_init)
+        _, store = run_backend("pool", "owner", golden_spec, eval_cache=None)
+        pids = {int(line) for line in log.read_text().split()}
+        assert pids and os.getpid() not in pids
+        assert store_digests(store.root) == golden_digests

@@ -14,9 +14,9 @@ complete store with zero duplicate simulations.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -26,12 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.campaigns import (
-    CampaignExecutor,
-    ResultStore,
-    ShardBackend,
-    render_failures,
-)
+from repro.campaigns import CampaignExecutor, ResultStore, render_failures
 from repro.campaigns.faults import TORN_JUNK
 from repro.campaigns.resilience import FailureLedger, RetryPolicy
 
@@ -130,6 +125,83 @@ class TestPoolRecovery:
         telemetry = store.telemetry_path.read_text()
         assert '"cell.retry"' in telemetry
 
+    def test_transient_raise_retries_to_identical_store(
+        self, golden_spec, golden_digests, run_backend, store_digests,
+        monkeypatch,
+    ):
+        """Every cell's task raises on attempt 1: each cell is charged
+        once and its retry lands the golden bytes."""
+        monkeypatch.setenv("REPRO_FAULTS", "raise:*@1")
+        report, store = run_backend(
+            "pool", "transient", golden_spec, retry_policy=FAST
+        )
+        assert report.failed == []
+        assert report.retries == golden_spec.n_cells
+        assert report.requeues == 0  # a raise loses no worker
+        assert store_digests(store.root) == golden_digests
+
+    def test_poison_cell_is_quarantined_not_fatal(
+        self, golden_spec, golden_digests, run_backend, store_digests,
+        monkeypatch,
+    ):
+        """A cell whose task raises on every attempt is quarantined into
+        the ledger once; the other cells complete in the same run."""
+        poison = golden_spec.cells()[0].key
+        monkeypatch.setenv("REPRO_FAULTS", f"raise:{poison}@0")
+        report, store = run_backend(
+            "pool", "poison", golden_spec, retry_policy=FAST
+        )
+        assert report.failed_keys == [poison]
+        assert report.failed[0].attempts == FAST.max_attempts
+        assert len(report.executed) == golden_spec.n_cells - 1
+        ledger = FailureLedger(store.failures_path)
+        assert [e["cell"] for e in ledger.entries()] == [poison]
+        golden_without_poison = {
+            name: digest for name, digest in golden_digests.items()
+            if name != f"{poison}.jsonl"
+        }
+        assert store_digests(store.root) == golden_without_poison
+
+    def test_single_worker_crash_is_attributed_once(
+        self, golden_spec, golden_digests, run_backend, store_digests,
+        monkeypatch,
+    ):
+        """At one worker only one cell is ever in flight, so a crash is
+        charged to it (no degrade, no free requeue of bystanders)."""
+        victim = golden_spec.cells()[2].key
+        monkeypatch.setenv("REPRO_FAULTS", f"crash:{victim}@1")
+        report, store = run_backend(
+            "pool", "crash-1w", golden_spec, retry_policy=FAST,
+            max_workers=1,
+        )
+        assert report.failed == []
+        assert report.retries == 1
+        assert report.requeues == 1
+        assert store_digests(store.root) == golden_digests
+
+    def test_failed_attempt_reruns_the_whole_cell(
+        self, golden_spec, run_backend, store_digests, monkeypatch
+    ):
+        """A multi-job cell whose task raises on attempt 1 re-runs all of
+        its jobs: nothing of the failed attempt is counted or cached, and
+        every simulation lands in the sidecar exactly once."""
+        spec = dataclasses.replace(golden_spec, n_networks=3)
+        _, reference = run_backend("inline", "ref", spec)
+        victim = spec.cells()[0].key
+        monkeypatch.setenv("REPRO_FAULTS", f"raise:{victim}@1")
+        report, store = run_backend(
+            "pool", "rerun", spec, retry_policy=FAST
+        )
+        n_sims = spec.n_cells * spec.n_networks
+        assert report.failed == [] and report.retries == 1
+        assert report.simulations_executed == n_sims
+        keys = [
+            json.loads(line)["key"]
+            for line in store.eval_cache_path.read_text().splitlines()
+        ]
+        assert len(keys) == len(set(keys)) == n_sims
+        assert store_digests(store.root) == store_digests(reference.root)
+
     def test_hung_worker_trips_cell_timeout(
         self, golden_spec, golden_digests, run_backend, store_digests,
         monkeypatch,
@@ -176,136 +248,6 @@ class TestPoolRecovery:
         telemetry = store.telemetry_path.read_text()
         assert '"cell.hung"' in telemetry
         assert '"cell.heartbeat"' in telemetry
-
-
-class TestShardRecovery:
-    def test_dead_shard_requeues_onto_survivors(
-        self, golden_spec, golden_digests, run_backend, store_digests,
-        monkeypatch,
-    ):
-        """A shard worker dies mid-shard (hard exit inside a cell).  Its
-        completed cells merge back from its store; the lost cells are
-        charged one attempt and requeued onto a recovery pass over the
-        surviving shard count — same run, no manual intervention."""
-        victim = golden_spec.cells()[0].key
-        monkeypatch.setenv("REPRO_FAULTS", f"crash:{victim}@1")
-        monkeypatch.setenv("REPRO_TELEMETRY", "on")
-        report, store = run_backend(
-            "shard:2", "dead-shard", golden_spec, retry_policy=FAST
-        )
-        assert report.failed == []
-        assert report.requeues >= 1
-        assert store_digests(store.root) == golden_digests
-        telemetry = store.telemetry_path.read_text()
-        assert '"shard.requeue"' in telemetry
-        assert '"campaign.requeued_cells"' in telemetry
-        # The shard scratch directories were swept on full completion.
-        assert not (store.root / "shards").exists()
-
-    def test_in_shard_poison_is_adopted_by_parent(
-        self, golden_spec, run_backend, monkeypatch
-    ):
-        """A poison cell quarantined *inside* a shard worker travels back
-        to the parent run's report and ledger exactly once."""
-        poison = golden_spec.cells()[0].key
-        monkeypatch.setenv("REPRO_FAULTS", f"raise:{poison}@0")
-        report, store = run_backend(
-            "shard:2", "shard-poison", golden_spec, retry_policy=FAST
-        )
-        assert report.failed_keys == [poison]
-        ledger = FailureLedger(store.failures_path)
-        assert [e["cell"] for e in ledger.entries()] == [poison]
-
-
-class TestShardRemerge:
-    def test_same_shard_merged_twice_is_idempotent(
-        self, golden_spec, golden_digests, run_backend, store_digests,
-        monkeypatch,
-    ):
-        """The same shard directory run and merged **twice** into one store.
-
-        ``shard:1`` with a crash on the very first cell: the requeued
-        retry covers the identical cell set over the identical shard
-        count, so the recovery round reuses the *same* content-keyed
-        shard directory and the parent folds the same shard source
-        twice.  Everything downstream must be idempotent: byte-identical
-        store, each evaluation cached once, each telemetry line counted
-        once."""
-        from repro.telemetry import TelemetrySummary
-
-        victim = golden_spec.cells()[0].key
-        monkeypatch.setenv("REPRO_FAULTS", f"crash:{victim}@1")
-        monkeypatch.setenv("REPRO_TELEMETRY", "on")
-        report, store = run_backend(
-            "shard:1", "remerged", golden_spec, retry_policy=FAST
-        )
-        summary = TelemetrySummary.from_file(store.telemetry_path)
-        # One shard, dispatched twice: the second round reuses its dir.
-        assert summary.event_counts()["shard.dispatched"] == 2
-        assert report.failed == []
-        assert report.requeues >= 1
-        assert store_digests(store.root) == golden_digests
-        # Zero duplicate simulations: the merged cache sidecar holds
-        # each evaluation key exactly once despite the double merge.
-        keys = [
-            json.loads(line)["key"]
-            for line in store.eval_cache_path.read_text().splitlines()
-            if line.strip()
-        ]
-        assert len(keys) == len(set(keys)) == golden_spec.n_cells
-        # The telemetry rollups agree: every simulation ran exactly
-        # once across both dispatches, none served from cache twice.
-        assert (
-            summary.counter("campaign.simulations_executed")
-            == golden_spec.n_cells
-        )
-        assert summary.counter("campaign.cache_hits") == 0
-
-
-def _alter_one_digit(text: str) -> str:
-    """Change the first decimal digit of the first record line."""
-    lines = text.splitlines(keepends=True)
-    lines[1], n = re.subn(
-        r"\.(\d)", lambda m: f".{(int(m.group(1)) + 1) % 10}", lines[1],
-        count=1,
-    )
-    assert n == 1
-    return "".join(lines)
-
-
-class TestShardDigest:
-    @pytest.mark.parametrize(
-        "damage",
-        [_alter_one_digit, lambda text: text[: len(text) // 2]],
-        ids=["altered-cell", "torn-cell"],
-    )
-    def test_damaged_shard_store_requeues_to_identical_store(
-        self, damage, golden_spec, golden_digests, run_backend,
-        store_digests,
-    ):
-        """One cell file of a finished shard is damaged before the
-        parent reads it.  The store no longer digests as the worker's
-        summary says, so the shard is dropped and requeued — never
-        merged — and the run ends byte-identical to inline."""
-        class Damaging(ShardBackend):
-            damaged = False
-
-            def _collect(self, shard, dest, summary):
-                if not self.damaged:
-                    self.damaged = True
-                    path = sorted(Path(dest, "cells").glob("*.jsonl"))[0]
-                    path.write_text(damage(path.read_text()))
-                return super()._collect(shard, dest, summary)
-
-        backend = Damaging(2)
-        report, store = run_backend(
-            backend, "damaged", golden_spec, retry_policy=FAST
-        )
-        assert backend.damaged
-        assert report.failed == []
-        assert report.requeues >= 1
-        assert len(report.executed) == golden_spec.n_cells
-        assert store_digests(store.root) == golden_digests
 
 
 class TestTornTailRecovery:

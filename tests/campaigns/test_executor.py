@@ -9,8 +9,9 @@ import pytest
 from repro.campaigns import (
     CampaignExecutor,
     CampaignSpec,
+    InlineBackend,
+    PoolBackend,
     ResultStore,
-    ShardBackend,
     render_report,
     render_status,
     resolve_backend,
@@ -50,38 +51,29 @@ class TestDeterminism:
         assert store_digests(tmp_path / "s") == store_digests(tmp_path / "p")
 
 
+#: Backend spellings that no longer exist: the deleted fleet
+#: (``remote:N``) and shard (``shard[:N]``) backends.
+REMOVED_SPELLINGS = [
+    "remote", "remote:2", "remote:2@loopback",
+    "shard", "shard:2", " SHARD:3 ", "shard:0", "shard:x",
+]
+
+
 class TestBackendSelection:
-    @pytest.mark.parametrize(
-        "bad", ["carrier-pigeon", "remote", "remote:2", "remote:2@loopback"]
-    )
+    @pytest.mark.parametrize("bad", ["carrier-pigeon"] + REMOVED_SPELLINGS)
     def test_unknown_backend_rejected(self, bad, tmp_path):
         store = ResultStore(tmp_path / "s")
         with pytest.raises(ValueError, match="unknown backend") as excinfo:
             CampaignExecutor(tiny_spec(), store, backend=bad).run()
         message = str(excinfo.value)
         assert repr(bad) in message
-        assert "'inline', 'pool' or 'shard:N'" in message
+        assert message.endswith("expected 'inline' or 'pool'")
         # Rejected at the boundary: no store state was written.
         assert not store.root.exists() or not any(store.root.iterdir())
 
-    @pytest.mark.parametrize(
-        "bad", ["remote", "remote:2", "remote:2@loopback"]
-    )
+    @pytest.mark.parametrize("bad", REMOVED_SPELLINGS)
     def test_removed_remote_spellings_fail_in_the_parser(self, bad):
         with pytest.raises(ValueError, match="unknown backend") as excinfo:
-            resolve_backend(bad)
-        assert repr(bad) in str(excinfo.value)
-
-    @pytest.mark.parametrize(
-        "bad", ["shard:0", "shard:x", "shard:-1", "shard:-2"]
-    )
-    def test_bad_shard_count_rejected(self, bad):
-        with pytest.raises(ValueError, match="shard count"):
-            CampaignExecutor(tiny_spec(), backend=bad).run()
-
-    @pytest.mark.parametrize("bad", ["shard:0", "shard:-1", "shard:x"])
-    def test_bad_shard_count_names_the_string(self, bad):
-        with pytest.raises(ValueError, match="N >= 1") as excinfo:
             resolve_backend(bad)
         assert repr(bad) in str(excinfo.value)
 
@@ -90,20 +82,24 @@ class TestBackendSelection:
         [
             ("inline", "inline"),
             ("pool", "pool"),
-            ("shard", "shard:2"),
-            ("shard:3", "shard:3"),
-            (" SHARD:3 ", "shard:3"),
+            (" POOL ", "pool"),
+            ("Inline", "inline"),
         ],
     )
     def test_valid_spellings_resolve(self, value, name):
         assert resolve_backend(value).name == name
 
-    @pytest.mark.parametrize("keep", [False, True])
-    def test_keep_shards_reaches_the_shard_backend(self, keep):
-        assert resolve_backend("shard:2", keep_shards=keep).keep_shards is keep
+    def test_resolve_backend_takes_only_the_value(self):
+        import inspect
 
-    def test_backend_instance_passes_through(self):
-        backend = ShardBackend(3)
+        assert list(inspect.signature(resolve_backend).parameters) == [
+            "value"
+        ]
+
+    @pytest.mark.parametrize(
+        "backend", [InlineBackend(), PoolBackend(3)], ids=["inline", "pool"]
+    )
+    def test_backend_instance_passes_through(self, backend):
         assert resolve_backend(backend) is backend
 
     def test_non_string_non_backend_rejected(self):
@@ -114,26 +110,17 @@ class TestBackendSelection:
         assert CampaignExecutor(tiny_spec(), serial=True)._resolve_backend().name == "inline"
         assert CampaignExecutor(tiny_spec())._resolve_backend().name == "pool"
         assert CampaignExecutor(
-            tiny_spec(), serial=True, backend="shard:3"
-        )._resolve_backend().name == "shard:3"  # explicit backend wins
+            tiny_spec(), serial=True, backend="pool"
+        )._resolve_backend().name == "pool"  # explicit backend wins
 
+    def test_constructor_takes_exactly_the_run_options(self):
+        """No per-shard hooks: the executor's options are the run's."""
+        import inspect
 
-class TestOnlyCells:
-    def test_restricts_execution_to_the_named_keys(self, tmp_path):
-        spec = tiny_spec(n_seeds=1)
-        chosen = [c.key for c in spec.cells()[:2]]
-        store = ResultStore(tmp_path)
-        report = CampaignExecutor(
-            spec, store, serial=True, only_cells=chosen
-        ).run()
-        assert report.executed_keys == chosen
-        assert {c.key for c in store.completed_cells(spec)} == set(chosen)
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="only_cells"):
-            CampaignExecutor(
-                tiny_spec(), serial=True, only_cells=("nope",)
-            ).run()
+        assert list(inspect.signature(CampaignExecutor).parameters) == [
+            "spec", "store", "max_workers", "serial", "scale",
+            "mls_engine", "eval_cache", "backend", "retry_policy",
+        ]
 
 
 class TestResume:
@@ -273,7 +260,7 @@ class TestTuneCells:
     ):
         """The counter covers every simulation the run executed — the
         optimiser's included — which is what the deep-mode ``sim.runs``
-        counts on the inline backend; pool and shard:2 agree."""
+        counts on the inline backend; the pool agrees."""
         from repro.telemetry import TelemetrySummary
 
         monkeypatch.setenv("REPRO_TELEMETRY", "deep")
@@ -283,8 +270,8 @@ class TestTuneCells:
             n_seeds=1, n_networks=2, n_nodes=8,
         )
         counts = {}
-        for backend in ("inline", "pool", "shard:2"):
-            store = ResultStore(tmp_path / backend.replace(":", "-"))
+        for backend in ("inline", "pool"):
+            store = ResultStore(tmp_path / backend)
             report = CampaignExecutor(
                 spec, store, backend=backend, max_workers=2
             ).run()
@@ -292,10 +279,9 @@ class TestTuneCells:
             if backend == "inline":
                 summary = TelemetrySummary.from_file(store.telemetry_path)
                 assert report.simulations_executed == summary.counter("sim.runs")
-                # Shard-family cells carry no live payloads.
                 tune = report.executed[1].payloads[0]
         assert counts["inline"] == 2 + tune.evaluations * 2
-        assert counts["pool"] == counts["shard:2"] == counts["inline"]
+        assert counts["pool"] == counts["inline"]
 
     def test_unknown_algorithm_rejected(self, tiny_scale):
         spec = CampaignSpec(

@@ -10,7 +10,7 @@ paths — so a chaos failure bisects to one primitive.
 from __future__ import annotations
 
 import json
-import pickle
+import math
 import time
 
 import pytest
@@ -62,22 +62,27 @@ class TestRetryPolicy:
             {"cell_timeout_s": 0.0},
             {"heartbeat_s": -2.0},
             {"heartbeat_timeout_s": 0.0},
+            {"cell_timeout_s": math.nan},
+            {"heartbeat_s": math.nan},
+            {"max_delay_s": math.nan},
+            {"jitter": math.nan},
         ],
     )
     def test_invalid_policies_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
 
-    def test_survives_pickling_to_a_shard_worker(self):
-        """``shard:N`` hands the policy to :func:`run_shard` by pickling;
-        every field must arrive, and the delays it derives with it."""
-        policy = RetryPolicy(
-            max_attempts=5, base_delay_s=0.01, cell_timeout_s=2.0,
-            heartbeat_s=0.25,
-        )
-        copy = pickle.loads(pickle.dumps(policy))
-        assert copy == policy
-        assert copy.delay_for("cell", 2) == policy.delay_for("cell", 2)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["base_delay_s", "backoff_factor", "max_delay_s", "jitter",
+         "cell_timeout_s", "heartbeat_s", "heartbeat_timeout_s"],
+    )
+    def test_non_finite_values_rejected_naming_the_field(self, name, value):
+        """NaN passes every ordered comparison and an infinite deadline
+        never fires: both are rejected, by field name."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RetryPolicy(**{name: value})
 
     def test_delay_is_deterministic_and_exponential(self):
         policy = RetryPolicy(
@@ -134,45 +139,44 @@ class TestLeaseTable:
         assert table.attempts("cell") == 1
         assert table.next_attempt("cell") == 2
 
-    def test_touch_and_beat_extend_deadlines(self):
-        policy = RetryPolicy(cell_timeout_s=1.0, heartbeat_s=0.5)
-        table = LeaseTable(policy)
+    def test_cell_timeout_caps_one_attempt_from_acquisition(self):
+        """``cell_timeout_s`` is a wall-clock cap on one attempt: it
+        runs from the lease's acquisition and nothing extends it."""
+        table = LeaseTable(RetryPolicy(cell_timeout_s=1.0))
         lease = table.acquire("cell", "w0", now=100.0)
         assert lease.hard_deadline == 101.0
-        assert lease.liveness_deadline == 102.5
+        assert lease.liveness_deadline is None
+        assert table.expired(now=100.9) == []
         assert table.expired(now=101.5) == [lease]
-        table.touch("cell", now=101.4)
-        assert lease.hard_deadline == 102.4
-        assert table.expired(now=101.5) == []
-        table.beat("cell", now=103.0)
+        # A retry's fresh lease gets a fresh cap.
+        assert table.fail("cell", "hung") == RETRY
+        retry = table.acquire("cell", "w0", now=200.0)
+        assert retry.attempt == 2 and retry.hard_deadline == 201.0
+
+    def test_beat_extends_liveness_not_the_hard_deadline(self):
+        policy = RetryPolicy(cell_timeout_s=10.0, heartbeat_s=0.5)
+        table = LeaseTable(policy)
+        lease = table.acquire("cell", "w0", now=100.0)
+        assert lease.liveness_deadline == 102.5
+        assert table.expired(now=103.0) == [lease]
+        assert table.beat("cell", now=103.0)
         assert lease.liveness_deadline == 105.5
+        assert lease.hard_deadline == 110.0
+        assert table.expired(now=104.0) == []
         # beat() extends liveness only — the hard deadline still trips.
-        assert table.expired(now=103.5) == [lease]
+        table.beat("cell", now=109.9)
+        assert table.expired(now=110.5) == [lease]
         assert not table.beat("unknown")
 
-    def test_release_and_holds(self):
-        table = LeaseTable(RetryPolicy())
-        table.acquire("cell", "w0")
-        assert table.holds("cell")
-        assert table.attempt_of("cell") == 1
+    def test_release_drops_the_lease(self):
+        table = LeaseTable(RetryPolicy(cell_timeout_s=1.0))
+        table.acquire("cell", "w0", now=100.0)
+        assert [lease.cell for lease in table.expired(now=102.0)] == ["cell"]
         table.release("cell")
-        assert not table.holds("cell")
-        assert table.attempt_of("cell") is None
-
-    def test_seed_attempts_forwards_budget(self):
-        """A recovery pass inherits the parent's accounting — a cell
-        that already burned 2 attempts has 1 left, not 3."""
-        table = LeaseTable(RetryPolicy(max_attempts=3))
-        table.seed_attempts({"cell": 2})
-        assert table.next_attempt("cell") == 3
-        assert table.fail("cell", "again", attempt=3) == QUARANTINED
-
-    def test_adopt_quarantine_does_not_rerecord(self, tmp_path):
-        ledger = FailureLedger(tmp_path / "failures.jsonl")
-        table = LeaseTable(RetryPolicy(), ledger)
-        table.adopt_quarantine("cell", attempts=3, error="shard boom")
-        assert table.quarantined["cell"] == (3, "shard boom")
-        assert ledger.entries() == []  # decided (and recorded) elsewhere
+        assert table.expired(now=102.0) == []
+        assert not table.beat("cell")
+        # Releasing spends no attempt: the next lease is attempt 1 again.
+        assert table.acquire("cell", "w0").attempt == 1
 
 
 class TestFailureLedger:
@@ -203,29 +207,6 @@ class TestFailureLedger:
         assert ledger.prune({"cell-a"}) == 1
         assert not ledger.path.exists()
         assert ledger.prune({"cell-a"}) == 0
-
-    def test_fold_from_aggregates_shard_ledgers(self, tmp_path):
-        parent = FailureLedger(tmp_path / "failures.jsonl")
-        shard = FailureLedger(tmp_path / "shard" / "failures.jsonl")
-        shard.record("cell-a", attempts=3, error="boom")
-        assert parent.fold_from(shard) == 1
-        assert parent.fold_from(tmp_path / "missing.jsonl") == 0
-        assert [e["cell"] for e in parent.entries()] == ["cell-a"]
-
-    def test_fold_from_is_idempotent_per_source(self, tmp_path):
-        """Folding the same shard ledger twice (a re-merged shard
-        directory) records each quarantine exactly once."""
-        parent = FailureLedger(tmp_path / "failures.jsonl")
-        shard = FailureLedger(tmp_path / "shard" / "failures.jsonl")
-        shard.record("cell-a", attempts=3, error="boom")
-        shard.record("cell-b", attempts=2, error="pop")
-        assert parent.fold_from(shard) == 2
-        assert parent.fold_from(shard) == 0  # second fold: all dedup
-        assert [e["cell"] for e in parent.entries()] == ["cell-a", "cell-b"]
-        # A *grown* source folds only its new entries.
-        shard.record("cell-c", attempts=1, error="fizz")
-        assert parent.fold_from(shard) == 1
-        assert len(parent.entries()) == 3
 
 
 class TestFaultSpecParsing:

@@ -1,5 +1,6 @@
 """Campaign spec expansion, content keys, and JSON round-trips."""
 
+import json
 import math
 
 import pytest
@@ -151,7 +152,7 @@ class TestRoundTrip:
 class TestBackendHint:
     def test_roundtrips_and_leaves_cells_alone(self):
         plain = tiny_spec()
-        hinted = tiny_spec(backend="shard:2")
+        hinted = tiny_spec(backend="inline")
         assert CampaignSpec.from_json(hinted.to_json()) == hinted
         # An execution hint, not content: same cells, same keys.
         assert [c.key for c in hinted.cells()] == [
@@ -162,27 +163,44 @@ class TestBackendHint:
         assert "backend" not in plain.to_json()
 
     @pytest.mark.parametrize(
-        "bad", ["abacus", "remote", "remote:2", "remote:2@loopback"]
+        "bad",
+        ["abacus", "remote", "remote:2", "remote:2@loopback",
+         "shard", "shard:2", " SHARD:3 "],
     )
     def test_invalid_hint_rejected_at_declaration(self, bad):
         with pytest.raises(ValueError, match="unknown backend") as excinfo:
             tiny_spec(backend=bad)
         assert repr(bad) in str(excinfo.value)
 
+    @pytest.mark.parametrize("bad", ["shard", "shard:2", " SHARD:3 "])
+    def test_removed_hint_in_a_spec_file_fails_on_load(self, bad, tmp_path):
+        """A ``spec.json`` written before the shard backend was removed
+        fails to load, naming the string — no silent fallback."""
+        data = json.loads(tiny_spec().to_json())
+        data["backend"] = bad
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            CampaignSpec.from_file(path)
+        assert repr(bad) in str(excinfo.value)
+
     def test_hint_drives_executor_resolution(self):
         from repro.campaigns import CampaignExecutor
 
-        spec = tiny_spec(backend="shard:2")
-        assert CampaignExecutor(spec)._resolve_backend().name == "shard:2"
-        # serial (shard workers, the experiment runner) outranks the
-        # hint — honouring it in a shard worker would recurse.
-        assert (
-            CampaignExecutor(spec, serial=True)._resolve_backend().name
-            == "inline"
-        )
+        spec = tiny_spec(backend="inline")
+        assert CampaignExecutor(spec)._resolve_backend().name == "inline"
+        assert CampaignExecutor(tiny_spec())._resolve_backend().name == "pool"
+        # An explicit backend outranks the hint.
         assert (
             CampaignExecutor(spec, backend="pool")._resolve_backend().name
             == "pool"
+        )
+        # serial (--serial, the experiment runner) outranks a pool hint.
+        assert (
+            CampaignExecutor(
+                tiny_spec(backend="pool"), serial=True
+            )._resolve_backend().name
+            == "inline"
         )
 
 

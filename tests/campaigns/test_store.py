@@ -109,7 +109,7 @@ class TestTornTailTolerance:
         self, spec, store
     ):
         """The regression case: the file is cut mid-record (a crash
-        during an external copy/merge), leaving a torn final line."""
+        during an external copy), leaving a torn final line."""
         cell, path = self.write_complete(spec, store)
         text = path.read_text()
         cut = text.index('"value"')  # inside the second record's JSON

@@ -336,6 +336,47 @@ class TestUniformStream:
             stream.uniform()
 
 
+class TestGetRuntime:
+    """The per-process memo is the one place runtimes come from (the
+    inline backend, the evaluators, and each campaign pool worker)."""
+
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    def test_memo_runtime_matches_recompute_and_private(self, params):
+        """memoised == private runtime == no runtime at all."""
+        scenario = make_scenarios(200, n_networks=1)[0]
+        plain, via_memo = run_both(scenario, params, get_runtime(scenario))
+        via_private = BroadcastSimulator(
+            scenario, params, runtime=ScenarioRuntime(scenario)
+        ).run()
+        assert plain == via_memo == via_private
+
+    def test_memo_snapshots_equal_a_private_build_and_are_read_only(self):
+        scenario = make_scenarios(100, n_networks=1, n_nodes=10)[0]
+        private = ScenarioRuntime(scenario)
+        memo = get_runtime(scenario)
+        assert memo is not private
+        for t in private.beacon_times:
+            rx_p, seen_p = private.table_snapshot(t)
+            rx_m, seen_m = memo.table_snapshot(t)
+            np.testing.assert_array_equal(rx_p, rx_m)
+            np.testing.assert_array_equal(seen_p, seen_m)
+            with pytest.raises(ValueError):
+                rx_m[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                seen_m[0, 0] = 0.0
+        a = memo.protocol_uniform_stream()
+        b = private.protocol_uniform_stream()
+        for _ in range(2 * scenario.n_nodes):
+            assert a.uniform(0.1, 4.5) == b.uniform(0.1, 4.5)
+
+    def test_memo_returns_one_runtime_per_scenario(self):
+        clear_runtime_cache()
+        a, b = make_scenarios(100, n_networks=2, n_nodes=8)
+        assert get_runtime(a) is get_runtime(a)
+        assert get_runtime(a) is not get_runtime(b)
+        assert runtime_cache_size() == 2
+
+
 class TestEvaluatorIntegration:
     def test_serial_evaluator_uses_shared_runtimes(self):
         from repro.tuning import NetworkSetEvaluator

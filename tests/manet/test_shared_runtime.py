@@ -1,9 +1,10 @@
-"""Pool-shared runtimes: preparation, ownership, inheritance, bit-identity.
+"""Pre-fork runtime table: preparation, ownership, inheritance, bit-identity.
 
-DESIGN.md §9's contracts: the pool owner builds each distinct scenario's
-runtime once, workers forked afterwards inherit it without rebuilding,
-every lookup the table cannot serve degrades to the per-process runtime
-path, and metrics are bit-identical whichever path served the substrate.
+The contracts of :mod:`repro.manet.shared`: the parent builds each
+distinct scenario's runtime once, processes forked afterwards inherit it
+without rebuilding, every lookup the table cannot serve degrades to the
+per-process runtime path, and metrics are bit-identical whichever path
+served the substrate.
 """
 
 import multiprocessing
@@ -14,13 +15,12 @@ import pytest
 
 from repro.manet import (
     AEDBParams,
-    SharedRuntimeArena,
-    attach_runtime,
     get_runtime,
     make_scenarios,
     set_runtime_memoisation,
 )
 from repro.manet.runtime import _MEMO_MAX_ENTRIES, ScenarioRuntime
+from repro.manet.shared import SharedRuntimeArena, attach_runtime
 from repro.manet.simulator import BroadcastSimulator
 
 
@@ -150,29 +150,7 @@ class TestBitIdentity:
             assert attach_runtime(scenario) is attach_runtime(scenario)
 
 
-class TestPoolIntegration:
-    def test_parallel_evaluator_with_arena_matches_serial(
-        self, tiny_scenarios
-    ):
-        from repro.tuning import (
-            NetworkSetEvaluator,
-            ParallelNetworkSetEvaluator,
-        )
-
-        params = AEDBParams(0.0, 0.5, -90.0, 1.0, 10.0)
-        serial = NetworkSetEvaluator(list(tiny_scenarios))
-        expected = serial.evaluate(params)
-        with ParallelNetworkSetEvaluator(
-            list(tiny_scenarios), max_workers=2
-        ) as parallel:
-            assert parallel._ensure_arena() is not None
-            assert parallel.evaluate(params) == expected
-        # close() released the arena's runtimes.
-        assert parallel._arena is None
-        assert attach_runtime(tiny_scenarios[0]) is get_runtime(
-            tiny_scenarios[0]
-        )
-
+class TestForkInheritance:
     def test_forked_worker_builds_no_prepared_runtime(self):
         """More scenarios than the per-process memo holds: a worker forked
         after ``create`` must find every one of them already built."""

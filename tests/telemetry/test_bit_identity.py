@@ -1,7 +1,7 @@
 """Telemetry must never perturb results — the §12 off-switch guarantee.
 
 The golden harness of this PR: the same campaign, run with
-``REPRO_TELEMETRY`` off, on, and deep through every backend, must
+``REPRO_TELEMETRY`` off, on, and deep through both backends, must
 produce **byte-identical** cell stores.  The recorded stream is then
 replayed (summary + Prometheus) without re-running anything, and its
 counters must agree with the run report — the numbers ``campaign
@@ -9,14 +9,20 @@ status`` surfaces.
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
 
-from repro.campaigns import CampaignExecutor, CampaignSpec, ResultStore
+from repro.campaigns import (
+    CampaignExecutor,
+    CampaignSpec,
+    ResultStore,
+    RetryPolicy,
+)
 from repro.telemetry import TelemetrySummary, to_prometheus
 
-BACKENDS = ("inline", "pool", "shard:2")
+BACKENDS = ("inline", "pool")
 
 #: off / on / deep — the three REPRO_TELEMETRY modes under test.
 MODES = {"off": None, "on": "1", "deep": "deep"}
@@ -25,9 +31,9 @@ MODES = {"off": None, "on": "1", "deep": "deep"}
 def _spec() -> CampaignSpec:
     """4 evaluate cells, 8-node single-network sets (fast, deterministic).
 
-    Two mobility models so the content-keyed ``shard:2`` partition has
-    cells to spread; evaluate-only because byte-identity is only a
-    contract for evaluate cells (tune records carry ``runtime_s``).
+    Two mobility models so a 2-worker pool has cells to spread;
+    evaluate-only because byte-identity is only a contract for evaluate
+    cells (tune records carry ``runtime_s``).
     """
     return CampaignSpec(
         name="tele-identity",
@@ -46,15 +52,15 @@ def _digests(root: Path) -> dict:
     }
 
 
-def _run(tmp_path, monkeypatch, backend: str, mode: str):
+def _run(tmp_path, monkeypatch, backend: str, mode: str, **kwargs):
     env = MODES[mode]
     if env is None:
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     else:
         monkeypatch.setenv("REPRO_TELEMETRY", env)
-    store = ResultStore(tmp_path / f"{backend.replace(':', '-')}-{mode}")
+    store = ResultStore(tmp_path / f"{backend}-{mode}")
     report = CampaignExecutor(
-        _spec(), store, backend=backend, max_workers=2
+        _spec(), store, backend=backend, max_workers=2, **kwargs
     ).run()
     return report, store
 
@@ -90,9 +96,7 @@ def test_stream_replays_and_agrees_with_the_report(
     summary = TelemetrySummary.from_file(store.telemetry_path)
     assert summary.n_skipped == 0
 
-    # Counters agree with the run report (what `campaign status` prints) —
-    # for shard runs this pins the no-double-count contract: the parent's
-    # roll-up is the only campaign.* counter in the merged stream.
+    # Counters agree with the run report (what `campaign status` prints).
     assert summary.counter("campaign.simulations_executed") == (
         report.simulations_executed
     )
@@ -104,7 +108,7 @@ def test_stream_replays_and_agrees_with_the_report(
     assert n_cells == 4
     assert events["cell.started"] == n_cells
     assert events["cell.finished"] == n_cells
-    assert events["cell.leased"] >= n_cells  # shard leases twice
+    assert events["cell.leased"] == n_cells
     assert summary.spans["campaign.cell"].count == n_cells
     assert set(summary.cell_seconds) == set(report.executed_keys)
 
@@ -121,19 +125,21 @@ def test_stream_replays_and_agrees_with_the_report(
     assert 'repro_span_seconds_count{span="campaign.cell"} 4' in prom
 
 
-def test_shard_stream_carries_worker_telemetry(tmp_path, monkeypatch):
-    """Worker-side recorders aggregate through the shard-merge path."""
-    report, store = _run(tmp_path, monkeypatch, "shard:2", "on")
+def test_pool_stream_carries_worker_heartbeats(tmp_path, monkeypatch):
+    """Pool workers' heartbeat files fold into the campaign stream once:
+    every cell beat from a worker process, none from the owner."""
+    report, store = _run(
+        tmp_path, monkeypatch, "pool", "on",
+        retry_policy=RetryPolicy(heartbeat_s=0.05),
+    )
     summary = TelemetrySummary.from_file(store.telemetry_path)
-    events = summary.event_counts()
-    assert events.get("shard.dispatched", 0) >= 1
-    assert events["shard.finished"] == events["shard.dispatched"]
-    # The merged stream contains shard-tagged lines from the workers.
-    shard_tagged = [
+    beats = [
         attrs for _, name, attrs in summary.events
-        if name == "cell.started" and "shard" in attrs
+        if name == "cell.heartbeat"
     ]
-    assert len(shard_tagged) == len(report.executed)
+    assert {attrs["cell"] for attrs in beats} == set(report.executed_keys)
+    assert os.getpid() not in {attrs["pid"] for attrs in beats}
+    assert summary.n_skipped == 0
 
 
 def test_deep_mode_ships_simulator_counters(tmp_path, monkeypatch):
@@ -151,24 +157,21 @@ def test_deep_mode_ships_simulator_counters(tmp_path, monkeypatch):
 
 
 def test_cached_rerun_full_lifecycle_with_cached_flag(tmp_path, monkeypatch):
-    """A fully-cached re-run still emits per-cell lifecycle events."""
-    for backend in ("pool", "shard:2"):
-        first, store = _run(tmp_path, monkeypatch, backend, "off")
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        rerun_store = ResultStore(
-            tmp_path / f"{backend.replace(':', '-')}-rerun"
-        )
-        rerun = CampaignExecutor(
-            _spec(), rerun_store, backend=backend, max_workers=2,
-            eval_cache=store.eval_cache_path,
-        ).run()
-        assert rerun.simulations_executed == 0
-        assert rerun.cache_hits == first.simulations_executed
-        summary = TelemetrySummary.from_file(rerun_store.telemetry_path)
-        assert summary.counter("campaign.cache_hits") == rerun.cache_hits
-        assert summary.counter("campaign.simulations_executed") == 0
-        cached_started = [
-            attrs for _, name, attrs in summary.events
-            if name == "cell.started" and attrs.get("cached")
-        ]
-        assert len(cached_started) == len(rerun.executed)
+    """A fully-cached pool re-run still emits per-cell lifecycle events."""
+    first, store = _run(tmp_path, monkeypatch, "pool", "off")
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    rerun_store = ResultStore(tmp_path / "pool-rerun")
+    rerun = CampaignExecutor(
+        _spec(), rerun_store, backend="pool", max_workers=2,
+        eval_cache=store.eval_cache_path,
+    ).run()
+    assert rerun.simulations_executed == 0
+    assert rerun.cache_hits == first.simulations_executed
+    summary = TelemetrySummary.from_file(rerun_store.telemetry_path)
+    assert summary.counter("campaign.cache_hits") == rerun.cache_hits
+    assert summary.counter("campaign.simulations_executed") == 0
+    cached_started = [
+        attrs for _, name, attrs in summary.events
+        if name == "cell.started" and attrs.get("cached")
+    ]
+    assert len(cached_started) == len(rerun.executed)

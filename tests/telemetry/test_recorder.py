@@ -1,4 +1,4 @@
-"""Recorder semantics: modes, sinks, registry, and shard-merge append."""
+"""Recorder semantics: modes, sinks, registry, and file-merge append."""
 
 import json
 
@@ -212,17 +212,6 @@ class TestJsonlRecorder:
             rec.count("huge", 2**70)
         assert TelemetrySummary.from_file(path).counter("huge") == 2**70
 
-    def test_base_attrs_tag_every_line_per_call_wins(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with JsonlRecorder(path, base_attrs={"shard": 3}) as rec:
-            rec.event("e", cell="c1")
-            rec.event("e", shard=9)  # per-call attr wins
-            rec.count("c")
-        lines = self._lines(path)
-        assert lines[0]["attrs"] == {"shard": 3, "cell": "c1"}
-        assert lines[1]["attrs"] == {"shard": 9}
-        assert lines[2]["attrs"] == {"shard": 3}
-
     def test_close_is_idempotent_and_final(self, tmp_path):
         path = tmp_path / "t.jsonl"
         rec = JsonlRecorder(path)
@@ -248,7 +237,7 @@ class TestMergeTelemetryFiles:
 
     def test_append_skips_torn_tail(self, tmp_path):
         src = tmp_path / "src.jsonl"
-        with JsonlRecorder(src, base_attrs={"shard": 0}) as rec:
+        with JsonlRecorder(src) as rec:
             rec.event("cell.started", cell="c1")
             rec.count("hits", 4)
         with src.open("a") as fh:
@@ -269,54 +258,9 @@ class TestMergeTelemetryFiles:
         assert merge_telemetry_files(dest, src) == 1
         assert TelemetrySummary.from_file(dest).event_counts() == {"e": 1}
 
-    def test_source_id_makes_the_fold_idempotent(self, tmp_path):
-        """A re-merged shard directory: folding the same source file
-        again under the same id appends nothing, so counter deltas are
-        counted exactly once."""
-        src = tmp_path / "src.jsonl"
-        with JsonlRecorder(src) as rec:
-            rec.event("cell.started", cell="c1")
-            rec.count("hits", 4)
-        dest = tmp_path / "dest.jsonl"
-        assert merge_telemetry_files(dest, src, source_id="shard-00") == 2
-        assert merge_telemetry_files(dest, src, source_id="shard-00") == 0
-        summary = TelemetrySummary.from_file(dest)
-        assert summary.counter("hits") == 4
-        assert summary.event_counts() == {"cell.started": 1}
-
-    def test_source_id_folds_only_the_grown_tail(self, tmp_path):
-        """A resumed shard appends to its stream; the next fold under
-        the same id picks up only the delta past the first fold."""
-        src = tmp_path / "src.jsonl"
-        with JsonlRecorder(src) as rec:
-            rec.count("hits", 4)
-        dest = tmp_path / "dest.jsonl"
-        assert merge_telemetry_files(dest, src, source_id="shard-00") == 1
-        with JsonlRecorder(src) as rec:  # the resumed attempt appends
-            rec.count("hits", 2)
-        assert merge_telemetry_files(dest, src, source_id="shard-00") == 1
-        assert TelemetrySummary.from_file(dest).counter("hits") == 6
-
-    def test_fold_markers_stay_local_to_their_file(self, tmp_path):
-        """Markers are bookkeeping for the file they live in: a second
-        hop (shard → campaign → archive) must not copy them, or the
-        archive's own progress accounting would be corrupted."""
-        src = tmp_path / "src.jsonl"
-        with JsonlRecorder(src) as rec:
-            rec.event("e")
-        mid = tmp_path / "mid.jsonl"
-        merge_telemetry_files(mid, src, source_id="shard-00")
-        assert '"fold"' in mid.read_text()
-        archive = tmp_path / "archive.jsonl"
-        assert merge_telemetry_files(archive, mid, source_id="run-1") == 1
-        text = archive.read_text()
-        assert '"shard-00"' not in text  # src's marker not copied
-        summary = TelemetrySummary.from_file(archive)
-        assert summary.event_counts() == {"e": 1}
-
-    def test_without_source_id_merge_stays_additive(self, tmp_path):
-        """Legacy contract: no id, no markers — a re-merge re-appends
-        (callers that fold exactly once rely on plain append)."""
+    def test_merge_stays_additive(self, tmp_path):
+        """Plain append, no bookkeeping lines: a re-merge re-appends, so
+        callers fold each source exactly once."""
         src = tmp_path / "src.jsonl"
         with JsonlRecorder(src) as rec:
             rec.count("hits", 4)
@@ -325,6 +269,12 @@ class TestMergeTelemetryFiles:
         assert merge_telemetry_files(dest, src) == 1
         assert TelemetrySummary.from_file(dest).counter("hits") == 8
         assert '"fold"' not in dest.read_text()
+
+    def test_takes_only_the_two_paths(self):
+        import inspect
+
+        params = inspect.signature(merge_telemetry_files).parameters
+        assert list(params) == ["dest", "src"]
 
 
 class TestNullRecorderIsDefaultEverywhere:

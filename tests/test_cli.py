@@ -1,5 +1,8 @@
 """CLI surface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -163,19 +166,29 @@ class TestCampaignCommand:
         with pytest.raises(FileNotFoundError):
             main(["campaign", "status", "--out", str(tmp_path / "nope")])
 
-    def test_backend_and_merge_flags_parse(self):
+    def test_backend_and_policy_flags_parse(self):
         args = build_parser().parse_args(
-            ["campaign", "run", "--out", "x", "--backend", "shard:4",
-             "--keep-shards"]
+            ["campaign", "run", "--out", "x", "--backend", "pool",
+             "--retries", "5", "--cell-timeout", "600", "--heartbeat", "5"]
         )
-        assert args.backend == "shard:4" and args.keep_shards
-        args = build_parser().parse_args(
-            ["campaign", "merge", "--out", "all", "s0", "s1"]
-        )
-        assert args.campaign_command == "merge"
-        assert args.sources == ["s0", "s1"]
-        with pytest.raises(SystemExit):  # merge needs at least one source
-            build_parser().parse_args(["campaign", "merge", "--out", "all"])
+        assert args.backend == "pool"
+        assert args.retries == 5
+        assert args.cell_timeout == 600.0 and args.heartbeat == 5.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "--out", "x", "--keep-shards"],
+            ["campaign", "merge", "--out", "all", "s0", "s1"],
+        ],
+        ids=["keep-shards", "merge"],
+    )
+    def test_removed_shard_surface_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "keep-shards" in err or "'merge'" in err
 
     def test_run_from_spec_file(self, capsys, tmp_path):
         from repro.campaigns import CampaignSpec
@@ -196,7 +209,7 @@ class TestCampaignCommand:
 
 
 class TestCampaignBackends:
-    """``--backend`` / ``campaign merge`` exercised end-to-end."""
+    """``--backend`` and the retry-policy flags exercised end-to-end."""
 
     def run_args(self, out, *extra):
         # 1 density x 2 mobility models x 3 seeds = 6 single-network cells.
@@ -210,22 +223,58 @@ class TestCampaignBackends:
 
     def digests(self, out):
         import hashlib
-        from pathlib import Path
 
         return {
             p.name: hashlib.sha1(p.read_bytes()).hexdigest()
             for p in sorted(Path(out, "cells").glob("*.jsonl"))
         }
 
+    def backend_of(self, out):
+        """The backend a telemetry-recording run reported it used."""
+        from repro.telemetry import TelemetrySummary
+
+        summary = TelemetrySummary.from_file(Path(out, "telemetry.jsonl"))
+        return {
+            attrs["backend"] for _, name, attrs in summary.events
+            if name == "campaign.run.started"
+        }
+
     @pytest.mark.parametrize(
-        "bad", ["smoke-signals", "remote", "remote:2", "remote:2@loopback"]
+        "bad",
+        ["smoke-signals", "remote", "remote:2", "remote:2@loopback",
+         "shard", "shard:2", " SHARD:3 "],
     )
     def test_unknown_backend_rejected(self, bad, tmp_path):
         with pytest.raises(ValueError, match="unknown backend") as excinfo:
             main(self.run_args(tmp_path / "x", "--backend", bad))
         assert repr(bad) in str(excinfo.value)
+        assert str(excinfo.value).endswith("expected 'inline' or 'pool'")
+        assert not (tmp_path / "x").exists()  # no store state written
 
-    @pytest.mark.parametrize("command", ["serve", "worker"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--cell-timeout", "--heartbeat"])
+    def test_non_finite_policy_flag_exits_2_naming_it(
+        self, flag, value, tmp_path, capsys
+    ):
+        """A NaN or infinite timeout would switch hang detection off
+        silently; the run refuses to start instead."""
+        with pytest.raises(SystemExit) as excinfo:
+            # ``=`` form: argparse would read a bare "-inf" as an option.
+            main(self.run_args(tmp_path / "x", f"{flag}={value}"))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "must be finite" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_positive_retries_exits_2_naming_the_flag(
+        self, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.run_args(tmp_path / "x", "--retries", "0"))
+        assert excinfo.value.code == 2
+        assert "argument --retries:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "worker", "merge"])
     def test_fleet_subcommands_are_gone(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["campaign", command])
@@ -244,7 +293,7 @@ class TestCampaignBackends:
 
         campaign = subcommands(build_parser())["campaign"]
         assert set(subcommands(campaign)) == {
-            "run", "status", "telemetry", "report", "failures", "merge",
+            "run", "status", "telemetry", "report", "failures",
         }
 
     def test_inline_backend_runs(self, capsys, tmp_path):
@@ -252,82 +301,76 @@ class TestCampaignBackends:
         assert main(self.run_args(out, "--backend", "inline")) == 0
         assert "6 cells executed" in capsys.readouterr().out
 
-    def test_spec_file_backend_hint_is_honoured(self, capsys, tmp_path):
-        """A spec.json carrying backend="shard:2" runs sharded without
-        any --backend flag (the spec is the campaign's one description)."""
+    def test_spec_file_backend_hint_is_honoured(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A spec.json carrying backend="inline" runs inline without any
+        --backend flag (the spec is the campaign's one description)."""
         from repro.campaigns import CampaignSpec
 
+        monkeypatch.setenv("REPRO_TELEMETRY", "on")
         spec = CampaignSpec(
             name="hinted", densities=(100,), n_seeds=3,
-            n_networks=1, n_nodes=8, backend="shard:2",
+            n_networks=1, n_nodes=8, backend="inline",
         )
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json())
         out = tmp_path / "camp"
         code = main(
             ["campaign", "run", "--out", str(out), "--spec", str(spec_path),
-             "--workers", "2", "--keep-shards"]
+             "--workers", "2"]
         )
         assert code == 0
         assert "3 cells executed" in capsys.readouterr().out
-        assert (out / "shards").is_dir()  # it really ran sharded
+        assert self.backend_of(out) == {"inline"}
 
-    def test_serial_outranks_the_spec_backend_hint(self, capsys, tmp_path):
-        """--serial means in-process: a spec hint of shard:N must not
+    def test_serial_outranks_the_spec_backend_hint(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """--serial means in-process: a spec hint of pool must not
         spawn subprocesses (same precedence as the executor's)."""
         from repro.campaigns import CampaignSpec
 
+        monkeypatch.setenv("REPRO_TELEMETRY", "on")
         spec = CampaignSpec(
             name="hinted", densities=(100,), n_seeds=2,
-            n_networks=1, n_nodes=8, backend="shard:2",
+            n_networks=1, n_nodes=8, backend="pool",
         )
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json())
         out = tmp_path / "camp"
         code = main(
             ["campaign", "run", "--out", str(out), "--spec", str(spec_path),
-             "--serial", "--keep-shards"]
+             "--serial"]
         )
         assert code == 0
         assert "2 cells executed" in capsys.readouterr().out
-        assert not (out / "shards").exists()  # inline: no shard stores
+        assert self.backend_of(out) == {"inline"}
 
-    def test_shard_run_merge_roundtrip(self, capsys, tmp_path):
-        """shard:2 --keep-shards, then a standalone ``campaign merge``
-        of the shard stores reproduces the original store exactly."""
-        out = tmp_path / "sharded"
-        assert main(
-            self.run_args(out, "--backend", "shard:2", "--keep-shards")
-        ) == 0
+    @pytest.mark.parametrize("bad", ["shard", "shard:2", " SHARD:3 "])
+    def test_spec_file_with_a_removed_hint_fails_before_running(
+        self, bad, tmp_path
+    ):
+        from repro.campaigns import CampaignSpec
+
+        data = json.loads(CampaignSpec(name="old", n_nodes=8).to_json())
+        data["backend"] = bad
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        out = tmp_path / "camp"
+        with pytest.raises(ValueError, match="unknown backend") as excinfo:
+            main(["campaign", "run", "--out", str(out),
+                  "--spec", str(spec_path)])
+        assert repr(bad) in str(excinfo.value)
+        assert not out.exists()
+
+    def test_pool_run_matches_inline_run(self, capsys, tmp_path):
+        inline, pool = tmp_path / "inline", tmp_path / "pool"
+        assert main(self.run_args(inline, "--backend", "inline")) == 0
+        assert main(self.run_args(pool, "--backend", "pool")) == 0
         text = capsys.readouterr().out
-        assert "6 cells executed" in text and "6/6 cells complete" in text
-        shard_dirs = sorted(p for p in (out / "shards").iterdir())
-        assert shard_dirs
-
-        merged = tmp_path / "merged"
-        code = main(
-            ["campaign", "merge", "--out", str(merged)]
-            + [str(d) for d in shard_dirs]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "total: 6 cells merged" in text
-        assert "6/6 cells complete" in text
-        assert self.digests(merged) == self.digests(out)
-
-    def test_merge_conflict_is_an_error(self, tmp_path):
-        from repro.campaigns import MergeConflictError
-
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(self.run_args(a, "--backend", "inline")) == 0
-        assert main(self.run_args(b, "--backend", "inline")) == 0
-        # Tamper with one completed record in b: merging must refuse.
-        victim = sorted((b / "cells").glob("*.jsonl"))[0]
-        victim.write_text(victim.read_text().replace('"index":0', '"index":9'))
-        dest = tmp_path / "dest"
-        assert main(["campaign", "merge", "--out", str(dest), str(a)]) == 0
-        with pytest.raises(MergeConflictError):
-            main(["campaign", "merge", "--out", str(dest), str(b)])
+        assert text.count("6 cells executed") == 2
+        assert self.digests(pool) == self.digests(inline)
 
 
 class TestCacheCommand:

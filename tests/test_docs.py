@@ -101,3 +101,33 @@ def test_ci_workflow_paths_exist():
     paths = {m.rstrip(".") for m in pattern.findall(text)}
     assert paths
     assert sorted(p for p in paths if not (REPO_ROOT / p).exists()) == []
+
+
+def _readme_commands() -> list[str]:
+    """The ``repro-aedb …`` commands of README's command table."""
+    import re
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^\| `(repro-aedb [^`]*)` \|", readme, re.MULTILINE)
+
+
+def test_readme_command_table_is_found():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    assert any("--backend" in command for command in commands)
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_parses(command):
+    # Every command the README advertises must still exist: it parses
+    # with the real argument tree (``...`` placeholders dropped), and
+    # any --backend it names resolves to a shipped backend.
+    import shlex
+
+    from repro.campaigns import resolve_backend
+    from repro.cli import build_parser
+
+    argv = [tok for tok in shlex.split(command)[1:] if tok != "..."]
+    args = build_parser().parse_args(argv)
+    if getattr(args, "backend", None) is not None:
+        resolve_backend(args.backend)

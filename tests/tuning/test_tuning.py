@@ -73,6 +73,66 @@ class TestEvaluator:
         assert ev.n_networks == 2 and ev.n_nodes == 10
 
 
+class TestEvaluateMany:
+    """The batched entry point is one :meth:`evaluate` per configuration,
+    input order, through the same caches."""
+
+    BATCH = [
+        AEDBParams(0.0, 0.5, border, 1.0, 10.0)
+        for border in (-94.0, -85.0, -72.0)
+    ]
+
+    def test_matches_an_evaluate_loop(self, tiny_scenarios):
+        expected = [
+            NetworkSetEvaluator(list(tiny_scenarios)).evaluate(p)
+            for p in self.BATCH
+        ]
+        evaluator = NetworkSetEvaluator(list(tiny_scenarios))
+        assert evaluator.evaluate_many(self.BATCH) == expected
+        assert evaluator.simulations_run == 3 * len(tiny_scenarios)
+
+    def test_respects_the_cache(self, tiny_scenarios, default_params):
+        cache = EvaluationCache()
+        evaluator = NetworkSetEvaluator(list(tiny_scenarios), cache=cache)
+        first = evaluator.evaluate_many([default_params])
+        assert evaluator.evaluate_many([default_params]) == first
+        assert evaluator.simulations_run == len(tiny_scenarios)
+        assert cache.stats()["hits"] == 1
+
+    def test_duplicates_under_the_cache_key_simulate_once(
+        self, tiny_scenarios
+    ):
+        a = AEDBParams(0.0, 0.5, -90.0, 1.0, 10.0)
+        b = AEDBParams(0.0, 0.5, -90.0 + 1e-12, 1.0, 10.0)
+        evaluator = NetworkSetEvaluator(
+            list(tiny_scenarios), cache=EvaluationCache()
+        )
+        out = evaluator.evaluate_many([a, b, a])
+        assert evaluator.simulations_run == len(tiny_scenarios)
+        assert out[0] == out[1] == out[2]
+
+    def test_empty_batch(self, tiny_scenarios):
+        evaluator = NetworkSetEvaluator(list(tiny_scenarios))
+        assert evaluator.evaluate_many([]) == []
+        assert evaluator.simulations_run == 0
+
+    def test_persistent_cache_serves_another_evaluator(
+        self, tiny_scenarios, tmp_path
+    ):
+        from repro.tuning import PersistentEvaluationCache
+
+        path = tmp_path / "evaluations.jsonl"
+        writer = PersistentEvaluationCache(path)
+        first = NetworkSetEvaluator(list(tiny_scenarios), persistent=writer)
+        expected = first.evaluate_many(self.BATCH)
+        writer.close()
+        reader = PersistentEvaluationCache(path)
+        second = NetworkSetEvaluator(list(tiny_scenarios), persistent=reader)
+        assert second.evaluate_many(self.BATCH) == expected
+        assert second.simulations_run == 0
+        reader.close()
+
+
 class TestProblem:
     def test_shape(self, tiny_problem):
         assert tiny_problem.n_variables == 5
