@@ -71,6 +71,7 @@ from repro.telemetry import (
     Recorder,
     get_recorder,
     telemetry_enabled,
+    telemetry_mode,
     using,
 )
 from repro.tuning.cache import PersistentEvaluationCache
@@ -96,6 +97,8 @@ class _SimJob:
     params: AEDBParams
     #: The compiled-core mode the executor captured when it was built.
     compiled: str
+    #: The ``REPRO_TELEMETRY`` mode, captured alongside ``compiled``.
+    telemetry: str
     #: Which attempt of the owning cell this job belongs to (1-based).
     #: Stamped by the backend at submission; payloads never depend on it
     #: (bit-identity), but the fault plane and heartbeat attrs do.
@@ -142,7 +145,7 @@ def _execute_job(job):
             return BroadcastSimulator(
                 job.scenario, job.params,
                 runtime=get_runtime(job.scenario),
-                compiled=job.compiled,
+                compiled=job.compiled, _telemetry=job.telemetry,
             ).run()
         return _run_tune_job(job)
 
@@ -354,8 +357,9 @@ class CampaignExecutor:
         self.backend = backend
         self.retry_policy = retry_policy or RetryPolicy()
         # Read once: every simulation job of this executor runs on the
-        # same engine (DESIGN.md §14).
+        # same engine (DESIGN.md §14) and telemetry mode (§12).
         self._compiled_mode = resolve_compiled_mode()
+        self._telemetry_mode = telemetry_mode()
 
     def _resolve_eval_cache(
         self,
@@ -402,7 +406,7 @@ class CampaignExecutor:
             scenarios = cell.scenarios()
             return [
                 _SimJob(cell.key, i * len(scenarios) + j, scenario, params,
-                        self._compiled_mode)
+                        self._compiled_mode, self._telemetry_mode)
                 for i, params in enumerate(cell.param_sets())
                 for j, scenario in enumerate(scenarios)
             ]

@@ -85,8 +85,13 @@ class AEDBParams:
         # cannot project NaN (``max(nan, lo)`` is ``nan``), and NaN or
         # +-inf would otherwise be simulated as a plausible-looking
         # configuration.
-        for name, _, _ in self.DOMAINS:
-            value = getattr(self, name)
+        values = (
+            self.min_delay_s, self.max_delay_s, self.border_threshold_dbm,
+            self.margin_threshold_db, self.neighbors_threshold,
+        )
+        if all(map(math.isfinite, values)):
+            return
+        for (name, _, _), value in zip(self.DOMAINS, values):
             if not math.isfinite(value):
                 shown = "NaN" if math.isnan(value) else value
                 raise ValueError(f"AEDB parameter {name} is {shown}")
@@ -109,12 +114,13 @@ class AEDBParams:
     @classmethod
     def from_array(cls, values) -> "AEDBParams":
         """Build from a length-5 vector in canonical order."""
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size != len(cls.DOMAINS):
+        floats = np.asarray(values, dtype=float).ravel().tolist()
+        if len(floats) != len(cls.DOMAINS):
             raise ValueError(
-                f"expected {len(cls.DOMAINS)} values, got {arr.size}"
+                f"expected {len(cls.DOMAINS)} values, got {len(floats)}"
             )
-        return cls(**{name: float(v) for (name, _, _), v in zip(cls.DOMAINS, arr)})
+        # The fields are declared in DOMAINS order.
+        return cls(*floats)
 
     def as_array(self) -> np.ndarray:
         """The parameter vector in canonical order."""

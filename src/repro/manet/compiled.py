@@ -71,6 +71,8 @@ def resolve_compiled_mode(override=None) -> str:
     defers to ``REPRO_COMPILED`` (default ``auto``); a bool maps to
     ``on``/``off``; a string names a mode directly.
     """
+    if override in _MODES:  # a mode captured once upstream
+        return override
     if override is None:
         mode = (flags.read_raw("REPRO_COMPILED") or "auto").strip().lower() or "auto"
     elif isinstance(override, str):
@@ -312,21 +314,32 @@ def _build_runtime_pack(runtime) -> dict:
     assert iparams.size == _N_IPARAMS
     fparams.setflags(write=False)  # templates: each run writes a copy
     iparams.setflags(write=False)
+    start_rx, start_seen = (
+        runtime.table_snapshot(warm[-1]) if warm else runtime.initial_tables
+    )
     return {
         "blocker": None,
-        "trace_arrays": trace.arrays,
         "fparams": fparams,
         "iparams": iparams,
-        "doubles": np.asarray(runtime.protocol_doubles, dtype=np.float64),
-        "window_times": np.asarray(runtime.window_times, dtype=np.float64),
-        "start": (
-            runtime.table_snapshot(warm[-1]) if warm
-            else runtime.initial_tables
+        # The kernel's inputs between the parameter vectors and the
+        # outputs, in ``run_window`` order: the raw uniform stream, the
+        # table snapshot the window opens on, the window tick times
+        # and snapshots, the mobility trace, and the two scratch
+        # vectors that bridge the kernel into numpy's own
+        # ``log10``/``power`` ufuncs.
+        "inputs": (
+            np.asarray(runtime.protocol_doubles, dtype=np.float64),
+            start_rx,
+            start_seen,
+            np.asarray(runtime.window_times, dtype=np.float64),
+            tuple(s[0] for s in snaps),
+            tuple(s[1] for s in snaps),
+            trace.arrays,
+            np.empty(n),
+            np.empty(n),
+            np.log10,
+            np.power,
         ),
-        "win_rx": tuple(s[0] for s in snaps),
-        "win_seen": tuple(s[1] for s in snaps),
-        "scratch_a": np.empty(n),
-        "scratch_b": np.empty(n),
         # Templates of the fresh per-run output vectors (a copy is
         # cheaper than a fill).
         "nan_n": np.full(n, np.nan),
@@ -369,45 +382,24 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> KernelRun:
 
     # Fresh protocol state: the simulator is single-use, so every node
     # is IDLE (0), unreached (NaN) and has heard nothing when the
-    # window opens.
+    # window opens.  Fresh arrays, not per-runtime buffers: the
+    # returned KernelRun must survive later runs on the same runtime
+    # for a deferred writeback.
     nan_n = pack["nan_n"]
-    first_rx = nan_n.copy()
-    strongest = pack["neg_inf_n"].copy()
-    state_code = np.zeros(n, dtype=np.int8)
-    heard = np.zeros((n, n), dtype=bool)
-    frame_out = np.empty((4, n))
-    timer_deadline = nan_n.copy()
-    decisions_out = np.empty((2 * n + 1, 4))
     counts = np.zeros(_N_COUNTS, dtype=np.int64)
-    start_rx, start_seen = pack["start"]
-    energy = ext.run_window(
-        fparams,
-        iparams,
-        pack["doubles"],
-        start_rx,
-        start_seen,
-        pack["window_times"],
-        pack["win_rx"],
-        pack["win_seen"],
-        pack["trace_arrays"],
-        pack["scratch_a"],
-        pack["scratch_b"],
-        np.log10,
-        np.power,
-        first_rx,
-        strongest,
-        state_code,
-        heard,
-        frame_out,
-        timer_deadline,
-        decisions_out,
+    outputs = (
+        nan_n.copy(),                  # first_rx
+        pack["neg_inf_n"].copy(),      # strongest
+        np.zeros(n, dtype=np.int8),    # state_code
+        np.zeros((n, n), dtype=bool),  # heard
+        np.empty((4, n)),              # frame_out
+        nan_n.copy(),                  # timer_deadline
+        np.empty((2 * n + 1, 4)),      # decisions_out
         counts,
     )
+    energy = ext.run_window(fparams, iparams, *pack["inputs"], *outputs)
     rng._i += int(counts[_CN_DRAWS])
-    return KernelRun(
-        first_rx, strongest, state_code, heard, frame_out, timer_deadline,
-        decisions_out, counts, energy,
-    )
+    return KernelRun(*outputs, energy)
 
 
 # --------------------------------------------------------------------- #

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["BroadcastMetrics", "aggregate_metrics"]
 
 
@@ -67,12 +65,9 @@ def aggregate_metrics(samples: list[BroadcastMetrics]) -> BroadcastMetrics:
     """Average a list of per-network metrics (the paper's 10-network mean).
 
     ``n_nodes`` must agree across samples (they are the same scenario at
-    different seeds); it is carried through unchanged.
-
-    One reduction for all four metrics: each row of the C-contiguous
-    ``(4, n)`` table is reduced with numpy's pairwise sum, which is
-    bitwise what ``np.mean`` of that metric's 1-D list gives, for any
-    ``n``.
+    different seeds); it is carried through unchanged.  Each field's
+    mean is bitwise ``np.mean`` of that field's 1-D list, for any
+    number of samples (:func:`_mean`).
     """
     if not samples:
         raise ValueError("cannot aggregate an empty metrics list")
@@ -81,8 +76,45 @@ def aggregate_metrics(samples: list[BroadcastMetrics]) -> BroadcastMetrics:
         raise ValueError(
             f"mixed n_nodes in aggregation: {sorted({m.n_nodes for m in samples})}"
         )
-    table = np.array([m.as_tuple() for m in samples], dtype=np.float64).T.copy()
-    # ``np.mean`` is this sum divided by the count.
-    means = np.add.reduce(table, axis=1) / len(samples)
-    coverage, energy, forwardings, broadcast_time = means.tolist()
-    return BroadcastMetrics(coverage, energy, forwardings, broadcast_time, n_nodes)
+    return BroadcastMetrics(
+        _mean([m.coverage for m in samples]),
+        _mean([m.energy_dbm for m in samples]),
+        _mean([m.forwardings for m in samples]),
+        _mean([m.broadcast_time_s for m in samples]),
+        n_nodes,
+    )
+
+
+def _mean(values: list[float]) -> float:
+    """``np.mean`` of a float64 vector, in plain floats and bit for bit:
+    numpy's pairwise sum added to the reduction's ``0.0`` identity,
+    divided by the count."""
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` over ``values[start:start + n]``: a plain
+    loop below 8 values; up to 128, eight interleaved accumulators
+    combined as a tree, then the tail; above, two halves split at a
+    multiple of 8."""
+    if n < 8:
+        total = 0.0
+        for v in values[start:start + n]:
+            total += v
+        return total
+    if n <= 128:
+        acc = values[start:start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+        for v in values[end:start + n]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, n - half
+    )

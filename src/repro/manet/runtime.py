@@ -366,7 +366,16 @@ class ScenarioRuntime:
 # smaller than the mobility memo's because one runtime holds the full
 # per-tick table timeline (~1.3 MB at 75 nodes).
 # --------------------------------------------------------------------- #
-_RUNTIME_MEMO: OrderedDict[NetworkScenario, ScenarioRuntime] = OrderedDict()
+#: LRU of ``(scenario, runtime)`` pairs keyed by ``id(scenario)``: a
+#: repeat lookup with the same scenario object (an evaluator's fixed
+#: network set) never hashes or compares its nested config.  The entry
+#: holds the scenario, so its id cannot be reused while it is cached.
+_RUNTIME_MEMO: OrderedDict[int, tuple[NetworkScenario, ScenarioRuntime]] = (
+    OrderedDict()
+)
+#: Value index over the same entries: finds the runtime of an equal
+#: scenario built elsewhere (another campaign cell's ``make_scenarios``).
+_BY_VALUE: dict[NetworkScenario, int] = {}
 _MEMO_MAX_ENTRIES = 32
 _MEMO_LOCK = threading.Lock()
 _MEMO_ENABLED = True
@@ -378,23 +387,47 @@ def get_runtime(scenario: NetworkScenario) -> ScenarioRuntime | None:
     Returns ``None`` when runtime memoisation is disabled — callers pass
     that straight to the simulator, which then recomputes the substrate
     exactly as before the cache existed.
+
+    A lookup by the scenario object last used for a runtime is an
+    identity hit.  An equal but distinct scenario hits by value once,
+    and its entry is re-keyed to that object (and becomes the runtime's
+    ``scenario``, so the simulator's identity check passes too): its
+    next lookups hit by identity.
     """
     if not _MEMO_ENABLED:
         return None
     with _MEMO_LOCK:
-        cached = _RUNTIME_MEMO.get(scenario)
+        entry = _RUNTIME_MEMO.get(id(scenario))
+        if entry is not None:
+            _RUNTIME_MEMO.move_to_end(id(scenario))
+            return entry[1]
+        cached = _rekey_equal(scenario)
         if cached is not None:
-            _RUNTIME_MEMO.move_to_end(scenario)
             return cached
     runtime = ScenarioRuntime(scenario)
     with _MEMO_LOCK:
-        existing = _RUNTIME_MEMO.get(scenario)
+        existing = _rekey_equal(scenario)
         if existing is not None:
             return existing
         if len(_RUNTIME_MEMO) >= _MEMO_MAX_ENTRIES:
-            _RUNTIME_MEMO.popitem(last=False)
-        _RUNTIME_MEMO[scenario] = runtime
+            _, (evicted, _) = _RUNTIME_MEMO.popitem(last=False)
+            del _BY_VALUE[evicted]
+        _RUNTIME_MEMO[id(scenario)] = (scenario, runtime)
+        _BY_VALUE[scenario] = id(scenario)
         return runtime
+
+
+def _rekey_equal(scenario: NetworkScenario) -> ScenarioRuntime | None:
+    """The cached runtime of a scenario equal to ``scenario``, re-keyed
+    to ``scenario`` and moved to the recent end (caller holds the lock)."""
+    key = _BY_VALUE.pop(scenario, None)
+    if key is None:
+        return None
+    _, runtime = _RUNTIME_MEMO.pop(key)
+    runtime.scenario = scenario
+    _RUNTIME_MEMO[id(scenario)] = (scenario, runtime)
+    _BY_VALUE[scenario] = id(scenario)
+    return runtime
 
 
 def runtime_memoisation_enabled() -> bool:
@@ -419,6 +452,7 @@ def clear_runtime_cache() -> None:
     """Drop every memoised scenario runtime in this process."""
     with _MEMO_LOCK:
         _RUNTIME_MEMO.clear()
+        _BY_VALUE.clear()
 
 
 def runtime_cache_size() -> int:

@@ -55,7 +55,7 @@ from repro.manet.runtime import (
     run_beacon_schedule,
 )
 from repro.manet.scenarios import NetworkScenario
-from repro.telemetry import deep_telemetry_enabled, get_recorder
+from repro.telemetry import MODE_DEEP, recorder_for, telemetry_mode
 
 # ``resolve_compiled_mode`` is re-exported for the layers that capture
 # the compiled-core mode once and pass it as ``compiled=`` (evaluators,
@@ -84,14 +84,18 @@ class BroadcastSimulator:
         runtime: ScenarioRuntime | None = None,
         record_decisions: bool = False,
         compiled: bool | str | None = None,
+        *,
+        _telemetry: str | None = None,
     ):
         """``record_decisions`` opts into the protocol's per-event decision
         log (off by default: evaluation loops never read it and the
         per-event formatting is measurable).  ``compiled`` overrides
         ``REPRO_COMPILED`` (``auto``/``on``/``off`` or a bool) for the
-        compiled event core of DESIGN.md §14; the decision is captured
-        here, so toggling the env var between construction and
-        :meth:`run` has no effect."""
+        compiled event core of DESIGN.md §14.  ``REPRO_TELEMETRY`` is
+        read here too, unless the owner that captured it once (an
+        evaluator or a campaign job) hands its mode over as
+        ``_telemetry``.  Both decisions are captured at construction, so
+        toggling either env var before :meth:`run` has no effect."""
         self.scenario = scenario
         self.params = params
         self._sim: SimulationConfig = scenario.sim
@@ -121,7 +125,8 @@ class BroadcastSimulator:
         self._ran = False
         # Captured once: the off path pays one boolean test per run,
         # never a per-event recorder call (DESIGN.md §12).
-        self._deep = deep_telemetry_enabled()
+        self._telemetry = telemetry_mode() if _telemetry is None else _telemetry
+        self._deep = self._telemetry == MODE_DEEP
         # Compiled-core dispatch (DESIGN.md §14), decided once per
         # simulator: the fallback ladder is extension availability →
         # arithmetic self-check → run-shape preconditions.  ``on`` only
@@ -227,7 +232,7 @@ class BroadcastSimulator:
             raise RuntimeError("BroadcastSimulator instances are single-use")
         self._ran = True
         sim = self._sim
-        rec = get_recorder()
+        rec = recorder_for(self._telemetry)
 
         with rec.span("sim.run", n_nodes=self.scenario.n_nodes):
             if self.compiled_active:
@@ -281,8 +286,7 @@ class BroadcastSimulator:
         return metrics
 
     def _collect_metrics(self) -> BroadcastMetrics:
-        sim = self._sim
-        src = self.scenario.source
+        scenario = self.scenario
         run = self._kernel_run
         if run is None:
             medium = self._live.medium
@@ -293,28 +297,24 @@ class BroadcastSimulator:
             first_rx = run.first_rx
             transmissions = run.frames_transmitted
             energy = run.energy
-        # One pass for the receivers (NaN is the only value unequal to
-        # itself), one count, and one masked max for the last
-        # first-reception: over exactly the non-NaN non-source entries,
-        # so it equals the nanmax of the masked array.
+        # The receivers: every non-NaN entry (NaN is the only value
+        # unequal to itself) but the source.  The last first-reception
+        # is their max, exact in any order.
         received = first_rx == first_rx
-        received[src] = False
-        coverage = int(np.count_nonzero(received))
-
-        forwardings = max(transmissions - 1, 0)
-
-        if coverage > 0:
-            bt = float(np.maximum.reduce(first_rx, where=received, initial=-np.inf))
-            broadcast_time = bt - sim.warmup_s
+        received[scenario.source] = False
+        coverage = np.count_nonzero(received)
+        if coverage:
+            broadcast_time = (
+                float(np.maximum.reduce(first_rx[received])) - self._sim.warmup_s
+            )
         else:
             broadcast_time = 0.0
-
         return BroadcastMetrics(
-            coverage=float(coverage),
-            energy_dbm=float(energy),
-            forwardings=float(forwardings),
-            broadcast_time_s=float(broadcast_time),
-            n_nodes=self.scenario.n_nodes,
+            float(coverage),
+            float(energy),
+            float(max(transmissions - 1, 0)),
+            broadcast_time,
+            scenario.n_nodes,
         )
 
 

@@ -50,19 +50,20 @@ def displaced_member(view: list[FloatSolution]) -> int | None:
     the distance of its last position in that front, as annotating the
     solutions front by front leaves it.
     """
-    objectives = np.array([s.objectives for s in view])
-    rank = ranks(objectives, np.array([s.constraint_violation for s in view]))
+    rows = [s.objectives.tolist() for s in view]
+    rank = ranks(
+        np.array(rows), np.array([s.constraint_violation for s in view])
+    ).tolist()
     newcomer = len(view) - 1
-    rank_list = rank.tolist()
-    worst_rank = max(rank_list[:newcomer])
-    if rank_list[newcomer] > worst_rank:
+    worst_rank = max(rank[:newcomer])
+    if rank[newcomer] > worst_rank:
         return None
-    front = np.flatnonzero(rank == worst_rank).tolist()
-    distance = crowding(objectives[front]).tolist()
+    front = [k for k, r in enumerate(rank) if r == worst_rank]
+    distance = crowding([rows[k] for k in front])
     slot = {id(view[k]): i for i, k in enumerate(front)}
     keys = {k: (worst_rank, -distance[slot[id(view[k])]]) for k in front}
     worst = max((k for k in front if k != newcomer), key=keys.__getitem__)
-    if rank_list[newcomer] < worst_rank or keys[newcomer] < keys[worst]:
+    if rank[newcomer] < worst_rank or keys[newcomer] < keys[worst]:
         return worst
     return None
 
@@ -136,33 +137,34 @@ class CellDE(EvolutionaryAlgorithm):
         self.generations += 1
 
     def _breed_cell(self, cell: int) -> None:
-        current = self.population[cell]
-        hood = [self.population[i] for i in self._neighbor_idx[cell]]
-        base = binary_tournament(hood, self.rng)
+        population = self.population
+        current = population[cell]
+        hood = [population[i] for i in self._neighbor_idx[cell]]
+        rng = self.rng
+        base = binary_tournament(hood, rng)
         # Difference pair: two distinct neighbourhood members.
-        picks = self.rng.choice(len(hood), size=2, replace=False)
-        diff_a, diff_b = hood[int(picks[0])], hood[int(picks[1])]
+        a, b = rng.choice(len(hood), size=2, replace=False).tolist()
         trial = self.variation.execute(
-            current, base, diff_a, diff_b, self.problem, self.rng
+            current, base, hood[a], hood[b], self.problem, rng
         )
         self.evaluate(trial)
         self._replace(cell, trial)
         self.archive.add(trial.copy())
 
     def _replace(self, cell: int, trial: FloatSolution) -> None:
-        current = self.population[cell]
-        c = compare(trial, current)
+        population = self.population
+        c = compare(trial, population[cell])
         if c == -1:
-            self.population[cell] = trial
+            population[cell] = trial
             return
         if c == 1:
             return
         # Mutually non-dominated: the trial displaces the worst neighbour
         # by (rank, crowding) computed on the local view.
         view_idx = [cell, *self._neighbor_idx[cell]]
-        worst = displaced_member([self.population[i] for i in view_idx] + [trial])
+        worst = displaced_member([population[i] for i in view_idx] + [trial])
         if worst is not None:
-            self.population[view_idx[worst]] = trial
+            population[view_idx[worst]] = trial
 
     def _archive_feedback(self) -> None:
         if not len(self.archive):

@@ -80,26 +80,22 @@ class UnboundedArchive:
             obj_c = candidate.objectives
             vio_c = max(candidate.constraint_violation, 0.0)
             feas_m = vio_m <= 0.0
-            feas_c = vio_c <= 0.0
 
             # No NaN reaches here (members passed the same evaluated
             # check), so "better somewhere" is "not no-better everywhere".
-            no_worse_m = (obj_m <= obj_c).all(axis=1)
-            no_worse_c = (obj_m >= obj_c).all(axis=1)
-            pareto_mc = no_worse_m & ~no_worse_c
-            pareto_cm = no_worse_c & ~no_worse_m
-            if feas_c:
-                member_dominates = feas_m & pareto_mc
-                cand_dominates = np.where(feas_m, pareto_cm, True)
+            no_worse_m = np.logical_and.reduce(obj_m <= obj_c, axis=1)
+            no_worse_c = np.logical_and.reduce(obj_m >= obj_c, axis=1)
+            if vio_c <= 0.0:
+                member_dominates = feas_m & no_worse_m & ~no_worse_c
+                cand_dominates = ~feas_m | (no_worse_c & ~no_worse_m)
             else:
                 member_dominates = feas_m | (vio_m < vio_c)
                 cand_dominates = ~feas_m & (vio_c < vio_m)
-            if member_dominates.any():
+            if np.count_nonzero(member_dominates):
                 return False
-            duplicate = no_worse_m & no_worse_c & ~cand_dominates
-            if duplicate.any():
-                return False
-            if cand_dominates.any():
+            if np.count_nonzero(no_worse_m & no_worse_c & ~cand_dominates):
+                return False  # a duplicate
+            if np.count_nonzero(cand_dominates):
                 self._remove(cand_dominates)
         self._append(candidate)
         self._on_accept(candidate)

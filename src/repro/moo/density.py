@@ -10,6 +10,7 @@ crowded tournament.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -26,25 +27,36 @@ __all__ = [
 _KEY = "crowding_distance"
 
 
-def crowding(objectives: np.ndarray) -> np.ndarray:
+def crowding(objectives: Sequence[Sequence[float]]) -> list[float]:
     """Crowding distance of every row of one front's ``(n, m)``
-    objective matrix; fronts of at most two members are all boundary."""
-    n = objectives.shape[0]
+    objective rows (a matrix or a list of lists, NaN-free); fronts of
+    at most two members are all boundary.
+
+    Plain floats: per objective, a stable sort of the rows (numpy's
+    ``argsort(kind="stable")`` order), infinity at both ends, and each
+    interior row not yet at infinity gains its neighbours' normalised
+    gap, objective by objective in column order.
+    """
+    rows = objectives.tolist() if isinstance(objectives, np.ndarray) else objectives
+    n = len(rows)
     if n <= 2:
-        return np.full(n, np.inf)
-    distance = np.zeros(n)
-    for m in range(objectives.shape[1]):
-        order = np.argsort(objectives[:, m], kind="stable")
-        col = objectives[order, m]
-        span = col[-1] - col[0]
-        distance[order[0]] = np.inf
-        distance[order[-1]] = np.inf
+        return [inf] * n
+    distance = [0.0] * n
+    for column in zip(*rows):
+        order = sorted(range(n), key=column.__getitem__)
+        first, last = order[0], order[-1]
+        span = column[last] - column[first]
+        distance[first] = inf
+        distance[last] = inf
         if span <= 0:
             continue  # degenerate objective: interior gaps contribute 0
-        gaps = (col[2:] - col[:-2]) / span
-        interior = order[1:-1]
-        finite = ~np.isinf(distance[interior])
-        distance[interior[finite]] += gaps[finite]
+        below = column[first]
+        for position in range(1, n - 1):
+            k = order[position]
+            d = distance[k]
+            if d != inf and d != -inf:
+                distance[k] = d + (column[order[position + 1]] - below) / span
+            below = column[k]
     return distance
 
 
@@ -52,8 +64,8 @@ def assign_crowding_distance(front: Sequence[FloatSolution]) -> None:
     """Annotate every member of ``front`` with its crowding distance."""
     if not front:
         return
-    distance = crowding(np.array([s.objectives for s in front]))
-    for sol, d in zip(front, distance.tolist()):
+    distance = crowding([s.objectives.tolist() for s in front])
+    for sol, d in zip(front, distance):
         sol.attributes[_KEY] = d
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from repro.moo.solution import FloatSolution
 from repro.utils.rng import as_generator
 
-__all__ = ["Problem"]
+__all__ = ["Problem", "clip_values"]
 
 
 class Problem:
@@ -107,3 +107,18 @@ class Problem:
             f"n_objectives={self.n_objectives}, "
             f"n_constraints={self.n_constraints})"
         )
+
+
+def clip_values(problem: Problem, values: list[float]) -> list[float]:
+    """:meth:`Problem.clip` on plain floats, bit for bit: a value below
+    its lower bound is raised to it, then one above its upper bound is
+    cut to it (``np.clip``'s order, so ``-0.0`` at a ``0.0`` bound and
+    NaN pass through unchanged)."""
+    return [
+        hi if x > hi else x
+        for x, hi in zip(
+            [lo if v < lo else v
+             for v, lo in zip(values, problem.lower_bounds.tolist())],
+            problem.upper_bounds.tolist(),
+        )
+    ]

@@ -31,7 +31,7 @@ def domination_matrix(
     """Boolean ``(n, n)`` matrix: ``D[i, j]`` iff ``i`` constraint-dominates
     ``j`` (Deb's rules; minimisation)."""
     obj = np.asarray(objectives, dtype=float)
-    vio = np.maximum(np.asarray(violations, dtype=float), 0.0)
+    vio = np.asarray(violations, dtype=float)
     if obj.ndim != 2:
         raise ValueError(f"objectives must be (n, m), got {obj.shape}")
     if vio.shape != (obj.shape[0],):
@@ -39,18 +39,24 @@ def domination_matrix(
 
     # One (n, n) comparison per objective: reducing an (n, n, m) cube
     # over its short last axis costs ~10x more at n = 200.
-    n = obj.shape[0]
-    no_worse = np.ones((n, n), dtype=bool)
-    better = np.zeros((n, n), dtype=bool)
+    no_worse = better = None
     for column in obj.T:
         column_i = column[:, None]
-        no_worse &= column_i <= column
-        better |= column_i < column
-    pareto = no_worse & better
+        if no_worse is None:
+            no_worse = column_i <= column
+            better = column_i < column
+        else:
+            no_worse &= column_i <= column
+            better |= column_i < column
+    if no_worse is None:  # no objectives: no Pareto dominance
+        pareto = np.zeros((obj.shape[0],) * 2, dtype=bool)
+    else:
+        pareto = no_worse & better
 
     feasible = vio <= 0.0
-    if feasible.all():
+    if np.count_nonzero(feasible) == feasible.size:
         return pareto
+    vio = np.maximum(vio, 0.0)
     feas_i = feasible[:, None]
     feas_j = feasible[None, :]
     both_feasible = feas_i & feas_j
@@ -67,24 +73,29 @@ def domination_matrix(
 def ranks(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
     """Front index of every row (0 = non-dominated), by peeling the
     constraint-domination relation of :func:`domination_matrix` front by
-    front."""
-    edges = domination_matrix(objectives, violations).astype(np.intp)
-    domination_count = edges.sum(axis=0)  # how many dominate j
-    rank = np.empty(edges.shape[0], dtype=np.intp)
-    unranked = edges.shape[0]
-    front = 0
-    while unranked:
-        front_mask = domination_count == 0
-        size = np.count_nonzero(front_mask)
-        if not size:  # pragma: no cover - defensive
-            raise RuntimeError("cyclic domination relation (bug)")
-        rank[front_mask] = front
-        # Remove this front's domination edges, and take its members
-        # out of the running (their count drops to -1).
-        domination_count -= front_mask @ edges + front_mask
-        unranked -= size
+    front: each front's rows of the relation are walked once to lower
+    the domination counts of the rows they dominate."""
+    edges = domination_matrix(objectives, violations)
+    count = np.add.reduce(edges, axis=0, dtype=np.intp).tolist()  # how many dominate j
+    rows = edges.tolist()
+    rank = [0] * len(rows)
+    members = [j for j, c in enumerate(count) if not c]
+    front = ranked = 0
+    while members:
+        ranked += len(members)
+        following = []
+        for i in members:
+            rank[i] = front
+            for j, edge in enumerate(rows[i]):
+                if edge:
+                    count[j] -= 1
+                    if not count[j]:
+                        following.append(j)
+        members = following
         front += 1
-    return rank
+    if ranked != len(rows):  # pragma: no cover - defensive
+        raise RuntimeError("cyclic domination relation (bug)")
+    return np.array(rank, dtype=np.intp)
 
 
 def fast_non_dominated_sort(

@@ -33,8 +33,8 @@ def binary_tournament(
         raise ValueError("cannot select from an empty population")
     if n == 1:
         return population[0]
-    i, j = gen.choice(n, size=2, replace=False)
-    a, b = population[int(i)], population[int(j)]
+    i, j = gen.choice(n, size=2, replace=False).tolist()
+    a, b = population[i], population[j]
     c = comparator(a, b)
     if c == -1:
         return a

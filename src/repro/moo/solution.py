@@ -10,6 +10,7 @@ reference publications.
 
 from __future__ import annotations
 
+from math import isnan
 from typing import Any
 
 import numpy as np
@@ -41,8 +42,9 @@ class FloatSolution:
         variables: np.ndarray,
         n_objectives: int,
     ):
-        self.variables = np.asarray(variables, dtype=float).copy()
-        self.objectives = np.full(int(n_objectives), np.nan)
+        self.variables = np.array(variables, dtype=float)
+        self.objectives = np.empty(int(n_objectives))
+        self.objectives.fill(np.nan)
         self.constraint_violation = 0.0
         self.attributes: dict[str, Any] = {}
 
@@ -60,7 +62,7 @@ class FloatSolution:
     @property
     def is_evaluated(self) -> bool:
         """True once objectives hold real values."""
-        return not np.any(np.isnan(self.objectives))
+        return not any(map(isnan, self.objectives.tolist()))
 
     @property
     def is_feasible(self) -> bool:
@@ -70,7 +72,8 @@ class FloatSolution:
     # ------------------------------------------------------------------ #
     def copy(self) -> "FloatSolution":
         """Deep copy of variables/objectives, shallow copy of attributes."""
-        clone = FloatSolution(self.variables, self.n_objectives)
+        clone = FloatSolution.__new__(FloatSolution)
+        clone.variables = self.variables.copy()
         clone.objectives = self.objectives.copy()
         clone.constraint_violation = self.constraint_violation
         clone.attributes = dict(self.attributes)

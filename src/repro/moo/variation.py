@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.moo.problem import Problem
+from repro.moo.problem import Problem, clip_values
 from repro.moo.solution import FloatSolution
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_in_range, check_probability
@@ -61,24 +61,29 @@ class SBXCrossover:
     ) -> tuple[FloatSolution, FloatSolution]:
         """Two offspring from two parents."""
         gen = as_generator(rng)
-        x = parent_a.variables.copy()
-        y = parent_b.variables.copy()
+        x = parent_a.variables.tolist()
+        y = parent_b.variables.tolist()
         if gen.random() <= self.probability:
-            n = x.size
+            n = len(x)
             u = gen.random(n)
             beta = np.where(
                 u <= 0.5,
                 (2.0 * u) ** (1.0 / (self.eta + 1.0)),
                 (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (self.eta + 1.0)),
-            )
+            ).tolist()
             # Per-variable 50% swap keeps the operator unbiased.
-            do_cross = gen.random(n) <= 0.5
-            c1 = 0.5 * ((1 + beta) * x + (1 - beta) * y)
-            c2 = 0.5 * ((1 - beta) * x + (1 + beta) * y)
-            x = np.where(do_cross, c1, x)
-            y = np.where(do_cross, c2, y)
-        child_a = FloatSolution(problem.clip(x), problem.n_objectives)
-        child_b = FloatSolution(problem.clip(y), problem.n_objectives)
+            swap = gen.random(n).tolist()
+            c1 = [
+                0.5 * ((1 + b) * xi + (1 - b) * yi) if s <= 0.5 else xi
+                for b, s, xi, yi in zip(beta, swap, x, y)
+            ]
+            y = [
+                0.5 * ((1 - b) * xi + (1 + b) * yi) if s <= 0.5 else yi
+                for b, s, xi, yi in zip(beta, swap, x, y)
+            ]
+            x = c1
+        child_a = FloatSolution(clip_values(problem, x), problem.n_objectives)
+        child_b = FloatSolution(clip_values(problem, y), problem.n_objectives)
         return child_a, child_b
 
 
@@ -103,19 +108,23 @@ class PolynomialMutation:
     ) -> FloatSolution:
         """A mutated copy of ``solution``."""
         gen = as_generator(rng)
-        x = solution.variables.copy()
-        n = x.size
+        x = solution.variables.tolist()
+        n = len(x)
         prob = self.probability if self.probability is not None else 1.0 / n
-        lo, hi = problem.lower_bounds, problem.upper_bounds
-        span = hi - lo
-
-        mutate = gen.random(n) <= prob
-        if np.any(mutate):
+        mutate = [r <= prob for r in gen.random(n).tolist()]
+        if any(mutate):
             u = gen.random(n)
             # Bounded polynomial perturbation (Deb & Goyal 1996 variant).
-            with np.errstate(divide="ignore", invalid="ignore"):
-                delta1 = np.where(span > 0, (x - lo) / span, 0.0)
-                delta2 = np.where(span > 0, (hi - x) / span, 0.0)
+            # The powers run on the whole vector, as numpy arrays.
+            lo = problem.lower_bounds.tolist()
+            hi = problem.upper_bounds.tolist()
+            span = [h - l for l, h in zip(lo, hi)]
+            delta1 = np.array(
+                [(xi - l) / s if s > 0 else 0.0 for xi, l, s in zip(x, lo, span)]
+            )
+            delta2 = np.array(
+                [(h - xi) / s if s > 0 else 0.0 for xi, h, s in zip(x, hi, span)]
+            )
             mpow = 1.0 / (self.eta + 1.0)
             val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** (self.eta + 1.0)
             val_high = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (
@@ -125,10 +134,12 @@ class PolynomialMutation:
                 u <= 0.5,
                 np.abs(val_low) ** mpow - 1.0,
                 1.0 - np.abs(val_high) ** mpow,
-            )
-            x = np.where(mutate, x + deltaq * span, x)
-        out = FloatSolution(problem.clip(x), problem.n_objectives)
-        return out
+            ).tolist()
+            x = [
+                xi + d * s if m else xi
+                for xi, d, s, m in zip(x, deltaq, span, mutate)
+            ]
+        return FloatSolution(clip_values(problem, x), problem.n_objectives)
 
 
 class BLXAlphaCrossover:
@@ -186,12 +197,25 @@ class DifferentialEvolutionCrossover:
     ) -> FloatSolution:
         """One trial vector."""
         gen = as_generator(rng)
-        n = current.variables.size
-        mutant = base.variables + self.f * (diff_a.variables - diff_b.variables)
-        mask = gen.random(n) <= self.cr
-        mask[int(gen.integers(n))] = True  # guarantee at least one gene
-        child = np.where(mask, mutant, current.variables)
-        return FloatSolution(problem.clip(child), problem.n_objectives)
+        f = self.f
+        mutant = [
+            b + f * (a - c)
+            for b, a, c in zip(
+                base.variables.tolist(),
+                diff_a.variables.tolist(),
+                diff_b.variables.tolist(),
+            )
+        ]
+        draws = gen.random(len(mutant)).tolist()
+        forced = int(gen.integers(len(mutant)))  # guarantee at least one gene
+        cr = self.cr
+        child = [
+            m if r <= cr or k == forced else x
+            for k, (m, r, x) in enumerate(
+                zip(mutant, draws, current.variables.tolist())
+            )
+        ]
+        return FloatSolution(clip_values(problem, child), problem.n_objectives)
 
 
 class UniformMutation:

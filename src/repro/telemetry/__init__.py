@@ -31,6 +31,7 @@ from repro.telemetry.recorder import (
     deep_telemetry_enabled,
     get_recorder,
     merge_telemetry_files,
+    recorder_for,
     telemetry_enabled,
     telemetry_mode,
     using,
@@ -51,6 +52,7 @@ __all__ = [
     "telemetry_enabled",
     "deep_telemetry_enabled",
     "get_recorder",
+    "recorder_for",
     "using",
     "merge_telemetry_files",
     "SpanStat",

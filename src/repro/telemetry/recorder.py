@@ -51,6 +51,7 @@ __all__ = [
     "telemetry_enabled",
     "deep_telemetry_enabled",
     "get_recorder",
+    "recorder_for",
     "using",
     "merge_telemetry_files",
     "MODE_OFF",
@@ -427,7 +428,17 @@ def get_recorder() -> Recorder:
     """
     if _active is not None:
         return _active
-    if telemetry_mode() == MODE_OFF:
+    return recorder_for(telemetry_mode())
+
+
+def recorder_for(mode: str) -> Recorder:
+    """What :func:`get_recorder` returns when ``REPRO_TELEMETRY`` reads
+    as ``mode``, without reading it: for the layers that capture the
+    mode once (evaluators, campaign jobs) and resolve the recorder per
+    evaluation or simulation."""
+    if _active is not None:
+        return _active
+    if mode == MODE_OFF:
         return NULL
     return _ambient_recorder()
 

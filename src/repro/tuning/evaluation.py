@@ -31,7 +31,7 @@ from repro.manet.metrics import BroadcastMetrics, aggregate_metrics
 from repro.manet.runtime import get_runtime
 from repro.manet.scenarios import NetworkScenario, make_scenarios
 from repro.manet.simulator import BroadcastSimulator, resolve_compiled_mode
-from repro.telemetry import get_recorder
+from repro.telemetry import recorder_for, telemetry_mode
 from repro.tuning.cache import EvaluationCache, PersistentEvaluationCache
 
 __all__ = ["NetworkSetEvaluator"]
@@ -64,6 +64,9 @@ class NetworkSetEvaluator:
         #: ``REPRO_COMPILED`` once here and handed to every simulator,
         #: so one evaluator never straddles engines.
         self.compiled_mode = resolve_compiled_mode()
+        # ``REPRO_TELEMETRY``, captured the same way: no simulation
+        # reads the environment (DESIGN.md §12).
+        self._telemetry = telemetry_mode()
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -104,31 +107,32 @@ class NetworkSetEvaluator:
         return self.scenarios[0].n_nodes
 
     def _simulate_all(self, params: AEDBParams) -> BroadcastMetrics:
-        with get_recorder().span("eval.evaluate", n_networks=self.n_networks):
-            return self._simulate_all_inner(params)
-
-    def _simulate_all_inner(self, params: AEDBParams) -> BroadcastMetrics:
+        persistent = self.persistent
+        compiled = self.compiled_mode
+        telemetry = self._telemetry
         runs = []
-        for scenario in self.scenarios:
-            stored = (
-                self.persistent.get_metrics(scenario, params)
-                if self.persistent is not None
-                else None
-            )
-            if stored is None:
-                # The shared runtime (per-process bounded LRU) makes
-                # every evaluation after the first on a scenario skip
-                # the whole parameter-independent substrate; results
-                # are bit-identical to the recompute path.
-                stored = BroadcastSimulator(
-                    scenario, params, runtime=get_runtime(scenario),
-                    compiled=self.compiled_mode,
-                ).run()
-                self.simulations_run += 1
-                if self.persistent is not None:
-                    self.persistent.put_metrics(scenario, params, stored)
-            runs.append(stored)
-        return aggregate_metrics(runs)
+        with recorder_for(telemetry).span(
+            "eval.evaluate", n_networks=len(self.scenarios)
+        ):
+            for scenario in self.scenarios:
+                stored = (
+                    None if persistent is None
+                    else persistent.get_metrics(scenario, params)
+                )
+                if stored is None:
+                    # The shared runtime (per-process bounded LRU) makes
+                    # every evaluation after the first on a scenario skip
+                    # the whole parameter-independent substrate; results
+                    # are bit-identical to the recompute path.
+                    stored = BroadcastSimulator(
+                        scenario, params, runtime=get_runtime(scenario),
+                        compiled=compiled, _telemetry=telemetry,
+                    ).run()
+                    self.simulations_run += 1
+                    if persistent is not None:
+                        persistent.put_metrics(scenario, params, stored)
+                runs.append(stored)
+            return aggregate_metrics(runs)
 
     def evaluate(self, params: AEDBParams) -> BroadcastMetrics:
         """Averaged metrics for one configuration (cached if enabled)."""
@@ -148,7 +152,7 @@ class NetworkSetEvaluator:
         Each configuration goes through :meth:`evaluate` (and its cache).
         """
         plist = list(params_list)
-        with get_recorder().span("eval.batch", n_params=len(plist)):
+        with recorder_for(self._telemetry).span("eval.batch", n_params=len(plist)):
             return [self.evaluate(p) for p in plist]
 
     def evaluate_vector(self, vector: np.ndarray) -> BroadcastMetrics:

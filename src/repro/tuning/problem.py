@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.manet.aedb import AEDBParams
 from repro.manet.metrics import BroadcastMetrics
-from repro.moo.problem import Problem
+from repro.moo.problem import Problem, clip_values
 from repro.moo.solution import FloatSolution
 from repro.tuning.bounds import (
     BROADCAST_TIME_LIMIT_S,
@@ -74,7 +74,7 @@ class AEDBTuningProblem(Problem):
     # ------------------------------------------------------------------ #
     def params_of(self, solution: FloatSolution) -> AEDBParams:
         """Decode a solution's variables into protocol parameters."""
-        return AEDBParams.from_array(self.clip(solution.variables))
+        return AEDBParams(*clip_values(self, solution.variables.tolist()))
 
     def _evaluate(self, solution: FloatSolution) -> None:
         metrics = self.evaluator.evaluate(self.params_of(solution))

@@ -105,13 +105,21 @@ class TestAggregation:
         with pytest.raises(ValueError, match=r"mixed n_nodes.*\[10, 20\]"):
             aggregate_metrics(samples)
 
-    @pytest.mark.parametrize("scale", ["unit", "huge", "negative", "mixed"])
+    @pytest.mark.parametrize(
+        "scale", ["unit", "huge", "negative", "mixed", "signed-zero"]
+    )
     def test_aggregate_is_bitwise_the_per_field_mean(self, scale):
-        """One (4, n) reduction equals ``np.mean`` of each field's list,
-        bit for bit, across numpy's 8-wide pairwise-sum unroll."""
-        rng = np.random.default_rng(["unit", "huge", "negative", "mixed"].index(scale))
-        for n in range(1, 34):
-            if scale == "unit":
+        """The plain-float mean equals ``np.mean`` of each field's list,
+        bit for bit, across numpy's 8-wide pairwise-sum unroll and its
+        halving above 128 values."""
+        rng = np.random.default_rng(
+            ["unit", "huge", "negative", "mixed", "signed-zero"].index(scale)
+        )
+        for n in [*range(1, 34), 63, 64, 127, 128, 129, 136, 255, 257, 300]:
+            if scale == "signed-zero":
+                table = rng.choice([-0.0, 0.0, -1.5, 2.25], size=(n, 4))
+                table[: n // 2] = -0.0
+            elif scale == "unit":
                 table = rng.random((n, 4))
             elif scale == "huge":
                 table = rng.normal(size=(n, 4)) * 1e300
