@@ -13,12 +13,13 @@ occupied cells:
   evicted; a candidate landing in the most crowded cell is rejected.
 
 The three properties the paper quotes hold by construction and are
-property-tested in ``tests/moo/test_adaptive_grid.py``:
+property-tested in ``tests/moo/test_archive.py::TestAGA``:
 
 i.   per-objective extreme solutions are never evicted (eviction explicitly
      skips the current minimisers of each objective);
 ii.  occupied Pareto regions keep at least one representative (eviction
-     only touches the most crowded cells);
+     only touches the most crowded cells, so it empties a cell only when
+     no cell holds two members);
 iii. remaining capacity is spread evenly (eviction always targets the most
      crowded cell).
 """

@@ -115,10 +115,10 @@ def clip_values(problem: Problem, values: list[float]) -> list[float]:
     cut to it (``np.clip``'s order, so ``-0.0`` at a ``0.0`` bound and
     NaN pass through unchanged)."""
     return [
-        hi if x > hi else x
-        for x, hi in zip(
-            [lo if v < lo else v
-             for v, lo in zip(values, problem.lower_bounds.tolist())],
+        hi if (x := lo if v < lo else v) > hi else x
+        for v, lo, hi in zip(
+            values,
+            problem.lower_bounds.tolist(),
             problem.upper_bounds.tolist(),
         )
     ]

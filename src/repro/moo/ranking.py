@@ -16,6 +16,7 @@ HPC guide's "vectorise the hot loop").  :func:`ranks` is the array core
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +79,7 @@ def ranks(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
     edges = domination_matrix(objectives, violations)
     count = np.add.reduce(edges, axis=0, dtype=np.intp).tolist()  # how many dominate j
     rows = edges.tolist()
+    columns = range(len(rows))
     rank = [0] * len(rows)
     members = [j for j, c in enumerate(count) if not c]
     front = ranked = 0
@@ -86,11 +88,10 @@ def ranks(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:
         following = []
         for i in members:
             rank[i] = front
-            for j, edge in enumerate(rows[i]):
-                if edge:
-                    count[j] -= 1
-                    if not count[j]:
-                        following.append(j)
+            for j in compress(columns, rows[i]):
+                count[j] -= 1
+                if not count[j]:
+                    following.append(j)
         members = following
         front += 1
     if ranked != len(rows):  # pragma: no cover - defensive

@@ -65,12 +65,12 @@ class SBXCrossover:
         y = parent_b.variables.tolist()
         if gen.random() <= self.probability:
             n = len(x)
-            u = gen.random(n)
-            beta = np.where(
-                u <= 0.5,
-                (2.0 * u) ** (1.0 / (self.eta + 1.0)),
-                (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (self.eta + 1.0)),
-            ).tolist()
+            u = gen.random(n).tolist()
+            # Both branches' powers, as numpy ufuncs over whole vectors.
+            e = 1.0 / (self.eta + 1.0)
+            spread = (np.array([2.0 * w for w in u]) ** e).tolist()
+            shrink = (np.array([1.0 / (2.0 * (1.0 - w)) for w in u]) ** e).tolist()
+            beta = [a if w <= 0.5 else b for a, b, w in zip(spread, shrink, u)]
             # Per-variable 50% swap keeps the operator unbiased.
             swap = gen.random(n).tolist()
             c1 = [
@@ -113,31 +113,28 @@ class PolynomialMutation:
         prob = self.probability if self.probability is not None else 1.0 / n
         mutate = [r <= prob for r in gen.random(n).tolist()]
         if any(mutate):
-            u = gen.random(n)
+            u = gen.random(n).tolist()
             # Bounded polynomial perturbation (Deb & Goyal 1996 variant).
-            # The powers run on the whole vector, as numpy arrays.
+            # The powers run as numpy ufuncs over whole vectors, with
+            # the operands numpy's own array expressions would hold.
             lo = problem.lower_bounds.tolist()
             hi = problem.upper_bounds.tolist()
             span = [h - l for l, h in zip(lo, hi)]
-            delta1 = np.array(
-                [(xi - l) / s if s > 0 else 0.0 for xi, l, s in zip(x, lo, span)]
-            )
-            delta2 = np.array(
-                [(h - xi) / s if s > 0 else 0.0 for xi, h, s in zip(x, hi, span)]
-            )
-            mpow = 1.0 / (self.eta + 1.0)
-            val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** (self.eta + 1.0)
-            val_high = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (
-                self.eta + 1.0
-            )
-            deltaq = np.where(
-                u <= 0.5,
-                np.abs(val_low) ** mpow - 1.0,
-                1.0 - np.abs(val_high) ** mpow,
-            ).tolist()
+            delta1 = [(xi - l) / s if s > 0 else 0.0 for xi, l, s in zip(x, lo, span)]
+            delta2 = [(h - xi) / s if s > 0 else 0.0 for xi, h, s in zip(x, hi, span)]
+            eta1 = self.eta + 1.0
+            mpow = 1.0 / eta1
+            rise = (np.array([1.0 - d for d in delta1]) ** eta1).tolist()
+            fall = (np.array([1.0 - d for d in delta2]) ** eta1).tolist()
+            val_low = [2.0 * w + (1.0 - 2.0 * w) * r for w, r in zip(u, rise)]
+            val_high = [
+                2.0 * (1.0 - w) + 2.0 * (w - 0.5) * f for w, f in zip(u, fall)
+            ]
+            low = (np.array([abs(v) for v in val_low]) ** mpow).tolist()
+            high = (np.array([abs(v) for v in val_high]) ** mpow).tolist()
             x = [
-                xi + d * s if m else xi
-                for xi, d, s, m in zip(x, deltaq, span, mutate)
+                xi + (ql - 1.0 if w <= 0.5 else 1.0 - qh) * s if m else xi
+                for xi, ql, qh, w, s, m in zip(x, low, high, u, span, mutate)
             ]
         return FloatSolution(clip_values(problem, x), problem.n_objectives)
 

@@ -376,6 +376,70 @@ class TestGetRuntime:
         assert get_runtime(a) is not get_runtime(b)
         assert runtime_cache_size() == 2
 
+    def test_repeat_lookup_hits_by_identity(self, monkeypatch):
+        """A scenario object's repeat lookup neither hashes nor compares
+        it; an equal copy pays one value lookup, then hits by identity,
+        and the simulator's own scenario check passes by identity too."""
+        from dataclasses import replace
+
+        from repro.manet.scenarios import NetworkScenario
+
+        clear_runtime_cache()
+        scenario = make_scenarios(100, n_networks=1, n_nodes=8)[0]
+        runtime = get_runtime(scenario)
+        calls = {"hash": 0, "eq": 0}
+        hash_, eq = NetworkScenario.__hash__, NetworkScenario.__eq__
+
+        def counting_hash(self):
+            calls["hash"] += 1
+            return hash_(self)
+
+        def counting_eq(self, other):
+            calls["eq"] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(NetworkScenario, "__hash__", counting_hash)
+        monkeypatch.setattr(NetworkScenario, "__eq__", counting_eq)
+        for _ in range(3):
+            assert get_runtime(scenario) is runtime
+        assert calls == {"hash": 0, "eq": 0}
+
+        copy = replace(scenario)
+        assert copy is not scenario and copy == scenario
+        calls.update(hash=0, eq=0)
+        assert get_runtime(copy) is runtime
+        assert calls["hash"] > 0
+        calls.update(hash=0, eq=0)
+        assert get_runtime(copy) is runtime
+        BroadcastSimulator(copy, PARAM_SETS[0], runtime=runtime).run()
+        assert calls == {"hash": 0, "eq": 0}
+        # The first object still hits by value: same runtime.
+        assert get_runtime(scenario) is runtime
+        assert runtime_cache_size() == 1
+
+    def test_value_hit_keeps_lru_order(self):
+        """A hit through an equal copy counts as a use: the entry moves
+        to the recent end, so the other one is evicted first."""
+        from dataclasses import replace
+
+        from repro.manet import runtime as runtime_mod
+
+        clear_runtime_cache()
+        a, b, c = make_scenarios(100, n_networks=3, n_nodes=4)
+        old_max = runtime_mod._MEMO_MAX_ENTRIES
+        runtime_mod._MEMO_MAX_ENTRIES = 2
+        try:
+            first = get_runtime(a)
+            get_runtime(b)
+            assert get_runtime(replace(a)) is first
+            get_runtime(c)  # evicts b, the least recently used
+            assert runtime_cache_size() == 2
+            assert get_runtime(a) is first
+            assert runtime_cache_size() == 2
+        finally:
+            runtime_mod._MEMO_MAX_ENTRIES = old_max
+            clear_runtime_cache()
+
 
 class TestEvaluatorIntegration:
     def test_serial_evaluator_uses_shared_runtimes(self):

@@ -1,5 +1,7 @@
 """Archive invariants, including the AGA properties the paper relies on."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +143,33 @@ class TestAGA:
         best_y = min(p[1] for p in inserted)
         assert objs[:, 0].min() == pytest.approx(best_x)
         assert objs[:, 1].min() == pytest.approx(best_y)
+
+    @given(st.integers(0, 500))
+    @settings(max_examples=20, deadline=None)
+    def test_property_ii_occupied_regions_keep_a_representative(self, seed):
+        # Property (ii) of Sect. IV-A: eviction only touches a most
+        # crowded cell, so it may empty a region only when no cell holds
+        # two members.  The two extremes go in first, so the interior
+        # stream never re-fits the grid and cells keep their meaning;
+        # the points are mutually non-dominated, so only grid evictions
+        # remove members.
+        gen = np.random.default_rng(seed)
+        a = self.make(capacity=8, rng_seed=seed)
+        a.add(sol([0.0, 20.0]))
+        a.add(sol([20.0, 0.0]))
+        bounds = a.grid_bounds()
+        for _ in range(100):
+            x = float(gen.random() * 20)
+            before = [a.cell_of(m.objectives) for m in a.members]
+            cells = Counter(before)
+            cells[a.cell_of(np.array([x, 20.0 - x]))] += 1
+            a.add(sol([x, 20.0 - x]))
+            after = {a.cell_of(m.objectives) for m in a.members}
+            if max(cells.values()) >= 2:
+                assert set(before) <= after
+        assert all(
+            np.array_equal(old, new) for old, new in zip(bounds, a.grid_bounds())
+        )
 
     def test_property_iii_balanced_cells(self):
         # Eviction targets the most crowded cell: a dense cluster plus

@@ -86,6 +86,28 @@ def test_cited_records_and_root_docs_exist():
     assert missing == {}
 
 
+def test_test_paths_cited_in_sources_exist():
+    # A source docstring or comment that sends the reader to a test
+    # module (``tests/…py``, optionally ``::Class::test``) must name a
+    # committed file, and each ``::`` part a class or function in it.
+    import re
+
+    pattern = re.compile(r"(?<![\w/.-])(tests/[\w/.-]+?\.py)((?:::\w+)*)")
+    missing = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for module, nodes in pattern.findall(path.read_text(encoding="utf-8")):
+            target = REPO_ROOT / module
+            cited = module + nodes
+            if not target.exists():
+                missing[cited] = path.relative_to(REPO_ROOT).as_posix()
+                continue
+            text = target.read_text(encoding="utf-8")
+            for node in filter(None, nodes.split("::")):
+                if not re.search(rf"^\s*(?:class|def) {node}\b", text, re.MULTILINE):
+                    missing[cited] = path.relative_to(REPO_ROOT).as_posix()
+    assert missing == {}
+
+
 def test_ci_workflow_paths_exist():
     # Every test, benchmark, perfbench or tools path the CI workflow
     # names must exist — a deletion must not leave a step aimed at a

@@ -73,6 +73,41 @@ class TestEvaluator:
         assert ev.n_networks == 2 and ev.n_nodes == 10
 
 
+class TestFlagReads:
+    """``REPRO_*`` flags are read when an evaluator is built, never per
+    simulation: one ``evaluate`` reads as many flags over 4 networks as
+    over 1 (none, with the flags captured)."""
+
+    def _reads_per_evaluate(self, n_networks, monkeypatch):
+        from repro.utils.flags import Flag
+
+        evaluator = NetworkSetEvaluator.for_density(
+            100, n_networks=n_networks, n_nodes=10, master_seed=0xF1A6
+        )
+        evaluator.evaluate(AEDBParams())  # runtimes built
+        reads = []
+        read = Flag.read
+
+        def counting(self):
+            reads.append(self.name)
+            return read(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Flag, "read", counting)
+            evaluator.evaluate(AEDBParams(0.1, 2.0, -85.0, 1.0, 5.0))
+        return reads
+
+    @pytest.mark.parametrize("telemetry", [None, "1", "deep"])
+    def test_reads_do_not_scale_with_networks(self, monkeypatch, telemetry):
+        if telemetry is None:
+            monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TELEMETRY", telemetry)
+        one = self._reads_per_evaluate(1, monkeypatch)
+        four = self._reads_per_evaluate(4, monkeypatch)
+        assert one == four == []
+
+
 class TestEvaluateMany:
     """The batched entry point is one :meth:`evaluate` per configuration,
     input order, through the same caches."""
