@@ -235,15 +235,18 @@ def _runtime_pack(runtime) -> dict:
     Everything here depends on the scenario alone.  ``blocker`` is the
     runtime's half of :func:`precondition_blocker` (path-loss type,
     mobility self-description, in-window beacon ticks); only when it is
-    None does the pack hold the marshalling constants: the mobility
-    model's :class:`~repro.manet.mobility.KernelTrace`, the raw uniform
-    stream, the last warm-up table snapshot the window opens on, the
-    window snapshot tuples, the ``fparams``/``iparams`` templates (every
-    slot but the simulator's own: the five AEDB parameters, the
-    decision-log switch and the RNG cursor), the fresh-output templates,
-    and the two scratch vectors that bridge the kernel into numpy's own
-    ``log10``/``power`` ufuncs.  Reusing them across runs keeps the
-    per-evaluation marshalling cost to a handful of small array copies.
+    None does the pack hold the marshalling constants: the
+    ``fparams``/``iparams`` templates (every slot but the simulator's
+    own: the five AEDB parameters, the decision-log switch and the RNG
+    cursor), ``inputs`` (every ``run_window`` argument between those
+    vectors and the outputs, as one tuple: the raw uniform stream, the
+    last warm-up table snapshot the window opens on, the window tick
+    times and snapshot tuples, the mobility model's
+    :class:`~repro.manet.mobility.KernelTrace` arrays, and the two
+    scratch vectors that bridge the kernel into numpy's own
+    ``log10``/``power`` ufuncs), and the fresh-output templates.
+    Reusing them across runs keeps the per-evaluation marshalling cost
+    to a handful of small array copies.
     """
     pack = getattr(runtime, "_evcore_pack", None)
     if pack is None:
@@ -321,12 +324,7 @@ def _build_runtime_pack(runtime) -> dict:
         "blocker": None,
         "fparams": fparams,
         "iparams": iparams,
-        # The kernel's inputs between the parameter vectors and the
-        # outputs, in ``run_window`` order: the raw uniform stream, the
-        # table snapshot the window opens on, the window tick times
-        # and snapshots, the mobility trace, and the two scratch
-        # vectors that bridge the kernel into numpy's own
-        # ``log10``/``power`` ufuncs.
+        # In ``run_window`` argument order.
         "inputs": (
             np.asarray(runtime.protocol_doubles, dtype=np.float64),
             start_rx,
