@@ -29,4 +29,4 @@ class CrowdingDistanceArchive(UnboundedArchive):
     def _on_accept(self, candidate: FloatSolution) -> None:
         if len(self._members) <= self.capacity:
             return
-        self._remove(int(np.argmin(crowding(self._obj))))
+        self._remove(int(np.argmin(crowding(self._obj.tolist()))))

@@ -2,8 +2,9 @@
 
 Assigns each solution of a front the sum over objectives of the
 normalised gap between its neighbours; boundary solutions get infinity.
-:func:`crowding` is the array core (one front's objective matrix in,
-distances out); :func:`assign_crowding_distance` stores its result in
+:func:`crowding` is the core (one front's objective rows in, distances
+out, in plain floats: DESIGN.md §17); :func:`assign_crowding_distance`
+stores its result in
 ``attributes["crowding_distance"]`` for NSGA-II's truncation and the
 crowded tournament.
 """
@@ -27,17 +28,15 @@ __all__ = [
 _KEY = "crowding_distance"
 
 
-def crowding(objectives: Sequence[Sequence[float]]) -> list[float]:
-    """Crowding distance of every row of one front's ``(n, m)``
-    objective rows (a matrix or a list of lists, NaN-free); fronts of
-    at most two members are all boundary.
+def crowding(rows: Sequence[Sequence[float]]) -> list[float]:
+    """Crowding distance of each of one front's ``n`` objective rows
+    (NaN-free); fronts of at most two members are all boundary.
 
     Plain floats: per objective, a stable sort of the rows (numpy's
     ``argsort(kind="stable")`` order), infinity at both ends, and each
     interior row not yet at infinity gains its neighbours' normalised
     gap, objective by objective in column order.
     """
-    rows = objectives.tolist() if isinstance(objectives, np.ndarray) else objectives
     n = len(rows)
     if n <= 2:
         return [inf] * n

@@ -110,12 +110,13 @@ class Problem:
 
 
 def clip_values(problem: Problem, values: list[float]) -> list[float]:
-    """:meth:`Problem.clip` on plain floats, bit for bit: a value below
-    its lower bound is raised to it, then one above its upper bound is
-    cut to it (``np.clip``'s order, so ``-0.0`` at a ``0.0`` bound and
-    NaN pass through unchanged)."""
+    """:meth:`Problem.clip` on plain floats, bit for bit: numpy's clip
+    loop against bound arrays keeps a value only when it is strictly
+    inside a bound (so ``-0.0`` at a ``0.0`` lower bound becomes
+    ``0.0``), raises to the lower bound first, then cuts at the upper,
+    and passes NaN through."""
     return [
-        hi if (x := lo if v < lo else v) > hi else x
+        x if (x := v if v > lo or v != v else lo) < hi or x != x else hi
         for v, lo, hi in zip(
             values,
             problem.lower_bounds.tolist(),

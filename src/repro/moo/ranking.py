@@ -9,7 +9,8 @@ behind feasible ones automatically.
 The pairwise domination relation is computed as one ``(n, n)`` NumPy
 matrix rather than O(n²) Python-level comparisons — the difference is an
 order of magnitude of wall-clock for the population sizes used here (the
-HPC guide's "vectorise the hot loop").  :func:`ranks` is the array core
+HPC guide's "vectorise the hot loop"); the fronts are then peeled in
+plain Python over the relation's rows.  :func:`ranks` is the array core
 (objective matrix and violations in, front indices out);
 :func:`fast_non_dominated_sort` is its solution-list wrapper.
 """
@@ -39,36 +40,23 @@ def domination_matrix(
         raise ValueError("violations must be (n,) matching objectives")
 
     # One (n, n) comparison per objective: reducing an (n, n, m) cube
-    # over its short last axis costs ~10x more at n = 200.
-    no_worse = better = None
+    # over its short last axis costs ~10x more at n = 200.  ``i`` is
+    # better than ``j`` somewhere exactly when ``j`` is not no-worse
+    # everywhere (a NaN fails ``<=`` both ways, so it never dominates).
+    no_worse = np.ones((obj.shape[0],) * 2, dtype=bool)
     for column in obj.T:
-        column_i = column[:, None]
-        if no_worse is None:
-            no_worse = column_i <= column
-            better = column_i < column
-        else:
-            no_worse &= column_i <= column
-            better |= column_i < column
-    if no_worse is None:  # no objectives: no Pareto dominance
-        pareto = np.zeros((obj.shape[0],) * 2, dtype=bool)
-    else:
-        pareto = no_worse & better
+        no_worse &= column[:, None] <= column
+    pareto = no_worse & ~no_worse.T
 
     feasible = vio <= 0.0
     if np.count_nonzero(feasible) == feasible.size:
         return pareto
+    # With violations clamped at 0, "i violates less than j" is Deb's
+    # relation wherever j is infeasible or i infeasible (a NaN
+    # violation is infeasible and never less); a feasible i also beats
+    # an infeasible j outright and a feasible j by Pareto dominance.
     vio = np.maximum(vio, 0.0)
-    feas_i = feasible[:, None]
-    feas_j = feasible[None, :]
-    both_feasible = feas_i & feas_j
-    both_infeasible = ~feas_i & ~feas_j
-    less_violating = vio[:, None] < vio[None, :]
-
-    return np.where(
-        both_feasible,
-        pareto,
-        np.where(both_infeasible, less_violating, feas_i & ~feas_j),
-    )
+    return (vio[:, None] < vio) | (feasible[:, None] & (pareto | ~feasible))
 
 
 def ranks(objectives: np.ndarray, violations: np.ndarray) -> np.ndarray:

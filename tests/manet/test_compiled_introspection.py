@@ -90,7 +90,9 @@ def simulator(scenario, params, runtime, compiled):
 class TestEndStateMatchesPure:
     @pytest.mark.parametrize("mobility", MOBILITY)
     @pytest.mark.parametrize("params", CORNER_PARAMS, ids=range(4))
-    @pytest.mark.parametrize("read", ["after-run", "before-run"])
+    @pytest.mark.parametrize(
+        "read", ["after-run", "before-run", "after-another-run"]
+    )
     def test_live_objects(self, mobility, params, read):
         scenario = scenario_for(7, 32, mobility)
         runtime = ScenarioRuntime(scenario)
@@ -106,7 +108,12 @@ class TestEndStateMatchesPure:
             held = live_objects(candidate)
             assert held[1].rounds_run == 0
         metrics = candidate.run()
-        if read == "after-run":
+        if read == "after-another-run":
+            # The kernel's outputs must outlive the next run on the
+            # same runtime: the writeback may be read much later.
+            other = CORNER_PARAMS[(CORNER_PARAMS.index(params) + 1) % 4]
+            simulator(scenario, other, runtime, "auto").run()
+        if read != "before-run":
             assert candidate._live is None, "run() forced the writeback"
             held = live_objects(candidate)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.moo.density import (
     assign_crowding_distance,
     crowded_compare,
+    crowding,
     crowding_distance_of,
 )
 from repro.moo.algorithms.cellde import displaced_member
@@ -146,7 +147,41 @@ def reference_displaced(view):
 grid_point = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=3, max_size=3)
 
 
+def numpy_crowding(objectives: np.ndarray) -> np.ndarray:
+    """The numpy formulation :func:`crowding` replaced (reference)."""
+    n = objectives.shape[0]
+    if n <= 2:
+        return np.full(n, np.inf)
+    distance = np.zeros(n)
+    for m in range(objectives.shape[1]):
+        order = np.argsort(objectives[:, m], kind="stable")
+        col = objectives[order, m]
+        span = col[-1] - col[0]
+        distance[order[0]] = np.inf
+        distance[order[-1]] = np.inf
+        if span <= 0:
+            continue
+        gaps = (col[2:] - col[:-2]) / span
+        interior = order[1:-1]
+        finite = ~np.isinf(distance[interior])
+        distance[interior[finite]] += gaps[finite]
+    return distance
+
+
 class TestArrayCores:
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.5, 1e-300, 7.25e8]),
+                     min_size=3, max_size=3)
+            | st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+            min_size=0, max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_crowding_is_the_numpy_formulation(self, rows):
+        expected = numpy_crowding(np.array(rows, dtype=float).reshape(-1, 3))
+        assert np.array(crowding(rows), dtype=float).tobytes() == expected.tobytes()
+
     @given(
         st.lists(st.tuples(grid_point, st.sampled_from([0.0, 0.0, 1.0, 2.0])),
                  min_size=1, max_size=25)

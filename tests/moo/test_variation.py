@@ -171,3 +171,122 @@ class TestUniformMutation:
         s = random_solution(problem, 1)
         out = UniformMutation(probability=0.0).execute(s, problem, 2)
         np.testing.assert_array_equal(out.variables, s.variables)
+
+
+# --------------------------------------------------------------------- #
+# The numpy formulations the plain-float operators replaced, kept as
+# references: same Generator calls, same arithmetic, array-wide.
+def _numpy_sbx(op, parent_a, parent_b, problem, gen):
+    x = parent_a.variables.copy()
+    y = parent_b.variables.copy()
+    if gen.random() <= op.probability:
+        n = x.size
+        u = gen.random(n)
+        beta = np.where(
+            u <= 0.5,
+            (2.0 * u) ** (1.0 / (op.eta + 1.0)),
+            (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (op.eta + 1.0)),
+        )
+        do_cross = gen.random(n) <= 0.5
+        c1 = 0.5 * ((1 + beta) * x + (1 - beta) * y)
+        c2 = 0.5 * ((1 - beta) * x + (1 + beta) * y)
+        x = np.where(do_cross, c1, x)
+        y = np.where(do_cross, c2, y)
+    return problem.clip(x), problem.clip(y)
+
+
+def _numpy_polynomial(op, solution, problem, gen):
+    x = solution.variables.copy()
+    n = x.size
+    prob = op.probability if op.probability is not None else 1.0 / n
+    lo, hi = problem.lower_bounds, problem.upper_bounds
+    span = hi - lo
+    mutate = gen.random(n) <= prob
+    if np.any(mutate):
+        u = gen.random(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta1 = np.where(span > 0, (x - lo) / span, 0.0)
+            delta2 = np.where(span > 0, (hi - x) / span, 0.0)
+        mpow = 1.0 / (op.eta + 1.0)
+        val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** (op.eta + 1.0)
+        val_high = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (
+            op.eta + 1.0
+        )
+        deltaq = np.where(
+            u <= 0.5,
+            np.abs(val_low) ** mpow - 1.0,
+            1.0 - np.abs(val_high) ** mpow,
+        )
+        x = np.where(mutate, x + deltaq * span, x)
+    return problem.clip(x)
+
+
+def _numpy_de(op, current, base, diff_a, diff_b, problem, gen):
+    n = current.variables.size
+    mutant = base.variables + op.f * (diff_a.variables - diff_b.variables)
+    mask = gen.random(n) <= op.cr
+    mask[int(gen.integers(n))] = True
+    return problem.clip(np.where(mask, mutant, current.variables))
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestNumpyReference:
+    """Each operator gives its numpy formulation's children bit for bit
+    and leaves the generator in the same state."""
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 1.0, 20.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_sbx(self, seed, eta):
+        problem = ZDT1(n_variables=5)
+        a, b = random_solution(problem, seed), random_solution(problem, seed + 1)
+        a.variables[0] = problem.lower_bounds[0]  # a parent on the box
+        op = SBXCrossover(probability=0.9, eta=eta)
+        g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        ca, cb = op.execute(a, b, problem, g1)
+        ra, rb = _numpy_sbx(op, a, b, problem, g2)
+        assert _same_bits(ca.variables, ra) and _same_bits(cb.variables, rb)
+        assert g1.random() == g2.random()
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([None, 0.5, 1.0]),
+        st.sampled_from([1.0, 20.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_polynomial(self, seed, probability, eta):
+        problem = ZDT1(n_variables=5)
+        s = random_solution(problem, seed)
+        s.variables[1] = problem.upper_bounds[1]
+        op = PolynomialMutation(probability=probability, eta=eta)
+        g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        child = op.execute(s, problem, g1)
+        assert _same_bits(child.variables, _numpy_polynomial(op, s, problem, g2))
+        assert g1.random() == g2.random()
+
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_de(self, seed, cr):
+        problem = ZDT1(n_variables=5)
+        parents = [random_solution(problem, seed + k) for k in range(4)]
+        op = DifferentialEvolutionCrossover(cr=cr, f=0.5)
+        g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        child = op.execute(*parents, problem, g1)
+        reference = _numpy_de(op, *parents, problem, g2)
+        assert _same_bits(child.variables, reference)
+        assert g1.random() == g2.random()
+
+    def test_clip_values_is_np_clip(self):
+        from repro.moo.problem import Problem, clip_values
+
+        special = [-0.0, 0.0, -1.0, 1.0, 0.5, 2.0, np.nan, np.inf, -np.inf]
+        for lo, hi in [(0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0), (0.5, 0.5)]:
+            box = Problem([lo] * len(special), [hi] * len(special), 1)
+            assert _same_bits(clip_values(box, special), box.clip(np.array(special)))
+        gen = np.random.default_rng(3)
+        box = Problem([-1.0, 0.0, -95.0], [1.0, 5.0, -70.0], 1)
+        for _ in range(200):
+            values = (gen.normal(size=3) * [2.0, 6.0, 40.0] + [0, 2, -80]).tolist()
+            assert _same_bits(clip_values(box, values), box.clip(np.array(values)))
