@@ -71,50 +71,47 @@ def aggregate_metrics(samples: list[BroadcastMetrics]) -> BroadcastMetrics:
     """
     if not samples:
         raise ValueError("cannot aggregate an empty metrics list")
-    n_nodes = samples[0].n_nodes
-    if any(m.n_nodes != n_nodes for m in samples):
-        raise ValueError(
-            f"mixed n_nodes in aggregation: {sorted({m.n_nodes for m in samples})}"
-        )
+    coverage, energy, forwardings, broadcast_time, nodes = zip(*[
+        (m.coverage, m.energy_dbm, m.forwardings, m.broadcast_time_s, m.n_nodes)
+        for m in samples
+    ])
+    n_nodes = nodes[0]
+    if nodes.count(n_nodes) != len(nodes):
+        raise ValueError(f"mixed n_nodes in aggregation: {sorted(set(nodes))}")
     return BroadcastMetrics(
-        _mean([m.coverage for m in samples]),
-        _mean([m.energy_dbm for m in samples]),
-        _mean([m.forwardings for m in samples]),
-        _mean([m.broadcast_time_s for m in samples]),
-        n_nodes,
+        _mean(coverage), _mean(energy), _mean(forwardings),
+        _mean(broadcast_time), n_nodes,
     )
 
 
-def _mean(values: list[float]) -> float:
+def _mean(values: tuple[float, ...]) -> float:
     """``np.mean`` of a float64 vector, in plain floats and bit for bit:
     numpy's pairwise sum added to the reduction's ``0.0`` identity,
     divided by the count."""
-    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+    return (0.0 + _pairwise_sum(values)) / len(values)
 
 
-def _pairwise_sum(values: list[float], start: int, n: int) -> float:
-    """numpy's ``pairwise_sum`` over ``values[start:start + n]``: a plain
-    loop below 8 values; up to 128, eight interleaved accumulators
-    combined as a tree, then the tail; above, two halves split at a
-    multiple of 8."""
+def _pairwise_sum(values: tuple[float, ...]) -> float:
+    """numpy's ``pairwise_sum``: a plain loop below 8 values; up to 128,
+    eight interleaved accumulators combined as a tree, then the tail;
+    above, two halves split at a multiple of 8."""
+    n = len(values)
     if n < 8:
         total = 0.0
-        for v in values[start:start + n]:
+        for v in values:
             total += v
         return total
     if n <= 128:
-        acc = values[start:start + 8]
-        end = start + n - n % 8
-        for i in range(start + 8, end, 8):
+        acc = values[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
             acc = [a + v for a, v in zip(acc, values[i:i + 8])]
         total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
             (acc[4] + acc[5]) + (acc[6] + acc[7])
         )
-        for v in values[end:start + n]:
+        for v in values[end:]:
             total += v
         return total
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(values, start, half) + _pairwise_sum(
-        values, start + half, n - half
-    )
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])

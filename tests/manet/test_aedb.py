@@ -46,6 +46,12 @@ class TestParams:
         p = AEDBParams(min_delay_s=0.9, max_delay_s=0.2)
         assert p.delay_interval == (0.2, 0.9)
 
+    def test_fields_are_declared_in_vector_order(self):
+        # from_array and the tuning problem build AEDBParams positionally.
+        from dataclasses import fields
+
+        assert tuple(f.name for f in fields(AEDBParams)) == AEDBParams.names()
+
     def test_from_array_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             AEDBParams.from_array([1.0, 2.0])
