@@ -298,15 +298,15 @@ class BroadcastSimulator:
             transmissions = run.frames_transmitted
             energy = run.energy
         # The receivers: every non-NaN entry (NaN is the only value
-        # unequal to itself) but the source.  The last first-reception
-        # is their max, exact in any order.
+        # unequal to itself) but the source.  Nobody hears the message
+        # before the source sends it, at its own first_rx (warmup_s),
+        # so the NaN-ignoring max over every node is the last
+        # first-reception.
         received = first_rx == first_rx
         received[scenario.source] = False
         coverage = np.count_nonzero(received)
         if coverage:
-            broadcast_time = (
-                float(np.maximum.reduce(first_rx[received])) - self._sim.warmup_s
-            )
+            broadcast_time = float(np.fmax.reduce(first_rx)) - self._sim.warmup_s
         else:
             broadcast_time = 0.0
         return BroadcastMetrics(
