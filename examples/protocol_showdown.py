@@ -21,7 +21,6 @@ from repro import AEDBParams, make_scenarios
 from repro.core import AEDBMLS, MLSConfig
 from repro.manet.protocols import compare_protocols, standard_protocol_suite
 from repro.manet.protocols.compare import render_comparison
-from repro.manet.protocols.runner import aedb_protocol
 from repro.tuning import AEDBTuningProblem, NetworkSetEvaluator
 
 
@@ -46,7 +45,7 @@ def main() -> None:
         print(f"\n=== {density} devices/km^2 ({scenarios[0].n_nodes} nodes) ===")
 
         suite = standard_protocol_suite()
-        suite["AEDB(tuned)"] = aedb_protocol(tuned_params(scenarios))
+        suite["AEDB(tuned)"] = tuned_params(scenarios)
         comparison = compare_protocols(suite, scenarios)
         print(render_comparison(comparison))
 

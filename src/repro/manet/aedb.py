@@ -30,19 +30,14 @@ deliveries and ``transmit`` back to the medium.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from repro.manet.beacons import NeighborTables
-from repro.manet.config import RadioConfig
-from repro.manet.events import EventHandle, EventQueue
-from repro.utils.rng import as_generator
+from repro.manet.broadcast import BroadcastProtocol, ProtocolContext, require_finite
 
-__all__ = ["AEDBParams", "AEDBNodeState", "AEDBProtocol"]
+__all__ = ["AEDBParams", "AEDBProtocol"]
 
 
 @dataclass(frozen=True)
@@ -92,9 +87,7 @@ class AEDBParams:
         if all(map(math.isfinite, values)):
             return
         for (name, _, _), value in zip(self.DOMAINS, values):
-            if not math.isfinite(value):
-                shown = "NaN" if math.isnan(value) else value
-                raise ValueError(f"AEDB parameter {name} is {shown}")
+            require_finite(f"AEDB parameter {name}", value)
 
     @classmethod
     def names(cls) -> tuple[str, ...]:
@@ -142,149 +135,70 @@ class AEDBParams:
         return (max(lo, 0.0), max(hi, 0.0))
 
 
-class AEDBNodeState(enum.Enum):
-    """Per-node protocol phase for the current broadcast message."""
+class AEDBProtocol(BroadcastProtocol):
+    """AEDB instances for all nodes of one network, for one message.
 
-    IDLE = "idle"  # never received the message
-    WAITING = "waiting"  # received; forwarding timer armed
-    DROPPED = "dropped"  # received; decided not to forward
-    FORWARDED = "forwarded"  # received and retransmitted
+    The Fig. 1 logic on :class:`BroadcastProtocol`'s skeleton: the
+    border test on the first copy, the ``pmin`` tracker on duplicates,
+    and on the timer the border re-test, then the adaptive power.
+    """
 
-
-#: Transmit callback: (sender, tx_power_dbm, time_s) -> None
-TransmitFn = Callable[[int, float, float], None]
-
-
-class AEDBProtocol:
-    """AEDB instances for all nodes of one network, for one message."""
+    name = "AEDB"
 
     def __init__(
         self,
+        ctx: ProtocolContext,
         params: AEDBParams,
-        n_nodes: int,
-        queue: EventQueue,
-        tables: NeighborTables,
-        radio: RadioConfig,
-        transmit: TransmitFn,
-        rng: np.random.Generator | int | None = None,
-        mac_jitter_s: float = 0.0005,
         record_decisions: bool = True,
     ):
+        super().__init__(ctx, record_decisions)
         self.params = params
-        self.n_nodes = int(n_nodes)
-        self._queue = queue
-        self._tables = tables
-        self._radio = radio
-        self._transmit = transmit
-        # The protocol only ever draws uniforms, so any object with a
-        # Generator-compatible ``uniform`` is accepted — in particular
-        # the runtime's precomputed replay stream
-        # (:class:`repro.manet.runtime.UniformStream`).
-        if callable(getattr(rng, "uniform", None)):
-            self._rng = rng
-        else:
-            self._rng = as_generator(rng)
-        self._mac_jitter_s = float(mac_jitter_s)
+        self._tables = ctx.tables
         # Hot-path constants hoisted once (params and radio are frozen
         # dataclasses; attribute chains per delivery are measurable).
+        radio = ctx.radio
         self._border_dbm = float(params.border_threshold_dbm)
-        self._delay_lo, self._delay_hi = params.delay_interval
+        self._delay_window = params.delay_interval
         self._neighbors_threshold = float(params.neighbors_threshold)
         self._margin_db = float(params.margin_threshold_db)
         self._required_dbm = float(radio.detection_threshold_dbm)
         self._min_tx_dbm = float(radio.min_tx_power_dbm)
-        self._max_tx_dbm = float(radio.default_tx_power_dbm)
-
-        self.state = [AEDBNodeState.IDLE] * n_nodes
         # Scratch for _select_tx_power's mask (never live across calls).
-        self._select_mask = np.empty(n_nodes, dtype=bool)
+        self._select_mask = np.empty(self.n_nodes, dtype=bool)
         #: Strongest copy heard per node (the paper's ``pmin``), dBm.
-        self.strongest_copy_dbm = np.full(n_nodes, -np.inf)
-        #: Time of first successful reception per node (NaN = never).
-        self.first_rx_time = np.full(n_nodes, np.nan)
-        #: ``[i, j]`` — node ``i`` heard the message *from* node ``j``
-        #: (``j`` already has it).  A boolean matrix so the power
-        #: selection can mask candidates without a per-id Python scan.
-        self._heard_from = np.zeros((n_nodes, n_nodes), dtype=bool)
-        self._timers: list[EventHandle | None] = [None] * n_nodes
-        self._record_decisions = bool(record_decisions)
-        #: Decision log, for tests and diagnostics (empty when
-        #: ``record_decisions=False`` — the per-event formatting is
-        #: measurable in tight evaluation loops).
-        self.decisions: list[tuple[float, int, str]] = []
-
-    # ------------------------------------------------------------------ #
-    # message origin                                                     #
-    # ------------------------------------------------------------------ #
-    def start_broadcast(self, source: int, time_s: float) -> None:
-        """Source node seeds the dissemination at the default power."""
-        if not (0 <= source < self.n_nodes):
-            raise ValueError(f"source {source} out of range")
-        self.state[source] = AEDBNodeState.FORWARDED
-        self.first_rx_time[source] = time_s
-        if self._record_decisions:
-            self.decisions.append((time_s, source, "source"))
-        self._transmit(source, self._radio.default_tx_power_dbm, time_s)
+        self.strongest_copy_dbm = np.full(self.n_nodes, -np.inf)
 
     # ------------------------------------------------------------------ #
     # reception path (Fig. 1 lines 1–15)                                 #
     # ------------------------------------------------------------------ #
-    def _first_copy(self, node: int, rx_power_dbm: float, time_s: float) -> None:
-        """First reception at an IDLE node (Fig. 1 lines 3–11): the
-        border test and timer arming (``k_first_copy`` in the kernel)."""
-        self.first_rx_time[node] = time_s
+    def _on_first_copy(
+        self, node: int, sender: int, rx_power_dbm: float, time_s: float
+    ) -> None:
+        """Fig. 1 lines 3–11: the border test, then the timer
+        (``k_first_copy`` in the kernel)."""
         self.strongest_copy_dbm[node] = rx_power_dbm
         if rx_power_dbm > self._border_dbm:
             # Transmitter too close: outside the forwarding area.
-            self.state[node] = AEDBNodeState.DROPPED
-            if self._record_decisions:
-                self.decisions.append((time_s, node, "drop:border-first"))
-            return
-        self.state[node] = AEDBNodeState.WAITING
-        lo, hi = self._delay_lo, self._delay_hi
-        delay = float(self._rng.uniform(lo, hi)) if hi > lo else lo
-        self._timers[node] = self._queue.schedule(
-            time_s + delay, lambda t, n=node: self._on_timer(n, t)
-        )
-        if self._record_decisions:
-            self.decisions.append((time_s, node, f"arm:{delay:.4f}"))
+            self._drop(node, time_s, "border-first")
+        else:
+            self._arm_timer(node, time_s, self._draw_delay(self._delay_window))
 
-    def on_receive(self, node: int, sender: int, rx_power_dbm: float, time_s: float) -> None:
-        """Radio delivered a copy of the message to ``node``."""
-        self._heard_from[node, sender] = True
-        state = self.state[node]
-
-        if state is AEDBNodeState.IDLE:
-            self._first_copy(node, rx_power_dbm, time_s)
-        elif state is AEDBNodeState.WAITING:
-            # Fig. 1 line 12: track the closest transmitter heard so far.
-            if rx_power_dbm > self.strongest_copy_dbm[node]:
-                self.strongest_copy_dbm[node] = rx_power_dbm
-        # DROPPED / FORWARDED: duplicates are ignored.
+    def _on_duplicate(
+        self, node: int, sender: int, rx_power_dbm: float, time_s: float
+    ) -> None:
+        # Fig. 1 line 12: track the closest transmitter heard so far.
+        if rx_power_dbm > self.strongest_copy_dbm[node]:
+            self.strongest_copy_dbm[node] = rx_power_dbm
 
     # ------------------------------------------------------------------ #
     # timer path (Fig. 1 lines 16–26)                                    #
     # ------------------------------------------------------------------ #
     def _on_timer(self, node: int, time_s: float) -> None:
-        self._timers[node] = None
-        if self.state[node] is not AEDBNodeState.WAITING:
-            return
         if self.strongest_copy_dbm[node] > self._border_dbm:
             # A transmitter got too close while we were waiting.
-            self.state[node] = AEDBNodeState.DROPPED
-            if self._record_decisions:
-                self.decisions.append((time_s, node, "drop:border-timer"))
-            return
-        power = self._select_tx_power(node, time_s)
-        self.state[node] = AEDBNodeState.FORWARDED
-        if self._record_decisions:
-            self.decisions.append((time_s, node, f"forward:{power:.2f}dBm"))
-        jitter = (
-            float(self._rng.uniform(0.0, self._mac_jitter_s))
-            if self._mac_jitter_s > 0
-            else 0.0
-        )
-        self._transmit(node, power, time_s + jitter)
+            self._drop(node, time_s, "border-timer")
+        else:
+            self._forward(node, time_s, self._select_tx_power(node, time_s))
 
     # ------------------------------------------------------------------ #
     # adaptive power selection (Fig. 1 lines 19–24)                      #
@@ -328,21 +242,3 @@ class AEDBProtocol:
         loss = tables.link_loss_db(node, target)
         power = self._required_dbm + loss + self._margin_db
         return float(min(max(power, self._min_tx_dbm), self._max_tx_dbm))
-
-    # ------------------------------------------------------------------ #
-    # introspection                                                      #
-    # ------------------------------------------------------------------ #
-    def covered_nodes(self) -> np.ndarray:
-        """Ids of nodes that received the message (including the source)."""
-        return np.flatnonzero(~np.isnan(self.first_rx_time))
-
-    def forwarder_nodes(self) -> np.ndarray:
-        """Ids of nodes that (re)transmitted, including the source."""
-        return np.array(
-            [
-                i
-                for i in range(self.n_nodes)
-                if self.state[i] is AEDBNodeState.FORWARDED
-            ],
-            dtype=int,
-        )

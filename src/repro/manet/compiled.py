@@ -190,7 +190,7 @@ _CN_FIRED, _CN_FRAMES, _CN_RESOLVED, _CN_DRAWS, _CN_DECISIONS = range(5)
 _N_COUNTS = 5
 
 #: Decision-kind codes emitted by the kernel, formatted here with the
-#: exact f-strings of :class:`~repro.manet.aedb.AEDBProtocol`.
+#: exact strings :class:`~repro.manet.aedb.AEDBProtocol` logs.
 _DECISION_SOURCE = 0
 _DECISION_DROP_FIRST = 1
 _DECISION_ARM = 2
@@ -208,7 +208,7 @@ class KernelRun(NamedTuple):
 
     first_rx: np.ndarray        # (n,) first-reception times, NaN = never
     strongest: np.ndarray       # (n,) strongest copy heard, dBm
-    state_code: np.ndarray      # (n,) int8, AEDBNodeState order
+    state_code: np.ndarray      # (n,) int8, NodePhase order
     heard: np.ndarray           # (n, n) bool heard-from matrix
     frame_out: np.ndarray       # (4, n) sender / power / start / liveness
     timer_deadline: np.ndarray  # (n,) armed-timer deadlines
@@ -408,14 +408,14 @@ def apply_writeback(sim: "BroadcastSimulator", run: KernelRun) -> None:
     """Give a compiled simulator's freshly built live objects the exact
     end state a pure-Python ``run()`` leaves.
 
-    Protocol arrays, node states and decision log; frame history, the
+    Protocol arrays, node phases and decision log; frame history, the
     medium's active/recent lists and counters; the neighbour tables
     (the whole canonical schedule replayed as O(1) snapshot swaps); and
     the queue's clock, fired count and pending set.  The simulator calls
     it once, when its live objects are first read after ``run()`` (or at
     the end of ``run()`` if they were read before).
     """
-    from repro.manet.aedb import AEDBNodeState
+    from repro.manet.broadcast import NodePhase
     from repro.manet.medium import Frame
 
     protocol = sim.protocol
@@ -428,15 +428,8 @@ def apply_writeback(sim: "BroadcastSimulator", run: KernelRun) -> None:
     protocol.first_rx_time[:] = run.first_rx
     protocol.strongest_copy_dbm[:] = run.strongest
     protocol._heard_from[:] = run.heard
-    states_by_code = (
-        AEDBNodeState.IDLE,
-        AEDBNodeState.WAITING,
-        AEDBNodeState.DROPPED,
-        AEDBNodeState.FORWARDED,
-    )
-    state = protocol.state
-    for node, code in enumerate(run.state_code.tolist()):
-        state[node] = states_by_code[code]
+    phases = tuple(NodePhase)  # in kernel state-code order
+    protocol.phase[:] = [phases[code] for code in run.state_code.tolist()]
 
     if protocol._record_decisions and n_dec:
         append = protocol.decisions.append
@@ -497,7 +490,7 @@ def apply_writeback(sim: "BroadcastSimulator", run: KernelRun) -> None:
     for node in np.flatnonzero(run.state_code == 1).tolist():
         timers[node] = queue.schedule(
             float(run.timer_deadline[node]),
-            lambda t, nd=node: protocol._on_timer(nd, t),
+            lambda t, nd=node: protocol._fire_timer(nd, t),
         )
     queue._fired = fired
     queue._now = sim._sim.horizon_s

@@ -10,7 +10,14 @@ cheap, position-free proxy for local density — the same quantity AEDB's
 
 from __future__ import annotations
 
-from repro.manet.protocols.base import BroadcastProtocol, ProtocolContext
+import numpy as np
+
+from repro.manet.broadcast import (
+    BroadcastProtocol,
+    ProtocolContext,
+    delay_window,
+    require_finite,
+)
 
 __all__ = ["CounterBasedProtocol"]
 
@@ -27,6 +34,7 @@ class CounterBasedProtocol(BroadcastProtocol):
         delay_interval_s: tuple[float, float] = (0.0, 0.1),
     ):
         super().__init__(ctx)
+        require_finite("counter_threshold", counter_threshold)
         if counter_threshold < 1:
             raise ValueError(
                 f"counter_threshold must be >= 1, got {counter_threshold}"
@@ -34,10 +42,16 @@ class CounterBasedProtocol(BroadcastProtocol):
         #: Copies (including the first) that cancel the forwarding.
         self.counter_threshold = int(counter_threshold)
         #: Uniform window for the assessment delay, s.
-        self.delay_interval_s = (
-            float(delay_interval_s[0]),
-            float(delay_interval_s[1]),
-        )
+        self.delay_interval_s = delay_window(delay_interval_s)
+        #: Copies of the message heard per node (first + duplicates,
+        #: those after the decision included).
+        self.copies_heard = np.zeros(self.n_nodes, dtype=int)
+
+    def on_receive(
+        self, node: int, sender: int, rx_power_dbm: float, time_s: float
+    ) -> None:
+        self.copies_heard[node] += 1
+        super().on_receive(node, sender, rx_power_dbm, time_s)
 
     def _on_first_copy(
         self, node: int, sender: int, rx_power_dbm: float, time_s: float

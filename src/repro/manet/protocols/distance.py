@@ -7,21 +7,20 @@ threshold* (stronger copy = closer transmitter = smaller additional
 coverage from forwarding).  Duplicates heard during the assessment delay
 update the strongest-copy tracker and can cancel the forwarding.
 
-Unlike AEDB the retransmission is always at the default (full) power:
-comparing the two isolates exactly what the paper's adaptive power
-selection and density switch (Fig. 1 lines 19-24) buy.
+It is AEDB's state machine with the retransmission always at the default
+(full) power: comparing the two isolates exactly what the paper's
+adaptive power selection and density switch (Fig. 1 lines 19-24) buy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.manet.protocols.base import BroadcastProtocol, ProtocolContext
+from repro.manet.aedb import AEDBParams, AEDBProtocol
+from repro.manet.broadcast import ProtocolContext, delay_window
 
 __all__ = ["DistanceBasedProtocol"]
 
 
-class DistanceBasedProtocol(BroadcastProtocol):
+class DistanceBasedProtocol(AEDBProtocol):
     """Border-threshold suppression, full-power forwarding."""
 
     name = "distance"
@@ -32,35 +31,14 @@ class DistanceBasedProtocol(BroadcastProtocol):
         border_threshold_dbm: float = -90.0,
         delay_interval_s: tuple[float, float] = (0.0, 0.1),
     ):
-        super().__init__(ctx)
+        #: Uniform window for the assessment delay, s.
+        self.delay_interval_s = delay_window(delay_interval_s)
         #: Forwarding-area border: forward only if the strongest copy
         #: heard is at most this power (all transmitters far enough away).
         self.border_threshold_dbm = float(border_threshold_dbm)
-        #: Uniform window for the assessment delay, s.
-        self.delay_interval_s = (
-            float(delay_interval_s[0]),
-            float(delay_interval_s[1]),
+        super().__init__(
+            ctx, AEDBParams(*self.delay_interval_s, self.border_threshold_dbm)
         )
-        #: Strongest copy heard per node, dBm (the AEDB ``pmin`` tracker).
-        self.strongest_copy_dbm = np.full(self.n_nodes, -np.inf)
 
-    def _on_first_copy(
-        self, node: int, sender: int, rx_power_dbm: float, time_s: float
-    ) -> None:
-        self.strongest_copy_dbm[node] = rx_power_dbm
-        if rx_power_dbm > self.border_threshold_dbm:
-            self._drop(node, time_s, "border-first")
-            return
-        self._arm_timer(node, time_s, self._draw_delay(self.delay_interval_s))
-
-    def _on_duplicate(
-        self, node: int, sender: int, rx_power_dbm: float, time_s: float
-    ) -> None:
-        if rx_power_dbm > self.strongest_copy_dbm[node]:
-            self.strongest_copy_dbm[node] = rx_power_dbm
-
-    def _on_timer(self, node: int, time_s: float) -> None:
-        if self.strongest_copy_dbm[node] > self.border_threshold_dbm:
-            self._drop(node, time_s, "border-timer")
-        else:
-            self._forward(node, time_s)
+    def _select_tx_power(self, node: int, time_s: float) -> float:
+        return self._max_tx_dbm

@@ -12,7 +12,7 @@ while keeping full redundancy.
 
 from __future__ import annotations
 
-from repro.manet.protocols.base import BroadcastProtocol, ProtocolContext
+from repro.manet.broadcast import BroadcastProtocol, ProtocolContext, delay_window
 
 __all__ = ["FloodingProtocol"]
 
@@ -30,10 +30,7 @@ class FloodingProtocol(BroadcastProtocol):
         super().__init__(ctx)
         #: Uniform window for the pre-forward delay, s.  (0, 0) = blind
         #: flooding; a wider window = jittered flooding.
-        self.delay_interval_s = (
-            float(delay_interval_s[0]),
-            float(delay_interval_s[1]),
-        )
+        self.delay_interval_s = delay_window(delay_interval_s)
 
     def _on_first_copy(
         self, node: int, sender: int, rx_power_dbm: float, time_s: float

@@ -11,7 +11,7 @@ AEDB's adaptive border test avoids.
 
 from __future__ import annotations
 
-from repro.manet.protocols.base import BroadcastProtocol, ProtocolContext
+from repro.manet.broadcast import BroadcastProtocol, ProtocolContext, delay_window
 
 __all__ = ["ProbabilisticProtocol"]
 
@@ -35,10 +35,7 @@ class ProbabilisticProtocol(BroadcastProtocol):
         #: Probability that a receiving node retransmits.
         self.forward_probability = float(forward_probability)
         #: Uniform window for the pre-forward delay, s.
-        self.delay_interval_s = (
-            float(delay_interval_s[0]),
-            float(delay_interval_s[1]),
-        )
+        self.delay_interval_s = delay_window(delay_interval_s)
 
     def _on_first_copy(
         self, node: int, sender: int, rx_power_dbm: float, time_s: float

@@ -211,9 +211,8 @@ class ScenarioRuntime:
     """Precomputed parameter-independent substrate of one scenario.
 
     Built once per ``(scenario, mobility)`` pair; consumed by any number
-    of :class:`~repro.manet.simulator.BroadcastSimulator` /
-    :class:`~repro.manet.protocols.runner.ProtocolSimulator` runs with
-    different protocol parameters.  All exposed arrays are read-only.
+    of :class:`~repro.manet.simulator.BroadcastSimulator` runs with
+    different protocols or parameters.  All exposed arrays are read-only.
     """
 
     def __init__(

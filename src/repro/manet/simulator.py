@@ -1,12 +1,15 @@
 """End-to-end broadcast simulation (the ns3 run of the paper's Sect. V).
 
-One :class:`BroadcastSimulator` runs one AEDB configuration on one
+One :class:`BroadcastSimulator` runs one broadcast protocol — an AEDB
+configuration, or any scheme a protocol factory builds (the baselines
+of :mod:`repro.manet.protocols`) — on one
 :class:`~repro.manet.scenarios.NetworkScenario`:
 
 1. the mobility trace evolves from t = 0;
 2. HELLO beacons fire every second, warming the neighbour tables;
 3. at ``warmup_s`` (30 s) the scenario's source node injects the broadcast;
-4. the AEDB state machines react to deliveries through the shared medium;
+4. the protocol state machines react to deliveries through the shared
+   medium;
 5. at ``horizon_s`` (40 s) the run stops and the four metrics are read out.
 
 Determinism: all randomness (mobility, protocol delays, MAC jitter) is
@@ -19,8 +22,8 @@ snapshots, path-loss model) for its precomputed form: evaluation #2..#N
 of different parameters on the same network pays zero beacon cost, and
 the metrics are bit-identical to the recompute path (DESIGN.md §8).
 
-With a runtime and the compiled event core (DESIGN.md §14), a run is
-one kernel call whose outputs the metrics are read from: no event
+With a runtime, AEDB and the compiled event core (DESIGN.md §14), a
+run is one kernel call whose outputs the metrics are read from: no event
 queue, neighbour tables, medium or protocol object is built.  Those
 live objects (``queue``, ``tables``, ``medium``, ``protocol``) are built
 on first access and given exactly the pure path's end state, so
@@ -35,6 +38,7 @@ import numpy as np
 
 from repro.manet.aedb import AEDBParams, AEDBProtocol
 from repro.manet.beacons import NeighborTables
+from repro.manet.broadcast import BroadcastProtocol, ProtocolContext, ProtocolFactory
 from repro.manet.compiled import (
     KernelRun,
     apply_writeback,
@@ -69,16 +73,16 @@ class _LiveObjects(NamedTuple):
     queue: EventQueue
     tables: NeighborTables
     medium: RadioMedium
-    protocol: AEDBProtocol
+    protocol: BroadcastProtocol
 
 
 class BroadcastSimulator:
-    """Single-message AEDB dissemination experiment."""
+    """Single-message dissemination experiment."""
 
     def __init__(
         self,
         scenario: NetworkScenario,
-        params: AEDBParams,
+        params: AEDBParams | ProtocolFactory,
         protocol_seed: int | None = None,
         mobility: MobilityModel | None = None,
         runtime: ScenarioRuntime | None = None,
@@ -87,9 +91,13 @@ class BroadcastSimulator:
         *,
         _telemetry: str | None = None,
     ):
-        """``record_decisions`` opts into the protocol's per-event decision
-        log (off by default: evaluation loops never read it and the
-        per-event formatting is measurable).  ``compiled`` overrides
+        """``params`` is an :class:`AEDBParams` or a protocol factory
+        ``ProtocolContext -> protocol``.  A factory-built protocol always
+        runs the pure path on a fresh ``default_rng`` (the runtime's
+        replay stream is sized for AEDB's draws) and decides its own
+        decision logging.  ``record_decisions`` opts AEDB into its
+        per-event decision log (off by default: evaluation loops never
+        read it and the per-event formatting is measurable).  ``compiled`` overrides
         ``REPRO_COMPILED`` (``auto``/``on``/``off`` or a bool) for the
         compiled event core of DESIGN.md §14.  ``REPRO_TELEMETRY`` is
         read here too, unless the owner that captured it once (an
@@ -98,6 +106,7 @@ class BroadcastSimulator:
         toggling either env var before :meth:`run` has no effect."""
         self.scenario = scenario
         self.params = params
+        self._factory = None if isinstance(params, AEDBParams) else params
         self._sim: SimulationConfig = scenario.sim
         self.runtime = runtime
         self._mobility = resolve_mobility(scenario, mobility, runtime)
@@ -105,7 +114,7 @@ class BroadcastSimulator:
         # pure function of (scenario, params).  For the default seed the
         # runtime replays the precomputed raw uniform stream (bit-identical
         # draws, no per-run generator construction).
-        if runtime is not None and protocol_seed is None:
+        if runtime is not None and protocol_seed is None and self._factory is None:
             self._protocol_rng = runtime.protocol_uniform_stream()
         else:
             seed = (
@@ -136,7 +145,9 @@ class BroadcastSimulator:
         self.compiled_active = False
         #: Why the compiled core is not in use (None when it is).
         self.compiled_reason: str | None = None
-        if self._compiled_mode == "off":
+        if self._factory is not None:
+            self.compiled_reason = "protocol is not AEDB (built by a factory)"
+        elif self._compiled_mode == "off":
             self.compiled_reason = "disabled (REPRO_COMPILED=off)"
         elif not compiled_core_available():
             self.compiled_reason = compiled_core_reason()
@@ -164,17 +175,20 @@ class BroadcastSimulator:
             queue, self._mobility, self._sim.radio, self._deliver,
             runtime=self.runtime,
         )
-        protocol = AEDBProtocol(
-            params=self.params,
-            n_nodes=self.scenario.n_nodes,
-            queue=queue,
-            tables=tables,
-            radio=self._sim.radio,
-            transmit=self._transmit,
-            rng=self._protocol_rng,
-            mac_jitter_s=self._sim.mac_jitter_s,
-            record_decisions=self._record_decisions,
+        ctx = ProtocolContext(
+            self.scenario.n_nodes, queue, tables, self._sim.radio,
+            self._transmit, self._protocol_rng, self._sim.mac_jitter_s,
         )
+        if self._factory is None:
+            protocol = AEDBProtocol(ctx, self.params, self._record_decisions)
+        else:
+            protocol = self._factory(ctx)
+            for attr in ("start_broadcast", "on_receive", "first_rx_time"):
+                if not hasattr(protocol, attr):
+                    raise TypeError(
+                        f"factory produced {type(protocol).__name__} "
+                        f"without required attribute {attr!r}"
+                    )
         return _LiveObjects(queue, tables, medium, protocol)
 
     def _live_objects(self) -> _LiveObjects:
@@ -203,8 +217,8 @@ class BroadcastSimulator:
         return self._live_objects().medium
 
     @property
-    def protocol(self) -> AEDBProtocol:
-        """The run's AEDB state machines."""
+    def protocol(self) -> BroadcastProtocol:
+        """The run's protocol state machines."""
         return self._live_objects().protocol
 
     # -- wiring ---------------------------------------------------------- #
@@ -290,7 +304,7 @@ class BroadcastSimulator:
         run = self._kernel_run
         if run is None:
             medium = self._live.medium
-            first_rx = self._live.protocol.first_rx_time
+            first_rx = np.asarray(self._live.protocol.first_rx_time, dtype=float)
             transmissions = medium.transmission_count
             energy = medium.energy_dbm_total()
         else:
@@ -320,7 +334,7 @@ class BroadcastSimulator:
 
 def simulate_broadcast(
     scenario: NetworkScenario,
-    params: AEDBParams,
+    params: AEDBParams | ProtocolFactory,
     protocol_seed: int | None = None,
     runtime: ScenarioRuntime | None = None,
 ) -> BroadcastMetrics:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.manet.aedb import AEDBNodeState, AEDBParams, AEDBProtocol
+from repro.manet.aedb import AEDBParams, AEDBProtocol
 from repro.manet.beacons import NeighborTables
+from repro.manet.broadcast import NodePhase, ProtocolContext
 from repro.manet.config import RadioConfig, SimulationConfig
 from repro.manet.events import EventQueue
 from repro.manet.mobility import StaticMobility
@@ -88,14 +89,16 @@ def make_protocol(positions, params, seed=0):
         transmissions.append((sender, power, t))
 
     protocol = AEDBProtocol(
-        params=params,
-        n_nodes=n,
-        queue=queue,
-        tables=tables,
-        radio=radio,
-        transmit=transmit,
-        rng=seed,
-        mac_jitter_s=0.0,
+        ProtocolContext(
+            n_nodes=n,
+            queue=queue,
+            tables=tables,
+            radio=radio,
+            transmit=transmit,
+            rng=seed,
+            mac_jitter_s=0.0,
+        ),
+        params,
     )
     return protocol, queue, transmissions, tables, radio
 
@@ -116,21 +119,21 @@ class TestReceptionPath:
         )
         protocol.start_broadcast(0, 0.0)
         assert tx == [(0, radio.default_tx_power_dbm, 0.0)]
-        assert protocol.state[0] is AEDBNodeState.FORWARDED
+        assert protocol.phase[0] is NodePhase.FORWARDED
 
     def test_close_node_drops_on_border(self):
         protocol, queue, tx, _, _ = make_protocol([[0, 0], [10, 0]], BASE)
         # At 10 m, rx ~= 16 - 76.7 = -60.7 dBm > -80 -> outside fwd area.
         protocol.on_receive(1, 0, -60.7, 0.0)
-        assert protocol.state[1] is AEDBNodeState.DROPPED
+        assert protocol.phase[1] is NodePhase.DROPPED
 
     def test_far_node_arms_timer_and_forwards(self):
         protocol, queue, tx, _, _ = make_protocol([[0, 0], [120, 0]], BASE)
         # At 120 m, rx ~= -93 dBm < -80 -> candidate.
         protocol.on_receive(1, 0, -93.0, 0.0)
-        assert protocol.state[1] is AEDBNodeState.WAITING
+        assert protocol.phase[1] is NodePhase.WAITING
         queue.run_until(1.0)
-        assert protocol.state[1] is AEDBNodeState.FORWARDED
+        assert protocol.phase[1] is NodePhase.FORWARDED
         assert len(tx) == 1 and tx[0][0] == 1
         assert tx[0][2] == pytest.approx(0.1)  # the deterministic delay
 
@@ -141,7 +144,7 @@ class TestReceptionPath:
         protocol.on_receive(1, 0, -93.0, 0.0)  # arms timer
         protocol.on_receive(1, 2, -60.0, 0.05)  # close copy while waiting
         queue.run_until(1.0)
-        assert protocol.state[1] is AEDBNodeState.DROPPED
+        assert protocol.phase[1] is NodePhase.DROPPED
         assert tx == []
 
     def test_duplicate_from_far_transmitter_does_not_cancel(self):
@@ -151,13 +154,13 @@ class TestReceptionPath:
         protocol.on_receive(1, 0, -93.0, 0.0)
         protocol.on_receive(1, 2, -94.0, 0.05)  # weaker copy
         queue.run_until(1.0)
-        assert protocol.state[1] is AEDBNodeState.FORWARDED
+        assert protocol.phase[1] is NodePhase.FORWARDED
 
     def test_duplicates_after_decision_ignored(self):
         protocol, queue, tx, _, _ = make_protocol([[0, 0], [10, 0]], BASE)
         protocol.on_receive(1, 0, -60.0, 0.0)
         protocol.on_receive(1, 0, -60.0, 0.1)
-        assert protocol.state[1] is AEDBNodeState.DROPPED
+        assert protocol.phase[1] is NodePhase.DROPPED
 
     def test_first_rx_time_recorded_once(self):
         protocol, queue, _, _, _ = make_protocol([[0, 0], [120, 0]], BASE)

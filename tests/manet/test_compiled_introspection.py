@@ -73,7 +73,7 @@ def end_state(sim, objects) -> dict:
         "rounds_run": tables.rounds_run,
         "rx_power": tables.rx_power.tobytes(),
         "last_seen": tables.last_seen.tobytes(),
-        "state": list(protocol.state),
+        "phase": list(protocol.phase),
         "first_rx_time": protocol.first_rx_time.tobytes(),
         "strongest_copy_dbm": protocol.strongest_copy_dbm.tobytes(),
         "heard_from": protocol._heard_from.tobytes(),

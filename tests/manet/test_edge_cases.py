@@ -7,7 +7,7 @@ from repro.manet.aedb import AEDBParams
 from repro.manet.config import RadioConfig, SimulationConfig
 from repro.manet.events import EventQueue
 from repro.manet.mobility import StaticMobility
-from repro.manet.protocols import FloodingProtocol, ProtocolSimulator
+from repro.manet.protocols import FloodingProtocol
 from repro.manet.runtime import ScenarioRuntime
 from repro.manet.scenarios import NetworkScenario
 from repro.manet.simulator import BroadcastSimulator, simulate_broadcast
@@ -186,7 +186,7 @@ class TestConfigFailureModes:
     def test_protocol_simulator_rejects_foreign_mobility(self, tiny_scenarios):
         foreign = StaticMobility(np.zeros((99, 2)), 500.0)
         with pytest.raises(ValueError):
-            ProtocolSimulator(
+            BroadcastSimulator(
                 tiny_scenarios[0],
                 lambda ctx: FloodingProtocol(ctx),
                 mobility=foreign,

@@ -1,9 +1,10 @@
-"""Baseline broadcast protocols (storm schemes) and the generic runner."""
+"""Baseline broadcast protocols (storm schemes) on the one simulator."""
 
 import numpy as np
 import pytest
 
-from repro.manet.aedb import AEDBParams
+from repro.experiments.config import get_scale
+from repro.manet.aedb import AEDBParams, AEDBProtocol
 from repro.manet.beacons import NeighborTables
 from repro.manet.config import RadioConfig, SimulationConfig
 from repro.manet.events import EventQueue
@@ -16,15 +17,14 @@ from repro.manet.protocols import (
     NodePhase,
     ProbabilisticProtocol,
     ProtocolContext,
-    ProtocolSimulator,
-    aedb_protocol,
     compare_protocols,
     simulate_protocol,
     standard_protocol_suite,
 )
 from repro.manet.protocols.compare import render_comparison
+from repro.manet.runtime import ScenarioRuntime
 from repro.manet.scenarios import NetworkScenario, make_scenarios
-from repro.manet.simulator import simulate_broadcast
+from repro.manet.simulator import BroadcastSimulator, simulate_broadcast
 
 
 # --------------------------------------------------------------------- #
@@ -72,7 +72,7 @@ def line_scenario(n_nodes=5, source=0):
 
 def run_on_line(factory, source=0):
     scenario = line_scenario(source=source)
-    sim = ProtocolSimulator(
+    sim = BroadcastSimulator(
         scenario,
         factory,
         mobility=StaticMobility(np.asarray(LINE), scenario.sim.area_side_m),
@@ -108,7 +108,6 @@ class TestBase:
         queue.run_all()
         assert proto.phase[1] is NodePhase.DROPPED
         assert tx == []
-        assert proto.copies_heard[1] == 2
 
     def test_decision_log_records_choices(self):
         ctx, queue, _ = make_ctx(LINE)
@@ -166,7 +165,7 @@ class TestFlooding:
 
     def test_full_power_always(self):
         scenario = line_scenario()
-        sim = ProtocolSimulator(
+        sim = BroadcastSimulator(
             scenario,
             lambda ctx: FloodingProtocol(ctx),
             mobility=StaticMobility(np.asarray(LINE), scenario.sim.area_side_m),
@@ -263,6 +262,17 @@ class TestCounterBased:
         with pytest.raises(ValueError):
             CounterBasedProtocol(ctx, counter_threshold=0)
 
+    def test_copies_heard_counts_after_decision(self):
+        ctx, queue, tx = make_ctx(LINE)
+        proto = CounterBasedProtocol(ctx, counter_threshold=1)
+        proto.on_receive(1, 0, -80.0, 0.0)
+        queue.run_all()
+        assert proto.phase[1] is NodePhase.DROPPED
+        proto.on_receive(1, 2, -80.0, 0.1)
+        assert proto.phase[1] is NodePhase.DROPPED
+        assert proto.copies_heard[1] == 2
+        assert tx == []
+
     def test_counter_suppression_in_dense_cluster(self):
         # All nodes mutually in range: after the source frame everyone has
         # 1 copy; the first forwarder's frame raises everyone else to 2.
@@ -274,7 +284,7 @@ class TestCounterBased:
             mobility_seed=1,
             source=0,
         )
-        sim = ProtocolSimulator(
+        sim = BroadcastSimulator(
             scenario,
             lambda ctx: CounterBasedProtocol(
                 ctx, counter_threshold=2, delay_interval_s=(0.01, 0.2)
@@ -338,16 +348,94 @@ class TestDistanceBased:
         )
 
 
+    def test_is_aedb_clamped_to_full_power(self, tiny_scenarios):
+        # A margin far above the radio's range clamps AEDB's adaptive
+        # power to full power: the two machines then agree exactly.
+        runs = []
+        for factory in (
+            lambda ctx: DistanceBasedProtocol(ctx, -88.0, (0.05, 0.3)),
+            lambda ctx: AEDBProtocol(ctx, AEDBParams(0.05, 0.3, -88.0, 1e3, 10.0)),
+        ):
+            sim = BroadcastSimulator(tiny_scenarios[0], factory)
+            runs.append((sim.run(), sim.protocol.decisions))
+        assert runs[0] == runs[1]
+        assert any("border" in what for _, _, what in runs[0][1])
+
+
 # --------------------------------------------------------------------- #
-# generic runner                                                        #
+# non-finite scheme parameters                                          #
+# --------------------------------------------------------------------- #
+class TestNonFiniteParameters:
+    """Every comparison with NaN is false and ``int(inf)`` overflows, so
+    each scheme rejects a non-finite knob at construction, by name."""
+
+    def test_nan_border_threshold(self):
+        ctx, _, _ = make_ctx(LINE)
+        with pytest.raises(ValueError, match="border_threshold_dbm is NaN"):
+            DistanceBasedProtocol(ctx, border_threshold_dbm=float("nan"))
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            FloodingProtocol,
+            ProbabilisticProtocol,
+            CounterBasedProtocol,
+            DistanceBasedProtocol,
+        ],
+    )
+    def test_nan_delay_edge(self, scheme):
+        ctx, _, _ = make_ctx(LINE)
+        with pytest.raises(ValueError, match="delay_interval_s is NaN"):
+            scheme(ctx, delay_interval_s=(float("nan"), 0.1))
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            FloodingProtocol,
+            ProbabilisticProtocol,
+            CounterBasedProtocol,
+            DistanceBasedProtocol,
+        ],
+    )
+    def test_infinite_delay_edge(self, scheme):
+        ctx, _, _ = make_ctx(LINE)
+        with pytest.raises(ValueError, match="delay_interval_s is inf"):
+            scheme(ctx, delay_interval_s=(0.0, float("inf")))
+
+    def test_infinite_counter_threshold(self):
+        ctx, _, _ = make_ctx(LINE)
+        with pytest.raises(ValueError, match="counter_threshold is inf"):
+            CounterBasedProtocol(ctx, counter_threshold=float("inf"))
+
+
+# --------------------------------------------------------------------- #
+# factory-built protocols on BroadcastSimulator                         #
 # --------------------------------------------------------------------- #
 class TestRunner:
-    def test_aedb_adapter_matches_dedicated_simulator(self, tiny_scenarios):
+    def test_factory_built_aedb_matches_params_path(self, tiny_scenarios):
+        # A factory-built AEDB runs the pure window on a fresh Generator;
+        # AEDBParams take the tuning path (replay stream, kernel when
+        # built).  The bytes agree.
         params = AEDBParams(0.0, 0.5, -90.0, 1.0, 10.0)
         for scenario in tiny_scenarios:
-            generic = simulate_protocol(scenario, aedb_protocol(params))
-            dedicated = simulate_broadcast(scenario, params)
-            assert generic == dedicated
+            factory = simulate_protocol(
+                scenario, lambda ctx: AEDBProtocol(ctx, params)
+            )
+            tuned = simulate_broadcast(
+                scenario, params, runtime=ScenarioRuntime(scenario)
+            )
+            assert factory == tuned
+
+    def test_factory_runs_the_pure_path(self, tiny_scenarios):
+        scenario = tiny_scenarios[0]
+        sim = BroadcastSimulator(
+            scenario,
+            lambda ctx: FloodingProtocol(ctx),
+            runtime=ScenarioRuntime(scenario),
+        )
+        assert not sim.compiled_active
+        assert "not AEDB" in sim.compiled_reason
+        assert isinstance(sim._protocol_rng, np.random.Generator)
 
     def test_deterministic(self, tiny_scenarios):
         factory = lambda ctx: CounterBasedProtocol(ctx, counter_threshold=3)
@@ -356,19 +444,19 @@ class TestRunner:
         assert a == b
 
     def test_single_use(self, tiny_scenarios):
-        sim = ProtocolSimulator(tiny_scenarios[0], lambda ctx: FloodingProtocol(ctx))
+        sim = BroadcastSimulator(tiny_scenarios[0], lambda ctx: FloodingProtocol(ctx))
         sim.run()
         with pytest.raises(RuntimeError):
             sim.run()
 
     def test_factory_validation(self, tiny_scenarios):
         with pytest.raises(TypeError):
-            ProtocolSimulator(tiny_scenarios[0], lambda ctx: object())
+            BroadcastSimulator(tiny_scenarios[0], lambda ctx: object())
 
     def test_mobility_size_mismatch(self, tiny_scenarios):
         wrong = StaticMobility(np.zeros((3, 2)), 500.0)
         with pytest.raises(ValueError):
-            ProtocolSimulator(
+            BroadcastSimulator(
                 tiny_scenarios[0], lambda ctx: FloodingProtocol(ctx), mobility=wrong
             )
 
@@ -391,6 +479,41 @@ class TestRunner:
 # --------------------------------------------------------------------- #
 # comparison harness                                                    #
 # --------------------------------------------------------------------- #
+class TestStormClaims:
+    """The Sect. I claims AEDB's design rests on, per paper density, at
+    the quick preset's scale (3 networks, its master seed)."""
+
+    @pytest.mark.parametrize("density", [100, 200, 300])
+    def test_storm_comparison(self, density):
+        scale = get_scale("quick")
+        comparison = compare_protocols(
+            standard_protocol_suite(),
+            make_scenarios(
+                density, n_networks=scale.n_networks,
+                master_seed=scale.master_seed,
+            ),
+        )
+        flooding = comparison.outcomes["flooding"]
+        jittered = comparison.outcomes["flood+jit"]
+        aedb = comparison.outcomes["AEDB"]
+        distance = comparison.outcomes["distance"]
+
+        # The storm: blind flooding loses coverage to its own collisions.
+        assert flooding.reachability < jittered.reachability
+        assert flooding.saved_rebroadcasts == pytest.approx(0.0, abs=1e-12)
+        # Suppression buys large savings at near-full reach.
+        assert distance.saved_rebroadcasts > 0.3
+        assert aedb.saved_rebroadcasts > 0.3
+        # Power adaptation: AEDB spends less energy per forwarding than
+        # the fixed-power distance scheme.
+        aedb_fwd = max(aedb.mean.forwardings, 1.0)
+        dist_fwd = max(distance.mean.forwardings, 1.0)
+        assert (
+            aedb.mean.energy_dbm / aedb_fwd
+            <= distance.mean.energy_dbm / dist_fwd + 1e-9
+        )
+
+
 class TestComparison:
     @pytest.fixture(scope="class")
     def comparison(self, tiny_scenarios):
