@@ -97,9 +97,10 @@ class BroadcastSimulator:
         replay stream is sized for AEDB's draws) and decides its own
         decision logging.  ``record_decisions`` opts AEDB into its
         per-event decision log (off by default: evaluation loops never
-        read it and the per-event formatting is measurable).  ``compiled`` overrides
-        ``REPRO_COMPILED`` (``auto``/``on``/``off`` or a bool) for the
-        compiled event core of DESIGN.md §14.  ``REPRO_TELEMETRY`` is
+        read it and the per-event formatting is measurable).
+        ``compiled`` overrides ``REPRO_COMPILED`` (``auto``/``on``/``off``
+        or a bool) for the compiled event core of DESIGN.md §14.
+        ``REPRO_TELEMETRY`` is
         read here too, unless the owner that captured it once (an
         evaluator or a campaign job) hands its mode over as
         ``_telemetry``.  Both decisions are captured at construction, so
@@ -304,7 +305,7 @@ class BroadcastSimulator:
         run = self._kernel_run
         if run is None:
             medium = self._live.medium
-            first_rx = np.asarray(self._live.protocol.first_rx_time, dtype=float)
+            first_rx = self._live.protocol.first_rx_time
             transmissions = medium.transmission_count
             energy = medium.energy_dbm_total()
         else:
