@@ -93,7 +93,7 @@ class LintConfig:
     """
 
     #: Where wall-clock reads are legitimate: observation and failure
-    #: detection layers (telemetry, leases/heartbeats, backend drivers,
+    #: detection layers (telemetry, leases, backend drivers,
     #: fault injection, experiment timing) — never simulation state.
     #: The lint root (set by the Linter; rules resolve repo files
     #: like the flags registry against it).

@@ -5,8 +5,8 @@ Flags cross process boundaries as plain environment strings
 as ``None``.  The registry in
 ``repro/utils/flags.py`` is the single source of truth; these rules
 force every read through it (E301), every referenced name into it
-(E302), and confine direct environment *writes* to pragma-annotated
-propagation seams (E303).
+(E302), and keep direct environment *writes* out of the code
+(E303): tests set flags through ``monkeypatch``.
 
 The registered-name set is recovered by parsing the registry module's
 AST — the linter never imports the code it checks.
@@ -30,7 +30,7 @@ FLAG_NAME_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 
 #: Call attributes that take a flag name as their first argument.
 _FLAG_READERS = frozenset({
-    "read_raw", "read_bool", "read_float", "get_flag", "is_registered",
+    "read_raw", "read_bool", "get_flag", "is_registered",
 })
 _MONKEYPATCH_FNS = frozenset({"setenv", "delenv"})
 
@@ -152,7 +152,7 @@ class RawFlagReadRule(Rule):
                 yield self.violation(
                     ctx, node,
                     f"raw environment read of {key}; use "
-                    "repro.utils.flags.read_raw/read_bool/read_float",
+                    "repro.utils.flags.read_raw/read_bool",
                 )
 
 
@@ -229,10 +229,9 @@ class RawFlagWriteRule(Rule):
     id = "E303"
     title = "raw os.environ write of a REPRO_* flag"
     rationale = (
-        "Mutating flag state in-place belongs to the blessed "
-        "propagation seams (heartbeat_env, test fixtures via "
-        "monkeypatch); anywhere else it silently reconfigures every "
-        "subsequent read in the process."
+        "Mutating flag state in-place belongs to tests, through "
+        "monkeypatch (restored after each test); anywhere else it "
+        "silently reconfigures every subsequent read in the process."
     )
 
     def applies(self, ctx: FileContext, config: LintConfig) -> bool:
@@ -271,6 +270,6 @@ class RawFlagWriteRule(Rule):
             if key and target is not None and FLAG_NAME_RE.match(key):
                 yield self.violation(
                     ctx, target,
-                    f"direct environment write of {key}; only blessed "
-                    "propagation seams may mutate flag state",
+                    f"direct environment write of {key}; set flags in "
+                    "tests through monkeypatch",
                 )

@@ -97,9 +97,9 @@ Failure semantics (DESIGN.md §13)
 
 The scheduler owns failure, not the caller.  Every run carries a
 :class:`~repro.campaigns.resilience.RetryPolicy` (``repro-aedb campaign
-run --retries/--cell-timeout/--heartbeat``): failed attempts retry with
+run --retries/--cell-timeout``): failed attempts retry with
 deterministic backoff, the pool backend survives broken pools and
-wedged workers (leases + ``cell.heartbeat`` telemetry), and a
+wedged workers (leases whose deadline is the cell timeout), and a
 cell that exhausts its budget is **quarantined** into the store's
 ``failures.jsonl`` (``repro-aedb campaign failures``) instead of
 aborting anything.  Recovered runs stay byte-identical to fault-free

@@ -107,7 +107,7 @@ class ExecutionContext:
 
     @property
     def policy(self) -> RetryPolicy:
-        """The run's retry/timeout/heartbeat budget (via the leases —
+        """The run's retry/timeout budget (via the leases —
         one source of truth)."""
         return self.leases.policy
 

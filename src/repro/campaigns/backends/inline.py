@@ -6,7 +6,7 @@ import time
 from dataclasses import replace
 
 from repro.campaigns.backends.base import ExecutionContext
-from repro.campaigns.resilience import QUARANTINED, recorder_heartbeat
+from repro.campaigns.resilience import QUARANTINED
 
 __all__ = ["InlineBackend"]
 
@@ -24,8 +24,7 @@ class InlineBackend:
     cell is retried with backoff up to the policy's budget, then
     quarantined (recorded, never fatal) — but crashes and hangs cannot
     be survived without process isolation, so ``cell_timeout_s`` is not
-    enforced and a worker-killing fault kills the run.  Heartbeats, when
-    enabled, go straight to the active recorder from a daemon thread.
+    enforced and a worker-killing fault kills the run.
     """
 
     name = "inline"
@@ -42,15 +41,12 @@ class InlineBackend:
                 try:
                     with rec.span("campaign.cell", cell=cell.key,
                                   backend=self.name):
-                        with recorder_heartbeat(
-                            cell.key, policy.heartbeat_s, rec
-                        ):
-                            payloads = [
-                                ctx.resolve_job(
-                                    replace(job, attempt=lease.attempt)
-                                )
-                                for job in ctx.jobs_for(cell)
-                            ]
+                        payloads = [
+                            ctx.resolve_job(
+                                replace(job, attempt=lease.attempt)
+                            )
+                            for job in ctx.jobs_for(cell)
+                        ]
                         ctx.finish_cell(cell, payloads)
                     ctx.leases.release(cell.key)
                     break

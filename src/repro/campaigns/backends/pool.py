@@ -14,9 +14,8 @@ lease-driven driver:
 
 * a cell is **leased** when its task enters the pool (at most
   ``workers`` tasks are in flight, so a leased task is running, not
-  queued); ``cell_timeout_s`` caps the wall clock of one attempt, and
-  the heartbeat monitor extends the liveness deadline from the
-  ``cell.heartbeat`` lines workers stream;
+  queued); ``cell_timeout_s`` caps the wall clock of one attempt and
+  is the driver's one hang detector;
 * a **raising** task fails its cell's attempt: the cell is requeued
   with deterministic backoff, or quarantined into ``failures.jsonl``
   once the budget is spent — never aborting the run;
@@ -26,7 +25,7 @@ lease-driven driver:
   terminate), and an ambiguous breakage rebuilds the pool **degraded**
   to half the workers, down to inline-equivalent single-worker
   execution;
-* an **expired lease** (hard timeout or heartbeat silence) means a
+* an **expired lease** (an attempt past its cell timeout) means a
   wedged worker the futures API cannot reclaim: the pool's processes
   are killed, innocent in-flight cells requeue free of charge, and the
   hung cell is charged one attempt.
@@ -40,8 +39,6 @@ pins this).
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -52,12 +49,7 @@ from concurrent.futures import (
 from dataclasses import replace
 
 from repro.campaigns.backends.base import ExecutionContext
-from repro.campaigns.resilience import (
-    QUARANTINED,
-    HeartbeatMonitor,
-    heartbeat_env,
-)
-from repro.telemetry import telemetry_enabled
+from repro.campaigns.resilience import QUARANTINED
 
 __all__ = ["PoolBackend"]
 
@@ -153,42 +145,19 @@ class _PoolDriver:
         )
         self.pool: ProcessPoolExecutor | None = None
         self.cell_t0: dict[str, float] = {}
-        timeouts = [
-            t
-            for t in (self.policy.cell_timeout_s,
-                      self.policy.liveness_timeout_s)
-            if t is not None
-        ]
-        #: None = no deadlines to police: block until a future lands.
+        timeout = self.policy.cell_timeout_s
+        #: None = no deadline to police: block until a future lands.
         self.tick = (
-            max(self.MIN_TICK_S, min(timeouts) / 4.0) if timeouts else None
+            None if timeout is None else max(self.MIN_TICK_S, timeout / 4.0)
         )
-        self.monitor: HeartbeatMonitor | None = None
-        self.hb_dir: str | None = None
 
     # ------------------------------------------------------------------ #
     def drive(self) -> None:
-        hb = self.policy.heartbeat_s
-        if hb is not None:
-            self.hb_dir = tempfile.mkdtemp(prefix="repro-aedb-hb-")
-            self.monitor = HeartbeatMonitor(self.hb_dir)
         try:
-            if hb is not None:
-                with heartbeat_env(self.hb_dir, hb):
-                    self._drain()
-            else:
-                self._drain()
+            self._drain()
         finally:
             if self.pool is not None:
                 self.pool.shutdown(wait=False, cancel_futures=True)
-            if self.hb_dir is not None:
-                if (
-                    self.monitor is not None
-                    and telemetry_enabled()
-                    and self.ctx.store is not None
-                ):
-                    self.monitor.fold_into(self.ctx.store.telemetry_path)
-                shutil.rmtree(self.hb_dir, ignore_errors=True)
 
     def _drain(self) -> None:
         self.pool = ProcessPoolExecutor(max_workers=self.workers)
@@ -334,10 +303,7 @@ class _PoolDriver:
         self._rebuild_pool()
 
     def _police_leases(self, now: float) -> None:
-        """Detect hangs: hard-deadline and heartbeat-silence expiry."""
-        if self.monitor is not None:
-            for cell in self.monitor.poll():
-                self.leases.beat(cell)
+        """Detect hangs: attempts past their cell timeout."""
         expired = self.leases.expired(now)
         if not expired:
             return
@@ -365,8 +331,7 @@ class _PoolDriver:
             if self._charge(
                 key,
                 lease.attempt,
-                f"hung: attempt {lease.attempt} passed its timeout or "
-                f"heartbeat deadline",
+                f"hung: attempt {lease.attempt} passed its cell timeout",
                 now,
             ):
                 requeue.append(key)

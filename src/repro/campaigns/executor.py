@@ -52,12 +52,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.campaigns import faults
-from repro.campaigns.resilience import (
-    FailureLedger,
-    LeaseTable,
-    RetryPolicy,
-    maybe_heartbeat,
-)
+from repro.campaigns.resilience import FailureLedger, LeaseTable, RetryPolicy
 from repro.campaigns.spec import EVALUATE, CampaignCell, CampaignSpec
 from repro.campaigns.store import ResultStore
 from repro.manet.aedb import AEDBParams
@@ -101,7 +96,7 @@ class _SimJob:
     telemetry: str
     #: Which attempt of the owning cell this job belongs to (1-based).
     #: Stamped by the backend at submission; payloads never depend on it
-    #: (bit-identity), but the fault plane and heartbeat attrs do.
+    #: (bit-identity), but the fault plane does.
     attempt: int = 1
 
 
@@ -132,22 +127,18 @@ def _execute_job(job):
     the same scenario — share one precomputed beacon grid per process.
     Results are bit-identical to the recompute path.
 
-    Two resilience hooks bracket the work (DESIGN.md §13), both free
-    when their env toggles are unset: the fault plane may crash, hang,
-    or raise *before* the heartbeat starts (an injected hang models a
-    worker wedged so hard it never reports), and ``maybe_heartbeat``
-    streams ``cell.heartbeat`` lines at the parent's cadence while the
-    job runs so the pool driver can tell a long job from a dead one.
+    The fault plane (DESIGN.md §13) fires first, at the cost of one
+    flag read when ``REPRO_FAULTS`` is unset: it may crash, hang, or
+    raise the job, and the pool driver's cell timeout catches the hang.
     """
     faults.fire("worker", job.cell_key, job.attempt)
-    with maybe_heartbeat(job.cell_key):
-        if isinstance(job, _SimJob):
-            return BroadcastSimulator(
-                job.scenario, job.params,
-                runtime=get_runtime(job.scenario),
-                compiled=job.compiled, _telemetry=job.telemetry,
-            ).run()
-        return _run_tune_job(job)
+    if isinstance(job, _SimJob):
+        return BroadcastSimulator(
+            job.scenario, job.params,
+            runtime=get_runtime(job.scenario),
+            compiled=job.compiled, _telemetry=job.telemetry,
+        ).run()
+    return _run_tune_job(job)
 
 
 def _execute_cell(jobs):
@@ -334,7 +325,7 @@ class CampaignExecutor:
 
         ``retry_policy`` is the run's failure budget (DESIGN.md §13):
         None means the default :class:`RetryPolicy` (3 attempts,
-        sub-second backoff, no timeouts/heartbeats);
+        sub-second backoff, no timeout);
         :meth:`RetryPolicy.disabled` restores fail-fast single-attempt
         behaviour.
         """

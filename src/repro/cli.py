@@ -19,8 +19,8 @@ Subcommands map to the deliverables:
   when ``REPRO_TELEMETRY`` is set — into a timing/counter summary or a
   Prometheus snapshot), and ``campaign failures`` (the quarantine
   ledger: cells that exhausted their retry budget, DESIGN.md §13 —
-  ``campaign run`` takes ``--retries/--cell-timeout/--heartbeat``,
-  rejects a bad value of any of them with exit code 2, and exits 2
+  ``campaign run`` takes ``--retries/--cell-timeout``, rejects a bad
+  value of either with exit code 2, and exits 2
   when cells were quarantined, never aborting the run);
 * ``cache``       — maintenance of the persistent evaluation cache
   (the ``evaluations.jsonl`` sidecar): ``cache stats``, ``cache flush``.
@@ -41,8 +41,8 @@ __all__ = ["main", "build_parser"]
 
 def _policy_arg(field: str, cast):
     """An argparse type checking one :class:`RetryPolicy` field, so a bad
-    ``--retries``/``--cell-timeout``/``--heartbeat`` value (zero, NaN,
-    infinite, ...) exits 2 naming the flag before any run starts."""
+    ``--retries``/``--cell-timeout`` value (zero, NaN, infinite, ...)
+    exits 2 naming the flag before any run starts."""
 
     def parse(text: str):
         from repro.campaigns.resilience import RetryPolicy
@@ -184,13 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock cap in seconds on one attempt of a cell (pool "
              "backend): an attempt still running after S is failed and "
              "retried (default: no timeout)",
-    )
-    run_p.add_argument(
-        "--heartbeat", type=_policy_arg("heartbeat_s", float),
-        default=None, metavar="S",
-        help="worker heartbeat cadence in seconds: workers stream "
-             "cell.heartbeat events so the parent detects hangs, not "
-             "just crashes (default: off)",
     )
 
     status_p = camp_sub.add_parser("status", help="completion census")
@@ -426,11 +419,7 @@ def _cmd_campaign(args, scale) -> int:
 
     spec = _campaign_spec_from_args(args, scale)
     retry_policy = None
-    if (
-        args.retries is not None
-        or args.cell_timeout is not None
-        or args.heartbeat is not None
-    ):
+    if args.retries is not None or args.cell_timeout is not None:
         from repro.campaigns import RetryPolicy
 
         defaults = RetryPolicy()
@@ -440,7 +429,6 @@ def _cmd_campaign(args, scale) -> int:
                 else args.retries
             ),
             cell_timeout_s=args.cell_timeout,
-            heartbeat_s=args.heartbeat,
         )
     # --backend wins; otherwise --serial, then the spec's own hint, then
     # pool (the executor's precedence; it rejects a bad name before it

@@ -35,6 +35,11 @@ class CounterBasedProtocol(BroadcastProtocol):
     ):
         super().__init__(ctx)
         require_finite("counter_threshold", counter_threshold)
+        if counter_threshold != int(counter_threshold):
+            raise ValueError(
+                f"counter_threshold must be a whole number, got "
+                f"{counter_threshold}"
+            )
         if counter_threshold < 1:
             raise ValueError(
                 f"counter_threshold must be >= 1, got {counter_threshold}"

@@ -1,4 +1,4 @@
-"""Campaign-wide telemetry: spans, counters, and heartbeat streams.
+"""Campaign-wide telemetry: spans, counters, and lifecycle events.
 
 The instrumentation subsystem (DESIGN.md §12).  One :class:`Recorder`
 protocol, three sinks — :class:`NullRecorder` (the default, near-zero
@@ -30,7 +30,6 @@ from repro.telemetry.recorder import (
     Recorder,
     deep_telemetry_enabled,
     get_recorder,
-    merge_telemetry_files,
     recorder_for,
     telemetry_enabled,
     telemetry_mode,
@@ -54,7 +53,6 @@ __all__ = [
     "get_recorder",
     "recorder_for",
     "using",
-    "merge_telemetry_files",
     "SpanStat",
     "TelemetrySummary",
     "render_telemetry",

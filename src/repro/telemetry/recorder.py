@@ -15,9 +15,9 @@ Three implementations of one :class:`Recorder` protocol (DESIGN.md §12):
 * :class:`JsonlRecorder` — streams ``telemetry.jsonl`` next to a
   campaign's :class:`~repro.campaigns.store.ResultStore`.  Events and
   spans are appended (and flushed) as whole lines the moment they
-  happen — the heartbeat stream a dashboard or lease manager can tail —
-  while counters accumulate in memory and flush as *delta* lines, so a
-  per-lookup cache counter never costs a write.
+  happen — the lifecycle stream a dashboard can tail — while counters
+  accumulate in memory and flush as *delta* lines, so a per-lookup
+  cache counter never costs a write.
 
 The mode switch is the ``REPRO_TELEMETRY`` environment variable: unset
 / ``0`` / ``off`` — disabled; ``1`` / ``on`` / ``jsonl`` — spans,
@@ -53,7 +53,6 @@ __all__ = [
     "get_recorder",
     "recorder_for",
     "using",
-    "merge_telemetry_files",
     "MODE_OFF",
     "MODE_ON",
     "MODE_DEEP",
@@ -122,7 +121,7 @@ class Recorder(Protocol):
         ...  # pragma: no cover - protocol
 
     def event(self, name: str, **attrs) -> None:
-        """Emit one structured lifecycle event (heartbeat stream)."""
+        """Emit one structured lifecycle event."""
         ...  # pragma: no cover - protocol
 
     def flush(self) -> None:
@@ -296,17 +295,12 @@ class JsonlRecorder:
         {"v":1,"kind":"gauge","name":...,"value":...,"t":...,"attrs":{...}}
 
     Events, spans, and gauges are written (and flushed) immediately —
-    whole lines, so a tailing consumer sees a live heartbeat and a crash
-    tears at most the line in flight, which every reader skips
+    whole lines, so a tailing consumer sees each event as it happens and
+    a crash tears at most the line in flight, which every reader skips
     (:mod:`repro.telemetry.summary` applies the store's torn-tail
     contract).  Counter increments accumulate in memory and are written
     as **delta** lines by :meth:`flush` — appending two recorders' files
     therefore sums their counters.
-
-    The file contract is single-writer-per-handle appends of whole
-    flushed lines, so another file (the pool's worker heartbeats) may be
-    folded in with :func:`merge_telemetry_files` while this handle is
-    open.
     """
 
     def __init__(self, path: str | Path):
@@ -458,43 +452,3 @@ def using(recorder: Recorder) -> Iterator[Recorder]:
         yield recorder
     finally:
         _active = previous
-
-
-# --------------------------------------------------------------------- #
-def _parseable_lines(path: Path) -> list[str]:
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        return []
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail from a crash mid-append
-        out.append(line)
-    return out
-
-
-def merge_telemetry_files(dest: str | Path, src: str | Path) -> int:
-    """Append ``src``'s parseable telemetry lines to ``dest``.
-
-    How the pool's per-worker heartbeat files fold into a campaign's
-    ``telemetry.jsonl`` at the end of a run.  Line-level append of whole
-    flushed lines through a private handle, torn tails skipped.  Plainly
-    additive (counter lines are deltas), so fold each source once.
-    Returns the number of lines appended.
-    """
-    lines = _parseable_lines(Path(src))
-    if not lines:
-        return 0
-    dest = Path(dest)
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    ensure_line_boundary(dest)
-    with dest.open("a", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.flush()
-    return len(lines)

@@ -40,7 +40,6 @@ __all__ = [
     "get_flag",
     "is_registered",
     "read_bool",
-    "read_float",
     "read_raw",
     "register",
     "registry_table_markdown",
@@ -141,17 +140,6 @@ def read_bool(name: str) -> bool:
     return raw != "0"
 
 
-def read_float(name: str, fallback: float) -> float:
-    """Float read with the registry default, tolerating junk values."""
-    raw = read_raw(name)
-    if raw is None:
-        raw = get_flag(name).default
-    try:
-        return float(raw)
-    except ValueError:
-        return fallback
-
-
 def registry_table_markdown() -> str:
     """The README flag table, generated (one row per registered flag)."""
     rows = [
@@ -194,20 +182,6 @@ register(
     default="off",
     doc="Telemetry mode: off (null recorder), on, or deep counters",
     anchor="DESIGN.md §12",
-)
-register(
-    "REPRO_HEARTBEAT_DIR",
-    values="directory path",
-    default="(unset)",
-    doc="Worker heartbeat-file directory (exported by the pool driver)",
-    anchor="DESIGN.md §13",
-)
-register(
-    "REPRO_HEARTBEAT_INTERVAL",
-    values="seconds (float)",
-    default="1.0",
-    doc="Worker heartbeat cadence under `REPRO_HEARTBEAT_DIR`",
-    anchor="DESIGN.md §13",
 )
 register(
     "REPRO_FAULTS",

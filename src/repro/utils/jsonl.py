@@ -1,7 +1,7 @@
 """Append-safety for the repo's JSON Lines files.
 
 Every JSONL file here (evaluation cache, telemetry stream, failure
-ledger, heartbeat files) lives under one torn-tail contract: a process
+ledger) lives under one torn-tail contract: a process
 killed mid-append leaves a final partial line, and every *reader*
 skips unparseable lines instead of erroring.  That contract has an
 append-side half too: a partial line has no trailing newline, so a

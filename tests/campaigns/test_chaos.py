@@ -225,30 +225,6 @@ class TestPoolRecovery:
         assert store_digests(store.root) == golden_digests
         assert '"cell.hung"' in store.telemetry_path.read_text()
 
-    def test_hung_worker_trips_heartbeat_liveness(
-        self, golden_spec, golden_digests, run_backend, store_digests,
-        monkeypatch,
-    ):
-        """No wall-clock cap at all — heartbeat silence alone detects the
-        wedged worker (healthy workers stream beats, the hung one never
-        starts), and the folded telemetry carries the heartbeats."""
-        victim = golden_spec.cells()[0].key
-        monkeypatch.setenv("REPRO_FAULTS", f"hang(30):{victim}@1")
-        monkeypatch.setenv("REPRO_TELEMETRY", "on")
-        policy = RetryPolicy(
-            max_attempts=3, base_delay_s=0.001, max_delay_s=0.002,
-            heartbeat_s=0.2,
-        )
-        report, store = run_backend(
-            "pool", "hang-beat", golden_spec, retry_policy=policy
-        )
-        assert report.failed == []
-        assert report.retries >= 1
-        assert store_digests(store.root) == golden_digests
-        telemetry = store.telemetry_path.read_text()
-        assert '"cell.hung"' in telemetry
-        assert '"cell.heartbeat"' in telemetry
-
 
 class TestTornTailRecovery:
     def test_torn_store_tails_heal_without_resimulation(

@@ -3,19 +3,23 @@
 The chaos suite (``test_chaos.py``) proves the end-to-end recovery
 paths; this file pins the building blocks in isolation — deterministic
 backoff, the lease/attempt ledger, the quarantine ledger's torn-tail
-tolerance, fault-spec parsing, store healing, and both heartbeat
-paths — so a chaos failure bisects to one primitive.
+tolerance, fault-spec parsing, store healing, and the default
+policy's zero-cost drain loop — so a chaos failure bisects to one
+primitive.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
-import time
+import tempfile
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.campaigns import CampaignSpec
+from repro.campaigns.backends import pool as pool_mod
 from repro.campaigns.faults import (
     TORN_JUNK,
     FaultPlane,
@@ -28,12 +32,8 @@ from repro.campaigns.resilience import (
     QUARANTINED,
     RETRY,
     FailureLedger,
-    HeartbeatMonitor,
     LeaseTable,
     RetryPolicy,
-    heartbeat_env,
-    maybe_heartbeat,
-    recorder_heartbeat,
 )
 from repro.campaigns.store import ResultStore
 
@@ -44,7 +44,15 @@ class TestRetryPolicy:
         assert policy.max_attempts == 3
         assert policy.retries_enabled
         assert policy.cell_timeout_s is None
-        assert policy.liveness_timeout_s is None
+
+    def test_the_cell_timeout_is_the_only_deadline(self):
+        """One hang detector: no heartbeat knobs survive in the policy."""
+        assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+            "max_attempts", "base_delay_s", "backoff_factor",
+            "max_delay_s", "jitter", "cell_timeout_s",
+        ]
+        with pytest.raises(TypeError):
+            RetryPolicy(heartbeat_s=1.0)
 
     def test_disabled_is_fail_fast(self):
         policy = RetryPolicy.disabled()
@@ -60,10 +68,8 @@ class TestRetryPolicy:
             {"backoff_factor": 0.5},
             {"jitter": -0.1},
             {"cell_timeout_s": 0.0},
-            {"heartbeat_s": -2.0},
-            {"heartbeat_timeout_s": 0.0},
+            {"cell_timeout_s": -2.0},
             {"cell_timeout_s": math.nan},
-            {"heartbeat_s": math.nan},
             {"max_delay_s": math.nan},
             {"jitter": math.nan},
         ],
@@ -76,7 +82,7 @@ class TestRetryPolicy:
     @pytest.mark.parametrize(
         "name",
         ["base_delay_s", "backoff_factor", "max_delay_s", "jitter",
-         "cell_timeout_s", "heartbeat_s", "heartbeat_timeout_s"],
+         "cell_timeout_s"],
     )
     def test_non_finite_values_rejected_naming_the_field(self, name, value):
         """NaN passes every ordered comparison and an infinite deadline
@@ -106,14 +112,6 @@ class TestRetryPolicy:
             base_delay_s=1.0, backoff_factor=10.0, max_delay_s=2.0, jitter=0.0
         )
         assert policy.delay_for("c", 5) == 2.0
-
-    def test_liveness_derived_from_heartbeat(self):
-        assert RetryPolicy(heartbeat_s=0.5).liveness_timeout_s == 2.5
-        assert RetryPolicy(heartbeat_s=0.05).liveness_timeout_s == 1.0
-        assert (
-            RetryPolicy(heartbeat_s=0.5, heartbeat_timeout_s=9.0)
-            .liveness_timeout_s == 9.0
-        )
 
 
 class TestLeaseTable:
@@ -145,7 +143,6 @@ class TestLeaseTable:
         table = LeaseTable(RetryPolicy(cell_timeout_s=1.0))
         lease = table.acquire("cell", "w0", now=100.0)
         assert lease.hard_deadline == 101.0
-        assert lease.liveness_deadline is None
         assert table.expired(now=100.9) == []
         assert table.expired(now=101.5) == [lease]
         # A retry's fresh lease gets a fresh cap.
@@ -153,28 +150,12 @@ class TestLeaseTable:
         retry = table.acquire("cell", "w0", now=200.0)
         assert retry.attempt == 2 and retry.hard_deadline == 201.0
 
-    def test_beat_extends_liveness_not_the_hard_deadline(self):
-        policy = RetryPolicy(cell_timeout_s=10.0, heartbeat_s=0.5)
-        table = LeaseTable(policy)
-        lease = table.acquire("cell", "w0", now=100.0)
-        assert lease.liveness_deadline == 102.5
-        assert table.expired(now=103.0) == [lease]
-        assert table.beat("cell", now=103.0)
-        assert lease.liveness_deadline == 105.5
-        assert lease.hard_deadline == 110.0
-        assert table.expired(now=104.0) == []
-        # beat() extends liveness only — the hard deadline still trips.
-        table.beat("cell", now=109.9)
-        assert table.expired(now=110.5) == [lease]
-        assert not table.beat("unknown")
-
     def test_release_drops_the_lease(self):
         table = LeaseTable(RetryPolicy(cell_timeout_s=1.0))
         table.acquire("cell", "w0", now=100.0)
         assert [lease.cell for lease in table.expired(now=102.0)] == ["cell"]
         table.release("cell")
         assert table.expired(now=102.0) == []
-        assert not table.beat("cell")
         # Releasing spends no attempt: the next lease is attempt 1 again.
         assert table.acquire("cell", "w0").attempt == 1
 
@@ -316,53 +297,83 @@ class TestHealCell:
         assert not store.heal_cell(cell)  # missing file
 
 
-class TestHeartbeats:
-    def test_recorder_heartbeat_none_interval_is_noop(self):
-        with recorder_heartbeat("cell", None, recorder=None):
-            pass  # must not touch the recorder at all
+class TestDefaultPolicyOverhead:
+    """Fault tolerance is free on the fault-free path.
 
-    def test_recorder_heartbeat_emits_events(self):
-        events = []
+    The default policy retries but sets no deadline, so the pool's
+    drain loop blocks on its futures and never polices a lease: it
+    polls nothing, starts no thread of its own and makes no temporary
+    directory.  Its stores are byte-identical to fail-fast ones.
+    """
 
-        class _Rec:
-            def event(self, name, **attrs):
-                events.append((name, attrs))
+    def test_default_policy_polls_nothing(
+        self, monkeypatch, golden_spec, run_backend, store_digests
+    ):
+        ticks, timeouts, policed, threads, tempdirs = [], [], [], [], []
 
-        with recorder_heartbeat("cell", 0.01, _Rec()):
-            time.sleep(0.05)
-        assert events  # immediate first beat at minimum
-        assert all(e == ("cell.heartbeat", {"cell": "cell"}) for e in events)
+        class _Driver(pool_mod._PoolDriver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                ticks.append(self.tick)
 
-    def test_maybe_heartbeat_disabled_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HEARTBEAT_DIR", raising=False)
-        with maybe_heartbeat("cell"):
-            pass
+            def _police_leases(self, now):
+                policed.append(now)
+                super()._police_leases(now)
 
-    def test_worker_sink_and_monitor_roundtrip(self, tmp_path, monkeypatch):
-        monitor = HeartbeatMonitor(tmp_path)
-        with heartbeat_env(tmp_path, 0.01):
-            with maybe_heartbeat("cell-a"):
-                time.sleep(0.03)
-        beats = monitor.poll()
-        assert "cell-a" in beats
-        # Incremental: a second poll with no new lines sees nothing.
-        assert monitor.poll() == {}
-        # Folding lands the beats in the telemetry stream.
-        telemetry = tmp_path / "telemetry.jsonl"
-        assert monitor.fold_into(telemetry) >= 1
-        assert '"cell.heartbeat"' in telemetry.read_text()
+        real_wait = pool_mod.wait
 
-    def test_monitor_carries_partial_lines(self, tmp_path):
-        monitor = HeartbeatMonitor(tmp_path)
-        path = tmp_path / "heartbeat-1234.jsonl"
-        line = json.dumps(
-            {
-                "v": 1, "kind": "event", "name": "cell.heartbeat",
-                "t": 5.0, "attrs": {"cell": "cell-a", "pid": 1234},
-            }
+        def _wait(fs, timeout=None, return_when=None):
+            timeouts.append(timeout)
+            return real_wait(fs, timeout=timeout, return_when=return_when)
+
+        real_start = threading.Thread.start
+
+        def _start(thread):
+            target = getattr(thread, "_target", None)
+            threads.append(
+                getattr(target, "__module__", None)
+                or type(thread).__module__
+            )
+            real_start(thread)
+
+        real_mkdtemp = tempfile.mkdtemp
+
+        def _mkdtemp(*args, **kwargs):
+            path = real_mkdtemp(*args, **kwargs)
+            tempdirs.append(path)
+            return path
+
+        monkeypatch.setattr(pool_mod, "_PoolDriver", _Driver)
+        monkeypatch.setattr(pool_mod, "wait", _wait)
+        monkeypatch.setattr(threading.Thread, "start", _start)
+        monkeypatch.setattr(tempfile, "mkdtemp", _mkdtemp)
+        report, default = run_backend(
+            "pool", "default", golden_spec, retry_policy=RetryPolicy()
         )
-        path.write_text(line[: len(line) // 2])  # worker mid-append
-        assert monitor.poll() == {}
-        with path.open("a") as fh:
-            fh.write(line[len(line) // 2 :] + "\n")
-        assert monitor.poll() == {"cell-a": 5.0}
+        monkeypatch.undo()
+
+        assert report.failed == []
+        assert len(report.executed) == golden_spec.n_cells
+        assert ticks == [None]
+        assert timeouts and set(timeouts) == {None}
+        assert policed == []
+        assert tempdirs == []
+        assert threads and not [
+            m for m in threads if m and m.startswith("repro")
+        ]
+
+        _, fail_fast = run_backend(
+            "pool", "fail-fast", golden_spec,
+            retry_policy=RetryPolicy.disabled(),
+        )
+        assert store_digests(default.root) == store_digests(fail_fast.root)
+
+    def test_cell_timeout_sets_the_tick(self):
+        """A timeout is the one thing that makes the drain loop poll."""
+        policy = RetryPolicy(cell_timeout_s=2.0)
+        ctx = SimpleNamespace(
+            recorder=None, leases=LeaseTable(policy), policy=policy,
+            pending=[],
+        )
+        driver = pool_mod._PoolDriver("pool", ctx, None, {"c": []}, {}, 1)
+        assert driver.tick == 0.5

@@ -396,6 +396,17 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match="counter_threshold is inf"):
             CounterBasedProtocol(ctx, counter_threshold=float("inf"))
 
+    @pytest.mark.parametrize("threshold", [2.5, 1.5, 3.0001])
+    def test_fractional_counter_threshold(self, threshold):
+        """``int()`` would run 2.5 as threshold 2: a different scheme."""
+        ctx, _, _ = make_ctx(LINE)
+        with pytest.raises(ValueError, match="counter_threshold must be a whole"):
+            CounterBasedProtocol(ctx, counter_threshold=threshold)
+
+    def test_integral_float_counter_threshold_accepted(self):
+        ctx, _, _ = make_ctx(LINE)
+        assert CounterBasedProtocol(ctx, counter_threshold=3.0).counter_threshold == 3
+
 
 # --------------------------------------------------------------------- #
 # factory-built protocols on BroadcastSimulator                         #

@@ -9,17 +9,11 @@ status`` surfaces.
 """
 
 import hashlib
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.campaigns import (
-    CampaignExecutor,
-    CampaignSpec,
-    ResultStore,
-    RetryPolicy,
-)
+from repro.campaigns import CampaignExecutor, CampaignSpec, ResultStore
 from repro.telemetry import TelemetrySummary, to_prometheus
 
 BACKENDS = ("inline", "pool")
@@ -123,23 +117,6 @@ def test_stream_replays_and_agrees_with_the_report(
         f"{report.simulations_executed}" in prom
     )
     assert 'repro_span_seconds_count{span="campaign.cell"} 4' in prom
-
-
-def test_pool_stream_carries_worker_heartbeats(tmp_path, monkeypatch):
-    """Pool workers' heartbeat files fold into the campaign stream once:
-    every cell beat from a worker process, none from the owner."""
-    report, store = _run(
-        tmp_path, monkeypatch, "pool", "on",
-        retry_policy=RetryPolicy(heartbeat_s=0.05),
-    )
-    summary = TelemetrySummary.from_file(store.telemetry_path)
-    beats = [
-        attrs for _, name, attrs in summary.events
-        if name == "cell.heartbeat"
-    ]
-    assert {attrs["cell"] for attrs in beats} == set(report.executed_keys)
-    assert os.getpid() not in {attrs["pid"] for attrs in beats}
-    assert summary.n_skipped == 0
 
 
 def test_deep_mode_ships_simulator_counters(tmp_path, monkeypatch):

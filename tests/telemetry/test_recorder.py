@@ -16,7 +16,6 @@ from repro.telemetry import (
     TelemetrySummary,
     deep_telemetry_enabled,
     get_recorder,
-    merge_telemetry_files,
     telemetry_enabled,
     telemetry_mode,
     using,
@@ -227,54 +226,6 @@ class TestJsonlRecorder:
         with JsonlRecorder(path):
             pass
         assert not path.exists()  # lazy handle: no telemetry, no file
-
-
-class TestMergeTelemetryFiles:
-    def test_missing_source_is_zero_not_an_error(self, tmp_path):
-        dest = tmp_path / "dest.jsonl"
-        assert merge_telemetry_files(dest, tmp_path / "nope.jsonl") == 0
-        assert not dest.exists()
-
-    def test_append_skips_torn_tail(self, tmp_path):
-        src = tmp_path / "src.jsonl"
-        with JsonlRecorder(src) as rec:
-            rec.event("cell.started", cell="c1")
-            rec.count("hits", 4)
-        with src.open("a") as fh:
-            fh.write('{"v":1,"kind":"event","na')  # crash mid-append
-        dest = tmp_path / "dest.jsonl"
-        with JsonlRecorder(dest) as rec:
-            rec.count("hits", 6)
-        assert merge_telemetry_files(dest, src) == 2  # torn line skipped
-        summary = TelemetrySummary.from_file(dest)
-        assert summary.counter("hits") == 10  # deltas sum across streams
-        assert summary.event_counts() == {"cell.started": 1}
-
-    def test_merge_into_fresh_dest_creates_it(self, tmp_path):
-        src = tmp_path / "src.jsonl"
-        with JsonlRecorder(src) as rec:
-            rec.event("e")
-        dest = tmp_path / "deep" / "dest.jsonl"
-        assert merge_telemetry_files(dest, src) == 1
-        assert TelemetrySummary.from_file(dest).event_counts() == {"e": 1}
-
-    def test_merge_stays_additive(self, tmp_path):
-        """Plain append, no bookkeeping lines: a re-merge re-appends, so
-        callers fold each source exactly once."""
-        src = tmp_path / "src.jsonl"
-        with JsonlRecorder(src) as rec:
-            rec.count("hits", 4)
-        dest = tmp_path / "dest.jsonl"
-        assert merge_telemetry_files(dest, src) == 1
-        assert merge_telemetry_files(dest, src) == 1
-        assert TelemetrySummary.from_file(dest).counter("hits") == 8
-        assert '"fold"' not in dest.read_text()
-
-    def test_takes_only_the_two_paths(self):
-        import inspect
-
-        params = inspect.signature(merge_telemetry_files).parameters
-        assert list(params) == ["dest", "src"]
 
 
 class TestNullRecorderIsDefaultEverywhere:
