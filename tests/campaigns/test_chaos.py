@@ -225,6 +225,35 @@ class TestPoolRecovery:
         assert store_digests(store.root) == golden_digests
         assert '"cell.hung"' in store.telemetry_path.read_text()
 
+    def test_cell_hung_on_every_attempt_is_quarantined(
+        self, golden_spec, golden_digests, run_backend, store_digests,
+        monkeypatch,
+    ):
+        """A cell that wedges on every attempt spends its budget on cell
+        timeouts and lands in the ledger charged with them; the run
+        still completes every other cell."""
+        victim = golden_spec.cells()[0].key
+        monkeypatch.setenv("REPRO_FAULTS", f"hang(30):{victim}@0")
+        policy = RetryPolicy(
+            max_attempts=2, base_delay_s=0.001, max_delay_s=0.002,
+            cell_timeout_s=0.5,
+        )
+        t0 = time.monotonic()
+        report, store = run_backend(
+            "pool", "hang-poison", golden_spec, retry_policy=policy
+        )
+        assert time.monotonic() - t0 < 25.0  # killed, not slept out
+        assert report.failed_keys == [victim]
+        assert report.failed[0].attempts == 2
+        assert len(report.executed) == golden_spec.n_cells - 1
+        [entry] = FailureLedger(store.failures_path).entries()
+        assert entry["cell"] == victim
+        assert entry["error"] == "hung: attempt 2 passed its cell timeout"
+        assert store_digests(store.root) == {
+            name: digest for name, digest in golden_digests.items()
+            if name != f"{victim}.jsonl"
+        }
+
 
 class TestTornTailRecovery:
     def test_torn_store_tails_heal_without_resimulation(

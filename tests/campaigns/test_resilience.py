@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.campaigns import CampaignSpec
+from repro.campaigns import executor as executor_mod
 from repro.campaigns.backends import pool as pool_mod
 from repro.campaigns.faults import (
     TORN_JUNK,
@@ -32,10 +33,12 @@ from repro.campaigns.resilience import (
     QUARANTINED,
     RETRY,
     FailureLedger,
+    Lease,
     LeaseTable,
     RetryPolicy,
 )
 from repro.campaigns.store import ResultStore
+from repro.utils import flags
 
 
 class TestRetryPolicy:
@@ -149,6 +152,27 @@ class TestLeaseTable:
         assert table.fail("cell", "hung") == RETRY
         retry = table.acquire("cell", "w0", now=200.0)
         assert retry.attempt == 2 and retry.hard_deadline == 201.0
+
+    def test_no_timeout_means_a_lease_never_expires(self):
+        """The default policy sets no deadline: nothing can expire it."""
+        table = LeaseTable(RetryPolicy())
+        lease = table.acquire("cell", "w0", now=100.0)
+        assert lease.hard_deadline is None
+        assert not lease.expired(now=1e12)
+        assert table.expired(now=1e12) == []
+
+    def test_the_deadline_instant_itself_is_not_expired(self):
+        """Expiry is strictly past the cap: an attempt may use all of it."""
+        table = LeaseTable(RetryPolicy(cell_timeout_s=0.5))
+        lease = table.acquire("cell", "w0", now=10.0)
+        assert not lease.expired(now=10.5)
+        assert lease.expired(now=10.5 + 1e-9)
+
+    def test_a_lease_carries_one_deadline(self):
+        assert [f.name for f in dataclasses.fields(Lease)] == [
+            "cell", "worker", "attempt", "acquired_t", "hard_deadline",
+        ]
+        assert not hasattr(LeaseTable, "beat")
 
     def test_release_drops_the_lease(self):
         table = LeaseTable(RetryPolicy(cell_timeout_s=1.0))
@@ -377,3 +401,50 @@ class TestDefaultPolicyOverhead:
         )
         driver = pool_mod._PoolDriver("pool", ctx, None, {"c": []}, {}, 1)
         assert driver.tick == 0.5
+
+    @pytest.mark.parametrize(
+        "timeout, tick",
+        [(0.01, 0.05), (0.2, 0.05), (600.0, 150.0)],
+        ids=["floored", "at-the-floor", "long"],
+    )
+    def test_tick_is_a_quarter_timeout_never_below_the_floor(
+        self, timeout, tick
+    ):
+        """A tight timeout must not turn the drain loop into a
+        busy-wait; a long one is still checked four times per cap."""
+        policy = RetryPolicy(cell_timeout_s=timeout)
+        ctx = SimpleNamespace(
+            recorder=None, leases=LeaseTable(policy), policy=policy,
+            pending=[],
+        )
+        driver = pool_mod._PoolDriver("pool", ctx, None, {"c": []}, {}, 1)
+        assert driver.MIN_TICK_S == 0.05
+        assert driver.tick == tick
+
+    def test_a_simulation_job_reads_only_the_fault_flag(
+        self, monkeypatch, golden_spec, run_backend
+    ):
+        """The fault plane's hook is the one per-job flag read."""
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        reads, inside = [], []
+        real_get_flag = flags.get_flag
+        real_job = executor_mod._execute_job
+
+        def _get_flag(name):
+            if inside:
+                reads.append(name)
+            return real_get_flag(name)
+
+        def _job(job):
+            inside.append(job)
+            try:
+                return real_job(job)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(flags, "get_flag", _get_flag)
+        monkeypatch.setattr(executor_mod, "_execute_job", _job)
+        report, _ = run_backend("inline", "reads", golden_spec)
+        n_sims = golden_spec.n_cells * golden_spec.n_networks
+        assert report.simulations_executed == n_sims
+        assert reads == ["REPRO_FAULTS"] * n_sims

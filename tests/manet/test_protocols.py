@@ -407,6 +407,26 @@ class TestNonFiniteParameters:
         ctx, _, _ = make_ctx(LINE)
         assert CounterBasedProtocol(ctx, counter_threshold=3.0).counter_threshold == 3
 
+    @pytest.mark.parametrize(
+        "threshold", [np.int64(2), np.float64(2.0)], ids=["int64", "float64"]
+    )
+    def test_numpy_whole_counter_threshold_stored_as_int(self, threshold):
+        """A grid value arriving as a NumPy scalar runs as a plain int."""
+        ctx, _, _ = make_ctx(LINE)
+        protocol = CounterBasedProtocol(ctx, counter_threshold=threshold)
+        assert type(protocol.counter_threshold) is int
+        assert protocol.counter_threshold == 2
+
+    @pytest.mark.parametrize(
+        "threshold", [np.float64(2.5), 0.5], ids=["float64-2.5", "0.5"]
+    )
+    def test_fractional_counter_threshold_names_the_field(self, threshold):
+        """Rejected whatever its type, and below 1 too, before the range
+        check could report a misleading bound."""
+        ctx, _, _ = make_ctx(LINE)
+        with pytest.raises(ValueError, match="counter_threshold must be a whole"):
+            CounterBasedProtocol(ctx, counter_threshold=threshold)
+
 
 # --------------------------------------------------------------------- #
 # factory-built protocols on BroadcastSimulator                         #

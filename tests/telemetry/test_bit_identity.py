@@ -119,6 +119,18 @@ def test_stream_replays_and_agrees_with_the_report(
     assert 'repro_span_seconds_count{span="campaign.cell"} 4' in prom
 
 
+def test_backends_stream_the_same_event_census(tmp_path, monkeypatch):
+    """Workers write nothing to the stream: the pool's events are the
+    owner's, so a fault-free run logs what the inline backend logs."""
+    census = {}
+    for backend in BACKENDS:
+        _, store = _run(tmp_path, monkeypatch, backend, "on")
+        summary = TelemetrySummary.from_file(store.telemetry_path)
+        assert summary.n_skipped == 0
+        census[backend] = summary.event_counts()
+    assert census["pool"] == census["inline"]
+
+
 def test_deep_mode_ships_simulator_counters(tmp_path, monkeypatch):
     _, store = _run(tmp_path, monkeypatch, "inline", "deep")
     summary = TelemetrySummary.from_file(store.telemetry_path)

@@ -271,6 +271,55 @@ class TestCampaignBackends:
         assert f"argument {flag}:" in err and "must be finite" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_cell_timeout_exits_2_naming_it(
+        self, value, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.run_args(tmp_path / "x", f"--cell-timeout={value}"))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --cell-timeout:" in err and "must be positive" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ((), None),
+            (("--cell-timeout", "600"), {"max_attempts": 3,
+                                         "cell_timeout_s": 600.0}),
+            (("--retries", "5"), {"max_attempts": 5,
+                                  "cell_timeout_s": None}),
+        ],
+        ids=["no-flags", "cell-timeout", "retries"],
+    )
+    def test_policy_flags_build_the_retry_policy(
+        self, extra, expected, tmp_path, monkeypatch
+    ):
+        """Only the flags given reach the policy; the rest keep the
+        default policy's values, and no flag at all passes no policy."""
+        import repro.campaigns
+
+        seen = []
+
+        class _Captured(Exception):
+            pass
+
+        def _executor(*args, retry_policy=None, **kwargs):
+            seen.append(retry_policy)
+            raise _Captured
+
+        monkeypatch.setattr(repro.campaigns, "CampaignExecutor", _executor)
+        with pytest.raises(_Captured):
+            main(self.run_args(tmp_path / "x", *extra))
+        [policy] = seen
+        if expected is None:
+            assert policy is None
+        else:
+            from repro.campaigns import RetryPolicy
+
+            assert policy == RetryPolicy(**expected)
+
     def test_non_positive_retries_exits_2_naming_the_flag(
         self, tmp_path, capsys
     ):

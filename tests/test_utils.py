@@ -1,4 +1,4 @@
-"""Utility layer: RNG fan-out, unit conversions, validation."""
+"""Utility layer: RNG fan-out, unit conversions, validation, flags."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.utils import flags
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
 from repro.utils.units import DBM_MINUS_INF, dbm_sum, dbm_to_mw, mw_to_dbm
 from repro.utils.validation import (
@@ -164,3 +165,22 @@ class TestEnsureLineBoundary:
             except json.JSONDecodeError:
                 continue
         assert parsed == [{"a": 1}, {"b": 2}]
+
+
+class TestFlagRegistry:
+    def test_registry_holds_six_flags_in_table_order(self):
+        assert [f.name for f in flags.all_flags()] == [
+            "REPRO_SCALE", "REPRO_COMPILED", "REPRO_TELEMETRY",
+            "REPRO_FAULTS", "REPRO_REQUIRE_COMPILED", "REPRO_SANITIZE",
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["REPRO_HEARTBEAT_DIR", "REPRO_HEARTBEAT_INTERVAL"]
+    )
+    def test_retired_heartbeat_flags_are_unknown(self, name, monkeypatch):
+        """A stale export in a user's shell is not read back: the
+        registry refuses the name whatever the environment holds."""
+        monkeypatch.setenv(name, "1")
+        assert not flags.is_registered(name)
+        with pytest.raises(flags.UnknownFlagError, match=name):
+            flags.read_raw(name)
