@@ -72,7 +72,7 @@ def _run_mode(mode, evaluator, params, monkeypatch, tmp_path, round_no):
     if mode == "off":
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         return _timed(evaluator, params)
-    monkeypatch.setenv("REPRO_TELEMETRY", "deep" if mode == "deep" else "1")
+    monkeypatch.setenv("REPRO_TELEMETRY", "deep" if mode == "deep" else "on")
     if mode == "null":
         with using(NULL):
             return _timed(evaluator, params)

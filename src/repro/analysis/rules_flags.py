@@ -30,7 +30,7 @@ FLAG_NAME_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 
 #: Call attributes that take a flag name as their first argument.
 _FLAG_READERS = frozenset({
-    "read_raw", "read_bool", "get_flag", "is_registered",
+    "read_raw", "read_choice", "get_flag", "is_registered",
 })
 _MONKEYPATCH_FNS = frozenset({"setenv", "delenv"})
 
@@ -152,7 +152,7 @@ class RawFlagReadRule(Rule):
                 yield self.violation(
                     ctx, node,
                     f"raw environment read of {key}; use "
-                    "repro.utils.flags.read_raw/read_bool",
+                    "repro.utils.flags.read_raw/read_choice",
                 )
 
 

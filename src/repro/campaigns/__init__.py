@@ -105,9 +105,6 @@ cell that exhausts its budget is **quarantined** into the store's
 aborting anything.  Recovered runs stay byte-identical to fault-free
 ones; ``tests/campaigns/test_chaos.py`` proves every path against the
 deterministic fault plane in :mod:`repro.campaigns.faults`.
-
-Follow-ups tracked in ROADMAP.md: result dashboards on top of the
-JSONL store.
 """
 
 from repro.campaigns.backends import (

@@ -8,7 +8,7 @@ DESIGN.md §10):
 * ``backend="inline"`` runs every job in-process in spec order — the
   mode the experiment runner uses to reproduce its historical
   single-threaded behaviour exactly, and the cheapest path for tiny
-  sweeps (``serial=True`` is the legacy spelling);
+  sweeps;
 * ``backend="pool"`` (the default) runs each cell as one task of ONE
   persistent process pool: the task carries the cell's uncached
   ``(scenario, params)`` simulation jobs (or its one whole-optimiser
@@ -294,7 +294,6 @@ class CampaignExecutor:
         spec: CampaignSpec,
         store: ResultStore | None = None,
         max_workers: int | None = None,
-        serial: bool = False,
         scale=None,
         mls_engine: str | None = None,
         eval_cache="auto",
@@ -311,17 +310,15 @@ class CampaignExecutor:
 
         ``eval_cache`` selects the persistent per-simulation cache:
         ``"auto"`` (default) uses the store's ``evaluations.jsonl``
-        sidecar (no cache when running storeless), ``None``/``False``
-        disables it, a path points at a cache shared across campaigns,
+        sidecar (no cache when running storeless), ``None`` disables
+        it, a path points at a cache shared across campaigns,
         and a :class:`~repro.tuning.cache.PersistentEvaluationCache` is
         used as-is.
 
         ``backend`` selects the execution strategy
         (:mod:`repro.campaigns.backends`): a :class:`Backend` instance
-        or one of ``"inline"``, ``"pool"``.  When None, ``serial`` keeps
-        its historical meaning (``True`` = inline) and otherwise the
-        spec's ``backend`` hint — or pool — applies.  An explicit
-        backend wins over both.
+        or one of ``"inline"``, ``"pool"``.  When None, the spec's
+        ``backend`` hint — or pool — applies.
 
         ``retry_policy`` is the run's failure budget (DESIGN.md §13):
         None means the default :class:`RetryPolicy` (3 attempts,
@@ -338,10 +335,14 @@ class CampaignExecutor:
                 raise ValueError(
                     f"mls_engine must be one of {ENGINE_NAMES}, got {mls_engine!r}"
                 )
+        if isinstance(eval_cache, bool):
+            raise ValueError(
+                "eval_cache must be 'auto', None, a path or a "
+                f"PersistentEvaluationCache, got {eval_cache!r}"
+            )
         self.spec = spec
         self.store = store
         self.max_workers = max_workers
-        self.serial = serial
         self._scale_override = scale
         self.mls_engine = mls_engine
         self._eval_cache_spec = eval_cache
@@ -359,7 +360,7 @@ class CampaignExecutor:
         by :meth:`run`; ones built here (a full sidecar reload plus an
         append handle) are released at the end of the run."""
         spec = self._eval_cache_spec
-        if spec is None or spec is False:
+        if spec is None:
             return None, False
         if isinstance(spec, PersistentEvaluationCache):
             return spec, False
@@ -421,17 +422,13 @@ class CampaignExecutor:
     def _resolve_backend(self) -> "Backend":
         """The execution strategy for this run (lazy import: no cycle).
 
-        Precedence: an explicit executor/CLI ``backend`` > ``serial=True``
-        (inline) > the spec's ``backend`` hint > pool.  ``serial`` must
-        outrank the spec hint: "run in-process" (the experiment runner,
-        ``--serial``) must hold even for a spec whose hint says ``"pool"``.
+        Precedence: an explicit executor/CLI ``backend`` > the spec's
+        ``backend`` hint > pool.
         """
         from repro.campaigns.backends import resolve_backend
 
         if self.backend is not None:
             return resolve_backend(self.backend)
-        if self.serial:
-            return resolve_backend("inline")
         return resolve_backend(self.spec.backend or "pool")
 
     # ------------------------------------------------------------------ #

@@ -16,8 +16,8 @@ Subcommands map to the deliverables:
   backends (``--backend {inline,pool}``) and a resumable result store:
   ``campaign run``, ``campaign status``, ``campaign report``,
   ``campaign telemetry`` (replay a run's ``telemetry.jsonl`` — recorded
-  when ``REPRO_TELEMETRY`` is set — into a timing/counter summary or a
-  Prometheus snapshot), and ``campaign failures`` (the quarantine
+  when ``REPRO_TELEMETRY`` is set — into a timing/counter summary),
+  and ``campaign failures`` (the quarantine
   ledger: cells that exhausted their retry budget, DESIGN.md §13 —
   ``campaign run`` takes ``--retries/--cell-timeout``, rejects a bad
   value of either with exit code 2, and exits 2
@@ -153,13 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, help="process pool size"
     )
     run_p.add_argument(
-        "--serial", action="store_true", help="run in-process, no pool"
-    )
-    run_p.add_argument(
         "--backend", default=None,
         metavar="{inline,pool}",
-        help="execution backend (default: pool, one process-pool task "
-             "per cell; --serial = inline)",
+        help="execution backend (default: the spec's hint, else pool, "
+             "one process-pool task per cell)",
     )
     cache_group = run_p.add_mutually_exclusive_group()
     cache_group.add_argument(
@@ -197,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     tele_p.add_argument(
         "--top", type=int, default=10,
         help="slowest cells to list (default 10)",
-    )
-    tele_p.add_argument(
-        "--export-prom", default=None, metavar="PATH",
-        help="also write the summary as Prometheus text format "
-             "('-' = stdout)",
     )
 
     report_p = camp_sub.add_parser("report", help="render completed results")
@@ -395,23 +387,10 @@ def _cmd_campaign(args, scale) -> int:
         print(render_failures(store.load_spec(), store))
         return 0
     if args.campaign_command == "telemetry":
-        from repro.telemetry import (
-            TelemetrySummary,
-            render_telemetry,
-            to_prometheus,
-        )
+        from repro.telemetry import TelemetrySummary, render_telemetry
 
         summary = TelemetrySummary.from_file(store.telemetry_path)
         print(render_telemetry(summary, top=args.top))
-        if args.export_prom is not None:
-            text = to_prometheus(summary)
-            if args.export_prom == "-":
-                print(text, end="")
-            else:
-                from pathlib import Path
-
-                Path(args.export_prom).write_text(text)
-                print(f"prometheus snapshot written to {args.export_prom}")
         return 0
     if args.campaign_command == "report":
         print(render_report(store.load_spec(), store))
@@ -430,12 +409,11 @@ def _cmd_campaign(args, scale) -> int:
             ),
             cell_timeout_s=args.cell_timeout,
         )
-    # --backend wins; otherwise --serial, then the spec's own hint, then
-    # pool (the executor's precedence; it rejects a bad name before it
-    # touches the store).
+    # --backend wins; otherwise the spec's own hint, then pool (the
+    # executor's precedence; it rejects a bad name before it touches the
+    # store).
     executor = CampaignExecutor(
-        spec, store, max_workers=args.workers, serial=args.serial,
-        backend=args.backend,
+        spec, store, max_workers=args.workers, backend=args.backend,
         eval_cache=(
             None if args.no_cache
             else args.cache if args.cache is not None

@@ -185,7 +185,7 @@ def run_campaign(
         scale=scale.name,
     )
     executor = CampaignExecutor(
-        spec, store=None, serial=True, scale=scale, mls_engine=mls_engine
+        spec, store=None, backend="inline", scale=scale, mls_engine=mls_engine
     )
     callback = None
     if progress is not None:

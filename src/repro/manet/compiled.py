@@ -64,24 +64,22 @@ _STATE: tuple[object, str | None] | None = None
 _MODES = ("auto", "on", "off")
 
 
-def resolve_compiled_mode(override=None) -> str:
+def resolve_compiled_mode(override: str | None = None) -> str:
     """The effective compiled-core mode: ``auto`` | ``on`` | ``off``.
 
     ``override`` is the simulator's ``compiled=`` argument: ``None``
-    defers to ``REPRO_COMPILED`` (default ``auto``); a bool maps to
-    ``on``/``off``; a string names a mode directly.
+    defers to ``REPRO_COMPILED`` (default ``auto``); a string names a
+    mode directly.  Anything else raises ``ValueError``.
     """
     if override in _MODES:  # a mode captured once upstream
         return override
     if override is None:
-        mode = (flags.read_raw("REPRO_COMPILED") or "auto").strip().lower() or "auto"
-    elif isinstance(override, str):
-        mode = override.strip().lower()
-    else:
-        mode = "on" if override else "off"
+        return flags.read_choice("REPRO_COMPILED", _MODES)
+    mode = override.strip().lower() if isinstance(override, str) else override
     if mode not in _MODES:
         raise ValueError(
-            f"REPRO_COMPILED/compiled= must be one of {_MODES}, got {mode!r}"
+            f"REPRO_COMPILED/compiled= must be one of {'|'.join(_MODES)}, "
+            f"got {override!r}"
         )
     return mode
 

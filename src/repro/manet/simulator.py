@@ -87,7 +87,7 @@ class BroadcastSimulator:
         mobility: MobilityModel | None = None,
         runtime: ScenarioRuntime | None = None,
         record_decisions: bool = False,
-        compiled: bool | str | None = None,
+        compiled: str | None = None,
         *,
         _telemetry: str | None = None,
     ):
@@ -98,8 +98,8 @@ class BroadcastSimulator:
         decision logging.  ``record_decisions`` opts AEDB into its
         per-event decision log (off by default: evaluation loops never
         read it and the per-event formatting is measurable).
-        ``compiled`` overrides ``REPRO_COMPILED`` (``auto``/``on``/``off``
-        or a bool) for the compiled event core of DESIGN.md §14.
+        ``compiled`` overrides ``REPRO_COMPILED`` (``auto``/``on``/``off``)
+        for the compiled event core of DESIGN.md §14.
         ``REPRO_TELEMETRY`` is
         read here too, unless the owner that captured it once (an
         evaluator or a campaign job) hands its mode over as

@@ -10,15 +10,13 @@ Write side: the campaign executor, backends, evaluators, the persistent
 evaluation cache, and the simulator call :func:`get_recorder` at coarse
 boundaries.  Read side: :class:`TelemetrySummary` replays a recorded
 stream into counter totals, span statistics, and the per-cell timing
-behind ``repro-aedb campaign telemetry``; :func:`to_prometheus` renders
-the same summary as a Prometheus text-format snapshot.
+behind ``repro-aedb campaign telemetry``.
 
 The hard invariant: telemetry observes, never perturbs — campaign
 stores are byte-identical with telemetry off, on, and deep
 (``tests/telemetry/test_bit_identity.py``).
 """
 
-from repro.telemetry.prom import to_prometheus
 from repro.telemetry.recorder import (
     MODE_DEEP,
     MODE_OFF,
@@ -56,7 +54,6 @@ __all__ = [
     "SpanStat",
     "TelemetrySummary",
     "render_telemetry",
-    "to_prometheus",
     "MODE_OFF",
     "MODE_ON",
     "MODE_DEEP",

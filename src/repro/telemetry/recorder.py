@@ -15,16 +15,16 @@ Three implementations of one :class:`Recorder` protocol (DESIGN.md §12):
 * :class:`JsonlRecorder` — streams ``telemetry.jsonl`` next to a
   campaign's :class:`~repro.campaigns.store.ResultStore`.  Events and
   spans are appended (and flushed) as whole lines the moment they
-  happen — the lifecycle stream a dashboard can tail — while counters
-  accumulate in memory and flush as *delta* lines, so a per-lookup
-  cache counter never costs a write.
+  happen — the lifecycle stream ``campaign telemetry`` replays — while
+  counters accumulate in memory and flush as *delta* lines, so a
+  per-lookup cache counter never costs a write.
 
 The mode switch is the ``REPRO_TELEMETRY`` environment variable: unset
-/ ``0`` / ``off`` — disabled; ``1`` / ``on`` / ``jsonl`` — spans,
-counters, lifecycle events; ``deep`` — additionally the per-frame /
-per-event counters inside the simulator warm loop.  Telemetry must
-never perturb results: recorders only *observe* (wall-clock reads, no
-RNG, no ordering influence), and the golden bit-identity harness pins
+/ ``off`` — disabled; ``on`` — spans, counters, lifecycle events;
+``deep`` — additionally the per-frame / per-event counters inside the
+simulator warm loop; any other value raises ``ValueError``.  Telemetry
+must never perturb results: recorders only *observe* (wall-clock reads,
+no RNG, no ordering influence), and the golden bit-identity harness pins
 campaign stores byte-identical with telemetry off, on, and deep
 (``tests/telemetry/test_bit_identity.py``).
 """
@@ -65,23 +65,18 @@ MODE_OFF = "off"
 MODE_ON = "on"
 MODE_DEEP = "deep"
 
-_OFF_VALUES = frozenset(("", "0", "off", "none", "false", "no"))
-
 
 def telemetry_mode() -> str:
     """``"off"`` | ``"on"`` | ``"deep"`` from ``REPRO_TELEMETRY``.
 
     Read per call (not cached at import), so campaign workers honour the
     parent's environment and tests can flip modes with ``monkeypatch`` —
-    the registry-wide contract of :mod:`repro.utils.flags`.  Any value that
-    is not off-like or ``deep`` (``1``, ``on``, ``jsonl``, ...) means on.
+    the registry-wide contract of :mod:`repro.utils.flags`.  Unset or
+    empty is off; any other value raises ``ValueError`` naming the flag.
     """
-    raw = (flags.read_raw("REPRO_TELEMETRY") or "").strip().lower()
-    if raw in _OFF_VALUES:
-        return MODE_OFF
-    if raw == MODE_DEEP:
-        return MODE_DEEP
-    return MODE_ON
+    return flags.read_choice(
+        "REPRO_TELEMETRY", (MODE_OFF, MODE_ON, MODE_DEEP)
+    )
 
 
 def telemetry_enabled() -> bool:

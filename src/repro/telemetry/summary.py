@@ -2,9 +2,8 @@
 
 The read side of the telemetry layer (DESIGN.md §12): everything here
 derives purely from the recorded lines — no simulation, no store access
-— so ``repro-aedb campaign telemetry`` and the Prometheus export work
-on a copy of the file or a live campaign's
-stream mid-run.
+— so ``repro-aedb campaign telemetry`` works on a copy of the file or
+a live campaign's stream mid-run.
 
 Parsing applies the repo-wide torn-tail contract
 (:class:`~repro.campaigns.store.ResultStore`,
@@ -155,7 +154,7 @@ def render_telemetry(summary: TelemetrySummary, top: int = 10) -> str:
     if summary.is_empty:
         return (
             "no telemetry recorded (run the campaign with "
-            "REPRO_TELEMETRY=1 or REPRO_TELEMETRY=deep)"
+            "REPRO_TELEMETRY=on or REPRO_TELEMETRY=deep)"
         )
     lines = ["telemetry summary"]
 

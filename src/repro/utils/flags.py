@@ -39,7 +39,7 @@ __all__ = [
     "all_flags",
     "get_flag",
     "is_registered",
-    "read_bool",
+    "read_choice",
     "read_raw",
     "register",
     "registry_table_markdown",
@@ -126,18 +126,20 @@ def read_raw(name: str) -> str | None:
     return get_flag(name).read()
 
 
-def read_bool(name: str) -> bool:
-    """The repo-wide kill-switch convention: only ``"0"`` disables.
+def read_choice(name: str, choices: tuple[str, ...]) -> str:
+    """One of ``choices`` for a *registered* flag (one environment read).
 
-    A boolean flag defaults on and is turned off with ``=0``; any other
-    value — including the empty string — leaves the feature enabled,
-    matching the historical readers byte for byte.
+    The value is trimmed and lower-cased; unset or empty reads the
+    registered ``default``; anything else raises ``ValueError`` naming
+    the flag and the accepted values.
     """
     flag = get_flag(name)
-    raw = flag.read()
-    if raw is None:
-        raw = flag.default
-    return raw != "0"
+    value = (flag.read() or "").strip().lower() or flag.default
+    if value not in choices:
+        raise ValueError(
+            f"{name} must be one of {'|'.join(choices)}, got {value!r}"
+        )
+    return value
 
 
 def registry_table_markdown() -> str:
@@ -180,7 +182,8 @@ register(
     "REPRO_TELEMETRY",
     values="unset/`off` \\| `on` \\| `deep`",
     default="off",
-    doc="Telemetry mode: off (null recorder), on, or deep counters",
+    doc="Telemetry mode: off (null recorder), on, or deep counters; "
+        "any other value raises",
     anchor="DESIGN.md §12",
 )
 register(

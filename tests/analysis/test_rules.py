@@ -172,7 +172,7 @@ class TestFlagRules:
         result = lint_tree({
             "src/repro/campaigns/thing.py": (
                 "from repro.utils import flags\n\n"
-                "X = flags.read_bool('REPRO_GOOD')\n"
+                "X = flags.read_choice('REPRO_GOOD', ('on',))\n"
             ),
         }, select=["E301"], with_flags=True)
         assert result.violations == []

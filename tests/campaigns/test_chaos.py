@@ -80,7 +80,7 @@ class TestInlineRecovery:
         # executes, the ledger is pruned, bytes match the golden run.
         monkeypatch.delenv("REPRO_FAULTS")
         again = CampaignExecutor(
-            golden_spec, store, serial=True, retry_policy=FAST
+            golden_spec, store, backend="inline", retry_policy=FAST
         ).run()
         assert [r.cell.key for r in again.executed] == [poison]
         assert again.failed == []
@@ -273,7 +273,7 @@ class TestTornTailRecovery:
         assert store.status(golden_spec).pending == golden_spec.n_cells
         monkeypatch.delenv("REPRO_FAULTS")
         again = CampaignExecutor(
-            golden_spec, store, serial=True, retry_policy=FAST
+            golden_spec, store, backend="inline", retry_policy=FAST
         ).run()
         assert again.executed == []
         assert again.simulations_executed == 0
@@ -297,7 +297,7 @@ spec = CampaignSpec(
     n_nodes=8,
 )
 store = ResultStore(sys.argv[1])
-CampaignExecutor(spec, store, serial=True).run(
+CampaignExecutor(spec, store, backend="inline").run(
     progress=lambda r: print(r.cell.key, flush=True)
 )
 """
@@ -351,7 +351,7 @@ class TestKillNineResume:
 
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         monkeypatch.setenv("REPRO_TELEMETRY", "on")
-        report = CampaignExecutor(golden_spec, store, serial=True).run()
+        report = CampaignExecutor(golden_spec, store, backend="inline").run()
         assert report.failed == []
         assert store.status(golden_spec).is_complete
         assert store_digests(store.root) == golden_digests
@@ -407,7 +407,7 @@ class TestKillNineResume:
 
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         monkeypatch.setenv("REPRO_COMPILED", "on")
-        report = CampaignExecutor(golden_spec, store, serial=True).run()
+        report = CampaignExecutor(golden_spec, store, backend="inline").run()
         assert report.failed == []
         assert store.status(golden_spec).is_complete
         assert store_digests(store.root) == golden_digests

@@ -113,20 +113,20 @@ def tiny_spec(**overrides):
 class TestCampaignIntegration:
     def test_sidecar_written_next_to_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
-        report = CampaignExecutor(tiny_spec(), store, serial=True).run()
+        report = CampaignExecutor(tiny_spec(), store, backend="inline").run()
         assert report.simulations_executed == report.n_simulations > 0
         assert report.cache_hits == 0
         assert store.eval_cache_path.exists()
 
-    @pytest.mark.parametrize("serial", [True, False])
+    @pytest.mark.parametrize("backend", ["inline", "pool"])
     def test_rerun_of_completed_campaign_runs_zero_simulations(
-        self, tmp_path, serial, store_digests
+        self, tmp_path, backend, store_digests
     ):
         """The §9 acceptance property: same grid, fresh store, shared
         cache file => every cell rebuilt from disk, zero simulations,
         bit-identical bytes."""
         spec = tiny_spec()
-        kwargs = dict(serial=True) if serial else dict(max_workers=2)
+        kwargs = dict(backend=backend, max_workers=2)
         first = CampaignExecutor(
             spec, ResultStore(tmp_path / "a"), **kwargs
         ).run()
@@ -148,12 +148,12 @@ class TestCampaignIntegration:
         full = tiny_spec()  # densities (100, 300)
         CampaignExecutor(
             full, ResultStore(tmp_path / "full"),
-            eval_cache=shared_cache, serial=True,
+            eval_cache=shared_cache, backend="inline",
         ).run()
         part = tiny_spec(densities=(100, 200))  # 100 overlaps, 200 is new
         report = CampaignExecutor(
             part, ResultStore(tmp_path / "part"),
-            eval_cache=shared_cache, serial=True,
+            eval_cache=shared_cache, backend="inline",
         ).run()
         per_density = part.n_seeds * part.n_networks
         assert report.cache_hits == per_density  # density-100 cells
@@ -162,13 +162,13 @@ class TestCampaignIntegration:
     def test_eval_cache_none_disables_persistence(self, tmp_path):
         store = ResultStore(tmp_path)
         report = CampaignExecutor(
-            tiny_spec(), store, serial=True, eval_cache=None
+            tiny_spec(), store, backend="inline", eval_cache=None
         ).run()
         assert report.cache_hits == 0
         assert not store.eval_cache_path.exists()
 
     def test_storeless_run_has_no_auto_cache(self):
         spec = tiny_spec(densities=(100,), n_seeds=1)
-        report = CampaignExecutor(spec, store=None, serial=True).run()
+        report = CampaignExecutor(spec, store=None, backend="inline").run()
         assert report.cache_hits == 0
         assert report.simulations_executed == spec.n_cells * 2  # 2 networks

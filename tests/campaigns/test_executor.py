@@ -37,14 +37,16 @@ class TestDeterminism:
         spec = tiny_spec()
         for d in ("a", "b"):
             CampaignExecutor(
-                spec, ResultStore(tmp_path / d), serial=True
+                spec, ResultStore(tmp_path / d), backend="inline"
             ).run()
         a, b = store_digests(tmp_path / "a"), store_digests(tmp_path / "b")
         assert a and a == b
 
     def test_parallel_matches_serial_bytes(self, tmp_path, store_digests):
         spec = tiny_spec(n_seeds=2)
-        CampaignExecutor(spec, ResultStore(tmp_path / "s"), serial=True).run()
+        CampaignExecutor(
+            spec, ResultStore(tmp_path / "s"), backend="inline"
+        ).run()
         CampaignExecutor(
             spec, ResultStore(tmp_path / "p"), max_workers=2
         ).run()
@@ -106,30 +108,35 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="string or a Backend"):
             resolve_backend(2)
 
-    def test_serial_flag_is_inline_backend(self):
-        assert CampaignExecutor(tiny_spec(), serial=True)._resolve_backend().name == "inline"
+    def test_backend_argument_selects_the_backend(self):
+        assert CampaignExecutor(
+            tiny_spec(), backend="inline"
+        )._resolve_backend().name == "inline"
         assert CampaignExecutor(tiny_spec())._resolve_backend().name == "pool"
         assert CampaignExecutor(
-            tiny_spec(), serial=True, backend="pool"
+            tiny_spec(backend="inline"), backend="pool"
         )._resolve_backend().name == "pool"  # explicit backend wins
 
     def test_constructor_takes_exactly_the_run_options(self):
-        """No per-shard hooks: the executor's options are the run's."""
+        """No per-shard hooks and no second backend spelling: the
+        executor's options are the run's."""
         import inspect
 
         assert list(inspect.signature(CampaignExecutor).parameters) == [
-            "spec", "store", "max_workers", "serial", "scale",
+            "spec", "store", "max_workers", "scale",
             "mls_engine", "eval_cache", "backend", "retry_policy",
         ]
+        with pytest.raises(TypeError, match="serial"):
+            CampaignExecutor(tiny_spec(), serial=True)
 
 
 class TestResume:
     def test_complete_campaign_skips_everything(self, tmp_path):
         spec = tiny_spec()
         store = ResultStore(tmp_path)
-        first = CampaignExecutor(spec, store, serial=True).run()
+        first = CampaignExecutor(spec, store, backend="inline").run()
         assert len(first.executed) == spec.n_cells
-        second = CampaignExecutor(spec, store, serial=True).run()
+        second = CampaignExecutor(spec, store, backend="inline").run()
         assert second.executed == []
         assert len(second.skipped) == spec.n_cells
 
@@ -140,12 +147,12 @@ class TestResume:
         invocation completes only those, reproducing the same bytes."""
         spec = tiny_spec()
         store = ResultStore(tmp_path)
-        CampaignExecutor(spec, store, serial=True).run()
+        CampaignExecutor(spec, store, backend="inline").run()
         before = store_digests(tmp_path)
 
         victim = spec.cells()[4]
         store.delete_cell(victim)
-        report = CampaignExecutor(spec, store, serial=True).run()
+        report = CampaignExecutor(spec, store, backend="inline").run()
         assert report.executed_keys == [victim.key]
         assert len(report.skipped) == spec.n_cells - 1
         assert store_digests(tmp_path) == before
@@ -153,12 +160,12 @@ class TestResume:
     def test_truncated_cell_counts_as_pending(self, tmp_path):
         spec = tiny_spec(n_seeds=1)
         store = ResultStore(tmp_path)
-        CampaignExecutor(spec, store, serial=True).run()
+        CampaignExecutor(spec, store, backend="inline").run()
         victim = spec.cells()[0]
         path = store.cell_path(victim)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        report = CampaignExecutor(spec, store, serial=True).run()
+        report = CampaignExecutor(spec, store, backend="inline").run()
         assert report.executed_keys == [victim.key]
 
     def test_cell_torn_mid_record_reruns_identically(
@@ -168,13 +175,13 @@ class TestResume:
         pending and the re-run restores the exact original bytes."""
         spec = tiny_spec(n_seeds=1)
         store = ResultStore(tmp_path)
-        CampaignExecutor(spec, store, serial=True).run()
+        CampaignExecutor(spec, store, backend="inline").run()
         before = store_digests(tmp_path)
         victim = spec.cells()[2]
         path = store.cell_path(victim)
         text = path.read_text()
         path.write_text(text[: int(len(text) * 0.6)])
-        report = CampaignExecutor(spec, store, serial=True).run()
+        report = CampaignExecutor(spec, store, backend="inline").run()
         assert report.executed_keys == [victim.key]
         assert store_digests(tmp_path) == before
 
@@ -201,7 +208,7 @@ class TestRecords:
     def test_evaluate_records_shape(self, tmp_path):
         spec = tiny_spec(n_seeds=1, n_networks=2)
         store = ResultStore(tmp_path)
-        report = CampaignExecutor(spec, store, serial=True).run()
+        report = CampaignExecutor(spec, store, backend="inline").run()
         record = report.executed[0].records[0]
         assert record["kind"] == "record"
         assert len(record["params"]) == 5
@@ -214,14 +221,14 @@ class TestRecords:
     def test_in_memory_run_without_store(self):
         spec = tiny_spec(n_seeds=1, mobility_models=("random-walk",),
                          densities=(100,))
-        report = CampaignExecutor(spec, store=None, serial=True).run()
+        report = CampaignExecutor(spec, store=None, backend="inline").run()
         assert len(report.executed) == 1
         assert report.executed[0].payloads  # live BroadcastMetrics
 
     def test_progress_callback_fires_per_cell(self, tmp_path):
         spec = tiny_spec(n_seeds=1)
         seen = []
-        CampaignExecutor(spec, ResultStore(tmp_path), serial=True).run(
+        CampaignExecutor(spec, ResultStore(tmp_path), backend="inline").run(
             progress=lambda r: seen.append(r.cell.key)
         )
         assert sorted(seen) == sorted(c.key for c in spec.cells())
@@ -244,7 +251,7 @@ class TestTuneCells:
         )
         store = ResultStore(tmp_path)
         report = CampaignExecutor(
-            spec, store, serial=True, scale=tiny_scale
+            spec, store, backend="inline", scale=tiny_scale
         ).run()
         assert len(report.executed) == 2
         for cell_result in report.executed:
@@ -289,7 +296,7 @@ class TestTuneCells:
             n_seeds=1, n_networks=1, n_nodes=8,
         )
         with pytest.raises(ValueError):
-            CampaignExecutor(spec, serial=True, scale=tiny_scale).run()
+            CampaignExecutor(spec, backend="inline", scale=tiny_scale).run()
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):
@@ -406,7 +413,7 @@ class TestFailureIsolation:
         )
         try:
             report = CampaignExecutor(
-                spec, store, serial=True, retry_policy=policy
+                spec, store, backend="inline", retry_policy=policy
             ).run()
         finally:
             _FAIL_ONCE_KEYS.clear()
@@ -422,7 +429,7 @@ class TestRendering:
     def test_status_and_report_render(self, tmp_path):
         spec = tiny_spec(n_seeds=1)
         store = ResultStore(tmp_path)
-        CampaignExecutor(spec, store, serial=True).run()
+        CampaignExecutor(spec, store, backend="inline").run()
         status = render_status(spec, store)
         assert "4/4 cells complete" in status
         report = render_report(spec, store)

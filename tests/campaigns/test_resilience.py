@@ -293,7 +293,7 @@ class TestHealCell:
         store = ResultStore(tmp_path / "store")
         from repro.campaigns import CampaignExecutor
 
-        CampaignExecutor(spec, store, serial=True).run()
+        CampaignExecutor(spec, store, backend="inline").run()
         (cell,) = spec.cells()
         return store, cell
 

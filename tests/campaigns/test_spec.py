@@ -195,10 +195,11 @@ class TestBackendHint:
             CampaignExecutor(spec, backend="pool")._resolve_backend().name
             == "pool"
         )
-        # serial (--serial, the experiment runner) outranks a pool hint.
+        # An explicit inline (--backend inline, the experiment runner)
+        # outranks a pool hint.
         assert (
             CampaignExecutor(
-                tiny_spec(backend="pool"), serial=True
+                tiny_spec(backend="pool"), backend="inline"
             )._resolve_backend().name
             == "inline"
         )

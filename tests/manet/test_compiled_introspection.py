@@ -227,6 +227,9 @@ class TestPerRuntimeMemo:
     """Runtime-only marshalling inputs are built once per runtime."""
 
     def test_warm_evaluate_reads_each_trace_once(self, monkeypatch):
+        # The trace is read on the kernel path only: pin the selection
+        # (the module's ``compiled`` mark skips it without the kernel).
+        monkeypatch.setenv("REPRO_COMPILED", "auto")
         clear_runtime_cache()  # the first evaluate below builds the runtimes
         traces: Counter = Counter()
         kernel_trace = RandomWalkMobility.kernel_trace

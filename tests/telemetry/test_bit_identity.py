@@ -3,7 +3,7 @@
 The golden harness of this PR: the same campaign, run with
 ``REPRO_TELEMETRY`` off, on, and deep through both backends, must
 produce **byte-identical** cell stores.  The recorded stream is then
-replayed (summary + Prometheus) without re-running anything, and its
+replayed into a summary without re-running anything, and its
 counters must agree with the run report — the numbers ``campaign
 status`` surfaces.
 """
@@ -14,12 +14,12 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns import CampaignExecutor, CampaignSpec, ResultStore
-from repro.telemetry import TelemetrySummary, to_prometheus
+from repro.telemetry import TelemetrySummary
 
 BACKENDS = ("inline", "pool")
 
 #: off / on / deep — the three REPRO_TELEMETRY modes under test.
-MODES = {"off": None, "on": "1", "deep": "deep"}
+MODES = {"off": None, "on": "on", "deep": "deep"}
 
 
 def _spec() -> CampaignSpec:
@@ -110,14 +110,6 @@ def test_stream_replays_and_agrees_with_the_report(
     # same stream: per-evaluation spans and cache-fill counters.
     assert summary.counter("eval_cache.fill") == report.simulations_executed
 
-    # And the whole thing exports as a Prometheus snapshot, no re-run.
-    prom = to_prometheus(summary)
-    assert (
-        f"repro_campaign_simulations_executed_total "
-        f"{report.simulations_executed}" in prom
-    )
-    assert 'repro_span_seconds_count{span="campaign.cell"} 4' in prom
-
 
 def test_backends_stream_the_same_event_census(tmp_path, monkeypatch):
     """Workers write nothing to the stream: the pool's events are the
@@ -148,7 +140,7 @@ def test_deep_mode_ships_simulator_counters(tmp_path, monkeypatch):
 def test_cached_rerun_full_lifecycle_with_cached_flag(tmp_path, monkeypatch):
     """A fully-cached pool re-run still emits per-cell lifecycle events."""
     first, store = _run(tmp_path, monkeypatch, "pool", "off")
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    monkeypatch.setenv("REPRO_TELEMETRY", "on")
     rerun_store = ResultStore(tmp_path / "pool-rerun")
     rerun = CampaignExecutor(
         _spec(), rerun_store, backend="pool", max_workers=2,

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.campaigns import CampaignExecutor, CampaignSpec
+from repro.manet.simulator import resolve_compiled_mode
 from repro.telemetry import (
     MODE_DEEP,
     MODE_OFF,
@@ -23,9 +25,7 @@ from repro.telemetry import (
 
 
 class TestModes:
-    @pytest.mark.parametrize(
-        "raw", ["", "0", "off", "OFF", "none", "false", "no", "  off  "]
-    )
+    @pytest.mark.parametrize("raw", ["", "off", "OFF", "  off  "])
     def test_off_values(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_TELEMETRY", raw)
         assert telemetry_mode() == MODE_OFF
@@ -36,12 +36,35 @@ class TestModes:
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         assert telemetry_mode() == MODE_OFF
 
-    @pytest.mark.parametrize("raw", ["1", "on", "jsonl", "anything"])
+    @pytest.mark.parametrize("raw", ["on", "ON", " on "])
     def test_on_values(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_TELEMETRY", raw)
         assert telemetry_mode() == MODE_ON
         assert telemetry_enabled()
         assert not deep_telemetry_enabled()
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["1", "yes", "disabled", "jsonl", "0", "none", "false", "no", "ture"],
+    )
+    def test_other_values_raise_naming_the_flag(self, monkeypatch, raw):
+        """Only off | on | deep: a typo or a retired spelling fails at
+        the boundary instead of switching telemetry on (or off)."""
+        monkeypatch.setenv("REPRO_TELEMETRY", raw)
+        match = rf"REPRO_TELEMETRY must be one of off\|on\|deep, got '{raw}'"
+        with pytest.raises(ValueError, match=match):
+            telemetry_mode()
+        with pytest.raises(ValueError, match=match):
+            CampaignExecutor(CampaignSpec(name="modes"))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_mode_arguments_raise_naming_them(self, value):
+        """``compiled`` takes auto | on | off and ``eval_cache`` takes
+        None for "no cache": neither reads a bool any more."""
+        with pytest.raises(ValueError, match="compiled="):
+            resolve_compiled_mode(value)
+        with pytest.raises(ValueError, match="eval_cache"):
+            CampaignExecutor(CampaignSpec(name="modes"), eval_cache=value)
 
     def test_deep(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "Deep")
@@ -144,7 +167,7 @@ class TestRegistry:
         assert get_recorder() is NULL
 
     def test_on_resolves_to_ambient_memory_recorder(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TELEMETRY", "on")
         rec = get_recorder()
         assert isinstance(rec, MemoryRecorder)
         assert get_recorder() is rec  # one process-global instance

@@ -1,13 +1,8 @@
-"""Replay side: summary aggregation, torn-tail tolerance, Prometheus."""
+"""Replay side: summary aggregation, torn-tail tolerance, rendering."""
 
 import json
 
-from repro.telemetry import (
-    JsonlRecorder,
-    TelemetrySummary,
-    render_telemetry,
-    to_prometheus,
-)
+from repro.telemetry import JsonlRecorder, TelemetrySummary, render_telemetry
 
 
 def _line(**kw):
@@ -136,39 +131,3 @@ class TestRender:
         assert "top 3 slowest cells" in text
         assert "c11" in text and "c2" not in text
 
-
-class TestPrometheus:
-    def test_empty_summary_exports_nothing(self):
-        assert to_prometheus(TelemetrySummary()) == ""
-
-    def test_counter_span_gauge_mapping(self):
-        summary = TelemetrySummary.from_lines([
-            _line(kind="count", name="eval_cache.hit", n=4),
-            _line(kind="span", name="sim.run", dur_s=0.5),
-            _line(kind="span", name="sim.run", dur_s=1.5),
-            _line(kind="gauge", name="load", value=0.5),
-        ])
-        text = to_prometheus(summary)
-        assert "# TYPE repro_eval_cache_hit_total counter" in text
-        assert "repro_eval_cache_hit_total 4" in text
-        assert 'repro_span_seconds_count{span="sim.run"} 2' in text
-        assert 'repro_span_seconds_sum{span="sim.run"} 2.0' in text
-        assert 'repro_span_seconds_max{span="sim.run"} 1.5' in text
-        assert "# TYPE repro_load gauge" in text
-        assert "repro_load 0.5" in text
-        assert text.endswith("\n")
-
-    def test_metric_names_sanitised_and_labels_escaped(self):
-        summary = TelemetrySummary.from_lines([
-            _line(kind="count", name="0weird name-with:stuff", n=1),
-            _line(kind="span", name='sp"an\\x', dur_s=1.0),
-        ])
-        text = to_prometheus(summary)
-        assert "repro__0weird_name_with_stuff_total 1" in text
-        assert '{span="sp\\"an\\\\x"}' in text
-
-    def test_big_counter_renders_as_exact_integer(self):
-        summary = TelemetrySummary.from_lines([
-            _line(kind="count", name="huge", n=2**60),
-        ])
-        assert f"repro_huge_total {2**60}" in to_prometheus(summary)

@@ -49,13 +49,13 @@ class TestParser:
         args = build_parser().parse_args(
             ["campaign", "run", "--out", "x", "--densities", "100,300",
              "--mobility", "random-walk,gauss-markov", "--seeds", "3",
-             "--serial"]
+             "--backend", "inline"]
         )
         assert args.command == "campaign"
         assert args.campaign_command == "run"
         assert args.densities == "100,300"
         assert args.seeds == 3
-        assert args.serial
+        assert args.backend == "inline"
 
     def test_campaign_status_requires_out(self):
         with pytest.raises(SystemExit):
@@ -184,8 +184,12 @@ class TestCampaignCommand:
              "invalid choice: 'merge'"),
             (["campaign", "run", "--out", "x", "--heartbeat", "5"],
              "unrecognized arguments: --heartbeat 5"),
+            (["campaign", "run", "--out", "x", "--serial"],
+             "unrecognized arguments: --serial"),
+            (["campaign", "telemetry", "--out", "x", "--export-prom", "-"],
+             "unrecognized arguments: --export-prom -"),
         ],
-        ids=["keep-shards", "merge", "heartbeat"],
+        ids=["keep-shards", "merge", "heartbeat", "serial", "export-prom"],
     )
     def test_removed_surface_is_an_argparse_error(
         self, argv, error, capsys
@@ -207,7 +211,7 @@ class TestCampaignCommand:
         out = tmp_path / "camp"
         code = main(
             ["campaign", "run", "--out", str(out),
-             "--spec", str(spec_path), "--serial"]
+             "--spec", str(spec_path), "--backend", "inline"]
         )
         assert code == 0
         assert "'from-file'" in capsys.readouterr().out
@@ -378,11 +382,11 @@ class TestCampaignBackends:
         assert "3 cells executed" in capsys.readouterr().out
         assert self.backend_of(out) == {"inline"}
 
-    def test_serial_outranks_the_spec_backend_hint(
+    def test_backend_inline_outranks_the_spec_backend_hint(
         self, capsys, tmp_path, monkeypatch
     ):
-        """--serial means in-process: a spec hint of pool must not
-        spawn subprocesses (same precedence as the executor's)."""
+        """--backend inline means in-process: a spec hint of pool must
+        not spawn subprocesses (same precedence as the executor's)."""
         from repro.campaigns import CampaignSpec
 
         monkeypatch.setenv("REPRO_TELEMETRY", "on")
@@ -395,7 +399,7 @@ class TestCampaignBackends:
         out = tmp_path / "camp"
         code = main(
             ["campaign", "run", "--out", str(out), "--spec", str(spec_path),
-             "--serial"]
+             "--backend", "inline"]
         )
         assert code == 0
         assert "2 cells executed" in capsys.readouterr().out
@@ -434,7 +438,8 @@ class TestCacheCommand:
         out = tmp_path / "camp"
         assert main(
             ["campaign", "run", "--out", str(out), "--densities", "100",
-             "--seeds", "2", "--networks", "1", "--nodes", "8", "--serial"]
+             "--seeds", "2", "--networks", "1", "--nodes", "8",
+             "--backend", "inline"]
         ) == 0
         capsys.readouterr()
         cache_path = str(out / "evaluations.jsonl")
@@ -466,14 +471,15 @@ class TestTelemetryCommand:
     def run_args(self, out):
         return [
             "campaign", "run", "--out", str(out), "--densities", "100",
-            "--seeds", "2", "--networks", "1", "--nodes", "8", "--serial",
+            "--seeds", "2", "--networks", "1", "--nodes", "8",
+            "--backend", "inline",
         ]
 
-    def test_summary_prom_export_and_status_agreement(
+    def test_summary_and_status_agreement(
         self, capsys, tmp_path, monkeypatch
     ):
         out = tmp_path / "camp"
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TELEMETRY", "on")
         assert main(self.run_args(out)) == 0
         capsys.readouterr()
 
@@ -483,21 +489,6 @@ class TestTelemetryCommand:
         assert "campaign.cell" in text
         assert "campaign.simulations_executed" in text
         assert "slowest cells" in text
-
-        # Prometheus snapshot to stdout and to a file.
-        assert main(
-            ["campaign", "telemetry", "--out", str(out),
-             "--export-prom", "-"]
-        ) == 0
-        text = capsys.readouterr().out
-        assert "# TYPE repro_campaign_simulations_executed_total counter" in text
-        prom_path = tmp_path / "snap.prom"
-        assert main(
-            ["campaign", "telemetry", "--out", str(out),
-             "--export-prom", str(prom_path)]
-        ) == 0
-        assert "prometheus snapshot written" in capsys.readouterr().out
-        assert "repro_span_seconds" in prom_path.read_text()
 
         # The status census surfaces the same counters (they agree).
         assert main(["campaign", "status", "--out", str(out)]) == 0

@@ -184,3 +184,37 @@ class TestFlagRegistry:
         assert not flags.is_registered(name)
         with pytest.raises(flags.UnknownFlagError, match=name):
             flags.read_raw(name)
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [(None, "auto"), ("", "auto"), ("  ", "auto"), (" ON ", "on"),
+         ("off", "off")],
+    )
+    def test_read_choice_defaults_trims_and_lowers(
+        self, monkeypatch, raw, value
+    ):
+        if raw is None:
+            monkeypatch.delenv("REPRO_COMPILED", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_COMPILED", raw)
+        assert flags.read_choice("REPRO_COMPILED", ("auto", "on", "off")) == value
+
+    def test_read_choice_rejects_naming_flag_and_values(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILED", "true")
+        with pytest.raises(
+            ValueError,
+            match=r"REPRO_COMPILED must be one of auto\|on\|off, got 'true'",
+        ):
+            flags.read_choice("REPRO_COMPILED", ("auto", "on", "off"))
+
+    def test_read_choice_reads_the_environment_once(self, monkeypatch):
+        reads = []
+        original = flags.Flag.read
+
+        def counting(self):
+            reads.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(flags.Flag, "read", counting)
+        flags.read_choice("REPRO_TELEMETRY", ("off", "on", "deep"))
+        assert reads == ["REPRO_TELEMETRY"]

@@ -97,7 +97,7 @@ class TestFlagReads:
             evaluator.evaluate(AEDBParams(0.1, 2.0, -85.0, 1.0, 5.0))
         return reads
 
-    @pytest.mark.parametrize("telemetry", [None, "1", "deep"])
+    @pytest.mark.parametrize("telemetry", [None, "on", "deep"])
     def test_reads_do_not_scale_with_networks(self, monkeypatch, telemetry):
         if telemetry is None:
             monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
