@@ -13,11 +13,12 @@ The algorithm (Sect. IV):
 * every ``reset_iterations`` iterations a population re-initialises all
   its solutions from the archive (diversity + inter-population
   collaboration);
-* execution engines: ``serial`` (deterministic reference, every
-  population in one thread) and ``processes`` (one process per
-  population, message passing to the archive — the paper's hybrid
-  MPI+pthreads model); both step a population's T procedures round-robin
-  in one thread.
+* execution engines: ``serial`` (the reference, every population in one
+  thread) and ``processes`` (one process per population, message passing
+  to the archive — the paper's hybrid MPI+pthreads model); both step a
+  population's T procedures round-robin in one thread, and both give one
+  front for one seed: the process engine replays serial's order of
+  archive operations, one message per population reset.
 """
 
 from repro.core.config import MLSConfig

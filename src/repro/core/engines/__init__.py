@@ -8,7 +8,8 @@ two engines, and both step each population through one
   round-robin; deterministic, the reference semantics used by the tests;
 * :mod:`~repro.core.engines.processes` — one OS process per population,
   with the archive hosted by the parent and reached by message passing —
-  the paper's hybrid parallel model and the fast path.
+  the paper's hybrid parallel model and the fast path.  It applies the
+  archive operations in serial order, so it gives the serial front.
 """
 
 from repro.core.engines.processes import ProcessEngine

@@ -27,7 +27,7 @@ from repro.moo.archive import AdaptiveGridArchive
 from repro.moo.problem import Problem
 from repro.utils.rng import RngFactory
 
-__all__ = ["PopulationRun", "build_archive", "run_population_cooperative"]
+__all__ = ["PopulationRun", "build_archive"]
 
 
 def build_archive(
@@ -94,17 +94,3 @@ class PopulationRun:
         """Per-procedure counters, in slot order."""
         return [proc.stats() for proc in self.procedures]
 
-
-def run_population_cooperative(
-    problem: Problem,
-    config: MLSConfig,
-    population_index: int,
-    port: ArchivePort,
-    factory: RngFactory,
-) -> list[dict]:
-    """Run one population to the end of its budget; return its stats."""
-    run = PopulationRun(problem, config, population_index, port, factory)
-    run.initialise()
-    while not run.done:
-        run.step()
-    return run.stats()

@@ -37,8 +37,13 @@ __all__ = ["ArchivePort", "Population", "LocalSearchProcedure"]
 class ArchivePort:
     """The two archive operations a procedure needs.
 
-    Engines bind these to a local AGA instance (serial) or to a message
-    channel toward the archive server (processes).
+    The serial engine binds them to its AGA.  The process engine's
+    workers subclass the port: ``add`` buffers ``(slot, solution)`` by
+    round and returns False, and ``sample`` ships the buffer to the
+    parent, which applies it in serial order before it draws the sample
+    (:mod:`repro.core.engines.processes`).  So an add's return value is
+    the true outcome only in process; the engines' stats count outcomes
+    where the archive lives.
     """
 
     def __init__(
@@ -49,8 +54,9 @@ class ArchivePort:
         self._add = add
         self._sample = sample
 
-    def add(self, solution: FloatSolution) -> bool:
-        """Offer a (copy of a) solution to the shared archive."""
+    def add(self, solution: FloatSolution, slot: int) -> bool:
+        """Offer a (copy of a) solution from procedure ``slot`` to the
+        shared archive; True if it was inserted."""
         return self._add(solution)
 
     def sample(self, k: int) -> list[FloatSolution]:
@@ -156,7 +162,7 @@ class LocalSearchProcedure:
         assert best is not None
         self.current = best
         self.population.set_slot(self.slot, best)
-        if self.archive.add(best.copy()):
+        if self.archive.add(best.copy(), self.slot):
             self.archived += 1
 
     def step(self) -> None:
@@ -188,7 +194,7 @@ class LocalSearchProcedure:
             self.accepted += 1
             self.current = child
             self.population.set_slot(self.slot, child)
-            if self.archive.add(child.copy()):
+            if self.archive.add(child.copy(), self.slot):
                 self.archived += 1
 
     # ------------------------------------------------------------------ #
@@ -224,8 +230,11 @@ def drain_population(
 
     Returns the number of procedures reset.  Called by
     :meth:`~repro.core.engines.cooperative.PopulationRun.step` under both
-    engines; under the process engine the sample is a round trip to the
-    parent's archive.
+    engines.  This one ``sample`` is a population's only read of the
+    archive, so it is the engines' one ordering point: under the process
+    engine it is the round trip that carries the segment's buffered adds
+    to the parent and waits until the parent's cursor reaches this
+    population's round.
     """
     live = [p for p in procedures if not p.done]
     if not live:

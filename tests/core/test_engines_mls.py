@@ -1,7 +1,11 @@
 """AEDB-MLS engines: semantics, determinism, cross-engine agreement."""
 
+import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -115,46 +119,114 @@ class TestSerialEngine:
         )
 
 
-@pytest.mark.parametrize("engine", ["processes"])
-class TestConcurrentEngines:
-    def test_runs_and_respects_budget(self, engine):
-        cfg = MLSConfig(**FAST_CFG, engine=engine)
+def _front(result) -> list:
+    return [
+        (s.variables.tolist(), s.objectives.tolist(), s.constraint_violation)
+        for s in result.front
+    ]
+
+
+#: The info keys both engines report.
+SHARED_INFO = ("evaluations", "population_resets", "archive_size", "per_population")
+
+
+class TestProcessEngine:
+    def test_runs_and_respects_budget(self):
+        cfg = MLSConfig(**FAST_CFG, engine="processes")
         result = AEDBMLS(ToyAEDBLike(), cfg, seed=6).run()
         assert result.evaluations == cfg.total_evaluations
-        assert result.info["engine"] == engine
+        assert result.info["engine"] == "processes"
         assert len(result.front) > 0
         assert all(s.is_feasible for s in result.front)
+        assert multiprocessing.active_children() == []
 
-    def test_quality_comparable_to_serial(self, engine):
-        # Same budget must land in the same objective region (the
-        # engines differ only in scheduling).  Concurrent engines are not
-        # trajectory-deterministic (archive insertions race), so compare
-        # small seed-ensembles rather than single runs.
-        seeds = (7, 8, 9)
-        serial_best = np.min(
-            [
-                AEDBMLS(ToyAEDBLike(), MLSConfig(**FAST_CFG), seed=s)
-                .run()
-                .objectives_matrix()
-                .min(axis=0)
-                for s in seeds
-            ],
-            axis=0,
+    @pytest.mark.parametrize("seed", sorted(SERIAL_DIGESTS))
+    def test_matches_the_serial_golden_digest(self, seed):
+        # The serial pins, reached through the process engine: the front
+        # and every shared stat, ``archived`` included, are serial's.
+        cfg = MLSConfig(**{**FAST_CFG, "n_populations": 3}, engine="processes")
+        result = AEDBMLS(ToyAEDBLike(), cfg, seed=seed).run()
+        assert result.info["engine"] == "processes"
+        assert result.info.pop("archive_messages") > 0
+        result.info["engine"] = "serial"
+        assert _run_digest(result) == SERIAL_DIGESTS[seed]
+
+    @pytest.mark.parametrize("n_populations", [1, 2, 3, 4])
+    def test_front_and_stats_equal_serial(self, n_populations):
+        # Twice through the process engine, once through the serial one.
+        cfg = MLSConfig(**{**FAST_CFG, "n_populations": n_populations})
+        serial = AEDBMLS(ToyAEDBLike(), cfg, seed=9).run()
+        procs_cfg = dataclasses.replace(cfg, engine="processes")
+        for _ in range(2):
+            procs = AEDBMLS(ToyAEDBLike(), procs_cfg, seed=9).run()
+            assert _front(procs) == _front(serial)
+            for key in SHARED_INFO:
+                assert procs.info[key] == serial.info[key], key
+
+    def test_archived_counts_true_outcomes(self):
+        # Each procedure offers its start and every accepted move; with a
+        # small archive many offers are rejected, and ``archived`` says so.
+        cfg = MLSConfig(**{**FAST_CFG, "archive_capacity": 5}, engine="processes")
+        result = AEDBMLS(ToyAEDBLike(), cfg, seed=4).run()
+        slots = [s for pop in result.info["per_population"] for s in pop]
+        offered = sum(1 + s["accepted"] for s in slots)
+        archived = sum(s["archived"] for s in slots)
+        assert 0 < archived < offered
+
+    def test_one_message_per_reset_segment(self):
+        # One sample request per population reset and one final report
+        # per population, however many adds the run makes.
+        cfg = MLSConfig(**FAST_CFG, engine="processes")
+        result = AEDBMLS(ToyAEDBLike(), cfg, seed=3).run()
+        n_pop = cfg.n_populations
+        assert result.info["archive_messages"] == (
+            result.info["population_resets"] + n_pop
         )
-        other_best = np.min(
-            [
-                AEDBMLS(
-                    ToyAEDBLike(), MLSConfig(**FAST_CFG, engine=engine), seed=s
-                )
-                .run()
-                .objectives_matrix()
-                .min(axis=0)
-                for s in seeds
-            ],
-            axis=0,
+        adds = sum(
+            1 + s["accepted"] for pop in result.info["per_population"] for s in pop
         )
-        # Ensemble best-per-objective within a loose band.
-        np.testing.assert_allclose(serial_best, other_best, atol=30.0)
+        assert result.info["archive_messages"] < adds / 5
+
+
+class _FailingToy(ToyAEDBLike):
+    """Fails in the worker of population ``population`` after ``after``
+    evaluations: by raising, or by ending the process outright."""
+
+    def __init__(self, population: int, after: int, hard: bool):
+        super().__init__()
+        self.population, self.after, self.hard = population, after, hard
+        self.calls = 0
+
+    def _evaluate(self, solution):
+        self.calls += 1
+        name = multiprocessing.current_process().name
+        if name == f"mls-pop{self.population}" and self.calls > self.after:
+            if self.hard:
+                os._exit(3)
+            raise ValueError("evaluation failed")
+        super()._evaluate(solution)
+
+
+class TestProcessEngineFailures:
+    @pytest.mark.parametrize(
+        "hard, message",
+        [(False, r"population 1: ValueError\('evaluation failed'\)"),
+         (True, "population 1: worker .*before reporting")],
+    )
+    def test_failing_worker_fails_the_run_fast(self, hard, message):
+        cfg = MLSConfig(
+            n_populations=3,
+            threads_per_population=3,
+            evaluations_per_thread=400,
+            reset_iterations=100,
+            archive_capacity=30,
+            engine="processes",
+        )
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=message):
+            AEDBMLS(_FailingToy(1, after=30, hard=hard), cfg, seed=1).run()
+        assert time.monotonic() - start < 10.0
+        assert multiprocessing.active_children() == []
 
 
 class TestGuards:
@@ -195,8 +267,8 @@ class TestProcessWorkerModes:
                 MLSConfig(**FAST_CFG, process_worker=worker)
         assert "process_worker='cooperative'" in repr(MLSConfig(**FAST_CFG))
 
-    def test_cooperative_function_directly(self):
-        from repro.core.engines.cooperative import run_population_cooperative
+    def test_population_run_directly(self):
+        from repro.core.engines.cooperative import PopulationRun
         from repro.core.localsearch import ArchivePort
         from repro.moo.archive import AdaptiveGridArchive
         from repro.utils.rng import RngFactory
@@ -205,43 +277,15 @@ class TestProcessWorkerModes:
         cfg = MLSConfig(**FAST_CFG)
         archive = AdaptiveGridArchive(capacity=30, n_objectives=3, rng=0)
         port = ArchivePort(archive.add, archive.sample)
-        stats = run_population_cooperative(
-            problem, cfg, 0, port, RngFactory(5)
-        )
+        run = PopulationRun(problem, cfg, 0, port, RngFactory(5))
+        run.initialise()
+        resets = 0
+        while not run.done:
+            resets += run.step()
+        stats = run.stats()
         assert len(stats) == cfg.threads_per_population
         assert all(
             s["evaluations"] == cfg.evaluations_per_thread for s in stats
         )
+        assert resets > 0
         assert len(archive) > 0
-
-    def test_one_population_matches_in_process_loop(self):
-        # With one population nothing races: the worker's adds and
-        # samples reach the parent's archive in program order, so the
-        # front equals that of the same loop run in this process on the
-        # worker's seed, with the parent's archive stream.
-        from repro.core.engines.cooperative import (
-            build_archive,
-            run_population_cooperative,
-        )
-        from repro.core.engines.processes import ProcessEngine
-        from repro.core.localsearch import ArchivePort
-        from repro.utils.rng import RngFactory
-
-        problem = ToyAEDBLike()
-        cfg = MLSConfig(**{**FAST_CFG, "n_populations": 1}, engine="processes")
-        seed = 5
-        factory = RngFactory(seed)
-        worker_seed = int(factory.seed_sequence("worker", 0).generate_state(1)[0])
-        archive = build_archive(problem, cfg, factory)
-        run_population_cooperative(
-            problem, cfg, 0, ArchivePort(archive.add, archive.sample),
-            RngFactory(worker_seed),
-        )
-        expected = [
-            (m.variables.tolist(), m.objectives.tolist()) for m in archive.members
-        ]
-        for _ in range(2):
-            members, _ = ProcessEngine().run(problem, cfg, seed=seed)
-            assert [
-                (m.variables.tolist(), m.objectives.tolist()) for m in members
-            ] == expected

@@ -17,5 +17,7 @@ def test_parallel_engines_runs_every_engine(capsys):
     from repro.core.config import ENGINE_NAMES
 
     _load("parallel_engines").main()
-    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()]
+    out = capsys.readouterr().out
+    rows = [line.split()[0] for line in out.splitlines() if line.strip()]
     assert [name for name in rows if name in ENGINE_NAMES] == list(ENGINE_NAMES)
+    assert "One front from both engines: True" in out

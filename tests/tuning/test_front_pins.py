@@ -14,11 +14,14 @@ under test: CellDE's archive overflows its capacity, NSGA-II runs at
 least three generations, and infeasible solutions (broadcast time over
 the 2 s limit) are evaluated.  The AEDB runs are pinned on the pure
 window (``REPRO_COMPILED=off``) and through the compiled kernel, to the
-same digest.
+same digest.  The ``processes`` engine is pinned to the serial AEDB-MLS
+run for 1–4 populations, on both paths: front, stats and ``archived``
+counts alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -43,15 +46,16 @@ MLS_CFG = MLSConfig(
 )
 
 
-def _digest(result) -> str:
+def _digest(result, info: dict | None = None) -> str:
     """sha256 prefix over the front (variables and objectives as
-    ``float.hex``) and the run's ``info`` without its config."""
+    ``float.hex``) and the run's ``info`` (or ``info``) without its
+    config."""
     h = hashlib.sha256()
     for sol in result.front:
         h.update(",".join(float(v).hex() for v in sol.variables).encode())
         h.update(";".join(float(v).hex() for v in sol.objectives).encode())
         h.update(float(sol.constraint_violation).hex().encode())
-    info = {k: v for k, v in result.info.items() if k != "config"}
+    info = {k: v for k, v in (info or result.info).items() if k != "config"}
     h.update(json.dumps(info, sort_keys=True).encode())
     return h.hexdigest()[:16]
 
@@ -150,3 +154,25 @@ def test_analytic_front_digest(algorithm, seed, truncations):
     if algorithm == "CellDE":
         assert truncations, "the archive never overflowed"
     assert _digest(result) == ANALYTIC_DIGESTS[algorithm, seed]
+
+
+@pytest.mark.parametrize(
+    "compiled", ["off", pytest.param("auto", marks=pytest.mark.compiled)]
+)
+@pytest.mark.parametrize("density", [100, 300])
+@pytest.mark.parametrize("n_populations", [1, 2, 3, 4])
+def test_processes_front_digest_is_serial(
+    n_populations, density, compiled, monkeypatch
+):
+    monkeypatch.setenv("REPRO_COMPILED", compiled)
+    problem = make_tuning_problem(density, n_networks=2, master_seed=0xF207)
+    config = dataclasses.replace(MLS_CFG, n_populations=n_populations)
+    expected = _digest(AEDBMLS(problem, config, seed=5).run())
+    if n_populations == MLS_CFG.n_populations:
+        assert expected == AEDB_DIGESTS["AEDB-MLS", density]
+    config = dataclasses.replace(config, engine="processes")
+    for _ in range(2):
+        result = AEDBMLS(problem, config, seed=5).run()
+        info = {**result.info, "engine": "serial"}
+        assert info.pop("archive_messages") > 0
+        assert _digest(result, info) == expected
