@@ -72,7 +72,10 @@ def test_warm_runtime_evaluation(benchmark, density, emit):
 
     This is the steady-state cost an optimiser pays from evaluation #2
     onward; contrast with ``test_full_evaluation_10_networks`` (per-call
-    recompute) and see ``bench_runtime_cache.py`` for the recorded ratio.
+    recompute).  That a warm evaluation builds no runtime and computes
+    no beacon round is a test
+    (``tests/manet/test_runtime.py::TestEvaluatorIntegration``); the
+    build's share of a campaign is perfbench's ``runtime.build_s``.
     """
     from repro.manet import get_runtime
 

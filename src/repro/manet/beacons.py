@@ -152,8 +152,8 @@ class NeighborTables:
         if not self.rx_power.flags.writeable:
             self.rx_power = self.rx_power.copy()
             self.last_seen = self.last_seen.copy()
-        self.rx_power[heard] = rx[heard]
-        self.last_seen[heard] = time_s
+        np.copyto(self.rx_power, rx, where=heard)
+        np.copyto(self.last_seen, time_s, where=heard)
         self.rounds_run += 1
 
     def run_schedule(self, start_s: float, end_s: float) -> int:

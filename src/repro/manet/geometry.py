@@ -36,14 +36,21 @@ def reflect_fold(coords: np.ndarray, side: float) -> np.ndarray:
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Full ``(n, n)`` Euclidean distance matrix for ``(n, 2)`` positions.
 
-    The diagonal is zero.  Vectorised (broadcasted differences) per the
-    HPC guide — this is the hot operation of every beacon round.
+    The diagonal is zero.  This is the hot operation of every beacon
+    round, so it works in place on two ``(n, n)`` outer differences.
+    Each entry is ``sqrt(dx*dx + dy*dy)``: two products and one sum, the
+    bits of an einsum over the ``(n, n, 2)`` difference broadcast, which
+    the runtime snapshots are pinned to (DESIGN.md §8).
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d = np.subtract.outer(pos[:, 0], pos[:, 0])
+    d *= d
+    dy = np.subtract.outer(pos[:, 1], pos[:, 1])
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
 
 
 def distances_from_point(positions: np.ndarray, point: np.ndarray) -> np.ndarray:

@@ -34,7 +34,12 @@ neighbouring run.
 The cache invariant (DESIGN.md §8): consuming a runtime must leave every
 ``BroadcastMetrics`` bit-identical to the recompute path, because the
 snapshots are produced by literally the same update sequence
-:meth:`NeighborTables.beacon_round` would execute.
+:meth:`NeighborTables.beacon_round` would execute.  The build is one
+pass of that method over the canonical grid: after each round the
+tables' own arrays are frozen and kept as the tick's snapshot, and the
+next round's copy-on-write gives it fresh ones to write, so a fresh
+network pays one copy of the table state per round and nothing else
+beyond the round itself.
 
 :func:`get_runtime` is the per-process bounded-LRU entry point (the same
 discipline as the mobility memo in :mod:`repro.manet.scenarios`):
@@ -275,16 +280,17 @@ class ScenarioRuntime:
         yet, so every round takes its incremental path), which makes the
         bit-identity invariant true by construction: whatever
         ``beacon_round`` computes is exactly what the snapshots hold.
+        Each snapshot *is* the tables' own pair of arrays, frozen: the
+        next round finds them read-only and copies before it writes, so
+        a round costs one copy of the state, not two.
         """
         n = self.scenario.n_nodes
         tables = NeighborTables(n, self.sim, self.mobility, runtime=self)
         for t in self.beacon_times:
             tables.beacon_round(t)
-            rx_snap = tables.rx_power.copy()
-            seen_snap = tables.last_seen.copy()
-            rx_snap.setflags(write=False)
-            seen_snap.setflags(write=False)
-            self._snapshots[t] = (rx_snap, seen_snap)
+            tables.rx_power.setflags(write=False)
+            tables.last_seen.setflags(write=False)
+            self._snapshots[t] = (tables.rx_power, tables.last_seen)
 
     def table_snapshot(
         self, time_s: float

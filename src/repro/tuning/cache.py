@@ -159,6 +159,35 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+#: ``id(scenario) -> (scenario, canonical JSON of asdict(scenario))``,
+#: bounded LRU.  A campaign's jobs share their cell's scenario objects
+#: and every get is followed by a put of the same object, so one
+#: serialisation serves every key of a scenario.  Keyed by identity, not
+#: value: equal scenarios may still serialise differently (``30`` and
+#: ``30.0`` compare equal), and each must keep its own key.  The entry
+#: holds the scenario, so its id cannot be reused while it is cached.
+_SCENARIO_JSON: OrderedDict[int, tuple[NetworkScenario, str]] = OrderedDict()
+_SCENARIO_JSON_MAX = 256
+_SCENARIO_JSON_LOCK = threading.Lock()
+
+
+def _scenario_json(scenario: NetworkScenario) -> str:
+    """``_canonical_json(asdict(scenario))``, memoised per scenario object."""
+    with _SCENARIO_JSON_LOCK:
+        entry = _SCENARIO_JSON.get(id(scenario))
+        if entry is not None:
+            _SCENARIO_JSON.move_to_end(id(scenario))
+            return entry[1]
+    # asdict recurses into the nested sim/radio/mobility configs, so any
+    # config change reshapes the text.
+    text = _canonical_json(asdict(scenario))
+    with _SCENARIO_JSON_LOCK:
+        _SCENARIO_JSON[id(scenario)] = (scenario, text)
+        if len(_SCENARIO_JSON) > _SCENARIO_JSON_MAX:
+            _SCENARIO_JSON.popitem(last=False)
+    return text
+
+
 class PersistentEvaluationCache:
     """Content-keyed on-disk memoisation of single-network simulations.
 
@@ -235,17 +264,24 @@ class PersistentEvaluationCache:
     def simulation_key(
         cls, scenario: NetworkScenario, params: AEDBParams
     ) -> str:
-        """Content key of one ``(scenario, params)`` simulation."""
-        payload = {
-            "v": cls.VERSION,
-            # asdict recurses into the nested sim/radio/mobility configs,
-            # so any config change reshapes the key.
-            "scenario": asdict(scenario),
-            "params": [float(v) for v in params.as_array()],
-        }
-        return hashlib.sha1(
-            _canonical_json(payload).encode("utf-8")
-        ).hexdigest()
+        """Content key of one ``(scenario, params)`` simulation.
+
+        The SHA-1 of the canonical JSON of ``{"params": [...],
+        "scenario": asdict(scenario), "v": VERSION}``.  The text is
+        spliced in sorted-key order around the scenario's memoised
+        serialisation, so it is byte for byte the text ``json.dumps``
+        gives for the whole payload (DESIGN.md §9).
+        """
+        text = (
+            '{"params":'
+            + _canonical_json([float(v) for v in params.as_array()])
+            + ',"scenario":'
+            + _scenario_json(scenario)
+            + ',"v":'
+            + _canonical_json(cls.VERSION)
+            + "}"
+        )
+        return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------ #
     def get_metrics(

@@ -6,13 +6,15 @@ keys cover the full simulation input, torn tail lines are skipped, and
 a campaign re-run whose simulations are all cached executes none.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from repro.campaigns import CampaignExecutor, CampaignSpec, ResultStore
 from repro.manet import AEDBParams, BroadcastMetrics, make_scenarios
-from repro.manet.config import SimulationConfig
+from repro.manet.config import MobilityConfig, RadioConfig, SimulationConfig
 from repro.tuning import PersistentEvaluationCache
 
 
@@ -100,6 +102,103 @@ class TestRoundTrip:
             json.dumps({"key": "k", "metrics": {}, "v": 999}) + "\n"
         )
         assert len(PersistentEvaluationCache(path)) == 0
+
+
+class TestKeyPins:
+    """Sidecar keys written before the key derivation was reworked.
+
+    Literal SHA-1 values: a change to how ``simulation_key`` serialises
+    its input would orphan every sidecar already on disk.
+    """
+
+    @staticmethod
+    def _custom_sim():
+        return SimulationConfig(
+            horizon_s=45.0, warmup_s=30.5, beacon_interval_s=0.7,
+            radio=RadioConfig(propagation="two-ray", default_tx_power_dbm=12.5),
+            mobility=MobilityConfig(speed_max_mps=3.5),
+        )
+
+    @pytest.mark.parametrize(
+        "build, vector, key",
+        [
+            (lambda: make_scenarios(100, n_networks=1)[0],
+             None, "090e64d541f545704a63b840251f71309cefc61e"),
+            (lambda: make_scenarios(100, n_networks=1, n_nodes=8)[0],
+             (0.1, 0.7, -88.5, 1.25, 7.0),
+             "2c603355cbb87393e9a74e95e53cfdbef7b619de"),
+            (lambda: make_scenarios(
+                300, n_networks=2, mobility_model="gauss-markov")[1],
+             (0.1, 0.7, -88.5, 1.25, 7.0),
+             "1769d3d43bcdabb2abe2f1372a1cda906e9539d7"),
+            (lambda: make_scenarios(
+                200, n_networks=1, sim=TestKeyPins._custom_sim(),
+                mobility_model="random-waypoint")[0],
+             (0.0, 5.0, -95.0, 3.0, 50.0),
+             "2d07dc7e12fe8cc55348042585c21b8a0d2c6cfd"),
+        ],
+        ids=["default-rw", "odd-rw-n8", "gm-300-net2", "rwp-custom-sim"],
+    )
+    def test_simulation_key_is_pinned(self, build, vector, key):
+        scenario = build()
+        params = AEDBParams() if vector is None else AEDBParams(*vector)
+        assert PersistentEvaluationCache.simulation_key(scenario, params) == key
+        # A second call with the same objects (memoised inputs) and one
+        # with equal, freshly built ones give the same key.
+        assert PersistentEvaluationCache.simulation_key(scenario, params) == key
+        assert PersistentEvaluationCache.simulation_key(build(), params) == key
+
+    def test_equal_scenarios_that_serialise_differently_keep_their_keys(
+        self, params
+    ):
+        """``30`` and ``30.0`` compare equal but are different JSON: the
+        key of each is still the hash of its own whole-payload JSON."""
+        as_int, as_float = (
+            make_scenarios(
+                100, n_networks=1, n_nodes=8,
+                sim=SimulationConfig(warmup_s=warmup),
+            )[0]
+            for warmup in (30, 30.0)
+        )
+        assert as_int == as_float
+        keys = [
+            PersistentEvaluationCache.simulation_key(s, params)
+            for s in (as_int, as_float, as_int)
+        ]
+        assert keys == [
+            _reference_key(as_int, params),
+            _reference_key(as_float, params),
+            _reference_key(as_int, params),
+        ]
+        assert keys[0] != keys[1]
+
+    def test_a_sidecar_line_in_the_recorded_format_still_hits(
+        self, tmp_path, scenario, params
+    ):
+        path = tmp_path / "evaluations.jsonl"
+        path.write_text(
+            '{"key":"2c603355cbb87393e9a74e95e53cfdbef7b619de",'
+            '"metrics":{"broadcast_time_s":0.30000000000000004,'
+            '"coverage":5.0,"energy_dbm":-33.33333333333333,'
+            '"forwardings":0.2857142857142857,"n_nodes":8},"v":1}\n'
+        )
+        cache = PersistentEvaluationCache(path)
+        assert cache.get_metrics(scenario, params) == odd_metrics()
+        # A re-put of the same simulation appends nothing.
+        cache.put_metrics(scenario, params, odd_metrics())
+        cache.close()
+        assert len(path.read_text().splitlines()) == 1
+
+
+def _reference_key(scenario, params) -> str:
+    """The key as one ``json.dumps`` of the whole payload."""
+    payload = {
+        "v": PersistentEvaluationCache.VERSION,
+        "scenario": dataclasses.asdict(scenario),
+        "params": [float(v) for v in params.as_array()],
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
 def tiny_spec(**overrides):

@@ -79,6 +79,45 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError):
             pairwise_distances(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize(
+        "pos",
+        [
+            np.array([[250.0, 250.0]]),
+            # Coincident nodes: zero off the diagonal.
+            np.array([[10.0, 20.0], [10.0, 20.0], [10.0, 20.0], [7.5, 1e-9]]),
+            # Arena corners and edge midpoints.
+            np.array([
+                [0.0, 0.0], [SIDE, 0.0], [0.0, SIDE], [SIDE, SIDE],
+                [SIDE / 2, 0.0], [0.0, SIDE / 2], [SIDE, SIDE / 2],
+            ]),
+            np.random.default_rng(3).uniform(0, SIDE, size=(75, 2)),
+            np.random.default_rng(4).uniform(0, 1e-3, size=(9, 2)),
+        ],
+        ids=["one-node", "coincident", "corners", "uniform-75", "tiny"],
+    )
+    def test_bitwise_equal_to_the_einsum_reference(self, pos):
+        """Beacon snapshots and every metric rest on these exact bits."""
+        assert pairwise_distances(pos).tobytes() == _einsum_reference(pos).tobytes()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, SIDE, allow_subnormal=True),
+                st.floats(0.0, SIDE, allow_subnormal=True),
+            ),
+            min_size=1, max_size=16,
+        )
+    )
+    def test_bitwise_equal_to_the_einsum_reference_anywhere(self, points):
+        pos = np.array(points, dtype=float)
+        assert pairwise_distances(pos).tobytes() == _einsum_reference(pos).tobytes()
+
+
+def _einsum_reference(pos: np.ndarray) -> np.ndarray:
+    """The broadcast-and-einsum spelling ``pairwise_distances`` replaced."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
 
 class TestDistancesFromPoint:
     def test_matches_pairwise(self, rng):

@@ -8,6 +8,8 @@ densities, mobility models and propagation models, and check that a
 shared runtime is never contaminated by the evaluations that use it.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -274,9 +276,18 @@ class TestRuntimeSharing:
                 lambda *a: None, runtime=runtime,
             )
 
-    def test_snapshot_matches_incremental_tables(self):
+    @pytest.mark.parametrize(
+        "mobility_model, sim",
+        [(model, None) for model in MOBILITY_MODELS]
+        + [("gauss-markov",
+            SimulationConfig(warmup_s=30.5, beacon_interval_s=0.7))],
+        ids=[*MOBILITY_MODELS, "off-grid-warmup"],
+    )
+    def test_snapshot_matches_incremental_tables(self, mobility_model, sim):
         """Each stored snapshot equals the live incremental state."""
-        scenario = make_scenarios(100, n_networks=1)[0]
+        scenario = make_scenarios(
+            100, n_networks=1, sim=sim, mobility_model=mobility_model
+        )[0]
         runtime = ScenarioRuntime(scenario)
         mobility = scenario.build_mobility()
         tables = NeighborTables(scenario.n_nodes, scenario.sim, mobility)
@@ -306,6 +317,63 @@ class TestRuntimeSharing:
                 scenario, AEDBParams(), protocol_seed=seed, runtime=runtime
             ).run()
             assert plain == cached
+
+
+class TestSnapshotPins:
+    """The table timeline's bytes, recorded before the build was reworked.
+
+    One sha256 per ``(propagation, density, mobility model)`` over every
+    snapshot of the canonical grid (tick as ``float.hex``, then the
+    ``rx_power`` and ``last_seen`` bytes).  Any change to distances,
+    path loss or the masked update moves a digest.
+    """
+
+    DIGESTS = {
+    "log-distance-100-random-walk": "f9d049a38d9e539e3a0f7f516603aebdced5e944b1f8e2eda7560350693214ba",
+    "log-distance-100-random-waypoint": "4b09684aee78c0af3a84eb79c48beabecea80fd6c7f1c67e1adb8426361c3007",
+    "log-distance-100-gauss-markov": "45d3d5ff188397c608b45fd7e5404a2b340f955d31439f532bf4f77f63318cc5",
+    "log-distance-100-random-direction": "9bb6b18d463d133c1ed2f4ec226fd65042f2f2f91b371e92d5dbdacaa9df3af6",
+    "log-distance-200-random-walk": "540f8608ee5cfbe3bdfc8dd3cc55e84273e9b0003e5cd5d33646b4b02f54d163",
+    "log-distance-200-random-waypoint": "214fea51fc8eb801a90778edf88dd5fa76f94105616c7ddf824359bad792fb05",
+    "log-distance-200-gauss-markov": "5bded2ea8f7dfc4ca0a4e93861fec449b933d2d5121079cef40971daeb95223a",
+    "log-distance-200-random-direction": "2d3400bd2f215a6aeec255ae93a37e612f92519813797c2d0627b038916c2995",
+    "log-distance-300-random-walk": "ba257d9839e2331809195e72605b3f3d92166ace5ec8d793ee3ffa7cab7da30d",
+    "log-distance-300-random-waypoint": "e9b999f0c2e3a09828a00bd07cae7d2b291b6e26463a58eff28f1ea7fe800569",
+    "log-distance-300-gauss-markov": "069759bda7f5f38a72d0a0bb9e891acfbce19b162745dd1888c8d463055824b2",
+    "log-distance-300-random-direction": "cafacfd9875fe58520df294bd12af73d1d0504600d18b54fa5dba748ef73a1c2",
+    "two-ray-100-random-walk": "fd10124e82938264e6571f0731e1ba478d855052dd55a5e3fe951b86f770e280",
+    "two-ray-100-random-waypoint": "38379e7f8acf23914f8de6490d00902a1d2b16b905a1bdb7e138f95fdb7fbb54",
+    "two-ray-100-gauss-markov": "9edc9c4d526502da3f3e948ed3cdaf0177114fe41e753187b3f03822341a4199",
+    "two-ray-100-random-direction": "c26ffd182421c381da3bba24148fa7438c6ffbedcdb12bd3c3c196655e3890a1",
+    "two-ray-200-random-walk": "cd62f2616354861a577d6dad8d5d6079d7ae688d7badec18b30d3c1c95c38bd4",
+    "two-ray-200-random-waypoint": "9c847aa3db6b773159aea19940432dfc4cccfb375a34dbdc8a75ed6da745e291",
+    "two-ray-200-gauss-markov": "b5277d4566f03ece8af00c1ae8a89a25f36ed36c60c1efbedf7a9ee3ac058653",
+    "two-ray-200-random-direction": "a5d6a2bfecd0fb6dc5d4784ad475396dbd7aa789296034558c73587373aef05a",
+    "two-ray-300-random-walk": "041ed38551d98a63a3b6bfac3c2ff69c03d32fb88f3287115f35227f707b99a5",
+    "two-ray-300-random-waypoint": "cc0f9e85738d5df5d9391eed348e8a8408a15c4c7f32c7f5c79cb75cc4747dcd",
+    "two-ray-300-gauss-markov": "173333a026b3db05d86980c0cdeadc7aeb36f8eb28acb787e2155d4d241dca88",
+    "two-ray-300-random-direction": "c248a3f7fd70eb49abc715b5b2a586d856561f4d20f0781706231468bbdd9d9c",
+    }
+
+    @pytest.mark.parametrize("propagation", ["log-distance", "two-ray"])
+    @pytest.mark.parametrize("density", [100, 200, 300])
+    @pytest.mark.parametrize("mobility_model", MOBILITY_MODELS)
+    def test_snapshot_bytes_are_pinned(
+        self, propagation, density, mobility_model
+    ):
+        sim = SimulationConfig(radio=RadioConfig(propagation=propagation))
+        scenario = make_scenarios(
+            density, n_networks=1, sim=sim, mobility_model=mobility_model
+        )[0]
+        runtime = ScenarioRuntime(scenario)
+        digest = hashlib.sha256()
+        for t in runtime.beacon_times:
+            rx, seen = runtime.table_snapshot(t)
+            digest.update(float(t).hex().encode())
+            digest.update(rx.tobytes())
+            digest.update(seen.tobytes())
+        key = f"{propagation}-{density}-{mobility_model}"
+        assert digest.hexdigest() == self.DIGESTS[key]
 
 
 class TestUniformStream:
@@ -452,6 +520,71 @@ class TestEvaluatorIntegration:
         # Warm evaluations reuse the runtimes and stay deterministic.
         again = evaluator.evaluate(PARAM_SETS[0])
         assert first == again
+
+    @staticmethod
+    def _count_builds_and_rounds(monkeypatch):
+        """Count ``ScenarioRuntime`` builds and computed beacon rounds.
+
+        A computed round is one that builds a distance matrix; a round
+        restored from a snapshot does not.
+        """
+        from repro.manet import beacons
+
+        builds: list[int] = []
+        rounds: list[int] = []
+        real_init = ScenarioRuntime.__init__
+        real_distances = beacons.pairwise_distances
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            real_init(self, *args, **kwargs)
+
+        def counting_distances(positions):
+            rounds.append(1)
+            return real_distances(positions)
+
+        monkeypatch.setattr(ScenarioRuntime, "__init__", counting_init)
+        monkeypatch.setattr(beacons, "pairwise_distances", counting_distances)
+        return builds, rounds
+
+    def test_warm_evaluate_builds_no_runtime_and_computes_no_round(
+        self, monkeypatch
+    ):
+        """What the runtime cache is for, without a clock: once an
+        evaluator's runtimes exist, another configuration builds none
+        and computes no beacon round."""
+        from repro.tuning import NetworkSetEvaluator
+
+        builds, rounds = self._count_builds_and_rounds(monkeypatch)
+        clear_runtime_cache()
+        try:
+            evaluator = NetworkSetEvaluator.for_density(100, n_networks=3)
+            cold = evaluator.evaluate(PARAM_SETS[0])
+            assert len(builds) == 3
+            assert len(rounds) == sum(
+                get_runtime(s).n_beacon_rounds for s in evaluator.scenarios
+            )
+            builds.clear()
+            rounds.clear()
+            for params in PARAM_SETS[1:]:
+                evaluator.evaluate(params)
+            assert evaluator.evaluate(PARAM_SETS[0]) == cold
+            assert builds == [] and rounds == []
+        finally:
+            clear_runtime_cache()
+
+    def test_direct_simulator_run_builds_no_runtime(self, monkeypatch):
+        """A one-shot ``runtime=None`` run pays for no precompute it
+        cannot amortise: it builds no runtime, caches none, and computes
+        each beacon round of its schedule once."""
+        builds, rounds = self._count_builds_and_rounds(monkeypatch)
+        clear_runtime_cache()
+        scenario = make_scenarios(300, n_networks=1)[0]
+        metrics = BroadcastSimulator(scenario, AEDBParams()).run()
+        assert metrics.n_nodes == scenario.n_nodes
+        assert builds == [] and runtime_cache_size() == 0
+        warm, window = beacon_grid(scenario.sim)
+        assert len(rounds) == len(warm) + len(window)
 
     def test_disabled_memoisation_falls_back(self):
         clear_runtime_cache()

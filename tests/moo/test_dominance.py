@@ -131,6 +131,44 @@ class TestNonDominated:
         assert len(front) == 1 and front[0].is_feasible
 
 
+class TestNothingFeasible:
+    """A front with no feasible member, as NSGA-II stores it.
+
+    The two members are the stored front of the ``paper-rw`` campaign
+    at master seed 506000, cell ``d300-random-walk-a500-s0-nsgaii``:
+    600 evaluations found no feasible vector, and both survivors have
+    the same violation.  Deb's rule 2 ties equal violations, so both
+    stay although the first one's objectives dominate the second's
+    (DESIGN.md §17).
+    """
+
+    VIOLATION = 0.0038993030655039007
+    BETTER = [46.83021595228414, -21.5, 2.0]
+    WORSE = [46.832091349943525, -21.5, 2.0]
+
+    def _front(self):
+        return sol(self.BETTER, self.VIOLATION), sol(self.WORSE, self.VIOLATION)
+
+    def test_equal_positive_violations_tie(self):
+        better, worse = self._front()
+        assert pareto_dominates(self.BETTER, self.WORSE)
+        assert compare(better, worse) == 0
+        assert compare(worse, better) == 0
+
+    def test_non_dominated_keeps_both(self):
+        better, worse = self._front()
+        assert non_dominated([better, worse]) == [better, worse]
+        assert non_dominated([worse, better]) == [worse, better]
+
+    def test_any_feasible_member_beats_every_infeasible_one(self):
+        better, worse = self._front()
+        feasible = sol([1e6, 0.0, 1e6])
+        for infeasible in (better, worse):
+            assert compare(feasible, infeasible) == -1
+            assert compare(infeasible, feasible) == 1
+        assert non_dominated([better, worse, feasible]) == [feasible]
+
+
 class TestMask:
     def test_known(self):
         obj = np.array([[1.0, 3.0], [3.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
