@@ -5,22 +5,30 @@
  * ``BroadcastSimulator`` run as a single C event loop (window beacon
  * snapshot swaps, frame transmission/resolution with SINR capture, and
  * the AEDB decision kernel, flattened into typed arrays).
- * ``probe_ops`` exposes the kernel's IEEE-exact arithmetic so the
- * Python layer can check it before trusting the kernel.
+ * ``probe_ops`` exposes the kernel's IEEE-exact arithmetic and its two
+ * numpy loops so the Python layer can check them before trusting the
+ * kernel.
  *
  * Bit-identity strategy (probed on this host, see DESIGN.md §14):
  * every IEEE-exact operation (+ - * / sqrt fmod fabs comparisons) runs
  * natively in C, compiled with ``-ffp-contract=off`` so no FMA
  * contraction can change results; the two transcendental steps the
  * reference evaluates through numpy ufuncs (``np.log10`` for path loss,
- * ``np.power(10, ·)`` for dBm→mW) are *bridged back into numpy itself*
- * — the kernel fills a scratch ndarray and calls the very ufunc objects
- * the pure path calls.  Both ufuncs are position-independent (same
- * scalar value → same bits at any offset/length/shape), so per-row
- * bridging reproduces the reference's full-matrix calls exactly.
+ * ``np.power(10.0, ·)`` for dBm→mW) run *numpy's own float64 inner
+ * loops* — the strided-loop functions the ufuncs themselves dispatch
+ * to, handed in once per process as NEP 43 call-info capsules
+ * (``numpy_1.24_ufunc_call_info``) — on the kernel's C scratch buffers,
+ * with the strides the ufunc call would pass ((8, 8) in place for
+ * log10, (0, 8, 8) for the scalar base of power).  Both loops are
+ * position-independent (same scalar value → same bits at any
+ * offset/length), so per-row calls reproduce the reference's
+ * full-matrix calls exactly; ``probe_ops`` lets the self-check verify
+ * that on every tail length before the kernel is used.
  *
- * No numpy C API is used: arrays come in through the buffer protocol,
- * which keeps the extension buildable with nothing but a C compiler.
+ * No numpy C API is used: arrays come in through the buffer protocol
+ * and the capsule through a field-for-field mirror of numpy's
+ * call-info struct, which keeps the extension buildable with nothing
+ * but a C compiler.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -60,6 +68,28 @@ enum {
 enum { MOB_STATIC = 0, MOB_EPOCHS = 1, MOB_LEGS = 2, MOB_TICKS = 3,
        MOB_MODES };
 static const Py_ssize_t mob_n_arrays[MOB_MODES] = {1, 3, 5, 1};
+
+/* numpy's ``ufunc_call_info`` (NEP 43, ``numpy_1.24_ufunc_call_info``
+ * capsules from ``ufunc._resolve_dtypes_and_context`` once
+ * ``ufunc._get_strided_loop`` has filled them), field for field: the
+ * PyArrayMethod_StridedLoop, its context and auxdata, then two npy_bool
+ * flags.  The kernel holds the GIL, so ``requires_pyapi`` needs no
+ * handling; numpy's own float-status check around the loop is skipped
+ * because the kernel feeds it only finite distance ratios >= 1 and
+ * bounded exponents (tests/manet/test_compiled_loops.py pins
+ * that under np.errstate(all="raise")). */
+typedef int (*NpStridedLoop)(void *context, char *const *data,
+                             const Py_ssize_t *dimensions,
+                             const Py_ssize_t *strides, void *auxdata);
+typedef struct {
+    NpStridedLoop strided_loop;
+    void *context;
+    void *auxdata;
+    unsigned char requires_pyapi;
+    unsigned char no_floatingpoint_errors;
+} NpCallInfo;
+
+static const char call_info_name[] = "numpy_1.24_ufunc_call_info";
 
 /* protocol state codes (mirror repro.manet.aedb) */
 enum { ST_IDLE = 0, ST_WAITING = 1, ST_DROPPED = 2, ST_FORWARDED = 3 };
@@ -102,10 +132,9 @@ typedef struct {
     const double *leg_p0, *leg_vel;    /* (n, L, 2) */
     const long long *leg_count;        /* (n,), each in [1, L] */
     double *pos;                       /* (n, 2) scratch */
-    /* ufunc bridge */
-    PyObject *log10_obj, *power_obj, *ten_obj;
-    PyObject *scratch_a_obj, *scratch_b_obj;
-    double *sa, *sb;                   /* scratch buffers, length n */
+    /* numpy's log10 / power(10.0, x) loops and their scratch */
+    const NpCallInfo *log10_loop, *pow10_loop;
+    double *sa, *sb;                   /* length n */
     /* protocol state (output arrays, written in place) */
     double *first_rx, *strongest, *timer_deadline;
     signed char *state;
@@ -201,33 +230,72 @@ k_decision(Kernel *k, double t, long node, int kind, double value)
     return 0;
 }
 
-/* np.log10(scratch_a, out=scratch_a) via the exact ufunc object the
- * pure path calls; entries [m, n) are parked at 1.0 so the tail is
- * warning-free.  Same helper shape for np.power(10.0, scratch_b). */
-static int
-k_log10(Kernel *k, long m)
+/* The NpCallInfo inside ``obj``; TypeError / ValueError naming ``name``
+ * for anything but a filled call-info capsule. */
+static const NpCallInfo *
+get_call_info(PyObject *obj, const char *name)
 {
-    for (long i = m; i < k->n; i++)
-        k->sa[i] = 1.0;
-    PyObject *r = PyObject_CallFunctionObjArgs(
-        k->log10_obj, k->scratch_a_obj, k->scratch_a_obj, NULL);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    if (!PyCapsule_CheckExact(obj)) {
+        PyErr_Format(PyExc_TypeError,
+                     "evcore: %s must be a %s capsule, not %.100s", name,
+                     call_info_name, Py_TYPE(obj)->tp_name);
+        return NULL;
+    }
+    const char *got = PyCapsule_GetName(obj);
+    if (got == NULL && PyErr_Occurred())
+        return NULL;
+    if (got == NULL || strcmp(got, call_info_name) != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "evcore: %s must be a %s capsule, not one named %s",
+                     name, call_info_name, got == NULL ? "NULL" : got);
+        return NULL;
+    }
+    const NpCallInfo *info =
+        (const NpCallInfo *)PyCapsule_GetPointer(obj, call_info_name);
+    if (info == NULL)
+        return NULL;
+    if (info->strided_loop == NULL) {
+        PyErr_Format(PyExc_ValueError,
+                     "evcore: %s holds no strided loop "
+                     "(ufunc._get_strided_loop was not called on it)",
+                     name);
+        return NULL;
+    }
+    return info;
 }
 
 static int
-k_pow10(Kernel *k, long m)
+call_loop(const NpCallInfo *loop, char *const *data, Py_ssize_t m,
+          const Py_ssize_t *strides)
 {
-    for (long i = m; i < k->n; i++)
-        k->sb[i] = 0.0;
-    PyObject *r = PyObject_CallFunctionObjArgs(
-        k->power_obj, k->ten_obj, k->scratch_b_obj, k->scratch_b_obj, NULL);
-    if (r == NULL)
+    if (loop->strided_loop(loop->context, data, &m, strides,
+                           loop->auxdata) < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError,
+                            "evcore: numpy strided loop failed");
         return -1;
-    Py_DECREF(r);
+    }
     return 0;
+}
+
+/* np.log10(buf[:m], out=buf[:m]) */
+static int
+loop_log10(const NpCallInfo *loop, double *buf, Py_ssize_t m)
+{
+    static const Py_ssize_t strides[2] = {8, 8};
+    char *data[2] = {(char *)buf, (char *)buf};
+    return call_loop(loop, data, m, strides);
+}
+
+/* np.power(10.0, buf[:m], out=buf[:m]): the scalar base rides at
+ * stride 0, as the ufunc broadcasts it. */
+static int
+loop_pow10(const NpCallInfo *loop, double *buf, Py_ssize_t m)
+{
+    static const Py_ssize_t strides[3] = {0, 8, 8};
+    double ten = 10.0;
+    char *data[3] = {(char *)&ten, (char *)buf, (char *)buf};
+    return call_loop(loop, data, m, strides);
 }
 
 /* np.clip(x, 0, side) as numpy spells it: NaN passes through, then two
@@ -328,9 +396,13 @@ k_positions(Kernel *k, double t)
 
 static int k_do_transmit(Kernel *k, long sender, double power, double t);
 
-/* AEDBProtocol._select_tx_power, scan spelling (bit-identical to the
- * reference's scanned live_mask — both evaluate the same freshness
- * predicate on the same floats). */
+/* AEDBProtocol._select_tx_power in one pass over the node's row: the
+ * live test (the reference's freshness predicate on the same floats),
+ * then the dense regime's argmax over in-forwarding-area rx and the
+ * sparse regime's argmin over unheard rx side by side.  Strict > / <
+ * keep the first extremum, as numpy's argmax/argmin over the
+ * reference's -inf / +inf filled copies do (a fill never wins: a live
+ * neighbour's beacon rx is finite). */
 static double
 k_select_tx_power(Kernel *k, long node, double t)
 {
@@ -338,48 +410,35 @@ k_select_tx_power(Kernel *k, long node, double t)
     const double *nrx = k->rx_cur + (size_t)node * n;
     const double *nseen = k->seen_cur + (size_t)node * n;
     const unsigned char *nheard = k->heard + (size_t)node * n;
-    unsigned char *live = k->elig;   /* free between resolves */
-    long in_fwd_count = 0;
+    long in_fwd_count = 0, dense = 0, sparse = 0;
+    double dense_rx = -INFINITY, sparse_rx = INFINITY;
+    int any_unheard = 0;
     for (long j = 0; j < n; j++) {
-        unsigned char lv =
-            ((t - nseen[j]) <= k->expiry) && (j != node);
-        live[j] = lv;
-        if (lv && nrx[j] <= k->border)
+        if (!(((t - nseen[j]) <= k->expiry) && (j != node)))
+            continue;
+        double r = nrx[j];
+        if (r <= k->border) {
             in_fwd_count++;
-    }
-    long target = 0;
-    if ((double)in_fwd_count > k->nbr_threshold) {
-        /* dense regime: argmax over in-forwarding-area rx (-inf fill,
-         * first occurrence on ties — strict > keeps the lowest id) */
-        double best = -INFINITY;
-        for (long j = 0; j < n; j++) {
-            double v = (live[j] && nrx[j] <= k->border) ? nrx[j]
-                                                        : -INFINITY;
-            if (v > best) {
-                best = v;
-                target = j;
+            if (r > dense_rx) {
+                dense_rx = r;
+                dense = j;
             }
         }
-    } else {
-        /* sparse regime: furthest live neighbour not already heard
-         * from; no candidates → full power */
-        int any = 0;
-        for (long j = 0; j < n; j++) {
-            live[j] = live[j] && !nheard[j];
-            if (live[j])
-                any = 1;
-        }
-        if (!any)
-            return k->max_tx;
-        double best = INFINITY;
-        for (long j = 0; j < n; j++) {
-            double v = live[j] ? nrx[j] : INFINITY;
-            if (v < best) {
-                best = v;
-                target = j;
+        if (!nheard[j]) {
+            any_unheard = 1;
+            if (r < sparse_rx) {
+                sparse_rx = r;
+                sparse = j;
             }
         }
     }
+    long target;
+    if ((double)in_fwd_count > k->nbr_threshold)
+        target = dense;     /* closest potential forwarder */
+    else if (any_unheard)
+        target = sparse;    /* furthest neighbour not heard from */
+    else
+        return k->max_tx;   /* no unheard live neighbour: full power */
     double loss = k->default_tx - nrx[target];
     double power = k->required + loss;
     power = power + k->margin;
@@ -559,7 +618,7 @@ k_resolve(Kernel *k, long f, double t)
             d = d / k->ref_d;
         k->sa[j] = d;
     }
-    if (k_log10(k, n) < 0)
+    if (loop_log10(k->log10_loop, k->sa, n) < 0)
         return -1;
     double txp = k->fr_power[f];
     for (long j = 0; j < n; j++) {
@@ -600,7 +659,7 @@ k_resolve(Kernel *k, long f, double t)
                     d = d / k->ref_d;   /* generic chain always divides */
                     k->sa[m] = d;
                 }
-                if (k_log10(k, ndet) < 0)
+                if (loop_log10(k->log10_loop, k->sa, ndet) < 0)
                     return -1;
                 for (long m = 0; m < ndet; m++) {
                     double l = k->scale * k->sa[m];
@@ -608,14 +667,14 @@ k_resolve(Kernel *k, long f, double t)
                     double rxi = op - loss;
                     k->sb[m] = rxi / 10.0;
                 }
-                if (k_pow10(k, ndet) < 0)
+                if (loop_pow10(k->pow10_loop, k->sb, ndet) < 0)
                     return -1;
                 for (long m = 0; m < ndet; m++)
                     k->interf[m] = k->interf[m] + k->sb[m];
             }
             for (long m = 0; m < ndet; m++)
                 k->sb[m] = k->rx[k->det[m]] / 10.0;
-            if (k_pow10(k, ndet) < 0)
+            if (loop_pow10(k->pow10_loop, k->sb, ndet) < 0)
                 return -1;
             for (long m = 0; m < ndet; m++) {
                 long j = k->det[m];
@@ -656,16 +715,15 @@ static PyObject *
 evcore_run_window(PyObject *self, PyObject *args)
 {
     PyObject *fparams_o, *iparams_o, *doubles_o, *start_rx_o, *start_seen_o,
-        *win_times_o, *win_rx_o, *win_seen_o, *mob_o, *scratch_a_o,
-        *scratch_b_o, *log10_o, *power_o, *first_rx_o, *strongest_o,
-        *state_o, *heard_o, *frame_o, *timer_o, *decisions_o, *counts_o;
+        *win_times_o, *win_rx_o, *win_seen_o, *mob_o, *log10_o, *power_o,
+        *first_rx_o, *strongest_o, *state_o, *heard_o, *frame_o, *timer_o,
+        *decisions_o, *counts_o;
     if (!PyArg_ParseTuple(
-            args, "OOOOOOOOOOOOOOOOOOOOO:run_window",
+            args, "OOOOOOOOOOOOOOOOOOO:run_window",
             &fparams_o, &iparams_o, &doubles_o, &start_rx_o, &start_seen_o,
-            &win_times_o, &win_rx_o, &win_seen_o, &mob_o, &scratch_a_o,
-            &scratch_b_o, &log10_o, &power_o, &first_rx_o, &strongest_o,
-            &state_o, &heard_o, &frame_o, &timer_o, &decisions_o,
-            &counts_o))
+            &win_times_o, &win_rx_o, &win_seen_o, &mob_o, &log10_o,
+            &power_o, &first_rx_o, &strongest_o, &state_o, &heard_o,
+            &frame_o, &timer_o, &decisions_o, &counts_o))
         return NULL;
 
     Kernel k;
@@ -674,9 +732,9 @@ evcore_run_window(PyObject *self, PyObject *args)
 
     /* fixed buffers (indices into bufs[]; released in the epilogue) */
     enum { B_FPARAMS, B_IPARAMS, B_DOUBLES, B_START_RX, B_START_SEEN,
-           B_WIN_TIMES, B_MOB0, B_MOB1, B_MOB2, B_MOB3, B_MOB4, B_SA, B_SB,
-           B_FIRST_RX, B_STRONGEST, B_STATE, B_HEARD, B_FRAME, B_TIMER,
-           B_DECISIONS, B_COUNTS, B_FIXED };
+           B_WIN_TIMES, B_MOB0, B_MOB1, B_MOB2, B_MOB3, B_MOB4, B_FIRST_RX,
+           B_STRONGEST, B_STATE, B_HEARD, B_FRAME, B_TIMER, B_DECISIONS,
+           B_COUNTS, B_FIXED };
     Py_buffer bufs[B_FIXED];
     char held[B_FIXED];
     memset(held, 0, sizeof(held));
@@ -846,14 +904,12 @@ evcore_run_window(PyObject *self, PyObject *args)
     }
 #undef MOBBUF
 
-    GETBUF(B_SA, scratch_a_o, 1, n, 8, "scratch_a");
-    GETBUF(B_SB, scratch_b_o, 1, n, 8, "scratch_b");
-    k.sa = (double *)bufs[B_SA].buf;
-    k.sb = (double *)bufs[B_SB].buf;
-    k.scratch_a_obj = scratch_a_o;
-    k.scratch_b_obj = scratch_b_o;
-    k.log10_obj = log10_o;
-    k.power_obj = power_o;
+    k.log10_loop = get_call_info(log10_o, "log10_loop");
+    if (k.log10_loop == NULL)
+        goto done;
+    k.pow10_loop = get_call_info(power_o, "power_loop");
+    if (k.pow10_loop == NULL)
+        goto done;
 
     GETBUF(B_FIRST_RX, first_rx_o, 1, n, 8, "first_rx");
     GETBUF(B_STRONGEST, strongest_o, 1, n, 8, "strongest");
@@ -877,10 +933,6 @@ evcore_run_window(PyObject *self, PyObject *args)
     k.dec_cap = 2 * n + 1;
     long long *counts = (long long *)bufs[B_COUNTS].buf;
 
-    k.ten_obj = PyFloat_FromDouble(10.0);
-    if (k.ten_obj == NULL)
-        goto done;
-
     /* plain-C scratch */
     k.heap_cap = W + 4 * n + 16;
     k.heap = (KEvent *)PyMem_Malloc(k.heap_cap * sizeof(KEvent));
@@ -893,10 +945,12 @@ evcore_run_window(PyObject *self, PyObject *args)
     k.elig = (unsigned char *)PyMem_Malloc(n);
     k.det = (long *)PyMem_Malloc(n * sizeof(long));
     k.interf = (double *)PyMem_Malloc(n * sizeof(double));
+    k.sa = (double *)PyMem_Malloc(n * sizeof(double));
+    k.sb = (double *)PyMem_Malloc(n * sizeof(double));
     if (k.heap == NULL || k.fr_end == NULL || k.active == NULL ||
         k.recent == NULL || k.overlap == NULL || k.pos == NULL ||
         k.rx == NULL || k.elig == NULL || k.det == NULL ||
-        k.interf == NULL) {
+        k.interf == NULL || k.sa == NULL || k.sb == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -968,9 +1022,10 @@ done:
     PyMem_Free(k.elig);
     PyMem_Free(k.det);
     PyMem_Free(k.interf);
+    PyMem_Free(k.sa);
+    PyMem_Free(k.sb);
     PyMem_Free(k.win_rx);
     PyMem_Free(k.win_seen);
-    Py_XDECREF(k.ten_obj);
     for (long i = 0; i < n_wbufs; i++)
         PyBuffer_Release(&wbufs[i]);
     PyMem_Free(wbufs);
@@ -989,8 +1044,13 @@ static PyObject *
 evcore_probe_ops(PyObject *self, PyObject *args)
 {
     int op;
-    PyObject *a_o, *b_o, *out_o;
-    if (!PyArg_ParseTuple(args, "iOOO:probe_ops", &op, &a_o, &b_o, &out_o))
+    PyObject *a_o, *b_o, *out_o, *loop_o = Py_None;
+    if (!PyArg_ParseTuple(args, "iOOO|O:probe_ops", &op, &a_o, &b_o, &out_o,
+                          &loop_o))
+        return NULL;
+    const NpCallInfo *loop = NULL;
+    if ((op == 3 || op == 4) &&
+        (loop = get_call_info(loop_o, "loop")) == NULL)
         return NULL;
     Py_buffer a, b, out;
     if (get_buf(a_o, &a, 0, 0, 8, "a") < 0)
@@ -1015,6 +1075,7 @@ evcore_probe_ops(PyObject *self, PyObject *args)
     const double *pa = (const double *)a.buf;
     const double *pb = (const double *)b.buf;
     double *po = (double *)out.buf;
+    int rc = 0;
     switch (op) {
     case 0:   /* sqrt */
         for (Py_ssize_t i = 0; i < m; i++)
@@ -1035,16 +1096,20 @@ evcore_probe_ops(PyObject *self, PyObject *args)
             po[i] = r;
         }
         break;
+    case 3:   /* numpy's log10 loop, in place as the kernel runs it */
+    case 4:   /* numpy's power(10.0, x) loop, likewise */
+        memmove(po, pa, (size_t)m * 8);
+        rc = (op == 3 ? loop_log10 : loop_pow10)(loop, po, m);
+        break;
     default:
         PyErr_SetString(PyExc_ValueError, "probe_ops: unknown op");
-        PyBuffer_Release(&a);
-        PyBuffer_Release(&b);
-        PyBuffer_Release(&out);
-        return NULL;
+        rc = -1;
     }
     PyBuffer_Release(&a);
     PyBuffer_Release(&b);
     PyBuffer_Release(&out);
+    if (rc < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -1057,8 +1122,10 @@ static PyMethodDef evcore_methods[] = {
      "Run one broadcast window in the compiled event core (see "
      "repro.manet.compiled for the marshalling layer)."},
     {"probe_ops", evcore_probe_ops, METH_VARARGS,
-     "probe_ops(op, a, b, out): evaluate sqrt / a*a+b*b / floored mod "
-     "natively so the Python layer can verify arithmetic identity."},
+     "probe_ops(op, a, b, out[, loop]): evaluate sqrt / a*a+b*b / "
+     "floored mod natively, or run numpy's log10 / power(10.0, x) loop "
+     "(op 3 / 4, from a call-info capsule) on a copy of a the way "
+     "run_window does, so the Python layer can verify identity."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -25,13 +25,14 @@ executor, which pass it on as the simulator's ``compiled=`` argument):
 * ``off`` — pure Python everywhere (the reference path).
 
 The fallback ladder, in order: extension import → ``probe_ops``
-arithmetic self-check (sqrt / FMA-contraction canary / floored-mod
-replica vs numpy) → per-run preconditions (runtime attached, replay RNG
-stream, log-distance path loss, a mobility model that describes its
-trace through ``kernel_trace`` — every built-in model does — and
-in-window beacon ticks; all but the first two are decided once per
-runtime).  Every rung lands on the pure path with a human-readable
-reason.
+self-check (sqrt / FMA-contraction canary / floored-mod replica vs
+numpy, and numpy's own ``log10`` / ``power`` strided loops, fetched
+once per process, run the kernel's way vs the ufuncs) → per-run
+preconditions (runtime attached, replay RNG stream, log-distance path
+loss, a mobility model that describes its trace through
+``kernel_trace`` — every built-in model does — and in-window beacon
+ticks; all but the first two are decided once per runtime).  Every
+rung lands on the pure path with a human-readable reason.
 """
 
 from __future__ import annotations
@@ -61,6 +62,17 @@ __all__ = [
 #: Lazily-resolved (extension module | None, reason | None).
 _STATE: tuple[object, str | None] | None = None
 
+#: numpy's float64 ``log10`` and ``power(10.0, x)`` inner loops as NEP 43
+#: call-info capsules, handed to every ``run_window`` call; set with a
+#: usable ``_STATE`` and held for the life of the process (a capsule owns
+#: its loop's context).
+_LOOPS: tuple[object, ...] = ()
+
+#: Loop lengths the self-check probes: up to twice the paper's 75-node
+#: networks, past every SIMD remainder and unroll width, so no tail the
+#: kernel hits goes unchecked.
+_LOOP_PROBE_LENGTHS = range(1, 151)
+
 _MODES = ("auto", "on", "off")
 
 
@@ -88,15 +100,43 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.tobytes() == b.tobytes()
 
 
-def _self_check(ext) -> str | None:
-    """Verify the extension's native arithmetic against numpy, bitwise.
+def _numpy_loops() -> tuple[object, ...] | None:
+    """numpy's own float64 ``log10`` and ``power(10.0, x)`` strided loops,
+    as the NEP 43 call-info capsules the kernel calls through.
+
+    The strides are fixed to the kernel's calls: in place on a
+    contiguous buffer for ``log10`` (8, 8), a stride-0 scalar base for
+    ``power`` (0, 8, 8).  None when this numpy cannot hand them out
+    (no ``ufunc._resolve_dtypes_and_context`` / ``_get_strided_loop``,
+    or a signature they no longer take).
+    """
+    f8 = np.dtype(np.float64)
+    loops = []
+    for ufunc, strides in ((np.log10, (8, 8)), (np.power, (0, 8, 8))):
+        try:
+            _, call_info = ufunc._resolve_dtypes_and_context(
+                (f8,) * (len(strides) - 1) + (None,)
+            )
+            ufunc._get_strided_loop(call_info, fixed_strides=strides)
+        except (AttributeError, TypeError, ValueError):
+            return None
+        loops.append(call_info)
+    return tuple(loops)
+
+
+def _self_check(ext, loops) -> str | None:
+    """Verify the extension's native arithmetic and numpy loops against
+    numpy, bitwise.
 
     The kernel's identity argument (DESIGN.md §14) rests on C sqrt and
     the IEEE basics matching numpy exactly, on the compiler not having
-    contracted ``a*a + b*b`` into an FMA, and on the floored-mod replica
-    of ``np.mod`` used by the mobility fold.  A host where any of these
-    fails (exotic libm, forced -ffast-math, FMA contraction) must land
-    on the pure path, not produce subtly different metrics.
+    contracted ``a*a + b*b`` into an FMA, on the floored-mod replica
+    of ``np.mod`` used by the mobility fold, and on the direct ``log10``
+    / ``power(10.0, ·)`` loop calls giving what the ufuncs give over a
+    whole matrix, at every length the kernel calls them with.  A host
+    where any of these fails (exotic libm, forced -ffast-math, FMA
+    contraction, a loop that depends on its position) must land on the
+    pure path, not produce subtly different metrics.
     """
     rng = np.random.default_rng(0x5EDB)
     a = rng.uniform(0.5, 1200.0, 257)
@@ -113,19 +153,42 @@ def _self_check(ext) -> str | None:
     ext.probe_ops(2, signed, period, out)
     if not _bits_equal(out, np.mod(signed, period)):
         return "self-check failed: floored mod differs from np.mod"
+    if loops is None:
+        return (
+            "numpy's strided loops are unavailable "
+            "(ufunc._resolve_dtypes_and_context / _get_strided_loop)"
+        )
+    n = _LOOP_PROBE_LENGTHS[-1]
+    ratios = rng.uniform(1.0, 3000.0, n)
+    ratios[:2] = 1.0, 3000.0  # the clamped ratio and the range's end
+    exponents = rng.uniform(-20.0, 3.0, n)
+    exponents[:2] = -20.0, 3.0
+    for op, name, x, reference in (
+        (3, "log10", ratios, np.log10(ratios)),
+        (4, "power", exponents, np.power(10.0, exponents)),
+    ):
+        for m in _LOOP_PROBE_LENGTHS:
+            got = np.empty(m)
+            ext.probe_ops(op, x, x, got, loops[op - 3])
+            if not _bits_equal(got, reference[:m]):
+                return f"self-check failed: numpy's {name} loop differs from np.{name}"
     return None
 
 
 def _resolve_extension() -> tuple[object, str | None]:
-    global _STATE
+    global _STATE, _LOOPS
     if _STATE is None:
         try:
             from repro.manet import _evcore
         except ImportError as exc:
             _STATE = (None, f"extension not built ({exc})")
         else:
-            reason = _self_check(_evcore)
-            _STATE = (None, reason) if reason else (_evcore, None)
+            loops = _numpy_loops()
+            reason = _self_check(_evcore, loops)
+            if reason:
+                _STATE = (None, reason)
+            else:
+                _STATE, _LOOPS = (_evcore, None), loops
     return _STATE
 
 
@@ -237,12 +300,13 @@ def _runtime_pack(runtime) -> dict:
     ``fparams``/``iparams`` templates (every slot but the simulator's
     own: the five AEDB parameters, the decision-log switch and the RNG
     cursor), ``inputs`` (every ``run_window`` argument between those
-    vectors and the outputs, as one tuple: the raw uniform stream, the
-    last warm-up table snapshot the window opens on, the window tick
-    times and snapshot tuples, the mobility model's
-    :class:`~repro.manet.mobility.KernelTrace` arrays, and the two
-    scratch vectors that bridge the kernel into numpy's own
-    ``log10``/``power`` ufuncs), and the fresh-output templates.
+    vectors and numpy's loops, as one tuple: the raw uniform stream,
+    the last warm-up table snapshot the window opens on, the window tick
+    times and snapshot tuples, and the mobility model's
+    :class:`~repro.manet.mobility.KernelTrace` arrays), and the
+    fresh-output templates.  numpy's ``log10``/``power`` loop capsules
+    are per process, not per runtime (:data:`_LOOPS`), and the kernel
+    keeps its own scratch for them.
     Reusing them across runs keeps the per-evaluation marshalling cost
     to a handful of small array copies.
     """
@@ -331,10 +395,6 @@ def _build_runtime_pack(runtime) -> dict:
             tuple(s[0] for s in snaps),
             tuple(s[1] for s in snaps),
             trace.arrays,
-            np.empty(n),
-            np.empty(n),
-            np.log10,
-            np.power,
         ),
         # Templates of the fresh per-run output vectors (a copy is
         # cheaper than a fill).
@@ -393,7 +453,9 @@ def execute_compiled_run(sim: "BroadcastSimulator") -> KernelRun:
         np.empty((2 * n + 1, 4)),      # decisions_out
         counts,
     )
-    energy = ext.run_window(fparams, iparams, *pack["inputs"], *outputs)
+    energy = ext.run_window(
+        fparams, iparams, *pack["inputs"], *_LOOPS, *outputs
+    )
     rng._i += int(counts[_CN_DRAWS])
     return KernelRun(*outputs, energy)
 

@@ -16,12 +16,16 @@ Every built-in mobility model runs through the kernel: the random
 walk's epochs, the waypoint and direction models' leg table, and the
 gauss-markov tick grid.  A user-defined model must *fall back* with a
 recorded reason and still match the reference bit for bit, and the
-kernel must reject a malformed trace before reading it.  The
+kernel must reject a malformed trace, or anything but numpy's filled
+loop capsules, before reading it.  The
 compiled-mode decision is captured at construction, so flipping
 ``REPRO_COMPILED`` mid-run is a no-op.
 """
 
 from __future__ import annotations
+
+import datetime
+import re
 
 import numpy as np
 import pytest
@@ -333,3 +337,68 @@ class TestMalformedTrace:
         assert sim.compiled_active, sim.compiled_reason
         with pytest.raises(ValueError, match=message):
             sim.run()
+
+
+def _unfilled_call_info():
+    """A call-info capsule ``ufunc._get_strided_loop`` never filled."""
+    _, call_info = np.log10._resolve_dtypes_and_context(
+        (np.dtype(np.float64), None)
+    )
+    return call_info
+
+
+#: (make the bad argument, error type, message after the argument name).
+BAD_LOOPS = [
+    (
+        lambda: np.log10,
+        TypeError,
+        "must be a numpy_1.24_ufunc_call_info capsule, not numpy.ufunc",
+    ),
+    (
+        lambda: datetime.datetime_CAPI,
+        ValueError,
+        "must be a numpy_1.24_ufunc_call_info capsule, "
+        "not one named datetime.datetime_CAPI",
+    ),
+    (_unfilled_call_info, ValueError, "holds no strided loop"),
+]
+BAD_LOOP_IDS = ["ufunc-object", "foreign-capsule", "unfilled-capsule"]
+
+
+class TestBadLoopCapsules:
+    """``run_window`` and ``probe_ops`` take numpy's loops only as filled
+    call-info capsules and name the argument that is not one."""
+
+    @pytest.mark.parametrize("slot, name", [(0, "log10_loop"), (1, "power_loop")])
+    @pytest.mark.parametrize("make, error, message", BAD_LOOPS, ids=BAD_LOOP_IDS)
+    def test_run_window_rejects(self, monkeypatch, slot, name, make, error, message):
+        import repro.manet.compiled as compiled_mod
+
+        scenario = scenario_for(5, 8, "random-walk")
+        sim = BroadcastSimulator(
+            scenario, AEDBParams(), runtime=ScenarioRuntime(scenario),
+            compiled="auto",
+        )
+        assert sim.compiled_active, sim.compiled_reason
+        loops = list(compiled_mod._LOOPS)
+        loops[slot] = make()
+        monkeypatch.setattr(compiled_mod, "_LOOPS", tuple(loops))
+        with pytest.raises(error, match=re.escape(f"{name} {message}")):
+            sim.run()
+
+    @pytest.mark.parametrize("op", [3, 4])
+    @pytest.mark.parametrize("make, error, message", BAD_LOOPS, ids=BAD_LOOP_IDS)
+    def test_probe_ops_rejects(self, op, make, error, message):
+        from repro.manet import _evcore
+
+        x = np.ones(4)
+        with pytest.raises(error, match=re.escape(f"loop {message}")):
+            _evcore.probe_ops(op, x, x, np.empty(4), make())
+
+    @pytest.mark.parametrize("op", [3, 4])
+    def test_probe_ops_needs_a_loop(self, op):
+        from repro.manet import _evcore
+
+        x = np.ones(4)
+        with pytest.raises(TypeError, match="loop must be .* not NoneType"):
+            _evcore.probe_ops(op, x, x, np.empty(4))
